@@ -68,8 +68,8 @@ __all__ = [
     "run_suites",
 ]
 
-DEFAULT_THETA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
-DEFAULT_ZETA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+DEFAULT_THETA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
+DEFAULT_ZETA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _DEFAULT_DIPOLE_CONFIGS = (("z", "z"), ("x", "x"), ("y", "y"), ("x", "z"))
 _AXIS_VECTORS = {
     "x": np.array([1.0, 0.0, 0.0]),

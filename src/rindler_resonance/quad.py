@@ -9,14 +9,16 @@ oscillatory spectral density against the kernel
 It is evaluated in four pieces: an ordinary adaptive integral on
 [0, w0/2], pole-subtracted integrals on [w0/2, w0] and [w0, 3*w0/2]
 whose logarithmic remainder cancels exactly on the symmetric window,
-and an exponentially damped tail on [3*w0/2, inf) extrapolated to zero
-damping.  The damped tail T(eta) is analytic in eta within a disc set
-by the density's oscillation time scale, so Richardson (Neville)
-extrapolation over a geometric eta schedule converges geometrically.
+and the oscillatory tail on [3*w0/2, inf).  The tail is rotated onto
+the ray w = 3*w0/2 + i*y, where the oscillation e^{iSw} becomes the
+decay e^{-Sy} and no pole of K is crossed (numerical steepest descent,
+Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026); the
+part of the integrand that grows with w is split off first, since its
+Abel tail is elementary.  The result is the Abel value of the tail
+directly, with no damping and no extrapolation.
 
-Everything here is deterministic: fixed Gauss-Kronrod nodes, worst-
-interval-first bisection with first-index tie breaking, and a fixed
-damping schedule.
+Everything here is deterministic: fixed Gauss-Kronrod nodes and worst-
+interval-first bisection with first-index tie breaking.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class SingularityError(QuadratureError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and damping controls for the integration routines.
+    """Tolerances for the integration routines.
 
     Attributes
     ----------
@@ -119,21 +121,11 @@ class QuadratureSpec:
         estimate drops below max(abs_tol, rel_tol * |I|).
     max_depth:
         Bisection depth limit per interval in the adaptive rule.
-    eta:
-        Initial damping (in the reciprocal units of the integration
-        variable) for the principal-value tail.  When None a scale of
-        0.5/w0 is used; callers that know the density's oscillation
-        period should pass half of it.
-    eta_schedule:
-        Explicit strictly decreasing damping sequence.  When None a
-        geometric schedule eta * 2**-j with 10 levels is generated.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_depth: int = 50
-    eta: Optional[float] = None
-    eta_schedule: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
@@ -142,17 +134,6 @@ class QuadratureSpec:
             raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.eta is not None and not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise DomainError(f"eta must be positive and finite, got {self.eta}")
-        if self.eta_schedule is not None:
-            sched = tuple(float(e) for e in self.eta_schedule)
-            if len(sched) < 3:
-                raise DomainError("eta_schedule needs at least 3 levels")
-            if any(e <= 0.0 for e in sched):
-                raise DomainError("eta_schedule entries must be positive")
-            if any(b >= a for a, b in zip(sched, sched[1:])):
-                raise DomainError("eta_schedule must be strictly decreasing")
-            object.__setattr__(self, "eta_schedule", sched)
 
     @classmethod
     def from_environment(cls) -> "QuadratureSpec":
@@ -165,9 +146,6 @@ class QuadratureSpec:
         except ValueError:
             raise DomainError(f"{_ENV_REL_TOL} must parse as a float, got {raw!r}") from None
         return cls(rel_tol=rel)
-
-    def with_eta(self, eta: float) -> "QuadratureSpec":
-        return replace(self, eta=eta)
 
 
 def _eval_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -354,79 +332,6 @@ def neville_extrapolate(xs: Sequence[float], ys: Sequence[float]) -> tuple:
     return value, err
 
 
-class _RichardsonTable:
-    """Incremental Neville tableau evaluated at zero."""
-
-    def __init__(self) -> None:
-        self._xs: list = []
-        self._row: list = []
-        self.value: float = math.nan
-        self.err: float = math.inf
-
-    def add(self, x: float, y: float) -> tuple:
-        xs = self._xs
-        prev = self._row
-        row = [y]
-        for k in range(1, len(xs) + 1):
-            xi = xs[len(xs) - k]
-            row.append((xi * row[k - 1] - x * prev[k - 1]) / (xi - x))
-        xs.append(x)
-        self._row = row
-        new_value = row[-1]
-        if len(row) > 1:
-            self.err = abs(new_value - self.value)
-        self.value = new_value
-        return self.value, self.err
-
-
-def _density_scalar(density: Callable, w: float) -> float:
-    return float(np.asarray(_eval_vectorized(density, np.array([w])))[0])
-
-
-class _DampedTail:
-    """Shared-node evaluation of T(eta) = integral_A^inf h(w) e^{-eta w} dw.
-
-    Panels of half the estimated oscillation period are laid out from A,
-    with geometric growth of the first few panel lengths so that a small
-    A does not force needlessly fine panels far out.  Density and kernel
-    values are cached; each damping level only pays for the exponential
-    reweighting and for extending coverage to its own cutoff.
-    """
-
-    def __init__(self, h: Callable, start: float, panel_len: float):
-        self._h = h
-        self._start = start
-        self._panel = panel_len
-        self._edge = start
-        self._step = min(panel_len, start)
-        self._nodes = np.empty(0)
-        self._weights = np.empty(0)
-        self._values = np.empty(0)
-
-    def _extend(self, w_max: float) -> None:
-        new_nodes = []
-        new_weights = []
-        while self._edge < w_max:
-            a = self._edge
-            b = a + self._step
-            half = 0.5 * (b - a)
-            new_nodes.append(0.5 * (a + b) + half * _XGK)
-            new_weights.append(half * _WGK)
-            self._edge = b
-            self._step = min(2.0 * self._step, self._panel)
-        if new_nodes:
-            nodes = np.concatenate(new_nodes)
-            self._nodes = np.concatenate([self._nodes, nodes])
-            self._weights = np.concatenate([self._weights, np.concatenate(new_weights)])
-            self._values = np.concatenate([self._values, _eval_vectorized(self._h, nodes)])
-
-    def evaluate(self, eta: float, cutoff_scale: float = 45.0) -> float:
-        self._extend(self._start + cutoff_scale / eta)
-        damped = self._values * np.exp(-eta * self._nodes)
-        return float(np.dot(self._weights, damped))
-
-
-
 @dataclass(frozen=True)
 class TrigPolyDensity:
     """Spectral density declared as polynomial-times-trig structure.
@@ -435,13 +340,15 @@ class TrigPolyDensity:
 
         (c0 + c1*w + c2*w**2) * cos(w*S) + (s0 + s1*w + s2*w**2) * sin(w*S)
 
-    with S = ``osc_time``.  Passing this to
-    :func:`pv_resonance_kernel` instead of a bare callable lets the
-    tail integrate the polynomially growing part in closed form
-    (incomplete damped moments), leaving only a decaying remainder for
-    the panels.  Without that split the damped tail of a growing
-    density accumulates an absolute mass of order 1/eta**2 and the
-    zero-damping extrapolation drowns in rounding noise.
+    with S = ``osc_time``.  On the real axis this is the real part of
+    E(w) * e^{iSw} with the analytic envelope
+
+        E(w) = (c0 + c1*w + c2*w**2) - i*(s0 + s1*w + s2*w**2),
+
+    which :func:`pv_resonance_kernel` continues off the real axis to
+    rotate the oscillatory tail into the complex plane.  A bare
+    callable carries no such continuation, so the kernel accepts only
+    this type.
     """
 
     osc_time: float
@@ -467,109 +374,47 @@ class TrigPolyDensity:
         ) * np.sin(phase)
 
 
-def _incomplete_trig_moment(k: int, osc_time: float, eta: float, start: float) -> complex:
-    # integral_start^inf w^k e^{i*S*w} e^{-eta*w} dw; real part pairs with
-    # cos(S*w), imaginary with sin(S*w).  Stable down to eta = 0.
-    s = complex(eta, -osc_time)
-    total = 0.0j
-    for j in range(k + 1):
-        total += (math.factorial(k) / math.factorial(j)) * start**j / s ** (k + 1 - j)
-    return cmath.exp(-s * start) * total
-
-
-def _polynomial_tail_limit(density: TrigPolyDensity, start: float) -> float:
-    """Abel limit of the polynomial part of the tail, in closed form.
-
-    The tail integrand density*K splits as (2/w)*density + density*r
-    with r(w) = 2*omega0**2/(w*(w**2 - omega0**2)); the first piece
-    contributes 2*(c1 + c2*w)*cos + 2*(s1 + s2*w)*sin once the 1/w
-    remainders are moved to the numeric side.
-    """
-    s_time = density.osc_time
-    m0 = _incomplete_trig_moment(0, s_time, 0.0, start)
-    m1 = _incomplete_trig_moment(1, s_time, 0.0, start)
-    _, c1, c2 = density.cos_coeffs
-    _, s1, s2 = density.sin_coeffs
-    return 2.0 * (c1 * m0.real + c2 * m1.real + s1 * m0.imag + s2 * m1.imag)
-
-
-def _extrapolated_tail(
-    integrand: Callable,
-    start: float,
-    schedule: tuple,
-    spec: QuadratureSpec,
-    scale_offset: float,
-) -> float:
-    """Zero-damping limit of integral_start^inf integrand(w) e^{-eta w} dw."""
-    panel_len = math.pi / (2.0 * schedule[0])
-    tail = _DampedTail(integrand, start, panel_len)
-    table = _RichardsonTable()
-    best_val = math.nan
-    best_err = math.inf
-    rule_err = math.inf
-    first_tail = 0.0
-    for j, eta in enumerate(schedule):
-        t_eta = tail.evaluate(eta)
-        value, err = table.add(eta, t_eta)
-        if j == 0:
-            # Extrapolation cannot see an eta-independent discretization
-            # bias, so verify the panel resolution directly once.
-            fine = _DampedTail(integrand, start, 0.5 * panel_len)
-            rule_err = abs(t_eta - fine.evaluate(eta))
-            first_tail = t_eta
-        if j >= 1 and err < best_err:
-            best_val, best_err = value, err
-        threshold = max(spec.abs_tol, spec.rel_tol * abs(scale_offset + value))
-        if j >= 2 and best_err <= 0.5 * threshold:
-            break
-    else:
-        threshold = max(spec.abs_tol, spec.rel_tol * abs(scale_offset + best_val))
-        if not best_err <= threshold:
-            raise QuadratureError(
-                "damped tail extrapolation did not converge: best error "
-                f"{best_err:.3e} vs threshold {threshold:.3e} over "
-                f"{len(schedule)} levels starting at eta = {schedule[0]:.3e}"
-            )
-    rule_threshold = 10.0 * max(
-        spec.abs_tol, spec.rel_tol * max(abs(scale_offset + best_val), abs(first_tail))
-    )
-    if rule_err > rule_threshold:
-        raise QuadratureError(
-            f"tail panel resolution error {rule_err:.3e} exceeds {rule_threshold:.3e}; "
-            "pass a smaller eta or an explicit eta_schedule"
-        )
-    return best_val
-
-
 def pv_resonance_kernel(
-    density: Callable,
+    density: TrigPolyDensity,
     omega0: float,
     spec: Optional[QuadratureSpec] = None,
 ) -> float:
     """Principal value of integral_0^inf density(w) * K(w) dw.
 
-    K(w) = 1/(w + omega0) + 1/(w - omega0).  ``density`` must accept a
-    numpy array of frequencies; the improper tail is defined in the
-    Abel sense, damping by e^{-eta w} and extrapolating eta to zero.
-    Densities that grow with frequency must be declared as
-    :class:`TrigPolyDensity` so the growing part can be handled in
-    closed form; for those the damping scale also defaults to half the
-    oscillation time.
+    K(w) = 1/(w + omega0) + 1/(w - omega0).  The simple pole at omega0
+    is subtracted on the symmetric window [omega0/2, 3*omega0/2], where
+    its logarithmic remainder vanishes identically.
 
-    The simple pole at omega0 is subtracted on the symmetric window
-    [omega0/2, 3*omega0/2], where its logarithmic remainder vanishes
-    identically.
+    The improper tail is defined in the Abel sense.  With A = 3*omega0/2
+    and the density written as Re[E(w) e^{iSw}] (see
+    :class:`TrigPolyDensity`), E*K splits into the polynomial
+    2*(E(w) - E(0))/w, whose Abel tail is elementary, and a remainder
+    q = O(1/w).  The tail of q is rotated onto w = A + i*y, where e^{iSw}
+    decays as e^{-Sy}:
 
-    Raises QuadratureError if either the adaptive pieces or the damped
-    tail extrapolation cannot reach the requested tolerance.
+        integral_A^inf Re[q e^{iSw}] dw
+            = Re[i e^{iSA} integral_0^inf q(A+iy) e^{-Sy} dy].
+
+    Both poles of K lie left of A, so the rotation crosses none.  The
+    ray is sampled geometrically, y = a*expm1(u) with a = min(omega0, 1/S),
+    so the kernel scale omega0 and the decay scale 1/S are both resolved
+    whatever their ratio and units.
+
+    Raises TypeError for anything but a TrigPolyDensity, and
+    QuadratureError if an adaptive piece cannot reach the requested
+    tolerance.
     """
+    if not isinstance(density, TrigPolyDensity):
+        raise TypeError(
+            f"density must be a TrigPolyDensity, got {type(density).__name__}"
+        )
     spec = spec or QuadratureSpec()
     if not (omega0 > 0.0 and math.isfinite(omega0)):
         raise DomainError(f"omega0 must be positive and finite, got {omega0}")
 
     w_lo = 0.5 * omega0
     w_hi = 1.5 * omega0
-    d0 = _density_scalar(density, omega0)
+    d0 = float(_eval_vectorized(density, np.array([omega0]))[0])
 
     def plain(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -588,24 +433,25 @@ def pv_resonance_kernel(
     log_term = d0 * math.log((w_hi - omega0) / (omega0 - w_lo))
     finite = head + mid + log_term
 
-    if isinstance(density, TrigPolyDensity):
-        s_time = density.osc_time
-        eta0 = spec.eta if spec.eta is not None else 0.5 * s_time
-        schedule = spec.eta_schedule or tuple(eta0 * 0.5**j for j in range(10))
-        analytic = _polynomial_tail_limit(density, w_hi)
-        c0 = density.cos_coeffs[0]
-        s0 = density.sin_coeffs[0]
+    # Tail on [A, inf), A = w_hi: E*K = 2*(p0 + p1*w) + q(w).
+    c0, c1, c2 = density.cos_coeffs
+    s0, s1, s2 = density.sin_coeffs
+    s_time = density.osc_time
+    edge = cmath.exp(1j * s_time * w_hi)
+    p0 = complex(c1, -s1)
+    p1 = complex(c2, -s2)
+    poly = 2.0 * edge * (1j * p0 / s_time + p1 * (1j * w_hi / s_time - 1.0 / s_time**2))
+    a = min(omega0, 1.0 / s_time)
+    # Past y = 750/S the factor e^{-Sy} is exactly 0.
+    u_max = math.log1p(750.0 / (s_time * a))
+    rotation = 1j * a * edge
 
-        def remainder(w: np.ndarray) -> np.ndarray:
-            w = np.asarray(w, dtype=float)
-            r = 2.0 * omega0 * omega0 / (w * (w * w - omega0 * omega0))
-            phase = w * s_time
-            bounded = 2.0 * (c0 * np.cos(phase) + s0 * np.sin(phase)) / w
-            return bounded + density(w) * r
+    def rotated(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        y = a * np.expm1(u)
+        w = w_hi + 1j * y
+        envelope = (c0 + (c1 + c2 * w) * w) - 1j * (s0 + (s1 + s2 * w) * w)
+        q = 2.0 * complex(c0, -s0) / w + envelope * 2.0 * omega0**2 / (w * (w * w - omega0**2))
+        return (rotation * q).real * np.exp(u - s_time * y)
 
-        numeric = _extrapolated_tail(remainder, w_hi, schedule, spec, finite + analytic)
-        return finite + analytic + numeric
-
-    eta0 = spec.eta if spec.eta is not None else 0.5 / omega0
-    schedule = spec.eta_schedule or tuple(eta0 * 0.5**j for j in range(10))
-    return finite + _extrapolated_tail(plain, w_hi, schedule, spec, finite)
+    return finite + poly.real + adaptive_integral(rotated, 0.0, u_max, part_spec)

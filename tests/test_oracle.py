@@ -124,11 +124,37 @@ class TestScalarOracle:
         }
 
     def test_suite_honours_tolerance(self):
-        rep = scalar_pv_suite(thetas=(1.0,), zetas=(1.0,), tolerance=1e-30)
+        # theta = 1, zeta = 1 is exact to the last bit, so take points
+        # whose rounding error is nonzero.
+        rep = scalar_pv_suite(thetas=(0.5, 2.0), zetas=(0.1, 10.0), tolerance=1e-30)
         assert not rep.passed
+        for c in rep.checks:
+            assert c.passed == (c.rel_error <= c.tolerance)
+
+    def test_large_phase_and_extreme_zeta_grid(self):
+        # omega0*S up to 100 and zeta at both ends of [1e-3, 1e3].
+        grid = dict(thetas=(20.0, 100.0), zetas=(1e-3, 1e3))
+        scalar = scalar_pv_suite(**grid)
+        em = em_pv_suite(**grid)
+        assert scalar.passed, scalar.worst
+        assert em.passed, em.worst
 
 
 class TestEmOracle:
+    def test_cross_dipoles_at_small_phase(self):
+        # omega0*S ~ 1e-7 with a density of order 1e-9, below the default
+        # absolute tolerance: the tail must still be resolved.
+        sc = Scenario.from_reduced(
+            theta=1e-3,
+            zeta=1e5,
+            parity=Parity.SYMMETRIC,
+            field_kind=FieldKind.EM,
+            dipole_a=[1, 0, 0],
+            dipole_b=[0, 0, 1],
+        )
+        closed = em_resonance_energy(sc).reduced
+        assert em_energy_pv_oracle(sc) == pytest.approx(closed, rel=1e-6, abs=0.0)
+
     def test_calibration_constant(self):
         kappa = oracle_module._em_calibration_constant(1e-9, 1e-12)
         assert kappa * math.pi == pytest.approx(-1.0, abs=1e-9)
