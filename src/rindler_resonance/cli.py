@@ -28,19 +28,24 @@ from .core import (
     DomainError,
     FieldKind,
     Parity,
+    Regime,
     Scenario,
     UsageError,
+    check_finite_shift,
+    check_kinematics,
     reduced_geometry,
     unruh_temperature,
 )
-from .em import em_resonance_energy
+from .em import em_closed_form, em_resonance_energy
 from .oracle import CalibrationError, commutator_agreeing_components, run_suites
 from .quad import QuadratureError, QuadratureSpec
-from .scalar import scalar_resonance_energy
+from .scalar import scalar_closed_form, scalar_resonance_energy
 
 CSV_HEADER = "field,parity,a_mps2,z_m,omega0_radps,zeta,theta,reduced,si_joule,regime"
 
 _SUITES = ("scalar-pv", "em-pv", "em-commutator", "asymptotes")
+_SWEPT_INPUT = {"sep": "separation", "accel": "acceleration", "omega0": "omega0"}
+_CLOSED_FORMS = {FieldKind.SCALAR: scalar_closed_form, FieldKind.EM: em_closed_form}
 _AXIS_SHORTCUTS = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
 
 _CONFIG_KEYS = {
@@ -151,21 +156,10 @@ def _energy(scenario: Scenario):
     return em_resonance_energy(scenario)
 
 
-def _csv_row(scenario: Scenario, shift) -> str:
-    geom = reduced_geometry(
-        scenario.acceleration, scenario.separation, scenario.omega0, scenario.constants
-    )
-    floats = (
-        scenario.acceleration,
-        scenario.separation,
-        scenario.omega0,
-        geom.zeta,
-        geom.theta,
-        shift.reduced,
-        shift.si_value,
-    )
+def _csv_row(scenario: Scenario, floats, regime: Regime) -> str:
+    """One CSV row: field, parity, the seven floats of CSV_HEADER, regime."""
     body = ",".join(f"{x:.16e}" for x in floats)
-    return f"{scenario.field_kind.value},{scenario.parity.value},{body},{shift.regime.value}"
+    return f"{scenario.field_kind.value},{scenario.parity.value},{body},{regime.value}"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -180,14 +174,23 @@ def cmd_compute(args: argparse.Namespace) -> int:
     scenario = _build_scenario(args)
     shift = _energy(scenario)
     fmt = str(_merge(args, "format", "text"))
-    if fmt == "csv":
-        _emit(CSV_HEADER + "\n" + _csv_row(scenario, shift) + "\n", args.out)
-        return 0
-    if fmt != "text":
+    if fmt not in ("text", "csv"):
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
     geom = reduced_geometry(
         scenario.acceleration, scenario.separation, scenario.omega0, scenario.constants
     )
+    if fmt == "csv":
+        floats = (
+            scenario.acceleration,
+            scenario.separation,
+            scenario.omega0,
+            geom.zeta,
+            geom.theta,
+            shift.reduced,
+            shift.si_value,
+        )
+        _emit(CSV_HEADER + "\n" + _csv_row(scenario, floats, shift.regime) + "\n", args.out)
+        return 0
     rows = [
         ("field", scenario.field_kind.value),
         ("parity", scenario.parity.value),
@@ -241,15 +244,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if param != "omega0":
         base["omega0"] = float(_require(args, "omega0", "--omega0"))
 
+    # One scenario at the first grid value checks every other option as
+    # compute does; the swept column is then checked as a whole.
+    base[param] = float(values[0])
+    sub = argparse.Namespace(**vars(args))
+    for key, value in base.items():
+        setattr(sub, key, value)
+    scenario = _build_scenario(sub)
+    inputs = {
+        "acceleration": scenario.acceleration,
+        "separation": scenario.separation,
+        "omega0": scenario.omega0,
+    }
+    in_domain = np.isfinite(values) & (values > 0.0 if param == "sep" else values >= 0.0)
+    if not in_domain.all():
+        check_kinematics(**{**inputs, _SWEPT_INPUT[param]: float(values[np.argmin(in_domain)])})
+    inputs[_SWEPT_INPUT[param]] = values
+
+    # Overflow shows up as inf or nan and is rejected row by row below.
+    with np.errstate(all="ignore"):
+        zeta, theta, reduced, prefactor = _CLOSED_FORMS[scenario.field_kind](scenario, **inputs)
+        si_value = prefactor * reduced
+    finite = np.isfinite(reduced) & np.isfinite(si_value)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        check_finite_shift(float(reduced[k]), float(si_value[k]))
+
+    columns = (
+        inputs["acceleration"], inputs["separation"], inputs["omega0"],
+        zeta, theta, reduced, si_value,
+    )
     lines = [CSV_HEADER]
-    for value in values:
-        base[param] = float(value)
-        sub = argparse.Namespace(**vars(args))
-        setattr(sub, "sep", base["sep"])
-        setattr(sub, "accel", base["accel"])
-        setattr(sub, "omega0", base["omega0"])
-        scenario = _build_scenario(sub)
-        lines.append(_csv_row(scenario, _energy(scenario)))
+    for floats in zip(*(np.broadcast_to(col, values.shape).tolist() for col in columns)):
+        lines.append(_csv_row(scenario, floats, Regime.classify(floats[3])))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -35,7 +35,12 @@ __all__ = [
     "Scenario",
     "ReducedGeometry",
     "EnergyShift",
+    "check_finite_shift",
     "asinh_ratio",
+    "check_kinematics",
+    "reduced_variables",
+    "envelope_root",
+    "phase_cos_sin",
     "reduced_geometry",
     "unruh_temperature",
     "parity_sign",
@@ -154,6 +159,16 @@ def parity_sign(parity: Parity) -> float:
     return 1.0 if parity is Parity.SYMMETRIC else -1.0
 
 
+def check_kinematics(acceleration: float, separation: float, omega0: float) -> None:
+    """Raise DomainError unless z > 0, a >= 0 and omega0 >= 0 are all finite."""
+    if not (separation > 0.0 and math.isfinite(separation)):
+        raise DomainError(f"separation must be positive and finite, got {separation}")
+    if not (acceleration >= 0.0 and math.isfinite(acceleration)):
+        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
+    if not (omega0 >= 0.0 and math.isfinite(omega0)):
+        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0}")
+
+
 def _as_dipole(vec, name: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
     if arr.shape != (3,):
@@ -199,12 +214,7 @@ class Scenario:
     constants: PhysicalConstants = field(default=CONSTANTS)
 
     def __post_init__(self) -> None:
-        if not (self.separation > 0.0 and math.isfinite(self.separation)):
-            raise DomainError(f"separation must be positive and finite, got {self.separation}")
-        if not (self.acceleration >= 0.0 and math.isfinite(self.acceleration)):
-            raise DomainError(f"acceleration must be >= 0 and finite, got {self.acceleration}")
-        if not (self.omega0 >= 0.0 and math.isfinite(self.omega0)):
-            raise DomainError(f"omega0 must be >= 0 and finite, got {self.omega0}")
+        check_kinematics(self.acceleration, self.separation, self.omega0)
         if self.field_kind is FieldKind.SCALAR:
             if self.coupling is None:
                 raise DomainError("scalar scenario requires a coupling strength")
@@ -327,6 +337,57 @@ def asinh_ratio(zeta: float) -> float:
     return math.asinh(zeta) / zeta
 
 
+def reduced_variables(acceleration, separation, omega0, constants: PhysicalConstants = CONSTANTS) -> tuple:
+    """Return (zeta, theta, asinh(zeta)/zeta) for floats or numpy arrays.
+
+    The inputs broadcast together, so a sweep passes one array and two
+    floats.  The ratio goes through :func:`asinh_ratio` element by
+    element: numpy's arcsinh differs from ``math.asinh`` in the last
+    bit on some inputs, and a sweep row must equal the single-point
+    value exactly.
+    """
+    c = constants.c
+    zeta = separation * acceleration / (2.0 * c * c)
+    theta = omega0 * separation / c
+    if isinstance(zeta, np.ndarray):
+        ratio = np.array([asinh_ratio(x) for x in zeta.tolist()])
+    else:
+        ratio = asinh_ratio(zeta)
+    return zeta, theta, ratio
+
+
+def envelope_root(zeta):
+    """sqrt(1 + zeta**2) for a float or an array, without overflow.
+
+    Where 1 + zeta**2 overflows (zeta above about 1.3e154) the root is
+    zeta itself to double precision, so zeta is returned there.
+    """
+    if isinstance(zeta, np.ndarray):
+        with np.errstate(over="ignore"):
+            root = np.sqrt(1.0 + zeta * zeta)
+        return np.where(np.isfinite(root), root, zeta)
+    root = math.sqrt(1.0 + zeta * zeta)
+    return root if root != math.inf else zeta
+
+
+def _cos_sin(phase: float) -> tuple:
+    if not math.isfinite(phase):
+        return math.nan, math.nan
+    return math.cos(phase), math.sin(phase)
+
+
+def phase_cos_sin(phase) -> tuple:
+    """(cos, sin) of the phase omega0*S, for a float or an array.
+
+    Arrays go through ``math`` element by element, since numpy's
+    vectorised sin and cos may differ from it in the last bit.  A
+    non-finite phase gives nan, which :class:`EnergyShift` rejects.
+    """
+    if isinstance(phase, np.ndarray):
+        return tuple(np.array([_cos_sin(p) for p in phase.tolist()]).T)
+    return _cos_sin(phase)
+
+
 @dataclass(frozen=True)
 class ReducedGeometry:
     """Reduced variables of one scenario.
@@ -386,15 +447,9 @@ def reduced_geometry(
     constants: PhysicalConstants = CONSTANTS,
 ) -> ReducedGeometry:
     """Map (a, z, omega0) to the dimensionless groups driving the shift."""
-    if not (separation > 0.0 and math.isfinite(separation)):
-        raise DomainError(f"separation must be positive and finite, got {separation}")
-    if not (acceleration >= 0.0 and math.isfinite(acceleration)):
-        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
-    if not (omega0 >= 0.0 and math.isfinite(omega0)):
-        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0}")
+    check_kinematics(acceleration, separation, omega0)
     c = constants.c
-    zeta = separation * acceleration / (2.0 * c * c)
-    ratio = asinh_ratio(zeta)
+    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0, constants)
     if acceleration > 0.0:
         omega_ratio: Optional[float] = omega0 * c / acceleration
         crossover = c * c / acceleration
@@ -406,7 +461,7 @@ def reduced_geometry(
         big_n=1.0 + zeta * zeta,
         s_ratio=ratio,
         light_time=(separation / c) * ratio,
-        theta=omega0 * separation / c,
+        theta=theta,
         omega_ratio=omega_ratio,
         crossover_length=crossover,
         separation=separation,
@@ -455,3 +510,19 @@ class EnergyShift:
     parity: Parity
     field_kind: FieldKind
     warning: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_finite_shift(self.reduced, self.si_value)
+
+
+def check_finite_shift(reduced: float, si_value: float) -> None:
+    """Raise DomainError unless the reduced and SI shifts are both finite.
+
+    They are not when the inputs overflow double precision, for example
+    zeta = inf once a*z exceeds the largest float.
+    """
+    if not (math.isfinite(reduced) and math.isfinite(si_value)):
+        raise DomainError(
+            f"energy shift is not finite (reduced = {reduced!r}, si_value = {si_value!r}); "
+            "the inputs overflow double precision"
+        )

@@ -31,9 +31,13 @@ from .core import (
     EnergyShift,
     FieldKind,
     ReducedGeometry,
+    Regime,
     Scenario,
     UsageError,
+    envelope_root,
     parity_sign,
+    phase_cos_sin,
+    reduced_variables,
     scenario_geometry,
 )
 from .quad import SingularityError
@@ -47,7 +51,9 @@ __all__ = [
     "CommutatorSlice",
     "em_spectral_coefficients",
     "em_spectral_tensors",
+    "em_reduced_components",
     "em_potential_tensors",
+    "em_closed_form",
     "em_resonance_energy",
     "em_inertial_potential",
     "em_farzone_asymptote",
@@ -199,51 +205,97 @@ def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensor
     )
 
 
+def em_reduced_components(theta, zeta, cos_p, sin_p) -> tuple:
+    """Nonzero entries (xx, yy, zz, xz) of z**3*(V + W); zx = -xz.
+
+    ``cos_p`` and ``sin_p`` are the cosine and sine of the phase
+    omega0*S.  Plain arithmetic, so the arguments may be floats or
+    numpy arrays that broadcast together.  It is the spectral
+    coefficients resummed at omega0, written in u = 1/h and v = zeta/h
+    with h = sqrt(1 + zeta**2): then 1/N = u**2, zeta**2/N = v**2 and
+    zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
+    grows.
+    """
+    h = envelope_root(zeta)
+    u = 1.0 / h
+    v = zeta / h
+    a = u * u
+    b = v * v
+    t2 = theta * theta
+    xx = theta * a * (a + 4.0 * b) * sin_p + u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2) * cos_p
+    yy = theta * (a + 2.0 * b) * sin_p + u * (a - t2) * cos_p
+    zz = (-theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p
+          - u * (a * (2.0 * a + 5.0 * b) - b * t2) * cos_p)
+    xz = theta * u * v * (a - 2.0 * b) * sin_p - a * v * (a + 4.0 * b + t2) * cos_p
+    return xx, yy, zz, xz
+
+
+def _per_cubed_separation(value, separation):
+    # value/z**3 as three divisions: no z**3 to overflow or underflow to
+    # zero, and numpy rounds it exactly as Python does.
+    return value / separation / separation / separation
+
+
 def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     """Closed-form potentials V (diagonal family) and W (antisymmetric).
 
     V and W carry 1/z**3; ``reduced`` is their dimensionless sum
-    z**3*(V + W) evaluated at the transition frequency.
+    z**3*(V + W) evaluated at the transition frequency, assembled from
+    :func:`em_reduced_components`.
     """
-    spectral = em_spectral_tensors(geom.omega0, geom)
-    phase = geom.phase
-    sin_p = math.sin(phase)
-    cos_p = math.cos(phase)
-    z3 = geom.separation**3
-    red_v = spectral.f.values * sin_p - spectral.g.values * cos_p
-    red_w = spectral.f_nd.values * sin_p - spectral.g_nd.values * cos_p
+    xx, yy, zz, xz = em_reduced_components(geom.theta, geom.zeta, *phase_cos_sin(geom.phase))
+    red_v = np.diag([xx, yy, zz])
+    red_w = xz * _CROSS
     return PotentialTensors(
-        v=Tensor3(red_v / z3),
-        w=Tensor3(red_w / z3),
+        v=Tensor3(_per_cubed_separation(red_v, geom.separation)),
+        w=Tensor3(_per_cubed_separation(red_w, geom.separation)),
         reduced=Tensor3(red_v + red_w),
     )
 
 
 def _unit_dipole(vec: np.ndarray, name: str) -> tuple:
-    mag = float(np.linalg.norm(vec))
+    x, y, z = vec.tolist()
+    mag = math.hypot(x, y, z)
     if mag == 0.0:
         raise DomainError(f"{name} must be a nonzero vector")
-    return vec / mag, mag
+    return (x / mag, y / mag, z / mag), mag
+
+
+def em_closed_form(scenario: Scenario, acceleration, separation, omega0) -> tuple:
+    """(zeta, theta, reduced, prefactor) of the closed-form shift.
+
+    ``reduced`` is p * mu_A . z**3(V + W) . mu_B for unit dipoles, the
+    five nonzero entries of :func:`em_reduced_components` contracted
+    as plain products; the dipole magnitudes sit in the prefactor
+    mu_A*mu_B/z**3.  Parity, dipoles and constants come from
+    ``scenario``; the kinematic inputs may be floats or numpy arrays
+    that broadcast together, so one call evaluates a whole sweep with
+    the arithmetic of a single point.  The inputs are not validated.
+    """
+    (ax, ay, az), mag_a = _unit_dipole(scenario.dipole_a, "dipole_a")
+    (bx, by, bz), mag_b = _unit_dipole(scenario.dipole_b, "dipole_b")
+    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0, scenario.constants)
+    xx, yy, zz, xz = em_reduced_components(theta, zeta, *phase_cos_sin(theta * ratio))
+    bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+    reduced = parity_sign(scenario.parity) * bilinear
+    return zeta, theta, reduced, _per_cubed_separation(mag_a * mag_b, separation)
 
 
 def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Resonance shift p * mu_A . (V + W) . mu_B for the correlated pair.
 
-    ``reduced`` contracts unit dipoles with z**3*(V + W); the dipole
-    magnitudes sit in the prefactor mu_A*mu_B/z**3.
+    See :func:`em_closed_form`.  Raises DomainError when the inputs
+    overflow double precision.
     """
     scenario.require_field(FieldKind.EM)
-    geom = scenario_geometry(scenario)
-    ua, mag_a = _unit_dipole(scenario.dipole_a, "dipole_a")
-    ub, mag_b = _unit_dipole(scenario.dipole_b, "dipole_b")
-    potentials = em_potential_tensors(geom)
-    reduced = parity_sign(scenario.parity) * potentials.reduced.contract(ua, ub)
-    prefactor = mag_a * mag_b / geom.separation**3
+    zeta, _, reduced, prefactor = em_closed_form(
+        scenario, scenario.acceleration, scenario.separation, scenario.omega0
+    )
     return EnergyShift(
         reduced=reduced,
         prefactor=prefactor,
         si_value=prefactor * reduced,
-        regime=geom.regime,
+        regime=Regime.classify(zeta),
         parity=scenario.parity,
         field_kind=FieldKind.EM,
     )
@@ -278,9 +330,7 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     ub, mag_b = _unit_dipole(scenario.dipole_b, "dipole_b")
     axis = None
     for i in range(3):
-        basis = np.zeros(3)
-        basis[i] = 1.0
-        if abs(abs(ua @ basis) - 1.0) < 1e-12 and abs(abs(ub @ basis) - 1.0) < 1e-12:
+        if abs(abs(ua[i]) - 1.0) < 1e-12 and abs(abs(ub[i]) - 1.0) < 1e-12:
             axis = i
             break
     if axis is None:
@@ -297,9 +347,9 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
         1: radial,      # transverse axis
         2: -radial,     # separation axis
     }[axis]
-    orientation = float(np.sign(ua[axis]) * np.sign(ub[axis]))
+    orientation = math.copysign(1.0, ua[axis]) * math.copysign(1.0, ub[axis])
     reduced = parity_sign(scenario.parity) * orientation * diag
-    prefactor = mag_a * mag_b / geom.separation**3
+    prefactor = _per_cubed_separation(mag_a * mag_b, geom.separation)
     return EnergyShift(
         reduced=reduced,
         prefactor=prefactor,

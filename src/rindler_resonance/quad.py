@@ -119,6 +119,8 @@ class QuadratureSpec:
     rel_tol, abs_tol:
         Convergence target: an integral I is accepted once the error
         estimate drops below max(abs_tol, rel_tol * |I|).
+        :func:`pv_resonance_kernel` takes abs_tol in units of the
+        density's size at the pole.
     max_depth:
         Bisection depth limit per interval in the adaptive rule.
     """
@@ -400,6 +402,10 @@ def pv_resonance_kernel(
     so the kernel scale omega0 and the decay scale 1/S are both resolved
     whatever their ratio and units.
 
+    ``spec.abs_tol`` is scaled by the density's size at the pole,
+    M = sum_k (|c_k| + |s_k|) omega0**k, so a density with small
+    coefficients is still integrated to ``spec.rel_tol``.
+
     Raises TypeError for anything but a TrigPolyDensity, and
     QuadratureError if an adaptive piece cannot reach the requested
     tolerance.
@@ -425,7 +431,10 @@ def pv_resonance_kernel(
         dv = _eval_vectorized(density, w)
         return (dv - d0) / (w - omega0) + dv / (w + omega0)
 
-    part_spec = replace(spec, abs_tol=0.25 * spec.abs_tol if spec.abs_tol > 0 else 0.0)
+    c0, c1, c2 = density.cos_coeffs
+    s0, s1, s2 = density.sin_coeffs
+    size = abs(c0) + abs(s0) + (abs(c1) + abs(s1)) * omega0 + (abs(c2) + abs(s2)) * omega0 * omega0
+    part_spec = replace(spec, abs_tol=0.25 * spec.abs_tol * size)
     head = adaptive_integral(plain, 0.0, w_lo, part_spec)
     mid = adaptive_integral(subtracted, w_lo, omega0, part_spec)
     mid += adaptive_integral(subtracted, omega0, w_hi, part_spec)
@@ -434,8 +443,6 @@ def pv_resonance_kernel(
     finite = head + mid + log_term
 
     # Tail on [A, inf), A = w_hi: E*K = 2*(p0 + p1*w) + q(w).
-    c0, c1, c2 = density.cos_coeffs
-    s0, s1, s2 = density.sin_coeffs
     s_time = density.osc_time
     edge = cmath.exp(1j * s_time * w_hi)
     p0 = complex(c1, -s1)

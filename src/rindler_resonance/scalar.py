@@ -21,12 +21,16 @@ from .core import (
     ReducedGeometry,
     Regime,
     Scenario,
+    envelope_root,
     parity_sign,
+    phase_cos_sin,
+    reduced_variables,
     scenario_geometry,
 )
 
 __all__ = [
     "scalar_chi_density",
+    "scalar_closed_form",
     "scalar_resonance_energy",
     "scalar_inertial_limit",
     "scalar_farzone_asymptote",
@@ -47,14 +51,14 @@ def scalar_chi_density(omega: ArrayLike, geom: ReducedGeometry) -> ArrayLike:
     return values
 
 
-def _scalar_prefactor(scenario: Scenario) -> float:
+def _scalar_prefactor(scenario: Scenario, separation: ArrayLike) -> ArrayLike:
     lam = scenario.coupling
     c = scenario.constants.c
-    return lam * lam / (16.0 * math.pi * c * c * scenario.separation)
+    return lam * lam / (16.0 * math.pi * c * c * separation)
 
 
 def _shift(scenario: Scenario, reduced: float, regime: Regime, warning: Optional[str] = None) -> EnergyShift:
-    pref = _scalar_prefactor(scenario)
+    pref = _scalar_prefactor(scenario, scenario.separation)
     return EnergyShift(
         reduced=reduced,
         prefactor=pref,
@@ -66,19 +70,39 @@ def _shift(scenario: Scenario, reduced: float, regime: Regime, warning: Optional
     )
 
 
+def scalar_closed_form(
+    scenario: Scenario,
+    acceleration: ArrayLike,
+    separation: ArrayLike,
+    omega0: ArrayLike,
+) -> tuple:
+    """(zeta, theta, reduced, prefactor) of the closed-form shift.
+
+    The reduced value is -p * cos(omega0 * S) / sqrt(1 + zeta**2) with
+    p the parity sign.  Parity, coupling and constants come from
+    ``scenario``; the kinematic inputs may be floats or numpy arrays
+    that broadcast together, so one call evaluates a whole sweep with
+    the arithmetic of a single point.  The inputs are not validated.
+    """
+    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0, scenario.constants)
+    cos_p, _ = phase_cos_sin(theta * ratio)
+    reduced = -parity_sign(scenario.parity) * cos_p / envelope_root(zeta)
+    return zeta, theta, reduced, _scalar_prefactor(scenario, separation)
+
+
 def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Closed-form resonance shift, valid at every acceleration.
 
-    The reduced value is -p * cos(omega0 * S) / sqrt(1 + zeta**2) with
-    p the parity sign; the symmetric state is shifted down at small
-    separation.  At zero acceleration this reproduces the inertial
-    expression bit for bit.
+    See :func:`scalar_closed_form`; the symmetric state is shifted down
+    at small separation.  At zero acceleration this reproduces the
+    inertial expression bit for bit.  Raises DomainError when the
+    inputs overflow double precision.
     """
     scenario.require_field(FieldKind.SCALAR)
-    geom = scenario_geometry(scenario)
-    sign = -parity_sign(scenario.parity)
-    reduced = sign * math.cos(geom.phase) / math.sqrt(geom.big_n)
-    return _shift(scenario, reduced, geom.regime)
+    zeta, _, reduced, _ = scalar_closed_form(
+        scenario, scenario.acceleration, scenario.separation, scenario.omega0
+    )
+    return _shift(scenario, reduced, Regime.classify(zeta))
 
 
 def scalar_inertial_limit(scenario: Scenario) -> EnergyShift:

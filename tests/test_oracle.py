@@ -155,6 +155,20 @@ class TestEmOracle:
         closed = em_resonance_energy(sc).reduced
         assert em_energy_pv_oracle(sc) == pytest.approx(closed, rel=1e-6, abs=0.0)
 
+    def test_small_density_meets_rel_tol(self):
+        # The density here is ~1e-9 in SI units; an absolute 1e-12 floor
+        # stopped the integration at ~6e-11 relative.
+        sc = Scenario.from_reduced(
+            theta=1e-3,
+            zeta=1e5,
+            parity=Parity.SYMMETRIC,
+            field_kind=FieldKind.EM,
+            dipole_a=[1, 0, 0],
+            dipole_b=[0, 0, 1],
+        )
+        closed = em_resonance_energy(sc).reduced
+        assert em_energy_pv_oracle(sc) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
     def test_calibration_constant(self):
         kappa = oracle_module._em_calibration_constant(1e-9, 1e-12)
         assert kappa * math.pi == pytest.approx(-1.0, abs=1e-9)
