@@ -8,20 +8,25 @@ closed forms, far-zone asymptotes, and independent numerical
 cross-checks of every result.
 """
 
+import importlib
+
 from .core import (
     CONSTANTS,
     BOLTZMANN,
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
+    CalibrationError,
     DomainError,
     EnergyShift,
     FieldKind,
     FieldKindError,
     Parity,
     PhysicalConstants,
+    QuadratureError,
     ReducedGeometry,
     Regime,
     Scenario,
+    SingularityError,
     UsageError,
     asinh_ratio,
     atomic_correlation_factor,
@@ -30,50 +35,78 @@ from .core import (
     scenario_geometry,
     unruh_temperature,
 )
-from .em import (
-    CommutatorSlice,
-    EmSpectralTensors,
-    PotentialTensors,
-    SpectralCoefficients,
-    Tensor3,
-    em_commutator_timedomain,
-    em_farzone_asymptote,
-    em_inertial_potential,
-    em_potential_tensors,
-    em_resonance_energy,
-    em_spectral_coefficients,
-    em_spectral_tensors,
-    em_wightman_tensor,
-)
-from .oracle import (
-    CalibrationError,
-    CheckResult,
-    VerificationReport,
-    asymptote_convergence_report,
-    commutator_agreeing_components,
-    em_commutator_consistency,
-    em_energy_pv_oracle,
-    em_pv_suite,
-    scalar_energy_pv_oracle,
-    scalar_pv_suite,
-)
-from .quad import (
-    QuadratureError,
-    QuadratureSpec,
-    SingularityError,
-    TrigPolyDensity,
-    adaptive_integral,
-    damped_trig_moment,
-    damped_trig_moment_limit,
-    neville_extrapolate,
-    pv_resonance_kernel,
-)
 from .scalar import (
     scalar_chi_density,
     scalar_farzone_asymptote,
     scalar_inertial_limit,
     scalar_resonance_energy,
 )
+
+# The array-based modules load numpy, so their names are imported on
+# first access (PEP 562): importing the package and evaluating scalar
+# closed forms never pay for numpy.
+_LAZY_SUBMODULES = ("em", "quad", "oracle")
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "CommutatorSlice",
+            "EmSpectralTensors",
+            "PotentialTensors",
+            "SpectralCoefficients",
+            "Tensor3",
+            "em_commutator_timedomain",
+            "em_farzone_asymptote",
+            "em_inertial_potential",
+            "em_potential_tensors",
+            "em_resonance_energy",
+            "em_spectral_coefficients",
+            "em_spectral_tensors",
+            "em_wightman_tensor",
+        ),
+        "em",
+    ),
+    **dict.fromkeys(
+        (
+            "QuadratureSpec",
+            "TrigPolyDensity",
+            "adaptive_integral",
+            "damped_trig_moment",
+            "damped_trig_moment_limit",
+            "neville_extrapolate",
+            "pv_resonance_kernel",
+        ),
+        "quad",
+    ),
+    **dict.fromkeys(
+        (
+            "CheckResult",
+            "VerificationReport",
+            "asymptote_convergence_report",
+            "commutator_agreeing_components",
+            "em_commutator_consistency",
+            "em_energy_pv_oracle",
+            "em_pv_suite",
+            "scalar_energy_pv_oracle",
+            "scalar_pv_suite",
+        ),
+        "oracle",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY, *_LAZY_SUBMODULES})
+
 
 __version__ = "0.1.0"
 

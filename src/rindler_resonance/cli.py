@@ -12,22 +12,27 @@ A flat ``key = value`` config file can seed any option; command line
 flags win over config values.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
+
+numpy is imported only by the paths that handle arrays: ``sweep``,
+``verify`` and the electromagnetic field.  A scalar ``compute`` and
+``regimes`` run without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     CONSTANTS,
+    CalibrationError,
     DomainError,
     FieldKind,
     Parity,
+    QuadratureError,
     Regime,
     Scenario,
     UsageError,
@@ -36,16 +41,12 @@ from .core import (
     reduced_geometry,
     unruh_temperature,
 )
-from .em import em_closed_form, em_resonance_energy
-from .oracle import CalibrationError, commutator_agreeing_components, run_suites
-from .quad import QuadratureError, QuadratureSpec
 from .scalar import scalar_closed_form, scalar_resonance_energy
 
 CSV_HEADER = "field,parity,a_mps2,z_m,omega0_radps,zeta,theta,reduced,si_joule,regime"
 
 _SUITES = ("scalar-pv", "em-pv", "em-commutator", "asymptotes")
 _SWEPT_INPUT = {"sep": "separation", "accel": "acceleration", "omega0": "omega0"}
-_CLOSED_FORMS = {FieldKind.SCALAR: scalar_closed_form, FieldKind.EM: em_closed_form}
 _AXIS_SHORTCUTS = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
 
 _CONFIG_KEYS = {
@@ -114,14 +115,14 @@ def _require(args: argparse.Namespace, key: str, flag: str):
     return value
 
 
-def _parse_dipole(raw: str, name: str) -> np.ndarray:
+def _parse_dipole(raw: str, name: str) -> list:
     text = raw.strip().lower()
     text = _AXIS_SHORTCUTS.get(text, text)
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"{name} must be 'x', 'y', 'z', or three comma-separated numbers")
     try:
-        return np.array([float(p) for p in parts])
+        return [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"cannot parse {name} components from {raw!r}") from None
 
@@ -153,6 +154,8 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
 def _energy(scenario: Scenario):
     if scenario.field_kind is FieldKind.SCALAR:
         return scalar_resonance_energy(scenario)
+    from .em import em_resonance_energy
+
     return em_resonance_energy(scenario)
 
 
@@ -213,6 +216,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
+
     param = str(_require(args, "param", "--param"))
     if param not in ("sep", "accel", "omega0"):
         raise UsageError(f"--param must be one of sep, accel, omega0; got {param!r}")
@@ -261,9 +266,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         check_kinematics(**{**inputs, _SWEPT_INPUT[param]: float(values[np.argmin(in_domain)])})
     inputs[_SWEPT_INPUT[param]] = values
 
+    if scenario.field_kind is FieldKind.SCALAR:
+        closed_form = scalar_closed_form
+    else:
+        from .em import em_closed_form as closed_form
+
     # Overflow shows up as inf or nan and is rejected row by row below.
     with np.errstate(all="ignore"):
-        zeta, theta, reduced, prefactor = _CLOSED_FORMS[scenario.field_kind](scenario, **inputs)
+        zeta, theta, reduced, prefactor = closed_form(scenario, **inputs)
         si_value = prefactor * reduced
     finite = np.isfinite(reduced) & np.isfinite(si_value)
     if not finite.all():
@@ -282,6 +292,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import commutator_agreeing_components, run_suites
+    from .quad import QuadratureSpec
+
     suite = str(_merge(args, "suite", "all"))
     if suite == "all":
         names = list(_SUITES)
@@ -364,7 +377,9 @@ def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dipole-b", dest="dipole_b", help="dipole of atom B: x|y|z or 'dx,dy,dz'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="rindler-resonance",
         description="Resonance energy shift of two uniformly accelerated correlated atoms.",

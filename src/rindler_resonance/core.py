@@ -7,18 +7,21 @@ groups: ``zeta = z*a/(2*c**2)``, comparing the separation to the
 crossover length ``c**2/a``, and ``theta = omega0*z/c``, the separation
 in units of the transition wavelength.  This module owns the scenario
 description, the reduced-variable bookkeeping, and the small shared
-vocabulary (parity signs, regime labels, energy-shift records) used by
-the scalar and electromagnetic calculations.
+vocabulary (parity signs, regime labels, energy-shift records, and
+every exception type the package raises) used by the scalar and
+electromagnetic calculations.  It does not import numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -29,6 +32,9 @@ __all__ = [
     "DomainError",
     "UsageError",
     "FieldKindError",
+    "QuadratureError",
+    "SingularityError",
+    "CalibrationError",
     "FieldKind",
     "Parity",
     "Regime",
@@ -69,6 +75,18 @@ class UsageError(TypeError):
 
 class FieldKindError(UsageError):
     """An operation received a scenario built for the other field type."""
+
+
+class QuadratureError(RuntimeError):
+    """The requested tolerance could not be certified."""
+
+
+class SingularityError(QuadratureError):
+    """Evaluation requested on top of a light-cone singularity."""
+
+
+class CalibrationError(RuntimeError):
+    """The two-route constant check failed; results cannot be trusted."""
 
 
 @dataclass(frozen=True)
@@ -170,6 +188,11 @@ def check_kinematics(acceleration: float, separation: float, omega0: float) -> N
 
 
 def _as_dipole(vec, name: str) -> np.ndarray:
+    # Every EM scenario passes here: import numpy only the first time.
+    np = sys.modules.get("numpy")
+    if np is None:
+        import numpy as np
+
     arr = np.asarray(vec, dtype=float)
     if arr.shape != (3,):
         raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
@@ -337,6 +360,19 @@ def asinh_ratio(zeta: float) -> float:
     return math.asinh(zeta) / zeta
 
 
+def _numpy_if_array(x):
+    """The numpy module if ``x`` is a numpy array, else None.
+
+    numpy is not imported here: an array cannot exist before numpy is
+    loaded, so scalar callers never pay for the import.  Floats, the
+    single-point case, return at once.
+    """
+    if isinstance(x, float):
+        return None
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
+
+
 def reduced_variables(acceleration, separation, omega0, constants: PhysicalConstants = CONSTANTS) -> tuple:
     """Return (zeta, theta, asinh(zeta)/zeta) for floats or numpy arrays.
 
@@ -345,15 +381,23 @@ def reduced_variables(acceleration, separation, omega0, constants: PhysicalConst
     element: numpy's arcsinh differs from ``math.asinh`` in the last
     bit on some inputs, and a sweep row must equal the single-point
     value exactly.
+
+    zeta is formed as z*a/(2c^2), and as z*(a/(2c^2)) only where z*a
+    overflows: every finite product keeps its bits, and zeta is inf
+    only where zeta itself exceeds the largest float.
     """
     c = constants.c
     zeta = separation * acceleration / (2.0 * c * c)
     theta = omega0 * separation / c
-    if isinstance(zeta, np.ndarray):
-        ratio = np.array([asinh_ratio(x) for x in zeta.tolist()])
-    else:
-        ratio = asinh_ratio(zeta)
-    return zeta, theta, ratio
+    np = _numpy_if_array(zeta)
+    if np is None:
+        if zeta == math.inf:
+            zeta = separation * (acceleration / (2.0 * c * c))
+        return zeta, theta, asinh_ratio(zeta)
+    overflow = np.isinf(zeta)
+    if overflow.any():
+        zeta = np.where(overflow, separation * (acceleration / (2.0 * c * c)), zeta)
+    return zeta, theta, np.array([asinh_ratio(x) for x in zeta.tolist()])
 
 
 def envelope_root(zeta):
@@ -362,7 +406,8 @@ def envelope_root(zeta):
     Where 1 + zeta**2 overflows (zeta above about 1.3e154) the root is
     zeta itself to double precision, so zeta is returned there.
     """
-    if isinstance(zeta, np.ndarray):
+    np = _numpy_if_array(zeta)
+    if np is not None:
         with np.errstate(over="ignore"):
             root = np.sqrt(1.0 + zeta * zeta)
         return np.where(np.isfinite(root), root, zeta)
@@ -383,7 +428,8 @@ def phase_cos_sin(phase) -> tuple:
     vectorised sin and cos may differ from it in the last bit.  A
     non-finite phase gives nan, which :class:`EnergyShift` rejects.
     """
-    if isinstance(phase, np.ndarray):
+    np = _numpy_if_array(phase)
+    if np is not None:
         return tuple(np.array([_cos_sin(p) for p in phase.tolist()]).T)
     return _cos_sin(phase)
 

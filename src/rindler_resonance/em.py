@@ -33,6 +33,7 @@ from .core import (
     ReducedGeometry,
     Regime,
     Scenario,
+    SingularityError,
     UsageError,
     envelope_root,
     parity_sign,
@@ -40,7 +41,6 @@ from .core import (
     reduced_variables,
     scenario_geometry,
 )
-from .quad import SingularityError
 
 __all__ = [
     "AXES",

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     CONSTANTS,
+    CalibrationError,
     DomainError,
     FieldKind,
     Parity,
@@ -77,10 +78,6 @@ _AXIS_VECTORS = {
     "z": np.array([0.0, 0.0, 1.0]),
 }
 _REL_FLOOR = 1e-12
-
-
-class CalibrationError(RuntimeError):
-    """The two-route constant check failed; results cannot be trusted."""
 
 
 def relative_error(computed: float, reference: float, floor: float = _REL_FLOOR) -> float:

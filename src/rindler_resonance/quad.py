@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, QuadratureError, SingularityError
 
 __all__ = [
     "QuadratureSpec",
@@ -100,14 +100,6 @@ _WG7 = np.array(
 _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 _ENV_REL_TOL = "RINDLER_RESONANCE_TOL"
-
-
-class QuadratureError(RuntimeError):
-    """The requested tolerance could not be certified."""
-
-
-class SingularityError(QuadratureError):
-    """Evaluation requested on top of a light-cone singularity."""
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,7 @@ trajectories, scaled by 1/sqrt(1 + zeta**2).
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .core import (
     DomainError,
@@ -28,6 +26,9 @@ from .core import (
     scenario_geometry,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "scalar_chi_density",
     "scalar_closed_form",
@@ -36,7 +37,7 @@ __all__ = [
     "scalar_farzone_asymptote",
 ]
 
-ArrayLike = Union[float, np.ndarray]
+ArrayLike = Union[float, "np.ndarray"]
 
 
 def scalar_chi_density(omega: ArrayLike, geom: ReducedGeometry) -> ArrayLike:
@@ -45,6 +46,8 @@ def scalar_chi_density(omega: ArrayLike, geom: ReducedGeometry) -> ArrayLike:
     ``S`` is the light-signal lapse of the reduced geometry.  Accepts a
     scalar or an array of angular frequencies.
     """
+    import numpy as np
+
     values = np.sin(np.asarray(omega, dtype=float) * geom.light_time)
     if values.ndim == 0:
         return float(values)

@@ -224,3 +224,44 @@ class TestInProcessMain:
     def test_main_usage_error(self, capsys):
         assert main(["compute", "--field", "scalar", "--parity", "sym"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_calls_carry_nothing_over(self, tmp_path, capsys):
+        # One process-wide parser serves every call: each in-process call
+        # must print what the same argv prints in a fresh interpreter.
+        sweep_cfg = tmp_path / "sweep.cfg"
+        sweep_cfg.write_text(
+            "field = scalar\nparity = anti\nsep = 2.0\nomega0 = 4e8\npoints = 3\nspacing = log\n"
+        )
+        em_cfg = tmp_path / "em.cfg"
+        em_cfg.write_text(
+            "field = em\nparity = anti\nsep = 2.0\nomega0 = 4e8\naccel = 1e17\n"
+            "format = csv\ndipole_a = x\n"
+        )
+        regimes_cfg = tmp_path / "regimes.cfg"
+        regimes_cfg.write_text("omega0 = 1e9\n")
+        calls = [
+            ["sweep", "--config", str(sweep_cfg), "--param", "accel", "--from", "1e15",
+             "--to", "1e17", "--out", str(tmp_path / "sweep.csv")],
+            ["compute", "--config", str(em_cfg), "--sep", "3.0", "--out", str(tmp_path / "em.csv")],
+            ["regimes", "--config", str(regimes_cfg), "--accel", "1e17"],
+            ["compute", "--field", "scalar", "--parity", "sym", "--sep", "1", "--omega0", "1"],
+            ["sweep", "--field", "em", "--parity", "sym", "--sep", "1", "--omega0", "1e8",
+             "--param", "accel", "--from", "0", "--to", "1e17"],
+        ]
+
+        def outputs(argv):
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            return out and pathlib.Path(out).read_text()
+
+        in_process = []
+        for argv in calls:
+            assert main(argv) == 0, argv
+            in_process.append((capsys.readouterr().out, outputs(argv)))
+        for argv, (stdout, written) in zip(calls, in_process):
+            fresh, code = run_cli_text(*argv)
+            assert code == 0, argv
+            assert (stdout, written) == (fresh, outputs(argv)), argv
+        assert len(in_process[0][1].splitlines()) == 4
+        assert "zeta" not in in_process[2][0]
+        assert in_process[3][0].startswith("field")
+        assert len(in_process[4][0].splitlines()) == 51

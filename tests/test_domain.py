@@ -61,16 +61,16 @@ def test_em_is_finite_or_domain_error(acceleration, separation, omega0, da, db, 
 
 
 def test_overflowing_zeta_raises_domain_error():
-    # a*z overflows: zeta = inf.
+    # zeta itself overflows: z*a/(2c^2) ~ 5.6e590.
     sc = Scenario.scalar_field(
-        acceleration=1e300, separation=1e10, omega0=1.0, parity=Parity.SYMMETRIC
+        acceleration=1e308, separation=1e300, omega0=1.0, parity=Parity.SYMMETRIC
     )
     with pytest.raises(DomainError, match="not finite"):
         scalar_resonance_energy(sc)
 
 
-# Up to 1e290: beyond, a*z itself overflows and zeta is inf.
-HUGE_ZETAS = (1e60, 1e77, 1e154, 1e200, 1e290)
+# From 1e300 on, a*z overflows at the separation below while zeta fits.
+HUGE_ZETAS = (1e60, 1e77, 1e154, 1e200, 1e290, 1e300, 1e307)
 
 
 def huge_zeta_scenario(theta, zeta, field_kind=FieldKind.SCALAR, parity=Parity.SYMMETRIC):

@@ -60,14 +60,34 @@ def test_sweep_rows_equal_compute_rows(capsys, field, param, spacing, parity):
     assert len(regimes) >= (1 if param == "omega0" else 2)
 
 
+@pytest.mark.parametrize("field", list(FIELD_OPTIONS))
+def test_sweep_rows_equal_compute_rows_where_a_times_z_overflows(capsys, field):
+    # a*z overflows from the second row on, while zeta stays finite.
+    common = (
+        "--field", field, "--parity", "sym", "--sep", "1e10", "--omega0", "1e8",
+        *FIELD_OPTIONS[field],
+    )
+    code, out, _ = run(
+        capsys, "sweep", *common, "--param", "accel", "--from", "1e300", "--to", "1e308",
+        "--points", "9",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 10
+    for value, line in zip(np.linspace(1e300, 1e308, 9), lines[1:]):
+        code, single, _ = run(capsys, "compute", *common, "--accel", repr(float(value)), "--format", "csv")
+        assert code == 0
+        assert single.splitlines() == [CSV_HEADER, line]
+
+
 @pytest.mark.parametrize(
     "param,start,stop,fixed",
     [
         ("accel", "-1", "1", ("--sep", "1", "--omega0", "1e8")),
         ("omega0", "-5", "5", ("--sep", "1", "--accel", "1e17")),
         ("sep", "-2", "2", ("--accel", "1e17", "--omega0", "1e8")),
-        # a*z overflows from the fourth row on: zeta = inf, a non-finite shift.
-        ("accel", "1e300", "1e308", ("--sep", "1e10", "--omega0", "1e8")),
+        # zeta itself overflows from the second row on: a non-finite shift.
+        ("accel", "1e300", "1e308", ("--sep", "1e20", "--omega0", "1e8")),
     ],
 )
 @pytest.mark.parametrize("field", list(FIELD_OPTIONS))
