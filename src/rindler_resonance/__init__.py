@@ -15,7 +15,6 @@ from .core import (
     BOLTZMANN,
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
-    CalibrationError,
     DomainError,
     EnergyShift,
     FieldKind,
@@ -115,7 +114,6 @@ __all__ = [
     "CONSTANTS",
     "REDUCED_PLANCK",
     "SPEED_OF_LIGHT",
-    "CalibrationError",
     "CheckResult",
     "CommutatorSlice",
     "DomainError",

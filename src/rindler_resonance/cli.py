@@ -28,7 +28,6 @@ from typing import Optional
 
 from .core import (
     CONSTANTS,
-    CalibrationError,
     DomainError,
     FieldKind,
     Parity,
@@ -438,7 +437,7 @@ def main(argv: Optional[list] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, CalibrationError) as exc:
+    except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

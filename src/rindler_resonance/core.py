@@ -34,7 +34,6 @@ __all__ = [
     "FieldKindError",
     "QuadratureError",
     "SingularityError",
-    "CalibrationError",
     "FieldKind",
     "Parity",
     "Regime",
@@ -83,10 +82,6 @@ class QuadratureError(RuntimeError):
 
 class SingularityError(QuadratureError):
     """Evaluation requested on top of a light-cone singularity."""
-
-
-class CalibrationError(RuntimeError):
-    """The two-route constant check failed; results cannot be trusted."""
 
 
 @dataclass(frozen=True)
@@ -382,22 +377,31 @@ def reduced_variables(acceleration, separation, omega0, constants: PhysicalConst
     bit on some inputs, and a sweep row must equal the single-point
     value exactly.
 
-    zeta is formed as z*a/(2c^2), and as z*(a/(2c^2)) only where z*a
-    overflows: every finite product keeps its bits, and zeta is inf
-    only where zeta itself exceeds the largest float.
+    zeta is formed as z*a/(2c^2) and theta as omega0*z/c; see
+    :func:`_scaled_product` for the case where z*a or omega0*z
+    overflows while zeta or theta fits.
     """
     c = constants.c
-    zeta = separation * acceleration / (2.0 * c * c)
-    theta = omega0 * separation / c
+    zeta = _scaled_product(separation, acceleration, 2.0 * c * c)
+    theta = _scaled_product(omega0, separation, c)
     np = _numpy_if_array(zeta)
     if np is None:
-        if zeta == math.inf:
-            zeta = separation * (acceleration / (2.0 * c * c))
         return zeta, theta, asinh_ratio(zeta)
-    overflow = np.isinf(zeta)
-    if overflow.any():
-        zeta = np.where(overflow, separation * (acceleration / (2.0 * c * c)), zeta)
     return zeta, theta, np.array([asinh_ratio(x) for x in zeta.tolist()])
+
+
+def _scaled_product(x, y, d):
+    """x*y/d for floats or arrays, as x*(y/d) only where x*y overflows.
+
+    Every finite product keeps its bits, and the result is inf only
+    where x*y/d itself exceeds the largest float.
+    """
+    value = x * y / d
+    np = _numpy_if_array(value)
+    if np is None:
+        return value if value != math.inf else x * (y / d)
+    overflow = np.isinf(value)
+    return np.where(overflow, x * (y / d), value) if overflow.any() else value
 
 
 def envelope_root(zeta):
@@ -442,8 +446,6 @@ class ReducedGeometry:
     ----------
     zeta:
         z*a/(2*c**2), separation over twice the crossover length.
-    big_n:
-        1 + zeta**2.
     s_ratio:
         asinh(zeta)/zeta, evaluated safely at zeta = 0.
     light_time:
@@ -460,7 +462,6 @@ class ReducedGeometry:
     """
 
     zeta: float
-    big_n: float
     s_ratio: float
     light_time: float
     theta: float
@@ -504,7 +505,6 @@ def reduced_geometry(
         crossover = math.inf
     return ReducedGeometry(
         zeta=zeta,
-        big_n=1.0 + zeta * zeta,
         s_ratio=ratio,
         light_time=(separation / c) * ratio,
         theta=theta,

@@ -173,7 +173,7 @@ class PotentialTensors:
 def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
     """Coefficient tensors of the spectral density for one geometry."""
     z2 = geom.zeta * geom.zeta
-    n = geom.big_n
+    n = 1.0 + z2
     n2 = n * n
     n15 = n * math.sqrt(n)
     n25 = n2 * math.sqrt(n)

@@ -7,30 +7,25 @@ time-domain field commutator has a spectral reconstruction.  The
 functions here evaluate both routes and package the comparisons into
 :class:`VerificationReport` objects used by the command line ``verify``
 command and by the acceptance tests.
-
-The electromagnetic principal-value route fixes its overall constant
-once, against the zero-acceleration closed form, and validates it on a
-second independent configuration; a mismatch raises CalibrationError
-rather than rescaling anything silently.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     CONSTANTS,
-    CalibrationError,
     DomainError,
+    EnergyShift,
     FieldKind,
     Parity,
     ReducedGeometry,
     Scenario,
+    envelope_root,
     parity_sign,
     reduced_geometry,
     scenario_geometry,
@@ -54,7 +49,6 @@ from .scalar import (
 )
 
 __all__ = [
-    "CalibrationError",
     "CheckResult",
     "VerificationReport",
     "DEFAULT_THETA_GRID",
@@ -177,6 +171,25 @@ class VerificationReport:
         return buf.getvalue()
 
 
+def _normalized_pv(
+    geom: ReducedGeometry,
+    density: TrigPolyDensity,
+    parity: Parity,
+    spec: Optional[QuadratureSpec],
+) -> float:
+    """-p/pi times the principal-value integral of ``density`` at omega0.
+
+    p is the parity sign.  Both fields' reduced shifts are this integral
+    of their spectral density against the resonance kernel, the scalar
+    one further divided by sqrt(1 + zeta**2).  The constant is analytic,
+    not fitted to the closed form the oracle checks.
+    """
+    if not geom.omega0 > 0.0:
+        raise DomainError("principal-value oracle requires omega0 > 0")
+    pv = pv_resonance_kernel(density, geom.omega0, spec)
+    return -parity_sign(parity) * pv / math.pi
+
+
 def scalar_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = None) -> float:
     """Reduced scalar shift recomputed from the principal-value integral.
 
@@ -186,12 +199,8 @@ def scalar_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] =
     """
     scenario.require_field(FieldKind.SCALAR)
     geom = scenario_geometry(scenario)
-    if not geom.omega0 > 0.0:
-        raise DomainError("principal-value oracle requires omega0 > 0")
     density = TrigPolyDensity(osc_time=geom.light_time, sin_coeffs=(1.0, 0.0, 0.0))
-    pv = pv_resonance_kernel(density, geom.omega0, spec)
-    sign = -parity_sign(scenario.parity)
-    return sign * pv / (math.pi * math.sqrt(geom.big_n))
+    return _normalized_pv(geom, density, scenario.parity, spec) / envelope_root(geom.zeta)
 
 
 def _em_density(geom: ReducedGeometry, left: np.ndarray, right: np.ndarray) -> TrigPolyDensity:
@@ -205,64 +214,43 @@ def _em_density(geom: ReducedGeometry, left: np.ndarray, right: np.ndarray) -> T
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _em_calibration_constant(rel_tol: float, abs_tol: float) -> float:
-    """Constant mapping the EM principal-value integral to the reduced shift.
-
-    Fixed against the zero-acceleration closed form at theta = 1 with
-    both dipoles along the separation axis, then validated at theta = 2
-    with dipoles along the acceleration axis.  Raises CalibrationError
-    on any inconsistency.
-    """
-    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol)
-    kappas = []
-    for theta, axis in ((1.0, "z"), (2.0, "x")):
-        unit = _AXIS_VECTORS[axis]
-        scenario = Scenario.from_reduced(
-            theta=theta,
-            zeta=0.0,
-            parity=Parity.SYMMETRIC,
-            field_kind=FieldKind.EM,
-            dipole_a=unit,
-            dipole_b=unit,
-        )
-        geom = scenario_geometry(scenario)
-        closed = em_resonance_energy(scenario).reduced
-        pv = pv_resonance_kernel(_em_density(geom, unit, unit), geom.omega0, spec)
-        if pv == 0.0:
-            raise CalibrationError(f"calibration integral vanished at theta = {theta}")
-        kappas.append(closed / pv)
-    drift = abs(kappas[1] / kappas[0] - 1.0)
-    allowed = max(1e-7, 50.0 * rel_tol)
-    if drift > allowed:
-        raise CalibrationError(
-            f"calibration constants disagree between configurations: "
-            f"{kappas[0]:.12e} vs {kappas[1]:.12e} (drift {drift:.3e} > {allowed:.1e})"
-        )
-    if kappas[0] >= 0.0:
-        raise CalibrationError(
-            f"calibration constant must be negative, got {kappas[0]:.6e}"
-        )
-    return kappas[0]
-
-
 def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = None) -> float:
     """Reduced electromagnetic shift recomputed from the frequency integral.
 
     The dipole-contracted spectral density is integrated against the
-    resonance kernel; the overall constant comes from the one-time
-    inertial calibration (see CalibrationError).
+    resonance kernel and normalized by -p/pi.
     """
     scenario.require_field(FieldKind.EM)
     geom = scenario_geometry(scenario)
-    if not geom.omega0 > 0.0:
-        raise DomainError("principal-value oracle requires omega0 > 0")
     ua = scenario.dipole_a / np.linalg.norm(scenario.dipole_a)
     ub = scenario.dipole_b / np.linalg.norm(scenario.dipole_b)
-    spec = spec or QuadratureSpec()
-    pv = pv_resonance_kernel(_em_density(geom, ua, ub), geom.omega0, spec)
-    kappa = _em_calibration_constant(spec.rel_tol, spec.abs_tol)
-    return parity_sign(scenario.parity) * kappa * pv
+    return _normalized_pv(geom, _em_density(geom, ua, ub), scenario.parity, spec)
+
+
+def _pv_report(
+    cases: Iterable[tuple],
+    closed_form: Callable[[Scenario], EnergyShift],
+    pv_oracle: Callable[[Scenario, Optional[QuadratureSpec]], float],
+    spec: Optional[QuadratureSpec],
+    tolerance: float,
+) -> VerificationReport:
+    """Closed form against principal-value oracle at each (check_id, scenario)."""
+    checks = []
+    for check_id, scenario in cases:
+        reference = closed_form(scenario).reduced
+        computed = pv_oracle(scenario, spec)
+        rel = relative_error(computed, reference)
+        checks.append(
+            CheckResult(
+                check_id=check_id,
+                computed=computed,
+                reference=reference,
+                rel_error=rel,
+                tolerance=tolerance,
+                passed=rel <= tolerance,
+            )
+        )
+    return VerificationReport(tuple(checks))
 
 
 def scalar_pv_suite(
@@ -273,27 +261,16 @@ def scalar_pv_suite(
     tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Closed form vs principal-value integral across the standard grid."""
-    checks = []
-    for parity in parities:
-        for theta in thetas:
-            for zeta in zetas:
-                scenario = Scenario.from_reduced(theta=theta, zeta=zeta, parity=parity)
-                reference = scalar_resonance_energy(scenario).reduced
-                computed = scalar_energy_pv_oracle(scenario, spec)
-                rel = relative_error(computed, reference)
-                checks.append(
-                    CheckResult(
-                        check_id=(
-                            f"scalar-pv/theta={theta:g}/zeta={zeta:g}/parity={parity.value}"
-                        ),
-                        computed=computed,
-                        reference=reference,
-                        rel_error=rel,
-                        tolerance=tolerance,
-                        passed=rel <= tolerance,
-                    )
-                )
-    return VerificationReport(tuple(checks))
+    cases = (
+        (
+            f"scalar-pv/theta={theta:g}/zeta={zeta:g}/parity={parity.value}",
+            Scenario.from_reduced(theta=theta, zeta=zeta, parity=parity),
+        )
+        for parity in parities
+        for theta in thetas
+        for zeta in zetas
+    )
+    return _pv_report(cases, scalar_resonance_energy, scalar_energy_pv_oracle, spec, tolerance)
 
 
 def em_pv_suite(
@@ -304,52 +281,26 @@ def em_pv_suite(
     dipole_configs: Sequence[tuple] = _DEFAULT_DIPOLE_CONFIGS,
     tolerance: float = 1e-6,
 ) -> VerificationReport:
-    """Closed form vs calibrated frequency integral for the EM shift."""
-    base_spec = spec or QuadratureSpec()
-    checks = []
-    for axis_a, axis_b in dipole_configs:
-        da = _AXIS_VECTORS[axis_a]
-        db = _AXIS_VECTORS[axis_b]
-        for parity in parities:
-            for theta in thetas:
-                for zeta in zetas:
-                    scenario = Scenario.from_reduced(
-                        theta=theta,
-                        zeta=zeta,
-                        parity=parity,
-                        field_kind=FieldKind.EM,
-                        dipole_a=da,
-                        dipole_b=db,
-                    )
-                    reference = em_resonance_energy(scenario).reduced
-                    computed = em_energy_pv_oracle(scenario, spec)
-                    rel = relative_error(computed, reference)
-                    checks.append(
-                        CheckResult(
-                            check_id=(
-                                f"em-pv/dipoles={axis_a}{axis_b}/theta={theta:g}"
-                                f"/zeta={zeta:g}/parity={parity.value}"
-                            ),
-                            computed=computed,
-                            reference=reference,
-                            rel_error=rel,
-                            tolerance=tolerance,
-                            passed=rel <= tolerance,
-                        )
-                    )
-    kappa1 = _em_calibration_constant(base_spec.rel_tol, base_spec.abs_tol)
-    checks.append(
-        CheckResult(
-            check_id="em-pv/calibration-consistency",
-            computed=kappa1,
-            reference=kappa1,
-            rel_error=0.0,
-            tolerance=max(1e-7, 50.0 * base_spec.rel_tol),
-            passed=True,
-            note="constant validated on a second inertial configuration at build time",
+    """Closed form vs frequency integral for the EM shift across the grid."""
+    cases = (
+        (
+            f"em-pv/dipoles={axis_a}{axis_b}/theta={theta:g}"
+            f"/zeta={zeta:g}/parity={parity.value}",
+            Scenario.from_reduced(
+                theta=theta,
+                zeta=zeta,
+                parity=parity,
+                field_kind=FieldKind.EM,
+                dipole_a=_AXIS_VECTORS[axis_a],
+                dipole_b=_AXIS_VECTORS[axis_b],
+            ),
         )
+        for axis_a, axis_b in dipole_configs
+        for parity in parities
+        for theta in thetas
+        for zeta in zetas
     )
-    return VerificationReport(tuple(checks))
+    return _pv_report(cases, em_resonance_energy, em_energy_pv_oracle, spec, tolerance)
 
 
 _COMMUTATOR_COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "z"), ("z", "x"))
@@ -358,22 +309,25 @@ _GUARD_BAND = 1e-2
 
 
 def _commutator_freq_side(
-    geom: ReducedGeometry, comp: tuple, u: float, eta: float
-) -> float:
-    coeff = em_spectral_coefficients(geom)
-    l = "xyz".index(comp[0])
-    m = "xyz".index(comp[1])
-    cf1 = (coeff.f1 + coeff.f1_nd)[l, m]
-    cg0 = (coeff.g0 + coeff.g0_nd)[l, m]
-    cg2 = (coeff.g2 + coeff.g2_nd)[l, m]
+    geom: ReducedGeometry, totals: tuple, u: float, eta: float
+) -> dict:
+    """Spectral commutator of every sampled component at time difference u.
+
+    ``totals`` holds the (f1, g0, g2) coefficient tensors, each with its
+    antisymmetric companion added.
+    """
     s_time = geom.light_time
     x_scale = geom.separation / geom.constants.c
-    moment = (
-        cf1 * x_scale * damped_trig_moment(1, "sin", "cos", u, s_time, eta)
-        + cg0 * damped_trig_moment(0, "sin", "sin", u, s_time, eta)
-        + cg2 * x_scale**2 * damped_trig_moment(2, "sin", "sin", u, s_time, eta)
-    )
-    return 2.0 / (math.pi * geom.separation**3) * moment
+    m1 = damped_trig_moment(1, "sin", "cos", u, s_time, eta)
+    m0 = damped_trig_moment(0, "sin", "sin", u, s_time, eta)
+    m2 = damped_trig_moment(2, "sin", "sin", u, s_time, eta)
+    out = {}
+    for comp in _COMMUTATOR_COMPONENTS:
+        index = ("xyz".index(comp[0]), "xyz".index(comp[1]))
+        cf1, cg0, cg2 = (t[index] for t in totals)
+        moment = cf1 * x_scale * m1 + cg0 * m0 + cg2 * x_scale**2 * m2
+        out[comp] = 2.0 / (math.pi * geom.separation**3) * moment
+    return out
 
 
 def em_commutator_consistency(
@@ -398,6 +352,8 @@ def em_commutator_consistency(
     """
     if geom.zeta <= 0.0:
         raise DomainError("commutator consistency requires a positive acceleration")
+    coeff = em_spectral_coefficients(geom)
+    totals = (coeff.f1 + coeff.f1_nd, coeff.g0 + coeff.g0_nd, coeff.g2 + coeff.g2_nd)
     s_time = geom.light_time
     if u_samples is None:
         u_samples = tuple(
@@ -416,9 +372,10 @@ def em_commutator_consistency(
         fd = {comp: [] for comp in _COMMUTATOR_COMPONENTS}
         for eps in eps_levels:
             slice_ = em_commutator_timedomain(u, geom, eps)
+            freq = _commutator_freq_side(geom, totals, u, eps)
             for comp in _COMMUTATOR_COMPONENTS:
                 td[comp].append(slice_.tensor[comp])
-                fd[comp].append(_commutator_freq_side(geom, comp, u, eps))
+                fd[comp].append(freq[comp])
         for comp in _COMMUTATOR_COMPONENTS:
             label = f"{comp[0]}{comp[1]}"
             td_vals = td[comp]
@@ -698,18 +655,16 @@ def run_suites(
 
     Known names: scalar-pv, em-pv, em-commutator, asymptotes.
     """
+    kwargs = {"tolerance": tolerance} if tolerance is not None else {}
     out = {}
     for name in names:
         if name == "scalar-pv":
-            kwargs = {"tolerance": tolerance} if tolerance is not None else {}
             out[name] = scalar_pv_suite(spec, **kwargs)
         elif name == "em-pv":
-            kwargs = {"tolerance": tolerance} if tolerance is not None else {}
             out[name] = em_pv_suite(spec, **kwargs)
         elif name == "em-commutator":
             c = CONSTANTS.c
             geom = reduced_geometry(2.0 * c * c, 1.0, c)  # zeta = 1, theta = 1
-            kwargs = {"tolerance": tolerance} if tolerance is not None else {}
             out[name] = em_commutator_consistency(geom, spec=spec, **kwargs)
         elif name == "asymptotes":
             out[name] = asymptote_convergence_report(spec)

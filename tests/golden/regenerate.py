@@ -16,6 +16,7 @@ import subprocess
 import sys
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
+SRC = GOLDEN_DIR.parent.parent / "src"
 
 # (name, argv, expected exit code)
 CASES = [
@@ -64,8 +65,9 @@ CASES = [
 
 
 def run_case(argv, extra_env=None):
-    """Run one CLI invocation; returns (stdout_bytes, exit_code)."""
+    """Run one CLI invocation of this checkout's package; returns (stdout_bytes, exit_code)."""
     env = {k: v for k, v in os.environ.items() if k != "RINDLER_RESONANCE_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     if extra_env:
         env.update(extra_env)
     proc = subprocess.run(

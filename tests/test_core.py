@@ -37,14 +37,11 @@ class TestReducedGeometry:
     def test_inertial_conventions(self):
         geom = reduced_geometry(0.0, 1.0, 5.0)
         assert geom.zeta == 0.0
-        assert geom.big_n == 1.0
         assert geom.light_time == 1.0 / C
         assert geom.omega_ratio is None
         assert geom.crossover_length == math.inf
 
     def test_special_zeta_values(self):
-        geom = reduced_geometry(2.0 * C * C * math.sqrt(3.0), 1.0, 0.0)
-        assert geom.big_n == pytest.approx(4.0, rel=1e-15)
         geom = reduced_geometry(2.0 * C * C, 1.0, 0.0)
         # asinh(1) = ln(1 + sqrt(2))
         assert geom.s_ratio == pytest.approx(math.log(1.0 + math.sqrt(2.0)), rel=1e-15)

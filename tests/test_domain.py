@@ -69,6 +69,26 @@ def test_overflowing_zeta_raises_domain_error():
         scalar_resonance_energy(sc)
 
 
+def test_phase_where_omega0_times_z_overflows():
+    # omega0*z overflows, but theta = 3.3e301 and the phase
+    # theta*asinh(zeta)/zeta = 2.3e4 are finite at zeta = 1e300.
+    kinematics = dict(
+        acceleration=2.0 * C * C * 1e290, separation=1e10, omega0=1e300, parity=Parity.SYMMETRIC
+    )
+    shift = scalar_resonance_energy(Scenario.scalar_field(**kinematics))
+    with mp.workdps(40):
+        zeta = mp.mpf(kinematics["acceleration"]) * mp.mpf(1e10) / (2 * mp.mpf(C) ** 2)
+        theta = mp.mpf(1e300) * mp.mpf(1e10) / mp.mpf(C)
+        want = -mp.cos(theta * mp.asinh(zeta) / zeta) / mp.sqrt(1 + zeta * zeta)
+        # A phase of 2.3e4 carries the last-bit rounding of theta and
+        # zeta as an error of a few 1e-12 (measured 4.0e-12).
+        assert abs(shift.reduced - want) <= 2e-11 / zeta
+    finite_or_domain_error(
+        em_resonance_energy,
+        lambda: Scenario.em_field(**kinematics, dipole_a=(0, 1, 0), dipole_b=(0, 1, 0)),
+    )
+
+
 # From 1e300 on, a*z overflows at the separation below while zeta fits.
 HUGE_ZETAS = (1e60, 1e77, 1e154, 1e200, 1e290, 1e300, 1e307)
 

@@ -55,4 +55,3 @@ def test_every_public_name_resolves():
 def test_moved_exceptions_are_reexported_unchanged():
     assert rindler_resonance.QuadratureError is rindler_resonance.quad.QuadratureError
     assert rindler_resonance.SingularityError is rindler_resonance.quad.SingularityError
-    assert rindler_resonance.CalibrationError is rindler_resonance.oracle.CalibrationError

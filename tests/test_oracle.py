@@ -7,11 +7,11 @@ code path than the closed forms they compare against.
 
 import csv
 import io
-import math
 from dataclasses import replace
 
 import pytest
 
+import rindler_resonance.em as em_module
 import rindler_resonance.oracle as oracle_module
 from rindler_resonance import (
     CheckResult,
@@ -170,8 +170,20 @@ class TestEmOracle:
         assert em_energy_pv_oracle(sc) == pytest.approx(closed, rel=1e-12, abs=0.0)
 
     def test_calibration_constant(self):
-        kappa = oracle_module._em_calibration_constant(1e-9, 1e-12)
-        assert kappa * math.pi == pytest.approx(-1.0, abs=1e-9)
+        # The inertial points the overall constant was once fitted at:
+        # the analytic -p/pi normalization must reproduce them.
+        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
+        for theta, axis in ((1.0, [0, 0, 1]), (2.0, [1, 0, 0])):
+            sc = Scenario.from_reduced(
+                theta=theta,
+                zeta=0.0,
+                parity=Parity.SYMMETRIC,
+                field_kind=FieldKind.EM,
+                dipole_a=axis,
+                dipole_b=axis,
+            )
+            closed = em_resonance_energy(sc).reduced
+            assert em_energy_pv_oracle(sc, spec) == pytest.approx(closed, rel=1e-12, abs=0.0)
 
     def test_matches_closed_form_pointwise(self):
         sc = Scenario.from_reduced(
@@ -190,16 +202,27 @@ class TestEmOracle:
         rep = em_pv_suite(thetas=(0.5, 2.0), zetas=(0.1, 10.0))
         assert rep.passed
         ids = {c.check_id for c in rep.checks}
-        assert "em-pv/calibration-consistency" in ids
         assert "em-pv/dipoles=xz/theta=2/zeta=10/parity=anti" in ids
-        # 2 thetas x 2 zetas x 2 parities x 4 dipole configs + calibration
-        assert rep.n_passed == 33
+        assert not any("calibration" in i for i in ids)
+        # 2 thetas x 2 zetas x 2 parities x 4 dipole configs
+        assert rep.n_passed == len(rep.checks) == 32
+
+    def test_detects_scaled_closed_form(self, monkeypatch):
+        # An overall normalization error in the closed form must fail
+        # every check: the oracle's constant is not fitted to it.
+        true_components = em_module.em_reduced_components
+
+        def scaled(*args):
+            return tuple(1.02 * c for c in true_components(*args))
+
+        monkeypatch.setattr(em_module, "em_reduced_components", scaled)
+        rep = em_pv_suite(thetas=(0.5, 2.0), zetas=(0.1, 10.0))
+        assert rep.n_passed == 0
+        assert len(rep.checks) == 32
 
     def test_detects_perturbed_spectral_density(self, monkeypatch):
-        # Prime the calibration cache with the true density first, then
-        # perturb one coefficient family; the grid checks must notice.
+        # Perturb one coefficient family; the grid checks must notice.
         spec = QuadratureSpec()
-        oracle_module._em_calibration_constant(spec.rel_tol, spec.abs_tol)
         true_coeffs = oracle_module.em_spectral_coefficients
 
         def tweaked(geom):
@@ -209,21 +232,6 @@ class TestEmOracle:
         monkeypatch.setattr(oracle_module, "em_spectral_coefficients", tweaked)
         rep = em_pv_suite(spec, thetas=(1.0,), zetas=(1.0,), dipole_configs=(("z", "z"),))
         assert not rep.passed
-
-    def test_perturbed_density_breaks_calibration(self, monkeypatch):
-        true_coeffs = oracle_module.em_spectral_coefficients
-
-        def tweaked(geom):
-            coeff = true_coeffs(geom)
-            return replace(coeff, g0=coeff.g0 * 1.02)
-
-        monkeypatch.setattr(oracle_module, "em_spectral_coefficients", tweaked)
-        oracle_module._em_calibration_constant.cache_clear()
-        try:
-            with pytest.raises(oracle_module.CalibrationError):
-                oracle_module._em_calibration_constant(1e-9, 1e-12)
-        finally:
-            oracle_module._em_calibration_constant.cache_clear()
 
 
 class TestCommutatorConsistency:

@@ -80,6 +80,23 @@ def test_sweep_rows_equal_compute_rows_where_a_times_z_overflows(capsys, field):
         assert single.splitlines() == [CSV_HEADER, line]
 
 
+def test_sweep_rows_equal_compute_rows_where_omega0_times_z_overflows(capsys):
+    # omega0*z overflows from the third row on, while theta stays finite.
+    # Scalar only: the EM form squares theta, which overflows there.
+    common = ("--field", "scalar", "--parity", "sym", "--sep", "1e10", "--accel", "1e20")
+    code, out, _ = run(
+        capsys, "sweep", *common, "--param", "omega0", "--from", "1e296", "--to", "1e304",
+        "--points", "5", "--spacing", "log",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 6
+    for value, line in zip(np.logspace(296, 304, 5), lines[1:]):
+        code, single, _ = run(capsys, "compute", *common, "--omega0", repr(float(value)), "--format", "csv")
+        assert code == 0
+        assert single.splitlines() == [CSV_HEADER, line]
+
+
 @pytest.mark.parametrize(
     "param,start,stop,fixed",
     [
