@@ -47,6 +47,7 @@ CSV_HEADER = "field,parity,a_mps2,z_m,omega0_radps,zeta,theta,reduced,si_joule,r
 _SUITES = ("scalar-pv", "em-pv", "em-commutator", "asymptotes")
 _SWEPT_INPUT = {"sep": "separation", "accel": "acceleration", "omega0": "omega0"}
 _AXIS_SHORTCUTS = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
+_REGIME_LABELS = {regime: regime.value for regime in Regime}
 
 _CONFIG_KEYS = {
     "field": str,
@@ -158,10 +159,23 @@ def _energy(scenario: Scenario):
     return em_resonance_energy(scenario)
 
 
-def _csv_row(scenario: Scenario, floats, regime: Regime) -> str:
-    """One CSV row: field, parity, the seven floats of CSV_HEADER, regime."""
-    body = ",".join(f"{x:.16e}" for x in floats)
-    return f"{scenario.field_kind.value},{scenario.parity.value},{body},{regime.value}"
+def _csv_rows(scenario: Scenario, columns) -> list:
+    """CSV rows: field, parity, the seven float columns of CSV_HEADER, regime.
+
+    A column is a float, the same on every row, or a list of one float
+    per row.  Constant cells are formatted once into a ``%`` template.
+    """
+    zeta = columns[3]
+    regime = (Regime.classify(zeta).value if isinstance(zeta, float)
+              else [_REGIME_LABELS[Regime.classify(z)] for z in zeta])
+    template, varying = f"{scenario.field_kind.value},{scenario.parity.value}", []
+    for column, fmt in zip((*columns, regime), ("%.16e",) * 7 + ("%s",)):
+        if isinstance(column, list):
+            template += "," + fmt
+            varying.append(column)
+        else:
+            template += "," + fmt % column
+    return [template % row for row in zip(*varying)] if varying else [template]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -191,7 +205,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             shift.reduced,
             shift.si_value,
         )
-        _emit(CSV_HEADER + "\n" + _csv_row(scenario, floats, shift.regime) + "\n", args.out)
+        _emit(CSV_HEADER + "\n" + _csv_rows(scenario, floats)[0] + "\n", args.out)
         return 0
     rows = [
         ("field", scenario.field_kind.value),
@@ -283,10 +297,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         inputs["acceleration"], inputs["separation"], inputs["omega0"],
         zeta, theta, reduced, si_value,
     )
-    lines = [CSV_HEADER]
-    for floats in zip(*(np.broadcast_to(col, values.shape).tolist() for col in columns)):
-        lines.append(_csv_row(scenario, floats, Regime.classify(floats[3])))
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = _csv_rows(scenario, [c if isinstance(c, float) else c.tolist() for c in columns])
+    _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
 

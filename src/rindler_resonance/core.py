@@ -188,13 +188,18 @@ def _as_dipole(vec, name: str) -> np.ndarray:
     if np is None:
         import numpy as np
 
-    arr = np.asarray(vec, dtype=float)
+    # The dtype is read first: a cast to float drops an imaginary part
+    # with only a warning.
+    arr = np.array(vec)
+    if arr.dtype.kind == "c":
+        raise DomainError(f"{name} must be real, got {vec!r}")
+    arr = arr if arr.dtype == float else arr.astype(float)
     if arr.shape != (3,):
         raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    x, y, z = arr.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DomainError(f"{name} must be finite")
-    arr = arr.copy()
-    arr.setflags(write=False)
+    arr.flags.writeable = False
     return arr
 
 
@@ -217,8 +222,9 @@ class Scenario:
     coupling:
         Scalar coupling strength (scalar field only).
     dipole_a, dipole_b:
-        Transition dipole vectors in C*m (electromagnetic field only).
-        Components are taken real.
+        Transition dipole vectors in C*m (electromagnetic field only):
+        any three real, finite numbers.  They are stored as read-only
+        float64 copies; complex components raise DomainError.
     """
 
     field_kind: FieldKind

@@ -214,7 +214,8 @@ def em_reduced_components(theta, zeta, cos_p, sin_p) -> tuple:
     coefficients resummed at omega0, written in u = 1/h and v = zeta/h
     with h = sqrt(1 + zeta**2): then 1/N = u**2, zeta**2/N = v**2 and
     zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
-    grows.
+    grows.  Where theta**2 overflows (theta above about 1.3e154) the
+    theta**2 terms are regrouped so that theta meets u or v first.
     """
     h = envelope_root(zeta)
     u = 1.0 / h
@@ -222,12 +223,39 @@ def em_reduced_components(theta, zeta, cos_p, sin_p) -> tuple:
     a = u * u
     b = v * v
     t2 = theta * theta
-    xx = theta * a * (a + 4.0 * b) * sin_p + u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2) * cos_p
-    yy = theta * (a + 2.0 * b) * sin_p + u * (a - t2) * cos_p
-    zz = (-theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p
-          - u * (a * (2.0 * a + 5.0 * b) - b * t2) * cos_p)
-    xz = theta * u * v * (a - 2.0 * b) * sin_p - a * v * (a + 4.0 * b + t2) * cos_p
+    # The cos_p coefficients, the only terms that carry theta**2.
+    cos_terms = (
+        u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2),
+        u * (a - t2),
+        u * (a * (2.0 * a + 5.0 * b) - b * t2),
+        a * v * (a + 4.0 * b + t2),
+    )
+    if isinstance(t2, np.ndarray):
+        overflow = np.isinf(t2)
+        if overflow.any():
+            regrouped = _regrouped_cos_terms(theta, u, v, a, b)
+            cos_terms = tuple(np.where(overflow, r, c) for r, c in zip(regrouped, cos_terms))
+    elif t2 == math.inf:
+        cos_terms = _regrouped_cos_terms(theta, u, v, a, b)
+    c_xx, c_yy, c_zz, c_xz = cos_terms
+    xx = theta * a * (a + 4.0 * b) * sin_p + c_xx * cos_p
+    yy = theta * (a + 2.0 * b) * sin_p + c_yy * cos_p
+    zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
+    xz = theta * u * v * (a - 2.0 * b) * sin_p - c_xz * cos_p
     return xx, yy, zz, xz
+
+
+def _regrouped_cos_terms(theta, u, v, a, b) -> tuple:
+    # The cos_p coefficients of em_reduced_components where theta**2 = inf.
+    # theta meets u or v before it is squared, so no partial product
+    # exceeds both theta and the term it builds.
+    ut = u * theta
+    return (
+        u * (a * a + 2.0 * a * b + 4.0 * b * b) - (u * ut) * ut,
+        u * a - ut * theta,
+        u * (a * (2.0 * a + 5.0 * b)) - (v * ut) * (v * theta),
+        a * v * (a + 4.0 * b) + (v * ut) * ut,
+    )
 
 
 def _per_cubed_separation(value, separation):

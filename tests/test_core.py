@@ -255,6 +255,67 @@ class TestScenario:
         assert geom.zeta == pytest.approx(zeta, rel=1e-12, abs=1e-300)
 
 
+def em_scenario(dipole_a):
+    return Scenario.em_field(
+        acceleration=1e17,
+        separation=1.0,
+        omega0=1e8,
+        parity=Parity.SYMMETRIC,
+        dipole_a=dipole_a,
+        dipole_b=[0.0, 0.0, 1.0],
+    )
+
+
+class TestDipoleValidation:
+    @pytest.mark.parametrize(
+        "dipole,expected",
+        [
+            ([0.5, -1.0, 2.0], [0.5, -1.0, 2.0]),
+            ((0.5, -1.0, 2.0), [0.5, -1.0, 2.0]),
+            ([1, 0, -3], [1.0, 0.0, -3.0]),
+            ((True, False, True), [1.0, 0.0, 1.0]),
+            (np.array([0.5, -1.0, 2.0]), [0.5, -1.0, 2.0]),
+            (np.array([1, 0, -3], dtype=np.int32), [1.0, 0.0, -3.0]),
+        ],
+    )
+    def test_accepted_forms_give_read_only_float64_copies(self, dipole, expected):
+        mu = em_scenario(dipole).dipole_a
+        assert mu.dtype == np.float64
+        assert mu.shape == (3,)
+        assert mu.tolist() == expected
+        assert not mu.flags.writeable
+        if isinstance(dipole, np.ndarray):
+            assert not np.shares_memory(mu, dipole)
+            dipole[0] = 9
+            assert mu.tolist() == expected
+
+    @pytest.mark.parametrize("dipole", [1.0, [1.0, 2.0], [[1.0], [2.0], [3.0]], np.zeros((3, 1))])
+    def test_wrong_shape(self, dipole):
+        with pytest.raises(DomainError, match="3-vector"):
+            em_scenario(dipole)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            em_scenario([0.0, bad, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            em_scenario(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "dipole",
+        [
+            [1j, 0.0, 0.0],
+            [1.0 + 0j, 0.0, 0.0],
+            [np.complex128(1 + 2j), 0.0, 0.0],
+            np.array([1 + 2j, 0.0, 0.0]),
+            np.array([1.0, 0.0, 0.0], dtype=np.complex64),
+        ],
+    )
+    def test_complex_component(self, dipole):
+        with pytest.raises(DomainError, match="must be real"):
+            em_scenario(dipole)
+
+
 class TestConstants:
     def test_frozen(self):
         with pytest.raises(Exception):

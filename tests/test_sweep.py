@@ -60,6 +60,39 @@ def test_sweep_rows_equal_compute_rows(capsys, field, param, spacing, parity):
     assert len(regimes) >= (1 if param == "omega0" else 2)
 
 
+ZERO_ACCEL_RANGES = {
+    "sep": (("--accel", "0", "--omega0", "7e8"), 0.01, 300.0),
+    "omega0": (("--accel", "0", "--sep", "60"), 1e6, 1e10),
+}
+
+
+@pytest.mark.parametrize(
+    "field,param,spacing",
+    list(itertools.product(FIELD_OPTIONS, ZERO_ACCEL_RANGES, ("lin", "log"))),
+)
+def test_zero_acceleration_sweep_rows_equal_compute_rows(capsys, field, param, spacing):
+    # zeta is the constant 0.0 and every row is Inertial.
+    fixed, start, stop = ZERO_ACCEL_RANGES[param]
+    common = ("--field", field, "--parity", "anti", *fixed, *FIELD_OPTIONS[field])
+    code, out, _ = run(
+        capsys, "sweep", *common, "--param", param, "--from", repr(start),
+        "--to", repr(stop), "--points", str(POINTS), "--spacing", spacing,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == POINTS + 1
+    for value, line in zip(grid(start, stop, spacing), lines[1:]):
+        cells = line.split(",")
+        assert float(cells[CSV_HEADER.split(",").index("zeta")]) == 0.0
+        assert cells[-1] == "Inertial"
+        code, single, _ = run(
+            capsys, "compute", *common, f"--{param}", repr(float(value)), "--format", "csv",
+        )
+        assert code == 0
+        assert single.splitlines() == [CSV_HEADER, line]
+
+
 @pytest.mark.parametrize("field", list(FIELD_OPTIONS))
 def test_sweep_rows_equal_compute_rows_where_a_times_z_overflows(capsys, field):
     # a*z overflows from the second row on, while zeta stays finite.
