@@ -165,9 +165,9 @@ def _csv_rows(scenario: Scenario, columns) -> list:
     A column is a float, the same on every row, or a list of one float
     per row.  Constant cells are formatted once into a ``%`` template.
     """
-    zeta = columns[3]
-    regime = (Regime.classify(zeta).value if isinstance(zeta, float)
-              else [_REGIME_LABELS[Regime.classify(z)] for z in zeta])
+    zeta, classify = columns[3], Regime.classify
+    regime = (classify(zeta).value if isinstance(zeta, float)
+              else [_REGIME_LABELS[classify(z)] for z in zeta])
     template, varying = f"{scenario.field_kind.value},{scenario.parity.value}", []
     for column, fmt in zip((*columns, regime), ("%.16e",) * 7 + ("%s",)):
         if isinstance(column, list):

@@ -158,18 +158,24 @@ class Regime(enum.Enum):
 
     @classmethod
     def classify(cls, zeta: float) -> "Regime":
-        if zeta < 0.0:
+        if not zeta >= 0.0:
             raise DomainError(f"zeta must be non-negative, got {zeta}")
         if zeta < INERTIAL_ZETA_MAX:
-            return cls.INERTIAL
+            return _INERTIAL
         if zeta > FARZONE_ZETA_MIN:
-            return cls.FARZONE
-        return cls.INTERMEDIATE
+            return _FARZONE
+        return _INTERMEDIATE
+
+
+# Members bound once: an attribute lookup on an Enum class is slow on 3.11.
+_SCALAR, _EM = FieldKind
+_SYMMETRIC, _ANTISYMMETRIC = Parity
+_INERTIAL, _INTERMEDIATE, _FARZONE = Regime
 
 
 def parity_sign(parity: Parity) -> float:
     """Sign carried by the correlated state: +1 symmetric, -1 antisymmetric."""
-    return 1.0 if parity is Parity.SYMMETRIC else -1.0
+    return 1.0 if parity is _SYMMETRIC else -1.0
 
 
 def check_kinematics(acceleration: float, separation: float, omega0: float) -> None:
@@ -199,11 +205,11 @@ def _as_dipole(vec, name: str) -> np.ndarray:
     x, y, z = arr.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DomainError(f"{name} must be finite")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Scenario:
     """Full description of one two-atom configuration.
 
@@ -225,6 +231,8 @@ class Scenario:
         Transition dipole vectors in C*m (electromagnetic field only):
         any three real, finite numbers.  They are stored as read-only
         float64 copies; complex components raise DomainError.
+
+    Every construction path validates, ``dataclasses.replace`` included.
     """
 
     field_kind: FieldKind
@@ -237,22 +245,40 @@ class Scenario:
     dipole_b: Optional[np.ndarray] = None
     constants: PhysicalConstants = field(default=CONSTANTS)
 
-    def __post_init__(self) -> None:
-        check_kinematics(self.acceleration, self.separation, self.omega0)
-        if self.field_kind is FieldKind.SCALAR:
-            if self.coupling is None:
+    # Hand-written to validate and store in one step: the generated
+    # frozen __init__ pays one object.__setattr__ per field.
+    def __init__(
+        self,
+        field_kind: FieldKind,
+        parity: Parity,
+        acceleration: float,
+        separation: float,
+        omega0: float,
+        coupling: Optional[float] = None,
+        dipole_a: Optional[np.ndarray] = None,
+        dipole_b: Optional[np.ndarray] = None,
+        constants: PhysicalConstants = CONSTANTS,
+    ) -> None:
+        check_kinematics(acceleration, separation, omega0)
+        if field_kind is _SCALAR:
+            if coupling is None:
                 raise DomainError("scalar scenario requires a coupling strength")
-            if not math.isfinite(self.coupling):
-                raise DomainError(f"coupling must be finite, got {self.coupling}")
-            if self.dipole_a is not None or self.dipole_b is not None:
+            if not math.isfinite(coupling):
+                raise DomainError(f"coupling must be finite, got {coupling}")
+            if dipole_a is not None or dipole_b is not None:
                 raise DomainError("scalar scenario does not take dipole vectors")
         else:
-            if self.coupling is not None:
+            if coupling is not None:
                 raise DomainError("electromagnetic scenario does not take a scalar coupling")
-            if self.dipole_a is None or self.dipole_b is None:
+            if dipole_a is None or dipole_b is None:
                 raise DomainError("electromagnetic scenario requires both dipole vectors")
-            object.__setattr__(self, "dipole_a", _as_dipole(self.dipole_a, "dipole_a"))
-            object.__setattr__(self, "dipole_b", _as_dipole(self.dipole_b, "dipole_b"))
+            dipole_a = _as_dipole(dipole_a, "dipole_a")
+            dipole_b = _as_dipole(dipole_b, "dipole_b")
+        self.__dict__.update(
+            field_kind=field_kind, parity=parity, acceleration=acceleration,
+            separation=separation, omega0=omega0, coupling=coupling,
+            dipole_a=dipole_a, dipole_b=dipole_b, constants=constants,
+        )
 
     @classmethod
     def scalar_field(
@@ -266,7 +292,7 @@ class Scenario:
         constants: PhysicalConstants = CONSTANTS,
     ) -> "Scenario":
         return cls(
-            field_kind=FieldKind.SCALAR,
+            field_kind=_SCALAR,
             parity=parity,
             acceleration=acceleration,
             separation=separation,
@@ -288,7 +314,7 @@ class Scenario:
         constants: PhysicalConstants = CONSTANTS,
     ) -> "Scenario":
         return cls(
-            field_kind=FieldKind.EM,
+            field_kind=_EM,
             parity=parity,
             acceleration=acceleration,
             separation=separation,
@@ -321,7 +347,7 @@ class Scenario:
         c = constants.c
         omega0 = theta * c / separation
         acceleration = 2.0 * c * c * zeta / separation
-        if field_kind is FieldKind.SCALAR:
+        if field_kind is _SCALAR:
             return cls.scalar_field(
                 acceleration=acceleration,
                 separation=separation,
@@ -408,6 +434,12 @@ def _scaled_product(x, y, d):
         return value if value != math.inf else x * (y / d)
     overflow = np.isinf(value)
     return np.where(overflow, x * (y / d), value) if overflow.any() else value
+
+
+def _log_two_zeta(zeta: float) -> float:
+    """log(2*zeta), as log(zeta) + log(2) only where 2*zeta overflows."""
+    two_zeta = 2.0 * zeta
+    return math.log(two_zeta) if two_zeta != math.inf else math.log(zeta) + math.log(2.0)
 
 
 def envelope_root(zeta):
@@ -545,14 +577,15 @@ def atomic_correlation_factor(u: float, omega0: float, parity: Parity) -> float:
     return parity_sign(parity) * math.cos(omega0 * u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EnergyShift:
     """Resonance energy shift of one scenario.
 
     ``reduced`` is the dimensionless shape factor; ``si_value`` is the
     shift in J, equal to ``prefactor * reduced``.  ``warning`` is set
     when the requested evaluation is outside its comfort zone (for
-    example a far-zone asymptote used at moderate zeta).
+    example a far-zone asymptote used at moderate zeta).  Every
+    construction path checks finiteness, ``dataclasses.replace`` included.
     """
 
     reduced: float
@@ -563,8 +596,22 @@ class EnergyShift:
     field_kind: FieldKind
     warning: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        check_finite_shift(self.reduced, self.si_value)
+    # Hand-written for the reason given at Scenario.__init__.
+    def __init__(
+        self,
+        reduced: float,
+        prefactor: float,
+        si_value: float,
+        regime: Regime,
+        parity: Parity,
+        field_kind: FieldKind,
+        warning: Optional[str] = None,
+    ) -> None:
+        check_finite_shift(reduced, si_value)
+        self.__dict__.update(
+            reduced=reduced, prefactor=prefactor, si_value=si_value, regime=regime,
+            parity=parity, field_kind=field_kind, warning=warning,
+        )
 
 
 def check_finite_shift(reduced: float, si_value: float) -> None:

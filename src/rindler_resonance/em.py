@@ -27,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _EM,
+    _log_two_zeta,
+    _scaled_product,
     DomainError,
     EnergyShift,
-    FieldKind,
     ReducedGeometry,
     Regime,
     Scenario,
@@ -75,6 +77,8 @@ _CROSS[0, 2] = 1.0
 _CROSS[2, 0] = -1.0
 
 _SINGULAR_FLOOR = 1e-12
+
+_classify = Regime.classify
 
 
 def _index(key) -> tuple:
@@ -315,7 +319,7 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     See :func:`em_closed_form`.  Raises DomainError when the inputs
     overflow double precision.
     """
-    scenario.require_field(FieldKind.EM)
+    scenario.require_field(_EM)
     zeta, _, reduced, prefactor = em_closed_form(
         scenario, scenario.acceleration, scenario.separation, scenario.omega0
     )
@@ -323,9 +327,9 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
         reduced=reduced,
         prefactor=prefactor,
         si_value=prefactor * reduced,
-        regime=Regime.classify(zeta),
+        regime=_classify(zeta),
         parity=scenario.parity,
-        field_kind=FieldKind.EM,
+        field_kind=_EM,
     )
 
 
@@ -350,7 +354,7 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     shift falls as z**-2; along the acceleration (x) axis the surviving
     term falls as z**-4.
     """
-    scenario.require_field(FieldKind.EM)
+    scenario.require_field(_EM)
     if scenario.acceleration <= 0.0:
         raise DomainError("far-zone asymptote requires a positive acceleration")
     geom = scenario_geometry(scenario)
@@ -367,8 +371,8 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
         )
     zeta = geom.zeta
     theta = geom.theta
-    phase = (theta / zeta) * math.log(2.0 * zeta)
-    radial = 2.0 * theta * math.sin(phase) - (theta * theta / zeta) * math.cos(phase)
+    phase = (theta / zeta) * _log_two_zeta(zeta)
+    radial = 2.0 * theta * math.sin(phase) - _scaled_product(theta, theta, zeta) * math.cos(phase)
     axial = (4.0 / zeta) * math.cos(phase)
     diag = {
         0: axial,       # acceleration axis: only the 4/zeta term survives
@@ -384,7 +388,7 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
         si_value=prefactor * reduced,
         regime=geom.regime,
         parity=scenario.parity,
-        field_kind=FieldKind.EM,
+        field_kind=_EM,
     )
 
 

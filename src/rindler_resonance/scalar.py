@@ -13,9 +13,11 @@ import math
 from typing import TYPE_CHECKING, Optional, Union
 
 from .core import (
+    _INERTIAL,
+    _SCALAR,
+    _log_two_zeta,
     DomainError,
     EnergyShift,
-    FieldKind,
     ReducedGeometry,
     Regime,
     Scenario,
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 ArrayLike = Union[float, "np.ndarray"]
+
+_classify = Regime.classify
 
 
 def scalar_chi_density(omega: ArrayLike, geom: ReducedGeometry) -> ArrayLike:
@@ -68,7 +72,7 @@ def _shift(scenario: Scenario, reduced: float, regime: Regime, warning: Optional
         si_value=pref * reduced,
         regime=regime,
         parity=scenario.parity,
-        field_kind=FieldKind.SCALAR,
+        field_kind=_SCALAR,
         warning=warning,
     )
 
@@ -101,11 +105,11 @@ def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     inertial expression bit for bit.  Raises DomainError when the
     inputs overflow double precision.
     """
-    scenario.require_field(FieldKind.SCALAR)
+    scenario.require_field(_SCALAR)
     zeta, _, reduced, _ = scalar_closed_form(
         scenario, scenario.acceleration, scenario.separation, scenario.omega0
     )
-    return _shift(scenario, reduced, Regime.classify(zeta))
+    return _shift(scenario, reduced, _classify(zeta))
 
 
 def scalar_inertial_limit(scenario: Scenario) -> EnergyShift:
@@ -113,10 +117,10 @@ def scalar_inertial_limit(scenario: Scenario) -> EnergyShift:
 
     The scenario's acceleration is ignored.
     """
-    scenario.require_field(FieldKind.SCALAR)
+    scenario.require_field(_SCALAR)
     geom = scenario_geometry(scenario)
     reduced = -parity_sign(scenario.parity) * math.cos(geom.theta)
-    return _shift(scenario, reduced, Regime.INERTIAL)
+    return _shift(scenario, reduced, _INERTIAL)
 
 
 def scalar_farzone_asymptote(scenario: Scenario) -> EnergyShift:
@@ -127,13 +131,13 @@ def scalar_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     Requires acceleration > 0; below zeta = 1 the asymptote is not
     meaningful and the result carries a warning.
     """
-    scenario.require_field(FieldKind.SCALAR)
+    scenario.require_field(_SCALAR)
     if scenario.acceleration <= 0.0:
         raise DomainError("far-zone asymptote requires a positive acceleration")
     geom = scenario_geometry(scenario)
     zeta = geom.zeta
     sign = -parity_sign(scenario.parity)
-    reduced = sign * math.cos((geom.theta / zeta) * math.log(2.0 * zeta)) / zeta
+    reduced = sign * math.cos((geom.theta / zeta) * _log_two_zeta(zeta)) / zeta
     warning = None
     if zeta < 1.0:
         warning = f"far-zone asymptote evaluated at zeta = {zeta:.3g} < 1; expect O(1) error"

@@ -65,13 +65,16 @@ CASES = [
 
 
 def run_case(argv, extra_env=None):
-    """Run one CLI invocation of this checkout's package; returns (stdout_bytes, exit_code)."""
+    """Run one CLI invocation of this checkout's package; returns (stdout_bytes, exit_code).
+
+    Warnings are errors in the child, as in the in-process tests.
+    """
     env = {k: v for k, v in os.environ.items() if k != "RINDLER_RESONANCE_TOL"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     if extra_env:
         env.update(extra_env)
     proc = subprocess.run(
-        [sys.executable, "-m", "rindler_resonance.cli", *argv],
+        [sys.executable, "-W", "error", "-m", "rindler_resonance.cli", *argv],
         capture_output=True,
         env=env,
     )

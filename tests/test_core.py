@@ -1,5 +1,7 @@
 """Reduced variables, conventions, and scenario validation."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from rindler_resonance import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     DomainError,
+    EnergyShift,
     FieldKind,
     FieldKindError,
     Parity,
@@ -146,8 +149,9 @@ class TestRegime:
         assert Regime.classify(0.1) is Regime.INTERMEDIATE
         assert Regime.classify(10.0) is Regime.INTERMEDIATE
         assert Regime.classify(10.001) is Regime.FARZONE
-        with pytest.raises(DomainError):
-            Regime.classify(-0.5)
+        for bad in (-0.5, math.nan):
+            with pytest.raises(DomainError):
+                Regime.classify(bad)
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
     def test_classification_monotone_in_zeta(self, z1, z2):
@@ -324,3 +328,81 @@ class TestConstants:
     def test_validation(self):
         with pytest.raises(DomainError):
             PhysicalConstants(c=-1.0)
+
+
+def scalar_scenario():
+    return Scenario.scalar_field(
+        acceleration=1e17, separation=1.0, omega0=1e8, parity=Parity.ANTISYMMETRIC, coupling=0.5
+    )
+
+
+def energy_shift():
+    return EnergyShift(
+        reduced=-0.25,
+        prefactor=2.0,
+        si_value=-0.5,
+        regime=Regime.INTERMEDIATE,
+        parity=Parity.SYMMETRIC,
+        field_kind=FieldKind.SCALAR,
+    )
+
+
+def _parameters(cls):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+class TestRecordSemantics:
+    """Scenario and EnergyShift behave as frozen dataclasses, validated on every construction."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [scalar_scenario(), em_scenario([1.0, 0.0, 0.0]), energy_shift()],
+        ids=["scalar", "em", "shift"],
+    )
+    def test_every_field_is_frozen(self, record):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+    def test_constructor_signatures(self):
+        required = inspect.Parameter.empty
+        kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert _parameters(Scenario) == [
+            ("field_kind", kind, required),
+            ("parity", kind, required),
+            ("acceleration", kind, required),
+            ("separation", kind, required),
+            ("omega0", kind, required),
+            ("coupling", kind, None),
+            ("dipole_a", kind, None),
+            ("dipole_b", kind, None),
+            ("constants", kind, CONSTANTS),
+        ]
+        assert _parameters(EnergyShift) == [
+            ("reduced", kind, required),
+            ("prefactor", kind, required),
+            ("si_value", kind, required),
+            ("regime", kind, required),
+            ("parity", kind, required),
+            ("field_kind", kind, required),
+            ("warning", kind, None),
+        ]
+
+    def test_positional_and_keyword_construction_agree(self):
+        for record in (scalar_scenario(), energy_shift()):
+            values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+            positional = type(record)(*values)
+            keyword = type(record)(**{f.name: v for f, v in zip(dataclasses.fields(record), values)})
+            assert positional == keyword == record
+            assert hash(positional) == hash(keyword) == hash(record)
+            assert repr(positional) == repr(keyword) == repr(record)
+
+    def test_replace_revalidates(self):
+        scenario = scalar_scenario()
+        assert dataclasses.replace(scenario, omega0=2e8).omega0 == 2e8
+        with pytest.raises(DomainError):
+            dataclasses.replace(scenario, separation=-1.0)
+        with pytest.raises(DomainError, match="must be real"):
+            dataclasses.replace(em_scenario([1.0, 0.0, 0.0]), dipole_a=[1j, 0, 0])
+        with pytest.raises(DomainError):
+            dataclasses.replace(energy_shift(), reduced=math.nan)

@@ -12,9 +12,11 @@ from rindler_resonance import (
     FieldKind,
     Parity,
     Scenario,
+    em_farzone_asymptote,
     em_potential_tensors,
     em_resonance_energy,
     parity_sign,
+    scalar_farzone_asymptote,
     scalar_resonance_energy,
     scenario_geometry,
 )
@@ -95,6 +97,48 @@ def test_phase_where_omega0_times_z_overflows():
         want = f1 * theta * sin_p - (g0 + g2 * theta * theta) * cos_p
         envelope = max(abs(f1 * theta), abs(g0), abs(g2 * theta * theta))
         assert abs(shift.reduced - want) <= 2e-11 * envelope
+
+
+def mp_farzone_asymptotes(geom):
+    """Scalar and transverse (y) EM far-zone asymptotes of the symmetric state, and the EM envelope."""
+    zeta, theta = mp.mpf(geom.zeta), mp.mpf(geom.theta)
+    phase = (theta / zeta) * mp.log(2 * zeta)
+    radial = (2 * theta * mp.sin(phase), (theta * theta / zeta) * mp.cos(phase))
+    return -mp.cos(phase) / zeta, radial[0] - radial[1], abs(radial[0]) + abs(radial[1])
+
+
+def test_em_farzone_asymptote_where_theta_squared_overflows():
+    # theta = 3.3e301 and zeta = 1e300: theta**2 overflows, theta**2/zeta ~ 1e303 fits.
+    sc = Scenario.em_field(
+        acceleration=2.0 * C * C * 1e290, separation=1e10, omega0=1e300,
+        parity=Parity.SYMMETRIC, dipole_a=(0, 1, 0), dipole_b=(0, 1, 0),
+    )
+    geom = scenario_geometry(sc)
+    shift = em_farzone_asymptote(sc)
+    assert math.isfinite(shift.reduced) and math.isfinite(shift.si_value)
+    with mp.workdps(40):
+        _, want, _ = mp_farzone_asymptotes(geom)
+        scale = mp.mpf(geom.theta) ** 2 / mp.mpf(geom.zeta)
+        assert abs(shift.reduced - want) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("zeta", (9e307, 1.5e308))
+def test_farzone_asymptotes_where_two_zeta_overflows(zeta):
+    # 2*zeta exceeds the largest float while zeta and both asymptotes fit.
+    separation = 1e300
+    kinematics = dict(
+        acceleration=2.0 * C * C * (zeta / separation), separation=separation,
+        omega0=1e-290, parity=Parity.SYMMETRIC,
+    )
+    scalar = Scenario.scalar_field(**kinematics)
+    em = Scenario.em_field(**kinematics, dipole_a=(0, 1, 0), dipole_b=(0, 1, 0))
+    geom = scenario_geometry(scalar)
+    with mp.workdps(40):
+        want_scalar, want_em, envelope = mp_farzone_asymptotes(geom)
+        got = scalar_farzone_asymptote(scalar).reduced
+        assert math.isfinite(got) and abs(got - want_scalar) <= 1e-13 / mp.mpf(geom.zeta)
+        got = em_farzone_asymptote(em).reduced
+        assert math.isfinite(got) and abs(got - want_em) <= 1e-13 * envelope
 
 
 # From 1e300 on, a*z overflows at the separation below while zeta fits.

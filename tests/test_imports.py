@@ -39,7 +39,7 @@ assert "numpy" in sys.modules
 
 def test_scalar_paths_never_load_numpy():
     proc = subprocess.run(
-        [sys.executable, "-E", "-s", "-c", SCRIPT, str(SRC)],
+        [sys.executable, "-E", "-s", "-W", "error", "-c", SCRIPT, str(SRC)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
