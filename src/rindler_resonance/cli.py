@@ -358,8 +358,8 @@ def cmd_regimes(args: argparse.Namespace) -> int:
     omega0 = _merge(args, "omega0")
     if omega0 is not None:
         omega0 = float(omega0)
-        if omega0 <= 0.0:
-            raise DomainError(f"omega0 must be positive, got {omega0}")
+        if not (omega0 > 0.0 and math.isfinite(omega0)):
+            raise DomainError(f"omega0 must be positive and finite, got {omega0}")
         rows.append(("wavelength_m", f"{c / omega0:.16e}"))
     sep = _merge(args, "sep")
     if sep is not None:

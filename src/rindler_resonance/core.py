@@ -274,11 +274,37 @@ class Scenario:
                 raise DomainError("electromagnetic scenario requires both dipole vectors")
             dipole_a = _as_dipole(dipole_a, "dipole_a")
             dipole_b = _as_dipole(dipole_b, "dipole_b")
-        self.__dict__.update(
-            field_kind=field_kind, parity=parity, acceleration=acceleration,
-            separation=separation, omega0=omega0, coupling=coupling,
-            dipole_a=dipole_a, dipole_b=dipole_b, constants=constants,
+        # One key at a time, in field order: the instance dict keeps its shared keys.
+        d = self.__dict__
+        d["field_kind"] = field_kind
+        d["parity"] = parity
+        d["acceleration"] = acceleration
+        d["separation"] = separation
+        d["omega0"] = omega0
+        d["coupling"] = coupling
+        d["dipole_a"] = dipole_a
+        d["dipole_b"] = dipole_b
+        d["constants"] = constants
+
+    # Dipoles compare and hash by value, as tuples of their floats: an
+    # ndarray has no truth value and no hash.  The other fields behave
+    # as in the generated methods.
+    def _key(self) -> tuple:
+        d = self.__dict__
+        a, b = d["dipole_a"], d["dipole_b"]
+        return (
+            d["field_kind"], d["parity"], d["acceleration"], d["separation"], d["omega0"],
+            d["coupling"], a if a is None else tuple(a.tolist()),
+            b if b is None else tuple(b.tolist()), d["constants"],
         )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def scalar_field(
@@ -291,15 +317,7 @@ class Scenario:
         coupling: float = 1.0,
         constants: PhysicalConstants = CONSTANTS,
     ) -> "Scenario":
-        return cls(
-            field_kind=_SCALAR,
-            parity=parity,
-            acceleration=acceleration,
-            separation=separation,
-            omega0=omega0,
-            coupling=coupling,
-            constants=constants,
-        )
+        return cls(_SCALAR, parity, acceleration, separation, omega0, coupling, None, None, constants)
 
     @classmethod
     def em_field(
@@ -313,16 +331,7 @@ class Scenario:
         dipole_b,
         constants: PhysicalConstants = CONSTANTS,
     ) -> "Scenario":
-        return cls(
-            field_kind=_EM,
-            parity=parity,
-            acceleration=acceleration,
-            separation=separation,
-            omega0=omega0,
-            dipole_a=dipole_a,
-            dipole_b=dipole_b,
-            constants=constants,
-        )
+        return cls(_EM, parity, acceleration, separation, omega0, None, dipole_a, dipole_b, constants)
 
     @classmethod
     def from_reduced(
@@ -391,8 +400,9 @@ def _numpy_if_array(x):
     """The numpy module if ``x`` is a numpy array, else None.
 
     numpy is not imported here: an array cannot exist before numpy is
-    loaded, so scalar callers never pay for the import.  Floats, the
-    single-point case, return at once.
+    loaded, so scalar callers never pay for the import.  The callers
+    test ``type(x) is float`` first, so a plain float, the single-point
+    case, never gets here; ``np.float64`` returns at once.
     """
     if isinstance(x, float):
         return None
@@ -416,10 +426,10 @@ def reduced_variables(acceleration, separation, omega0, constants: PhysicalConst
     c = constants.c
     zeta = _scaled_product(separation, acceleration, 2.0 * c * c)
     theta = _scaled_product(omega0, separation, c)
-    np = _numpy_if_array(zeta)
-    if np is None:
+    if type(zeta) is float or (np := _numpy_if_array(zeta)) is None:
         return zeta, theta, asinh_ratio(zeta)
-    return zeta, theta, np.array([asinh_ratio(x) for x in zeta.tolist()])
+    ratio = np.array([asinh_ratio(x) for x in zeta.ravel().tolist()])
+    return zeta, theta, ratio.reshape(zeta.shape)
 
 
 def _scaled_product(x, y, d):
@@ -429,8 +439,7 @@ def _scaled_product(x, y, d):
     where x*y/d itself exceeds the largest float.
     """
     value = x * y / d
-    np = _numpy_if_array(value)
-    if np is None:
+    if type(value) is float or (np := _numpy_if_array(value)) is None:
         return value if value != math.inf else x * (y / d)
     overflow = np.isinf(value)
     return np.where(overflow, x * (y / d), value) if overflow.any() else value
@@ -448,13 +457,12 @@ def envelope_root(zeta):
     Where 1 + zeta**2 overflows (zeta above about 1.3e154) the root is
     zeta itself to double precision, so zeta is returned there.
     """
-    np = _numpy_if_array(zeta)
-    if np is not None:
-        with np.errstate(over="ignore"):
-            root = np.sqrt(1.0 + zeta * zeta)
-        return np.where(np.isfinite(root), root, zeta)
-    root = math.sqrt(1.0 + zeta * zeta)
-    return root if root != math.inf else zeta
+    if type(zeta) is float or (np := _numpy_if_array(zeta)) is None:
+        root = math.sqrt(1.0 + zeta * zeta)
+        return root if root != math.inf else zeta
+    with np.errstate(over="ignore"):
+        root = np.sqrt(1.0 + zeta * zeta)
+    return np.where(np.isfinite(root), root, zeta)
 
 
 def _cos_sin(phase: float) -> tuple:
@@ -470,10 +478,10 @@ def phase_cos_sin(phase) -> tuple:
     vectorised sin and cos may differ from it in the last bit.  A
     non-finite phase gives nan, which :class:`EnergyShift` rejects.
     """
-    np = _numpy_if_array(phase)
-    if np is not None:
-        return tuple(np.array([_cos_sin(p) for p in phase.tolist()]).T)
-    return _cos_sin(phase)
+    if type(phase) is float or (np := _numpy_if_array(phase)) is None:
+        return _cos_sin(phase)
+    cos_sin = np.array([_cos_sin(p) for p in phase.ravel().tolist()]).reshape(phase.shape + (2,))
+    return cos_sin[..., 0], cos_sin[..., 1]
 
 
 @dataclass(frozen=True)
@@ -596,7 +604,7 @@ class EnergyShift:
     field_kind: FieldKind
     warning: Optional[str] = None
 
-    # Hand-written for the reason given at Scenario.__init__.
+    # Hand-written and stored as Scenario.__init__ is, for the same reasons.
     def __init__(
         self,
         reduced: float,
@@ -608,10 +616,14 @@ class EnergyShift:
         warning: Optional[str] = None,
     ) -> None:
         check_finite_shift(reduced, si_value)
-        self.__dict__.update(
-            reduced=reduced, prefactor=prefactor, si_value=si_value, regime=regime,
-            parity=parity, field_kind=field_kind, warning=warning,
-        )
+        d = self.__dict__
+        d["reduced"] = reduced
+        d["prefactor"] = prefactor
+        d["si_value"] = si_value
+        d["regime"] = regime
+        d["parity"] = parity
+        d["field_kind"] = field_kind
+        d["warning"] = warning
 
 
 def check_finite_shift(reduced: float, si_value: float) -> None:

@@ -323,14 +323,7 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     zeta, _, reduced, prefactor = em_closed_form(
         scenario, scenario.acceleration, scenario.separation, scenario.omega0
     )
-    return EnergyShift(
-        reduced=reduced,
-        prefactor=prefactor,
-        si_value=prefactor * reduced,
-        regime=_classify(zeta),
-        parity=scenario.parity,
-        field_kind=_EM,
-    )
+    return EnergyShift(reduced, prefactor, prefactor * reduced, _classify(zeta), scenario.parity, _EM)
 
 
 def em_inertial_potential(geom: ReducedGeometry) -> Tensor3:

@@ -66,15 +66,7 @@ def _scalar_prefactor(scenario: Scenario, separation: ArrayLike) -> ArrayLike:
 
 def _shift(scenario: Scenario, reduced: float, regime: Regime, warning: Optional[str] = None) -> EnergyShift:
     pref = _scalar_prefactor(scenario, scenario.separation)
-    return EnergyShift(
-        reduced=reduced,
-        prefactor=pref,
-        si_value=pref * reduced,
-        regime=regime,
-        parity=scenario.parity,
-        field_kind=_SCALAR,
-        warning=warning,
-    )
+    return EnergyShift(reduced, pref, pref * reduced, regime, scenario.parity, _SCALAR, warning)
 
 
 def scalar_closed_form(
@@ -106,10 +98,10 @@ def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     inputs overflow double precision.
     """
     scenario.require_field(_SCALAR)
-    zeta, _, reduced, _ = scalar_closed_form(
+    zeta, _, reduced, pref = scalar_closed_form(
         scenario, scenario.acceleration, scenario.separation, scenario.omega0
     )
-    return _shift(scenario, reduced, _classify(zeta))
+    return EnergyShift(reduced, pref, pref * reduced, _classify(zeta), scenario.parity, _SCALAR)
 
 
 def scalar_inertial_limit(scenario: Scenario) -> EnergyShift:

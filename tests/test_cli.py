@@ -92,6 +92,12 @@ class TestExitCodes:
         _, code = run_cli("regimes", "--accel", "1e20", "--omega0", "0")
         assert code == 3
 
+    @pytest.mark.parametrize("omega0", ["nan", "inf"])
+    def test_regimes_non_finite_frequency(self, omega0):
+        out, code = run_cli("regimes", "--accel", "1e20", "--omega0", omega0)
+        assert code == 3
+        assert out == b""
+
     def test_unreachable_tolerance_fails_verification(self):
         _, code = run_cli("verify", "--suite", "scalar-pv", "--tol", "1e-30")
         assert code == 1

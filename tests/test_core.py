@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rindler_resonance.core import envelope_root, phase_cos_sin, reduced_variables
+from rindler_resonance.em import em_closed_form, em_resonance_energy
+from rindler_resonance.scalar import scalar_closed_form, scalar_resonance_energy
+
 from rindler_resonance import (
     BOLTZMANN,
     CONSTANTS,
@@ -389,13 +393,25 @@ class TestRecordSemantics:
         ]
 
     def test_positional_and_keyword_construction_agree(self):
-        for record in (scalar_scenario(), energy_shift()):
+        for record in (scalar_scenario(), em_scenario([0.6, 0.0, 0.8]), energy_shift()):
             values = [getattr(record, f.name) for f in dataclasses.fields(record)]
             positional = type(record)(*values)
             keyword = type(record)(**{f.name: v for f, v in zip(dataclasses.fields(record), values)})
             assert positional == keyword == record
             assert hash(positional) == hash(keyword) == hash(record)
             assert repr(positional) == repr(keyword) == repr(record)
+        # EM scenarios compare and hash by dipole value, whatever the dipoles were given as.
+        as_list, as_tuple, as_array = (
+            em_scenario(d) for d in ([0.6, 0.0, 0.8], (0.6, 0.0, 0.8), np.array([0.6, 0.0, 0.8]))
+        )
+        assert as_list == as_tuple == as_array
+        assert hash(as_list) == hash(as_tuple) == hash(as_array)
+        other = em_scenario([0.0, 0.6, 0.8])
+        assert other != as_list
+        assert not other == as_list
+        assert other != scalar_scenario()
+        assert {as_list: "em"}[as_array] == "em"
+        assert len({as_list, as_tuple, as_array, other}) == 2
 
     def test_replace_revalidates(self):
         scenario = scalar_scenario()
@@ -406,3 +422,113 @@ class TestRecordSemantics:
             dataclasses.replace(em_scenario([1.0, 0.0, 0.0]), dipole_a=[1j, 0, 0])
         with pytest.raises(DomainError):
             dataclasses.replace(energy_shift(), reduced=math.nan)
+
+
+# Log-uniform over [1e-300, 1e300]: z*a, omega0*z and zeta**2 overflow
+# on part of the range, so every overflow branch is drawn.
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+# A single point given four ways; the float dispatch must not change a bit.
+POINT_FORMS = {
+    "float": float,
+    "float64": np.float64,
+    "0-d": np.array,
+    "1-element": lambda x: np.array([x]),
+}
+
+
+def _bits(value):
+    # float.hex is nan-aware and tells -0.0 from 0.0.
+    flat = np.asarray(value, dtype=float).reshape(-1)
+    assert flat.size == 1
+    return float(flat[0]).hex()
+
+
+def _all_bits(values):
+    return [_bits(v) for v in values]
+
+
+def em_dipole_scenario():
+    return Scenario.em_field(
+        acceleration=1.0, separation=1.0, omega0=1.0, parity=Parity.ANTISYMMETRIC,
+        dipole_a=[0.3, -1.2, 0.7], dipole_b=[1.0, 0.5, -2.0],
+    )
+
+
+class TestFloatDispatch:
+    """Floats, np.float64, 0-d and 1-element arrays give the same bits."""
+
+    @given(log_uniform, log_uniform, log_uniform)
+    def test_reduced_variables(self, a, z, omega0):
+        expected = _all_bits(reduced_variables(a, z, omega0))
+        for form in POINT_FORMS.values():
+            with np.errstate(all="ignore"):
+                got = reduced_variables(form(a), form(z), form(omega0))
+            assert _all_bits(got) == expected
+
+    @given(log_uniform)
+    def test_envelope_root(self, zeta):
+        expected = _bits(envelope_root(zeta))
+        for form in POINT_FORMS.values():
+            with np.errstate(all="ignore"):
+                assert _bits(envelope_root(form(zeta))) == expected
+
+    @given(log_uniform)
+    def test_phase_cos_sin(self, phase):
+        expected = _all_bits(phase_cos_sin(phase))
+        for form in POINT_FORMS.values():
+            assert _all_bits(phase_cos_sin(form(phase))) == expected
+
+    @pytest.mark.parametrize("field", ["scalar", "em"])
+    @given(a=log_uniform, z=log_uniform, omega0=log_uniform)
+    def test_resonance_energy_equals_closed_form_row(self, field, a, z, omega0):
+        if field == "scalar":
+            scenario = Scenario.scalar_field(
+                acceleration=a, separation=z, omega0=omega0, parity=Parity.SYMMETRIC, coupling=1.7
+            )
+            closed_form, energy = scalar_closed_form, scalar_resonance_energy
+        else:
+            scenario = dataclasses.replace(
+                em_dipole_scenario(), acceleration=a, separation=z, omega0=omega0
+            )
+            closed_form, energy = em_closed_form, em_resonance_energy
+        with np.errstate(all="ignore"):
+            zeta, _, reduced, prefactor = closed_form(
+                scenario, np.array([a]), np.array([z]), np.array([omega0])
+            )
+            si_value = prefactor * reduced
+        if not (np.isfinite(reduced[0]) and np.isfinite(si_value[0])):
+            with pytest.raises(DomainError):
+                energy(scenario)
+            return
+        shift = energy(scenario)
+        assert _all_bits([shift.reduced, shift.prefactor, shift.si_value]) == _all_bits(
+            [reduced, prefactor, si_value]
+        )
+        assert shift.regime is Regime.classify(float(zeta[0]))
+
+
+class TestClosedFormGrids:
+    """n-D inputs broadcast, and every cell equals its own float call."""
+
+    ACCELERATION = np.array([[0.0, 1e15, 1e19], [1e60, 1e200, 1e300]])
+    SEPARATION = np.array([1e-6, 1.0, 1e3])
+    OMEGA0 = np.array([[1e15], [1e300]])
+
+    @pytest.mark.parametrize("field", ["scalar", "em"])
+    def test_grid_equals_elementwise_float_calls(self, field):
+        if field == "scalar":
+            scenario, closed_form = scalar_scenario(), scalar_closed_form
+        else:
+            scenario, closed_form = em_dipole_scenario(), em_closed_form
+        with np.errstate(all="ignore"):
+            grid = closed_form(scenario, self.ACCELERATION, self.SEPARATION, self.OMEGA0)
+        grid = [np.broadcast_to(v, (2, 3)) for v in grid]
+        assert grid[2].shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                single = closed_form(
+                    scenario, float(self.ACCELERATION[i, j]), float(self.SEPARATION[j]),
+                    float(self.OMEGA0[i, 0]),
+                )
+                assert _all_bits([v[i, j] for v in grid]) == _all_bits(single)
