@@ -290,12 +290,11 @@ class Scenario:
     # ndarray has no truth value and no hash.  The other fields behave
     # as in the generated methods.
     def _key(self) -> tuple:
-        d = self.__dict__
-        a, b = d["dipole_a"], d["dipole_b"]
+        a, b = self.dipole_a, self.dipole_b
         return (
-            d["field_kind"], d["parity"], d["acceleration"], d["separation"], d["omega0"],
-            d["coupling"], a if a is None else tuple(a.tolist()),
-            b if b is None else tuple(b.tolist()), d["constants"],
+            self.field_kind, self.parity, self.acceleration, self.separation, self.omega0,
+            self.coupling, a if a is None else tuple(a.tolist()),
+            b if b is None else tuple(b.tolist()), self.constants,
         )
 
     def __eq__(self, other):
