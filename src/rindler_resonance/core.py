@@ -9,7 +9,8 @@ in units of the transition wavelength.  This module owns the scenario
 description, the reduced-variable bookkeeping, and the small shared
 vocabulary (parity signs, regime labels, energy-shift records, and
 every exception type the package raises) used by the scalar and
-electromagnetic calculations.  It does not import numpy.
+electromagnetic calculations.  It imports numpy only for a dipole that
+is not three Python numbers.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Optional
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -188,25 +186,34 @@ def check_kinematics(acceleration: float, separation: float, omega0: float) -> N
         raise DomainError(f"omega0 must be >= 0 and finite, got {omega0}")
 
 
-def _as_dipole(vec, name: str) -> np.ndarray:
-    # Every EM scenario passes here: import numpy only the first time.
-    np = sys.modules.get("numpy")
-    if np is None:
-        import numpy as np
+_REALS = frozenset((float, int, bool))
 
-    # The dtype is read first: a cast to float drops an imaginary part
-    # with only a warning.
-    arr = np.array(vec)
-    if arr.dtype.kind == "c":
-        raise DomainError(f"{name} must be real, got {vec!r}")
-    arr = arr if arr.dtype == float else arr.astype(float)
-    if arr.shape != (3,):
-        raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    x, y, z = arr.tolist()
+
+def _as_dipole(vec, name: str) -> tuple:
+    """A tuple of three finite floats; a list or tuple of Python numbers skips numpy."""
+    if type(vec) in (list, tuple) and len(vec) == 3 and (
+        type(vec[0]) in _REALS and type(vec[1]) in _REALS and type(vec[2]) in _REALS
+    ):
+        x, y, z = float(vec[0]), float(vec[1]), float(vec[2])
+    else:
+        # Arrays, numpy scalars, complex values and wrong shapes: import
+        # numpy only the first time one arrives.
+        np = sys.modules.get("numpy")
+        if np is None:
+            import numpy as np
+
+        # The dtype is read first: a cast to float drops an imaginary
+        # part with only a warning.
+        arr = np.array(vec)
+        if arr.dtype.kind == "c":
+            raise DomainError(f"{name} must be real, got {vec!r}")
+        arr = arr if arr.dtype == float else arr.astype(float)
+        if arr.shape != (3,):
+            raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
+        x, y, z = arr.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DomainError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+    return (x, y, z)
 
 
 @dataclass(frozen=True, init=False)
@@ -229,8 +236,8 @@ class Scenario:
         Scalar coupling strength (scalar field only).
     dipole_a, dipole_b:
         Transition dipole vectors in C*m (electromagnetic field only):
-        any three real, finite numbers.  They are stored as read-only
-        float64 copies; complex components raise DomainError.
+        any three real, finite numbers, stored as a tuple of three
+        floats; complex components raise DomainError.
 
     Every construction path validates, ``dataclasses.replace`` included.
     """
@@ -241,8 +248,8 @@ class Scenario:
     separation: float
     omega0: float
     coupling: Optional[float] = None
-    dipole_a: Optional[np.ndarray] = None
-    dipole_b: Optional[np.ndarray] = None
+    dipole_a: Optional[tuple] = None
+    dipole_b: Optional[tuple] = None
     constants: PhysicalConstants = field(default=CONSTANTS)
 
     # Hand-written to validate and store in one step: the generated
@@ -255,8 +262,8 @@ class Scenario:
         separation: float,
         omega0: float,
         coupling: Optional[float] = None,
-        dipole_a: Optional[np.ndarray] = None,
-        dipole_b: Optional[np.ndarray] = None,
+        dipole_a=None,
+        dipole_b=None,
         constants: PhysicalConstants = CONSTANTS,
     ) -> None:
         check_kinematics(acceleration, separation, omega0)
@@ -285,25 +292,6 @@ class Scenario:
         d["dipole_a"] = dipole_a
         d["dipole_b"] = dipole_b
         d["constants"] = constants
-
-    # Dipoles compare and hash by value, as tuples of their floats: an
-    # ndarray has no truth value and no hash.  The other fields behave
-    # as in the generated methods.
-    def _key(self) -> tuple:
-        a, b = self.dipole_a, self.dipole_b
-        return (
-            self.field_kind, self.parity, self.acceleration, self.separation, self.omega0,
-            self.coupling, a if a is None else tuple(a.tolist()),
-            b if b is None else tuple(b.tolist()), self.constants,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @classmethod
     def scalar_field(
@@ -399,14 +387,15 @@ def _numpy_if_array(x):
     """The numpy module if ``x`` is a numpy array, else None.
 
     numpy is not imported here: an array cannot exist before numpy is
-    loaded, so scalar callers never pay for the import.  The callers
-    test ``type(x) is float`` first, so a plain float, the single-point
-    case, never gets here; ``np.float64`` returns at once.
+    loaded, so scalar callers never pay for the import.
     """
-    if isinstance(x, float):
-        return None
     np = sys.modules.get("numpy")
     return np if np is not None and isinstance(x, np.ndarray) else None
+
+
+def _plain(x):
+    # np.float64 as the float of its bits: its arithmetic warns on overflow.
+    return float(x) if isinstance(x, float) else x
 
 
 def reduced_variables(acceleration, separation, omega0, constants: PhysicalConstants = CONSTANTS) -> tuple:
@@ -437,11 +426,16 @@ def _scaled_product(x, y, d):
     Every finite product keeps its bits, and the result is inf only
     where x*y/d itself exceeds the largest float.
     """
+    if type(x) is not float or type(y) is not float:
+        np = _numpy_if_array(x) or _numpy_if_array(y)
+        if np is not None:
+            with np.errstate(over="ignore"):
+                value = x * y / d
+                overflow = np.isinf(value)
+                return np.where(overflow, x * (y / d), value) if overflow.any() else value
+        x, y = _plain(x), _plain(y)
     value = x * y / d
-    if type(value) is float or (np := _numpy_if_array(value)) is None:
-        return value if value != math.inf else x * (y / d)
-    overflow = np.isinf(value)
-    return np.where(overflow, x * (y / d), value) if overflow.any() else value
+    return value if value != math.inf else x * (y / d)
 
 
 def _log_two_zeta(zeta: float) -> float:
@@ -456,12 +450,14 @@ def envelope_root(zeta):
     Where 1 + zeta**2 overflows (zeta above about 1.3e154) the root is
     zeta itself to double precision, so zeta is returned there.
     """
-    if type(zeta) is float or (np := _numpy_if_array(zeta)) is None:
-        root = math.sqrt(1.0 + zeta * zeta)
-        return root if root != math.inf else zeta
-    with np.errstate(over="ignore"):
-        root = np.sqrt(1.0 + zeta * zeta)
-    return np.where(np.isfinite(root), root, zeta)
+    if type(zeta) is not float:
+        if (np := _numpy_if_array(zeta)) is not None:
+            with np.errstate(over="ignore"):
+                root = np.sqrt(1.0 + zeta * zeta)
+            return np.where(np.isfinite(root), root, zeta)
+        zeta = _plain(zeta)
+    root = math.sqrt(1.0 + zeta * zeta)
+    return root if root != math.inf else zeta
 
 
 def _cos_sin(phase: float) -> tuple:

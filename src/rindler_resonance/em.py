@@ -285,8 +285,8 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     )
 
 
-def _unit_dipole(vec: np.ndarray, name: str) -> tuple:
-    x, y, z = vec.tolist()
+def _unit_dipole(vec: tuple, name: str) -> tuple:
+    x, y, z = vec
     mag = math.hypot(x, y, z)
     if mag == 0.0:
         raise DomainError(f"{name} must be a nonzero vector")

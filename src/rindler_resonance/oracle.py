@@ -31,6 +31,7 @@ from .core import (
     scenario_geometry,
 )
 from .em import (
+    _unit_dipole,
     em_farzone_asymptote,
     em_resonance_energy,
     em_spectral_coefficients,
@@ -67,9 +68,9 @@ DEFAULT_THETA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
 DEFAULT_ZETA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _DEFAULT_DIPOLE_CONFIGS = (("z", "z"), ("x", "x"), ("y", "y"), ("x", "z"))
 _AXIS_VECTORS = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
+    "x": (1.0, 0.0, 0.0),
+    "y": (0.0, 1.0, 0.0),
+    "z": (0.0, 0.0, 1.0),
 }
 _REL_FLOOR = 1e-12
 
@@ -203,7 +204,7 @@ def scalar_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] =
     return _normalized_pv(geom, density, scenario.parity, spec) / envelope_root(geom.zeta)
 
 
-def _em_density(geom: ReducedGeometry, left: np.ndarray, right: np.ndarray) -> TrigPolyDensity:
+def _em_density(geom: ReducedGeometry, left: tuple, right: tuple) -> TrigPolyDensity:
     coeff = em_spectral_coefficients(geom)
     cf1, cg0, cg2 = coeff.contracted(left, right)
     x_scale = geom.separation / geom.constants.c
@@ -222,8 +223,8 @@ def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = Non
     """
     scenario.require_field(FieldKind.EM)
     geom = scenario_geometry(scenario)
-    ua = scenario.dipole_a / np.linalg.norm(scenario.dipole_a)
-    ub = scenario.dipole_b / np.linalg.norm(scenario.dipole_b)
+    ua, _ = _unit_dipole(scenario.dipole_a, "dipole_a")
+    ub, _ = _unit_dipole(scenario.dipole_b, "dipole_b")
     return _normalized_pv(geom, _em_density(geom, ua, ub), scenario.parity, spec)
 
 

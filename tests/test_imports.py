@@ -28,6 +28,14 @@ assert cli.main([
     "--accel", "1e17", "--sep", "1.0", "--omega0", "3e8",
 ]) == 0
 assert cli.main(["regimes", "--accel", "1e20", "--omega0", "1e15", "--sep", "0.01"]) == 0
+em_scenarios = [
+    rr.Scenario.em_field(
+        acceleration=1e20, separation=1e-6, omega0=1e15, parity=rr.Parity.SYMMETRIC,
+        dipole_a=[1, 0, 0], dipole_b=(0.0, 0.0, 1.0),
+    )
+    for _ in range(2)
+]
+assert em_scenarios[0] == em_scenarios[1] and hash(em_scenarios[0]) == hash(em_scenarios[1])
 assert "numpy" not in sys.modules, "the scalar path loaded numpy"
 assert cli.main([
     "compute", "--field", "em", "--parity", "sym", "--sep", "0.5", "--omega0", "1e8",

@@ -198,6 +198,15 @@ class TestEmOracle:
         pv = em_energy_pv_oracle(sc)
         assert pv == pytest.approx(closed, rel=1e-8)
 
+    @pytest.mark.parametrize("zero", ["dipole_a", "dipole_b"])
+    def test_zero_dipole_raises_domain_error(self, zero):
+        dipoles = {"dipole_a": [0.0, 0.0, 1.0], "dipole_b": [1.0, 0.0, 0.0], zero: [0, 0, 0]}
+        sc = Scenario.from_reduced(
+            theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC, field_kind=FieldKind.EM, **dipoles
+        )
+        with pytest.raises(DomainError, match=f"{zero} must be a nonzero vector"):
+            em_energy_pv_oracle(sc)
+
     def test_small_grid_suite(self):
         rep = em_pv_suite(thetas=(0.5, 2.0), zetas=(0.1, 10.0))
         assert rep.passed
