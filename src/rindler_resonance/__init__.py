@@ -69,9 +69,6 @@ _LAZY = {
             "QuadratureSpec",
             "TrigPolyDensity",
             "adaptive_integral",
-            "damped_trig_moment",
-            "damped_trig_moment_limit",
-            "neville_extrapolate",
             "pv_resonance_kernel",
         ),
         "quad",
@@ -140,8 +137,6 @@ __all__ = [
     "asymptote_convergence_report",
     "atomic_correlation_factor",
     "commutator_agreeing_components",
-    "damped_trig_moment",
-    "damped_trig_moment_limit",
     "em_commutator_consistency",
     "em_commutator_timedomain",
     "em_energy_pv_oracle",
@@ -153,7 +148,6 @@ __all__ = [
     "em_spectral_coefficients",
     "em_spectral_tensors",
     "em_wightman_tensor",
-    "neville_extrapolate",
     "parity_sign",
     "pv_resonance_kernel",
     "reduced_geometry",

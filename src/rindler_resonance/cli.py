@@ -303,7 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .oracle import commutator_agreeing_components, run_suites
+    from .oracle import run_suites
     from .quad import QuadratureSpec
 
     suite = str(_merge(args, "suite", "all"))
@@ -321,28 +321,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
     reports = run_suites(names, spec=spec, tolerance=tol)
     chunks = []
-    all_ok = True
     for name in names:
         report = reports[name]
-        if name == "em-commutator":
-            agreeing = commutator_agreeing_components(report)
-            gate = len(agreeing) > 0
-            gate_note = (
-                f"gate: agreeing components {','.join(agreeing) or 'none'}"
-                f" -> {'pass' if gate else 'fail'}"
-            )
-        else:
-            gate = report.passed
-            gate_note = None
-        all_ok = all_ok and gate
         if fmt == "csv":
             chunks.append(report.to_csv())
         else:
             chunks.append(f"== suite {name} ==\n{report.to_text()}")
-            if gate_note:
-                chunks.append(gate_note + "\n")
     _emit("".join(chunks), args.out)
-    return 0 if all_ok else 1
+    return 0 if all(report.passed for report in reports.values()) else 1
 
 
 def cmd_regimes(args: argparse.Namespace) -> int:

@@ -194,7 +194,10 @@ def _as_dipole(vec, name: str) -> tuple:
     if type(vec) in (list, tuple) and len(vec) == 3 and (
         type(vec[0]) in _REALS and type(vec[1]) in _REALS and type(vec[2]) in _REALS
     ):
-        x, y, z = float(vec[0]), float(vec[1]), float(vec[2])
+        try:
+            x, y, z = float(vec[0]), float(vec[1]), float(vec[2])
+        except OverflowError:
+            raise DomainError(f"{name} must be finite") from None
     else:
         # Arrays, numpy scalars, complex values and wrong shapes: import
         # numpy only the first time one arrives.
@@ -207,7 +210,10 @@ def _as_dipole(vec, name: str) -> tuple:
         arr = np.array(vec)
         if arr.dtype.kind == "c":
             raise DomainError(f"{name} must be real, got {vec!r}")
-        arr = arr if arr.dtype == float else arr.astype(float)
+        try:
+            arr = arr if arr.dtype == float else arr.astype(float)
+        except (OverflowError, TypeError, ValueError):
+            raise DomainError(f"{name} must hold three real numbers, got {vec!r}") from None
         if arr.shape != (3,):
             raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
         x, y, z = arr.tolist()
@@ -394,8 +400,10 @@ def _numpy_if_array(x):
 
 
 def _plain(x):
-    # np.float64 as the float of its bits: its arithmetic warns on overflow.
-    return float(x) if isinstance(x, float) else x
+    # numpy scalars as the float of their value: np.float64 arithmetic
+    # warns on overflow, and numpy integers wrap around.
+    np = sys.modules.get("numpy")
+    return float(x) if isinstance(x, float) or (np is not None and isinstance(x, np.integer)) else x
 
 
 def reduced_variables(acceleration, separation, omega0, constants: PhysicalConstants = CONSTANTS) -> tuple:
@@ -429,6 +437,8 @@ def _scaled_product(x, y, d):
     if type(x) is not float or type(y) is not float:
         np = _numpy_if_array(x) or _numpy_if_array(y)
         if np is not None:
+            # Integer arrays would wrap around where x*y overflows.
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
             with np.errstate(over="ignore"):
                 value = x * y / d
                 overflow = np.isinf(value)

@@ -16,7 +16,11 @@ difference).  They are derived independently, so their mutual
 consistency is a meaningful internal check; see the oracle module.
 
 All tensors are expressed in the fixed frame with
-x = acceleration direction, z = separation direction.
+x = acceleration direction, z = separation direction.  Atom A sits at
+the origin and atom B at +z, mu_A stands on the left of every bilinear
+form mu_A . T . mu_B, and ``n_sign = +1`` orients the separation
+vector from A to B in the time-domain tensor.  The sign of the
+antisymmetric xz/zx part is fixed by this convention.
 """
 
 from __future__ import annotations
@@ -190,8 +194,8 @@ def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
     g2 = ((1.0 + z2) * _I3 - z2 * _Q_DYAD - (1.0 + 2.0 * z2) * _N_DYAD) / n15
     zeta = geom.zeta
     f1_nd = zeta * (1.0 - 2.0 * z2) / n2 * _CROSS
-    g0_nd = zeta * (1.0 + 4.0 * z2) / n25 * _CROSS
-    g2_nd = zeta * (1.0 + z2) / n25 * _CROSS
+    g0_nd = -zeta * (1.0 + 4.0 * z2) / n25 * _CROSS
+    g2_nd = -zeta * (1.0 + z2) / n25 * _CROSS
     return SpectralCoefficients(f1=f1, g0=g0, g2=g2, f1_nd=f1_nd, g0_nd=g0_nd, g2_nd=g2_nd)
 
 
@@ -245,7 +249,7 @@ def em_reduced_components(theta, zeta, cos_p, sin_p) -> tuple:
     xx = theta * a * (a + 4.0 * b) * sin_p + c_xx * cos_p
     yy = theta * (a + 2.0 * b) * sin_p + c_yy * cos_p
     zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
-    xz = theta * u * v * (a - 2.0 * b) * sin_p - c_xz * cos_p
+    xz = theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p
     return xx, yy, zz, xz
 
 
@@ -409,22 +413,32 @@ def em_wightman_tensor(
         raise DomainError(f"eps must be positive and finite, got {eps}")
     if n_sign not in (1, -1):
         raise DomainError(f"n_sign must be +1 or -1, got {n_sign}")
+    return Tensor3(_wightman_kernel(u - 1j * eps, geom, n_sign))
+
+
+def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
+    """The correlation tensor at complex proper-time differences ``w``.
+
+    :func:`em_wightman_tensor` is this function at w = u - i*eps.  ``w``
+    may be a complex number or an array; the result has shape
+    ``np.shape(w) + (3, 3)``.  The poles on the real axis are the
+    light-cone crossings w = +-S, of order three.  Raises
+    SingularityError at a point on a crossing.
+    """
     c = geom.constants.c
-    hbar = geom.constants.hbar
     accel = geom.acceleration
     zeta = geom.zeta
-    w = u - 1j * eps
-    sh2 = np.sinh(accel * w / (2.0 * c)) ** 2
+    sh2 = np.sinh(accel * np.asarray(w)[..., None, None] / (2.0 * c)) ** 2
     gap = sh2 - zeta * zeta
-    if abs(gap) <= _SINGULAR_FLOOR * max(1.0, zeta * zeta):
+    if np.any(np.abs(gap) <= _SINGULAR_FLOOR * max(1.0, zeta * zeta)):
         raise SingularityError(
-            f"correlation tensor evaluated on a light-cone crossing near u = +-S "
-            f"(u = {u:.6g}, S = {geom.light_time:.6g}, eps = {eps:.3g})"
+            f"correlation tensor evaluated on a light-cone crossing w = +-S "
+            f"(S = {geom.light_time:.6g}, w = {w})"
         )
-    prefactor = hbar * accel**4 / (4.0 * math.pi * c**7)
+    prefactor = geom.constants.hbar * accel**4 / (4.0 * math.pi * c**7)
     t1 = (_I3 - 2.0 * zeta * n_sign * _CROSS) * sh2
     t2 = (zeta * zeta) * (_I3 - 2.0 * _N_DYAD) * (1.0 + 2.0 * (_I3 - _Q_DYAD) * sh2)
-    return Tensor3(prefactor * (t1 + t2) / gap**3)
+    return prefactor * (t1 + t2) / gap**3
 
 
 @dataclass(frozen=True)

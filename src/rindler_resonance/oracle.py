@@ -32,16 +32,14 @@ from .core import (
 )
 from .em import (
     _unit_dipole,
+    _wightman_kernel,
     em_farzone_asymptote,
     em_resonance_energy,
     em_spectral_coefficients,
-    em_commutator_timedomain,
 )
 from .quad import (
     QuadratureSpec,
     TrigPolyDensity,
-    damped_trig_moment,
-    neville_extrapolate,
     pv_resonance_kernel,
 )
 from .scalar import (
@@ -304,151 +302,95 @@ def em_pv_suite(
     return _pv_report(cases, em_resonance_energy, em_energy_pv_oracle, spec, tolerance)
 
 
-_COMMUTATOR_COMPONENTS = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "z"), ("z", "x"))
-_CONE_BAND = 0.25
-_GUARD_BAND = 1e-2
+_COMMUTATOR_COMPONENTS = ("xx", "yy", "zz", "xz", "zx")
+_CIRCLE_NODES = 32
 
 
-def _commutator_freq_side(
-    geom: ReducedGeometry, totals: tuple, u: float, eta: float
-) -> dict:
-    """Spectral commutator of every sampled component at time difference u.
-
-    ``totals`` holds the (f1, g0, g2) coefficient tensors, each with its
-    antisymmetric companion added.
-    """
-    s_time = geom.light_time
-    x_scale = geom.separation / geom.constants.c
-    m1 = damped_trig_moment(1, "sin", "cos", u, s_time, eta)
-    m0 = damped_trig_moment(0, "sin", "sin", u, s_time, eta)
-    m2 = damped_trig_moment(2, "sin", "sin", u, s_time, eta)
-    out = {}
-    for comp in _COMMUTATOR_COMPONENTS:
-        index = ("xyz".index(comp[0]), "xyz".index(comp[1]))
-        cf1, cg0, cg2 = (t[index] for t in totals)
-        moment = cf1 * x_scale * m1 + cg0 * m0 + cg2 * x_scale**2 * m2
-        out[comp] = 2.0 / (math.pi * geom.separation**3) * moment
-    return out
+def _agreement_check(check_id: str, outcomes: list, note: str) -> CheckResult:
+    frac = sum(outcomes) / len(outcomes)
+    return CheckResult(check_id, frac, 1.0, 1.0 - frac, 0.1, frac >= 0.9, note)
 
 
-def em_commutator_consistency(
-    geom: ReducedGeometry,
-    u_samples: Optional[Sequence[float]] = None,
-    spec: Optional[QuadratureSpec] = None,
-    tolerance: float = 1e-3,
-) -> VerificationReport:
-    """Cross-check the two commutator representations component by component.
+def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) -> VerificationReport:
+    """Cross-check the two commutator representations on the light cone.
 
-    Away from the light-cone crossings both representations must vanish
-    as the regulator is removed; each is extrapolated to zero regulator
-    and the limits compared against the finite-regulator scale.  Near
-    the crossings (within 25% of S) the singular content dominates and
-    the two regulated values must agree directly; these matched checks
-    are the ones that genuinely probe the tensor structure.
+    The field commutator is supported on the light-cone crossings
+    u = +-S.  The spectral density (g0 + f1*x + g2*x**2 families, x =
+    omega*z/c) makes it a sum of delta(u - S) and its first two
+    derivatives there, with the coefficient tensors as weights.  On the
+    time-domain side it is the boundary-value difference of the
+    correlation tensor G, so the same weights are Laurent coefficients
+    of G at w = S, of orders -1, -2 and -3:
 
-    Samples falling inside the guard band |u -+ S| <= S/100 are
-    excluded.  Per-component summary entries report the pass fraction
-    and the first failing sample, so a systematic disagreement is named
-    rather than averaged away.
+        g0 = -(pi z**3/hbar) a_-1,
+        (z/c) f1 = -(pi z**3/hbar) a_-2,
+        (z/c)**2 g2 = (pi z**3/(2 hbar)) a_-3,
+
+    where a_-k sums the coefficients of G(w; n = +1) and of the swapped
+    G(-w; n = -1)^T.  They are taken with the trapezoid rule on a circle
+    of radius r = min(S, pi*c/a)/2 around w = S (Trefethen & Weideman,
+    SIAM Rev. 56 (2014) 385), which keeps every other pole at least 4r
+    away: no regulator and no extrapolation.
+
+    Each of xx, yy, zz, xz and zx is compared at every order, with the
+    error relative to the largest entry of that order's tensors.  The
+    per-component summaries name the first failing order, so a
+    systematic disagreement is named rather than averaged away.
     """
     if geom.zeta <= 0.0:
         raise DomainError("commutator consistency requires a positive acceleration")
+    c = geom.constants.c
     coeff = em_spectral_coefficients(geom)
-    totals = (coeff.f1 + coeff.f1_nd, coeff.g0 + coeff.g0_nd, coeff.g2 + coeff.g2_nd)
+    x_scale = geom.separation / c
+    spectral = (
+        coeff.g0 + coeff.g0_nd,
+        x_scale * (coeff.f1 + coeff.f1_nd),
+        x_scale * x_scale * (coeff.g2 + coeff.g2_nd),
+    )
     s_time = geom.light_time
-    if u_samples is None:
-        u_samples = tuple(
-            m * s_time for m in (0.0, 0.5, 0.90, 0.95, 1.05, 1.10, 2.0, 3.0)
-        )
+    offsets = 0.5 * min(s_time, math.pi * c / geom.acceleration) * np.exp(
+        2j * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
+    )
+    both = _wightman_kernel(s_time + offsets, geom, 1) + np.swapaxes(
+        _wightman_kernel(-(s_time + offsets), geom, -1), -1, -2
+    )
+    scale = -math.pi * geom.separation**3 / geom.constants.hbar
+    timed = tuple(
+        weight * scale * np.mean(both * offsets[:, None, None] ** k, axis=0).real
+        for k, weight in ((1, 1.0), (2, 1.0), (3, -0.5))
+    )
     checks = []
-    per_component: dict = {comp: [] for comp in _COMMUTATOR_COMPONENTS}
-    for u in sorted(u_samples):
-        dist = min(abs(u - s_time), abs(u + s_time))
-        if dist <= _GUARD_BAND * s_time:
-            continue
-        near_cone = dist < _CONE_BAND * s_time
-        eps0 = min(0.04 * s_time, dist / 6.0)
-        eps_levels = tuple(eps0 * 0.5**j for j in range(7))
-        td = {comp: [] for comp in _COMMUTATOR_COMPONENTS}
-        fd = {comp: [] for comp in _COMMUTATOR_COMPONENTS}
-        for eps in eps_levels:
-            slice_ = em_commutator_timedomain(u, geom, eps)
-            freq = _commutator_freq_side(geom, totals, u, eps)
-            for comp in _COMMUTATOR_COMPONENTS:
-                td[comp].append(slice_.tensor[comp])
-                fd[comp].append(freq[comp])
-        for comp in _COMMUTATOR_COMPONENTS:
-            label = f"{comp[0]}{comp[1]}"
-            td_vals = td[comp]
-            fd_vals = fd[comp]
-            if near_cone:
-                kind = "cone"
-                pairs = list(zip(td_vals, fd_vals))[-2:]
-                rel = max(
-                    abs(t - f) / max(abs(t), abs(f), 1e-300) if (t, f) != (0.0, 0.0) else 0.0
-                    for t, f in pairs
-                )
-                computed, reference = pairs[-1]
-            else:
-                kind = "limit"
-                scale = max(max(abs(v) for v in td_vals), max(abs(v) for v in fd_vals))
-                if scale == 0.0:
-                    computed = reference = 0.0
-                    rel = 0.0
-                else:
-                    computed, _ = neville_extrapolate(eps_levels, td_vals)
-                    reference, _ = neville_extrapolate(eps_levels, fd_vals)
-                    rel = abs(computed - reference) / scale
-            passed = rel <= tolerance
-            per_component[comp].append((u, passed, kind))
+    outcomes: dict = {label: [] for label in _COMMUTATOR_COMPONENTS}
+    for order, reference_t, computed_t in zip((-1, -2, -3), spectral, timed):
+        envelope = max(np.max(np.abs(reference_t)), np.max(np.abs(computed_t)))
+        for label in _COMMUTATOR_COMPONENTS:
+            index = ("xyz".index(label[0]), "xyz".index(label[1]))
+            computed = float(computed_t[index])
+            reference = float(reference_t[index])
+            rel = abs(computed - reference) / envelope
+            outcomes[label].append((order, rel <= tolerance))
             checks.append(
                 CheckResult(
-                    check_id=(
-                        f"em-commutator/comp={label}/u={u / s_time:+.2f}S/kind={kind}"
-                    ),
+                    check_id=f"em-commutator/comp={label}/u=+1.00S/order={order}",
                     computed=computed,
                     reference=reference,
                     rel_error=rel,
                     tolerance=tolerance,
-                    passed=passed,
+                    passed=rel <= tolerance,
                 )
             )
-    total_pairs = 0
-    total_passed = 0
-    for comp, outcomes in per_component.items():
-        label = f"{comp[0]}{comp[1]}"
-        n = len(outcomes)
-        n_ok = sum(1 for _, ok, _ in outcomes if ok)
-        total_pairs += n
-        total_passed += n_ok
-        frac = n_ok / n if n else 1.0
-        first_fail = next(((u, kind) for u, ok, kind in outcomes if not ok), None)
-        note = (
-            "all samples agree"
-            if first_fail is None
-            else f"first failing u = {first_fail[0] / s_time:+.2f}*S ({first_fail[1]} check)"
-        )
+    for label, results in outcomes.items():
+        failing = [order for order, ok in results if not ok]
+        note = f"first failing u = +1.00*S (order {failing[0]} check)" if failing else "all orders agree"
         checks.append(
-            CheckResult(
-                check_id=f"em-commutator/summary/comp={label}",
-                computed=frac,
-                reference=1.0,
-                rel_error=1.0 - frac,
-                tolerance=0.1,
-                passed=frac >= 0.9,
-                note=note,
-            )
+            _agreement_check(f"em-commutator/summary/comp={label}", [ok for _, ok in results], note)
         )
-    overall = total_passed / total_pairs if total_pairs else 1.0
+    every = [ok for results in outcomes.values() for _, ok in results]
     checks.append(
-        CheckResult(
-            check_id="em-commutator/summary/overall",
-            computed=overall,
-            reference=1.0,
-            rel_error=1.0 - overall,
-            tolerance=0.1,
-            passed=overall >= 0.9,
-            note=f"{total_passed}/{total_pairs} sampled (u, component) pairs agree",
+        _agreement_check(
+            "em-commutator/summary/overall",
+            every,
+            f"{sum(every)}/{len(every)} (order, component) pairs agree",
         )
     )
     return VerificationReport(tuple(checks))
@@ -666,7 +608,7 @@ def run_suites(
         elif name == "em-commutator":
             c = CONSTANTS.c
             geom = reduced_geometry(2.0 * c * c, 1.0, c)  # zeta = 1, theta = 1
-            out[name] = em_commutator_consistency(geom, spec=spec, **kwargs)
+            out[name] = em_commutator_consistency(geom, **kwargs)
         elif name == "asymptotes":
             out[name] = asymptote_convergence_report(spec)
         else:

@@ -1,5 +1,4 @@
-"""Oscillatory quadrature, damped trigonometric moments, and the
-principal-value resonance integral.
+"""Adaptive quadrature and the principal-value resonance integral.
 
 The resonance shift is a principal-value frequency integral of an
 oscillatory spectral density against the kernel
@@ -27,7 +26,7 @@ import cmath
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,9 +38,6 @@ __all__ = [
     "SingularityError",
     "TrigPolyDensity",
     "adaptive_integral",
-    "damped_trig_moment",
-    "damped_trig_moment_limit",
-    "neville_extrapolate",
     "pv_resonance_kernel",
 ]
 
@@ -233,97 +229,6 @@ def adaptive_integral(
         total += v1 + v2 - v
         total_err += e1 + e2 - e
     return math.fsum(iv[2] for iv in intervals)
-
-
-_TRIG_NAMES = ("sin", "cos")
-
-
-def _laplace_trig(k: int, b: float, eta: float) -> complex:
-    # integral_0^inf w^k e^{i b w} e^{-eta w} dw = k!/(eta - i b)^{k+1}
-    return math.factorial(k) / (eta - 1j * b) ** (k + 1)
-
-
-def _moment_terms(k: int, u_trig: str, s_trig: str, u: float, S: float):
-    if k not in (0, 1, 2):
-        raise ValueError(f"moment order k must be 0, 1, or 2, got {k}")
-    if u_trig not in _TRIG_NAMES or s_trig not in _TRIG_NAMES:
-        raise ValueError(f"trig selectors must be 'sin' or 'cos', got {u_trig!r}, {s_trig!r}")
-    bp = u + S
-    bm = u - S
-    return bp, bm
-
-
-def damped_trig_moment(k: int, u_trig: str, s_trig: str, u: float, S: float, eta: float) -> float:
-    """Exact value of integral_0^inf w^k trig(w*u) trig(w*S) e^(-eta*w) dw.
-
-    ``u_trig`` and ``s_trig`` select sin or cos for the two factors.
-    Only k = 0, 1, 2 arise in the spectral densities handled here;
-    other orders are rejected.
-    """
-    bp, bm = _moment_terms(k, u_trig, s_trig, u, S)
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise DomainError(f"eta must be positive and finite, got {eta}")
-    mp = _laplace_trig(k, bp, eta)
-    mm = _laplace_trig(k, bm, eta)
-    if u_trig == "sin" and s_trig == "sin":
-        return 0.5 * (mm.real - mp.real)
-    if u_trig == "cos" and s_trig == "cos":
-        return 0.5 * (mm.real + mp.real)
-    if u_trig == "sin" and s_trig == "cos":
-        return 0.5 * (mp.imag + mm.imag)
-    return 0.5 * (mp.imag - mm.imag)
-
-
-def damped_trig_moment_limit(
-    k: int, u_trig: str, s_trig: str, u: float, S: float, guard: float = 1e-9
-) -> float:
-    """Zero-damping limit of :func:`damped_trig_moment` away from the light cone.
-
-    The limit function has poles of order k+1 where u + S or u - S
-    vanishes; approaching either within ``guard`` times the argument
-    scale raises SingularityError instead of returning a huge number.
-    """
-    bp, bm = _moment_terms(k, u_trig, s_trig, u, S)
-    scale = max(abs(u), abs(S), 1e-300)
-    if min(abs(bp), abs(bm)) <= guard * scale:
-        raise SingularityError(
-            f"damped moment limit is singular on the light cone |u| = |S| "
-            f"(u = {u:.6g}, S = {S:.6g})"
-        )
-    mp = math.factorial(k) * (1j / bp) ** (k + 1)
-    mm = math.factorial(k) * (1j / bm) ** (k + 1)
-    if u_trig == "sin" and s_trig == "sin":
-        return 0.5 * (mm.real - mp.real)
-    if u_trig == "cos" and s_trig == "cos":
-        return 0.5 * (mm.real + mp.real)
-    if u_trig == "sin" and s_trig == "cos":
-        return 0.5 * (mp.imag + mm.imag)
-    return 0.5 * (mp.imag - mm.imag)
-
-
-def neville_extrapolate(xs: Sequence[float], ys: Sequence[float]) -> tuple:
-    """Polynomial extrapolation of (xs, ys) to x = 0.
-
-    Returns (value, error_estimate) where the error estimate is the
-    final diagonal increment of the Neville tableau.  The xs must be
-    distinct; a decreasing geometric sequence is the intended use.
-    """
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two matching samples")
-    tableau = list(ys)
-    value = tableau[0]
-    err = math.inf
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - k):
-            dx = xs[i + k] - xs[i]
-            if dx == 0.0:
-                raise ValueError("xs must be distinct")
-            tableau[i] = (xs[i + k] * tableau[i] - xs[i] * tableau[i + 1]) / dx
-        err = abs(tableau[0] - value)
-        value = tableau[0]
-    return value, err
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,12 @@ class TestGoldenTranscripts:
         assert code == expected_exit
         assert stdout == stored
 
-    def test_commutator_transcript_reports_disagreement_and_gate(self):
+    def test_commutator_transcript_reports_every_component_agreeing(self):
         text = (GOLDEN_DIR / "verify_em_commutator.txt").read_text()
-        assert "FAIL em-commutator/comp=xz" in text
-        assert "gate: agreeing components xx,yy,zz -> pass" in text
+        assert text.startswith("== suite em-commutator ==\nPASS: 21/21 checks passed")
+        assert "FAIL" not in text
+        assert "PASS em-commutator/summary/comp=xz " in text
+        assert "gate:" not in text
 
 
 class TestExitCodes:

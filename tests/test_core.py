@@ -323,6 +323,23 @@ class TestDipoleValidation:
         with pytest.raises(DomainError, match="must be real"):
             em_scenario(dipole)
 
+    @pytest.mark.parametrize(
+        "dipole",
+        [
+            [10**400, 0, 0],
+            (0, -(10**400), 1),
+            np.array([10**400, 0, 0], dtype=object),
+            "abc",
+            ["a", "b", "c"],
+            b"xyz",
+        ],
+    )
+    def test_unconvertible_component(self, dipole):
+        # An int beyond the float range or a non-number is a domain
+        # error, not Python's OverflowError or numpy's ValueError.
+        with pytest.raises(DomainError, match="dipole_a"):
+            em_scenario(dipole)
+
 
 class TestConstants:
     def test_frozen(self):
@@ -491,6 +508,27 @@ class TestFloatDispatch:
             reduced_variables(1e300, 1e300, 1.0)
         )
         assert _bits(_scaled_product(big, big, 1e300)) == (1e300).hex()
+
+    @pytest.mark.parametrize(
+        "form", [np.int64, np.uint64, lambda x: np.array([x]), lambda x: np.array(x)],
+        ids=["int64", "uint64", "1-element", "0-d"],
+    )
+    def test_numpy_integers_do_not_wrap(self, form):
+        # 1e10 * 1e10 exceeds the int64 range: numpy integer inputs are
+        # worked in float, as the same values given as floats.
+        big = 10**10
+        assert _all_bits(reduced_variables(form(big), form(big), form(3))) == _all_bits(
+            reduced_variables(1e10, 1e10, 3.0)
+        )
+
+    def test_numpy_integer_scenario(self):
+        big = np.int64(10**10)
+        scenario = Scenario.scalar_field(
+            acceleration=big, separation=big, omega0=1.0, parity=Parity.SYMMETRIC
+        )
+        floats = dataclasses.replace(scenario, acceleration=1e10, separation=1e10)
+        assert scenario_geometry(scenario).zeta == scenario_geometry(floats).zeta
+        assert scalar_resonance_energy(scenario).reduced == scalar_resonance_energy(floats).reduced
 
     @pytest.mark.parametrize("field", ["scalar", "em"])
     @given(a=log_uniform, z=log_uniform, omega0=log_uniform)

@@ -194,7 +194,7 @@ def test_em_far_beyond_crossover(theta, zeta):
             ("x", "x"): ((1 + 4 * z2) / n**2, -(1 + 2 * z2 + 4 * z2 * z2) / n**2.5, 1 / n**1.5),
             ("y", "y"): ((1 + 2 * z2) / n, -1 / n**1.5, 1 / mp.sqrt(n)),
             ("z", "z"): ((-2 - z2 * (1 + 2 * z2)) / n**2, (2 + 5 * z2) / n**2.5, -z2 / n**1.5),
-            ("x", "z"): (z * (1 - 2 * z2) / n**2, z * (1 + 4 * z2) / n**2.5, z / n**1.5),
+            ("x", "z"): (z * (1 - 2 * z2) / n**2, -z * (1 + 4 * z2) / n**2.5, -z / n**1.5),
         }
         for slot, (f1, g0, g2) in terms.items():
             want = f1 * t * sin_p - (g0 + g2 * t * t) * cos_p

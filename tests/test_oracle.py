@@ -243,40 +243,83 @@ class TestEmOracle:
         assert not rep.passed
 
 
+_COMPONENTS = ("xx", "xz", "yy", "zx", "zz")
+# Laurent order at u = S that each spectral coefficient family weighs.
+_FAMILY_ORDERS = {"g0": -1, "g0_nd": -1, "f1": -2, "f1_nd": -2, "g2": -3, "g2_nd": -3}
+
+
+def _pair_checks(report):
+    return [c for c in report.checks if "/summary/" not in c.check_id]
+
+
+def _component(check):
+    return check.check_id.split("/")[1][len("comp="):]
+
+
 class TestCommutatorConsistency:
     def test_agreeing_components(self):
         rep = em_commutator_consistency(unit_commutator_geometry())
-        assert commutator_agreeing_components(rep) == ("xx", "yy", "zz")
+        assert rep.passed
+        assert commutator_agreeing_components(rep) == _COMPONENTS
 
     def test_summary_structure(self):
         rep = em_commutator_consistency(unit_commutator_geometry())
         by_id = {c.check_id: c for c in rep.checks}
-        for comp in ("xx", "yy", "zz"):
-            assert by_id[f"em-commutator/summary/comp={comp}"].passed
-        for comp in ("xz", "zx"):
+        assert {c.check_id for c in _pair_checks(rep)} == {
+            f"em-commutator/comp={comp}/u=+1.00S/order={order}"
+            for comp in _COMPONENTS
+            for order in (-1, -2, -3)
+        }
+        for comp in _COMPONENTS:
             summary = by_id[f"em-commutator/summary/comp={comp}"]
-            assert not summary.passed
-            assert "first failing u" in summary.note
-        assert not by_id["em-commutator/summary/overall"].passed
+            assert summary.passed
+            assert summary.note == "all orders agree"
+        overall = by_id["em-commutator/summary/overall"]
+        assert overall.passed and overall.computed == 1.0
+        assert all(c.tolerance == 1e-8 for c in _pair_checks(rep))
 
-    def test_equal_time_support_check(self):
-        rep = em_commutator_consistency(unit_commutator_geometry())
-        zero_u = [c for c in rep.checks if "/u=+0.00S/" in c.check_id]
-        assert len(zero_u) == 5
-        assert all(c.passed for c in zero_u)
-        assert all(c.computed == 0.0 for c in zero_u)
+    def test_identities_hold_across_zeta(self):
+        # The three Laurent identities at 25 log-spaced zeta in [1e-3, 1e3].
+        worst = 0.0
+        for k in range(25):
+            zeta = 10.0 ** (-3.0 + 0.25 * k)
+            rep = em_commutator_consistency(reduced_geometry(2.0 * C * C * zeta, 1.0, C))
+            worst = max(worst, max(c.rel_error for c in _pair_checks(rep)))
+        assert worst <= 1e-9
 
     def test_detects_perturbed_spectral_density(self, monkeypatch):
-        # Perturb the omega**2 family, which dominates near the cone.
+        # A 2% error in any one family fails exactly the checks of its
+        # order where that family is nonzero.
+        true_coeffs = oracle_module.em_spectral_coefficients
+        for family, order in _FAMILY_ORDERS.items():
+
+            def tweaked(geom, family=family):
+                coeff = true_coeffs(geom)
+                return replace(coeff, **{family: getattr(coeff, family) * 1.02})
+
+            monkeypatch.setattr(oracle_module, "em_spectral_coefficients", tweaked)
+            rep = em_commutator_consistency(unit_commutator_geometry())
+            assert not rep.passed, family
+            perturbed = {"xz", "zx"} if family.endswith("_nd") else {"xx", "yy", "zz"}
+            for c in _pair_checks(rep):
+                expect_fail = c.check_id.endswith(f"/order={order}") and _component(c) in perturbed
+                assert c.passed != expect_fail, (family, c.check_id)
+
+    def test_detects_flipped_cross_sign(self, monkeypatch):
+        # The sign error once carried by the sin(omega*S) cross families.
         true_coeffs = oracle_module.em_spectral_coefficients
 
-        def tweaked(geom):
+        def flipped(geom):
             coeff = true_coeffs(geom)
-            return replace(coeff, g2=coeff.g2 * 1.02)
+            return replace(coeff, g0_nd=-coeff.g0_nd, g2_nd=-coeff.g2_nd)
 
-        monkeypatch.setattr(oracle_module, "em_spectral_coefficients", tweaked)
+        monkeypatch.setattr(oracle_module, "em_spectral_coefficients", flipped)
         rep = em_commutator_consistency(unit_commutator_geometry())
-        assert commutator_agreeing_components(rep) == ()
+        assert commutator_agreeing_components(rep) == ("xx", "yy", "zz")
+        failing = {(_component(c), c.check_id[-2:]) for c in _pair_checks(rep) if not c.passed}
+        assert failing == {("xz", "-1"), ("xz", "-3"), ("zx", "-1"), ("zx", "-3")}
+        by_id = {c.check_id: c for c in rep.checks}
+        assert "first failing u" in by_id["em-commutator/summary/comp=xz"].note
 
     def test_rejects_inertial_geometry(self):
         with pytest.raises(DomainError):

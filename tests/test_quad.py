@@ -1,4 +1,4 @@
-"""Quadrature engine: adaptive rule, damped moments, PV integral.
+"""Quadrature engine: adaptive rule and PV integral.
 
 Reference values marked "50-digit" were evaluated with mpmath at
 mp.dps = 50; closed-form references carry tighter tolerances than the
@@ -17,12 +17,8 @@ from rindler_resonance import (
     DomainError,
     QuadratureError,
     QuadratureSpec,
-    SingularityError,
     TrigPolyDensity,
     adaptive_integral,
-    damped_trig_moment,
-    damped_trig_moment_limit,
-    neville_extrapolate,
     pv_resonance_kernel,
 )
 
@@ -88,106 +84,6 @@ class TestQuadratureSpec:
         monkeypatch.setenv("RINDLER_RESONANCE_TOL", "banana")
         with pytest.raises(DomainError):
             QuadratureSpec.from_environment()
-
-
-class TestDampedTrigMoment:
-    def test_spec_example_sin_cos(self):
-        # k=0, u=2, S=1: 0.5*[(u-S)/((u-S)^2+eta^2) + (u+S)/((u+S)^2+eta^2)]
-        # tends to 0.5*(1 + 1/3) = 2/3 as eta -> 0.
-        for eta in (1e-4, 1e-6, 1e-8):
-            val = damped_trig_moment(0, "sin", "cos", 2.0, 1.0, eta)
-            assert val == pytest.approx(2.0 / 3.0, rel=1e-6)
-        assert damped_trig_moment(0, "sin", "cos", 2.0, 1.0, 0.3) == pytest.approx(
-            0.6237320979804402458594, rel=1e-14  # 50-digit closed form
-        )
-
-    def test_against_high_precision_quadrature(self):
-        # 50-digit numerical values of the damped integrals themselves.
-        assert damped_trig_moment(1, "sin", "cos", 0.7, 1.3, 0.45) == pytest.approx(
-            -0.8023736095633471243086, rel=1e-9
-        )
-        assert damped_trig_moment(2, "sin", "sin", 0.7, 1.3, 0.45) == pytest.approx(
-            -2.147138131131103037758, rel=1e-9
-        )
-
-    def test_odd_factor_vanishes_at_zero(self):
-        for k in (0, 1, 2):
-            for s_trig in ("sin", "cos"):
-                assert damped_trig_moment(k, "sin", s_trig, 0.0, 1.3, 0.2) == 0.0
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            damped_trig_moment(3, "sin", "cos", 1.0, 2.0, 0.1)
-        with pytest.raises(ValueError):
-            damped_trig_moment(1, "tan", "cos", 1.0, 2.0, 0.1)
-        with pytest.raises(DomainError):
-            damped_trig_moment(1, "sin", "cos", 1.0, 2.0, 0.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=2),
-        st.sampled_from(["sin", "cos"]),
-        st.sampled_from(["sin", "cos"]),
-        st.floats(min_value=0.1, max_value=3.0),
-        st.floats(min_value=0.1, max_value=3.0),
-        st.floats(min_value=0.3, max_value=3.0),
-    )
-    def test_matches_adaptive_quadrature(self, k, u_trig, s_trig, u, S, eta):
-        closed = damped_trig_moment(k, u_trig, s_trig, u, S, eta)
-        tu = np.sin if u_trig == "sin" else np.cos
-        ts = np.sin if s_trig == "sin" else np.cos
-        brute = adaptive_integral(
-            lambda w: w**k * tu(w * u) * ts(w * S) * np.exp(-eta * w), 0.0, math.inf
-        )
-        assert brute == pytest.approx(closed, rel=1e-7, abs=1e-9)
-
-
-class TestDampedTrigMomentLimit:
-    def test_spec_example(self):
-        assert damped_trig_moment_limit(0, "sin", "cos", 2.0, 1.0) == pytest.approx(
-            2.0 / 3.0, rel=1e-15
-        )
-
-    def test_matches_small_eta_values(self):
-        for k, u_trig, s_trig in ((0, "sin", "cos"), (1, "cos", "cos"), (2, "sin", "cos")):
-            limit = damped_trig_moment_limit(k, u_trig, s_trig, 2.4, 0.9)
-            near = damped_trig_moment(k, u_trig, s_trig, 2.4, 0.9, 1e-7)
-            assert limit != 0.0
-            assert near == pytest.approx(limit, rel=1e-5)
-
-    def test_parity_mismatched_combos_vanish(self):
-        # i**(k+1) is purely imaginary for even k and purely real for
-        # odd k, so half of the trig combinations have zero limit.
-        for k, u_trig, s_trig in (
-            (0, "sin", "sin"),
-            (0, "cos", "cos"),
-            (1, "sin", "cos"),
-            (1, "cos", "sin"),
-            (2, "sin", "sin"),
-            (2, "cos", "cos"),
-        ):
-            assert damped_trig_moment_limit(k, u_trig, s_trig, 2.4, 0.9) == 0.0
-
-    def test_light_cone_raises(self):
-        with pytest.raises(SingularityError):
-            damped_trig_moment_limit(0, "sin", "cos", 1.5, 1.5)
-        with pytest.raises(SingularityError):
-            damped_trig_moment_limit(2, "sin", "sin", -0.7, 0.7)
-
-
-class TestNevilleExtrapolate:
-    def test_polynomial_is_exact(self):
-        xs = [0.8 * 0.5**j for j in range(5)]
-        ys = [3.0 + 2.0 * x + 5.0 * x * x for x in xs]
-        value, err = neville_extrapolate(xs, ys)
-        assert value == pytest.approx(3.0, rel=1e-12)
-        assert err < 1e-10
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            neville_extrapolate([1.0], [2.0])
-        with pytest.raises(ValueError):
-            neville_extrapolate([1.0, 1.0], [2.0, 3.0])
 
 
 class TestPvResonanceKernel:
@@ -296,36 +192,12 @@ class TestTrigPolyDensity:
 class TestAgainstMpmath:
     """Runtime high-precision spot checks (independent transcription)."""
 
-    def test_damped_moment_spot_check(self):
-        # Unit-length segments keep mpmath's tanh-sinh rule accurate on
-        # the oscillation; a single [0, inf] call loses 5 digits here.
-        mp.dps = 30
-        u, S, eta, k = 1.9, 0.6, 0.35, 2
-        ref = mp.quad(
-            lambda w: w**k * mp.cos(w * u) * mp.sin(w * S) * mp.e ** (-eta * w),
-            mp.linspace(0, 60, 61) + [mp.inf],
-        )
-        val = damped_trig_moment(k, "cos", "sin", u, S, eta)
-        assert val == pytest.approx(float(ref), rel=1e-9)
-
     def test_pv_against_damped_mpmath_sweep(self):
-        # Abel-regulated high-precision evaluation of the full kernel
-        # integral, extrapolated in eta with the package extrapolator.
-        # The pole is paired symmetrically so each mpmath piece is a
-        # proper integral.
-        mp.dps = 30
+        # PV integral_0^inf sin(S w) (1/(w + omega0) + 1/(w - omega0)) dw
+        # is exactly pi*cos(omega0*S); the reference is that value at
+        # 30 digits.
         S, omega0 = 0.9, 1.2
-
-        def pv_eta(eta):
-            g = lambda w: mp.sin(w * S) * (1 / (w + omega0) + 1 / (w - omega0)) * mp.e ** (
-                -eta * w
-            )
-            head = mp.quad(g, [0, omega0 / 2])
-            paired = mp.quad(lambda t: g(omega0 + t) + g(omega0 - t), [0, omega0 / 2])
-            tail = mp.quadosc(g, [3 * omega0 / 2, mp.inf], period=2 * mp.pi / S)
-            return float(head + paired + tail)
-
-        etas = [0.4 * 0.6**j for j in range(7)]
-        ref, _ = neville_extrapolate(etas, [pv_eta(e) for e in etas])
+        with mp.workdps(30):
+            ref = float(mp.pi * mp.cos(mp.mpf(omega0) * mp.mpf(S)))
         density = TrigPolyDensity(osc_time=S, sin_coeffs=(1.0, 0.0, 0.0))
-        assert pv_resonance_kernel(density, omega0) == pytest.approx(ref, rel=1e-6)
+        assert pv_resonance_kernel(density, omega0) == pytest.approx(ref, rel=1e-12)
