@@ -35,7 +35,6 @@ from .core import (
     unruh_temperature,
 )
 from .scalar import (
-    scalar_chi_density,
     scalar_farzone_asymptote,
     scalar_inertial_limit,
     scalar_resonance_energy,
@@ -48,12 +47,10 @@ _LAZY_SUBMODULES = ("em", "quad", "oracle")
 _LAZY = {
     **dict.fromkeys(
         (
-            "CommutatorSlice",
             "EmSpectralTensors",
             "PotentialTensors",
             "SpectralCoefficients",
             "Tensor3",
-            "em_commutator_timedomain",
             "em_farzone_asymptote",
             "em_inertial_potential",
             "em_potential_tensors",
@@ -112,7 +109,6 @@ __all__ = [
     "REDUCED_PLANCK",
     "SPEED_OF_LIGHT",
     "CheckResult",
-    "CommutatorSlice",
     "DomainError",
     "EmSpectralTensors",
     "EnergyShift",
@@ -138,7 +134,6 @@ __all__ = [
     "atomic_correlation_factor",
     "commutator_agreeing_components",
     "em_commutator_consistency",
-    "em_commutator_timedomain",
     "em_energy_pv_oracle",
     "em_farzone_asymptote",
     "em_inertial_potential",
@@ -151,7 +146,6 @@ __all__ = [
     "parity_sign",
     "pv_resonance_kernel",
     "reduced_geometry",
-    "scalar_chi_density",
     "scalar_energy_pv_oracle",
     "scalar_farzone_asymptote",
     "scalar_inertial_limit",

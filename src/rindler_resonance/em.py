@@ -49,12 +49,10 @@ from .core import (
 )
 
 __all__ = [
-    "AXES",
     "Tensor3",
     "SpectralCoefficients",
     "EmSpectralTensors",
     "PotentialTensors",
-    "CommutatorSlice",
     "em_spectral_coefficients",
     "em_spectral_tensors",
     "em_reduced_components",
@@ -64,10 +62,8 @@ __all__ = [
     "em_inertial_potential",
     "em_farzone_asymptote",
     "em_wightman_tensor",
-    "em_commutator_timedomain",
 ]
 
-AXES = ("x", "y", "z")
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 _I3 = np.eye(3)
@@ -114,12 +110,6 @@ class Tensor3:
         l, m = _index(key)
         value = self.values[l, m]
         return complex(value) if np.iscomplexobj(self.values) else float(value)
-
-    def transpose(self) -> "Tensor3":
-        return Tensor3(self.values.T)
-
-    def contract(self, left: np.ndarray, right: np.ndarray) -> float:
-        return float(np.real_if_close(left @ self.values @ right))
 
 
 @dataclass(frozen=True)
@@ -405,7 +395,8 @@ def em_wightman_tensor(
     Raises SingularityError when u - i*eps lands on a light-cone
     crossing (u = +-S with eps too small to resolve it), and
     DomainError at zero acceleration where this representation
-    degenerates.
+    degenerates or an entry is not finite (u not finite, or |u|
+    beyond about 710 c/a, where sinh(a*u/(2c))**2 overflows).
     """
     if geom.zeta <= 0.0:
         raise DomainError("time-domain correlation tensor requires a positive acceleration")
@@ -423,46 +414,35 @@ def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
     may be a complex number or an array; the result has shape
     ``np.shape(w) + (3, 3)``.  The poles on the real axis are the
     light-cone crossings w = +-S, of order three.  Raises
-    SingularityError at a point on a crossing.
+    SingularityError at a point on a crossing, and DomainError where an
+    entry is not finite: w itself is not, or sinh(a*w/(2c))**2 or its
+    products overflow.
     """
     c = geom.constants.c
     accel = geom.acceleration
     zeta = geom.zeta
-    sh2 = np.sinh(accel * np.asarray(w)[..., None, None] / (2.0 * c)) ** 2
-    gap = sh2 - zeta * zeta
-    if np.any(np.abs(gap) <= _SINGULAR_FLOOR * max(1.0, zeta * zeta)):
-        raise SingularityError(
-            f"correlation tensor evaluated on a light-cone crossing w = +-S "
-            f"(S = {geom.light_time:.6g}, w = {w})"
-        )
-    prefactor = geom.constants.hbar * accel**4 / (4.0 * math.pi * c**7)
-    t1 = (_I3 - 2.0 * zeta * n_sign * _CROSS) * sh2
-    t2 = (zeta * zeta) * (_I3 - 2.0 * _N_DYAD) * (1.0 + 2.0 * (_I3 - _Q_DYAD) * sh2)
-    return prefactor * (t1 + t2) / gap**3
+    with np.errstate(over="ignore", invalid="ignore"):
+        sh2 = np.sinh(accel * np.asarray(w)[..., None, None] / (2.0 * c)) ** 2
+        gap = sh2 - zeta * zeta
+        if np.any(np.abs(gap) <= _SINGULAR_FLOOR * max(1.0, zeta * zeta)):
+            raise SingularityError(
+                f"correlation tensor evaluated on a light-cone crossing w = +-S "
+                f"(S = {geom.light_time:.6g}, w = {w})"
+            )
+        prefactor = geom.constants.hbar * accel**4 / (4.0 * math.pi * c**7)
+        t1 = (_I3 - 2.0 * zeta * n_sign * _CROSS) * sh2
+        t2 = (zeta * zeta) * (_I3 - 2.0 * _N_DYAD) * (1.0 + 2.0 * (_I3 - _Q_DYAD) * sh2)
+        numerator = prefactor * (t1 + t2)
+        cubed = gap**3
+        tensor = numerator / cubed
+        finite = np.isfinite(cubed)
+        if not finite.all():
+            # Far from the crossings gap**3 overflows while the tensor
+            # underflows toward 0; three divisions reach it without
+            # overflow.  Only those entries take them, so the others
+            # keep their bits.
+            tensor = np.where(finite, tensor, numerator / gap / gap / gap)
+    if not np.isfinite(tensor).all():
+        raise DomainError(f"correlation tensor is not finite at w = {w}")
+    return tensor
 
-
-@dataclass(frozen=True)
-class CommutatorSlice:
-    """Field commutator at one proper-time difference.
-
-    ``tensor`` is the real part; ``imag_residue`` records the largest
-    imaginary leftover as a sanity measure (it should be at rounding
-    level for any valid regulator).
-    """
-
-    tensor: Tensor3
-    imag_residue: float
-
-
-def em_commutator_timedomain(u: float, geom: ReducedGeometry, eps: float) -> CommutatorSlice:
-    """Regulated field commutator from the correlation tensor.
-
-    Computed as (i/hbar) times the boundary-value difference of the
-    correlation tensor at +-u; exactly zero at u = 0 and supported on
-    the light-cone crossings u = +-S as the regulator is removed.
-    """
-    g_fwd = em_wightman_tensor(u, geom, eps, n_sign=1).values
-    g_bwd = em_wightman_tensor(-u, geom, eps, n_sign=-1).values
-    chi = 1j * (g_fwd - g_bwd.T) / geom.constants.hbar
-    residue = float(np.max(np.abs(chi.imag)))
-    return CommutatorSlice(tensor=Tensor3(chi.real.copy()), imag_residue=residue)

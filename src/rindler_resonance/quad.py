@@ -138,17 +138,6 @@ class QuadratureSpec:
         return cls(rel_tol=rel)
 
 
-def _eval_vectorized(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Call f on an array, falling back to a scalar loop if needed."""
-    try:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x])
-
-
 def _scaled_rule_error(ik, ig, resasc):
     # Plain |K15 - G7| tracks the error of the 7-point rule; rescale it
     # toward the much smaller 15-point error the usual way.
@@ -161,11 +150,19 @@ def _scaled_rule_error(ik, ig, resasc):
 def _gk_panel(f: Callable, a: float, b: float) -> tuple:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fv = _eval_vectorized(f, mid + half * _XGK)
+    fv = f(mid + half * _XGK)
     ik = half * float(np.dot(_WGK, fv))
-    ig = half * float(np.dot(_WG7, fv[_G7_IDX]))
-    resasc = half * float(np.dot(_WGK, np.abs(fv - ik / (b - a))))
-    return ik, float(_scaled_rule_error(ik, ig, resasc))
+    err = math.nan
+    if math.isfinite(ik):
+        ig = half * float(np.dot(_WG7, fv[_G7_IDX]))
+        resasc = half * float(np.dot(_WGK, np.abs(fv - ik / (b - a))))
+        err = float(_scaled_rule_error(ik, ig, resasc))
+    if not math.isfinite(err):
+        raise QuadratureError(
+            f"panel on [{a:.6g}, {b:.6g}] is not finite: "
+            f"value {ik}, error estimate {err}"
+        )
+    return ik, err
 
 
 def adaptive_integral(
@@ -174,37 +171,19 @@ def adaptive_integral(
     upper: float,
     spec: Optional[QuadratureSpec] = None,
 ) -> float:
-    """Integrate f on [lower, upper] with adaptive Gauss-Kronrod.
+    """Integrate f on finite [lower, upper] with adaptive Gauss-Kronrod.
 
-    ``f`` should accept a numpy array of points; scalar-only callables
-    are looped over transparently.  ``upper`` may be ``math.inf``, in
-    which case the variable change w = lower + t/(1-t) maps the range
-    onto [0, 1); the integrand must then decay fast enough for the
-    transformed integrand to vanish toward t = 1.
-
+    ``f`` takes a numpy array of points and returns their values.
     Endpoints are never evaluated (the Kronrod nodes are interior), so
     integrable endpoint behaviour is tolerated.
 
-    Raises QuadratureError when the tolerance cannot be certified
-    within the subdivision budget; the message reports the worst
-    remaining interval.
+    Raises DomainError unless lower < upper are both finite, and
+    QuadratureError when a panel's value or error estimate is not
+    finite or the tolerance cannot be certified within the subdivision
+    budget; the message names the interval.
     """
     spec = spec or QuadratureSpec()
-    if not math.isfinite(lower):
-        raise DomainError("lower bound must be finite")
-    if math.isinf(upper):
-        if upper < 0:
-            raise DomainError("upper bound must be greater than lower")
-        base = lower
-
-        def transformed(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            g = 1.0 - t
-            w = base + t / g
-            return _eval_vectorized(f, w) / (g * g)
-
-        return adaptive_integral(transformed, 0.0, 1.0, spec)
-    if not upper > lower:
+    if not (math.isfinite(lower) and math.isfinite(upper) and upper > lower):
         raise DomainError(f"invalid integration range [{lower}, {upper}]")
 
     val, err = _gk_panel(f, lower, upper)
@@ -317,15 +296,13 @@ def pv_resonance_kernel(
 
     w_lo = 0.5 * omega0
     w_hi = 1.5 * omega0
-    d0 = float(_eval_vectorized(density, np.array([omega0]))[0])
+    d0 = float(density(np.array([omega0]))[0])
 
     def plain(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return _eval_vectorized(density, w) * (1.0 / (w + omega0) + 1.0 / (w - omega0))
+        return density(w) * (1.0 / (w + omega0) + 1.0 / (w - omega0))
 
     def subtracted(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        dv = _eval_vectorized(density, w)
+        dv = density(w)
         return (dv - d0) / (w - omega0) + dv / (w + omega0)
 
     c0, c1, c2 = density.cos_coeffs
@@ -351,7 +328,6 @@ def pv_resonance_kernel(
     rotation = 1j * a * edge
 
     def rotated(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
         y = a * np.expm1(u)
         w = w_hi + 1j * y
         envelope = (c0 + (c1 + c2 * w) * w) - 1j * (s0 + (s1 + s2 * w) * w)

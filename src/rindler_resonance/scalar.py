@@ -18,7 +18,6 @@ from .core import (
     _log_two_zeta,
     DomainError,
     EnergyShift,
-    ReducedGeometry,
     Regime,
     Scenario,
     envelope_root,
@@ -32,7 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "scalar_chi_density",
     "scalar_closed_form",
     "scalar_resonance_energy",
     "scalar_inertial_limit",
@@ -42,20 +40,6 @@ __all__ = [
 ArrayLike = Union[float, "np.ndarray"]
 
 _classify = Regime.classify
-
-
-def scalar_chi_density(omega: ArrayLike, geom: ReducedGeometry) -> ArrayLike:
-    """Spectral density sin(omega * S) of the scalar pair susceptibility.
-
-    ``S`` is the light-signal lapse of the reduced geometry.  Accepts a
-    scalar or an array of angular frequencies.
-    """
-    import numpy as np
-
-    values = np.sin(np.asarray(omega, dtype=float) * geom.light_time)
-    if values.ndim == 0:
-        return float(values)
-    return values
 
 
 def _scalar_prefactor(scenario: Scenario, separation: ArrayLike) -> ArrayLike:

@@ -101,8 +101,9 @@ class TestExitCodes:
         assert out == b""
 
     def test_unreachable_tolerance_fails_verification(self):
-        _, code = run_cli("verify", "--suite", "scalar-pv", "--tol", "1e-30")
-        assert code == 1
+        for suite in ("scalar-pv", "asymptotes"):
+            _, code = run_cli("verify", "--suite", suite, "--tol", "1e-30")
+            assert code == 1, suite
 
     def test_bad_environment_tolerance(self):
         _, code = run_cli(

@@ -179,7 +179,9 @@ def test_scalar_far_beyond_crossover(theta, zeta, parity):
         assert abs(shift.reduced - want) <= 1e-13 * envelope
 
 
-@pytest.mark.parametrize("zeta", HUGE_ZETAS)
+# The moderate zetas let a flipped xz sign fail; from 1e60 on the xz cos
+# term is far below the tolerance.
+@pytest.mark.parametrize("zeta", (0.5, 2.0, 30.0) + HUGE_ZETAS)
 @pytest.mark.parametrize("theta", (0.3, 7.0))
 def test_em_far_beyond_crossover(theta, zeta):
     sc = huge_zeta_scenario(theta, zeta, FieldKind.EM)

@@ -2,6 +2,7 @@
 closed forms, a scalar ``compute`` and ``regimes`` run without it, and
 the lazily resolved names are the same objects as their modules'."""
 
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -58,6 +59,14 @@ def test_every_public_name_resolves():
     for name in rindler_resonance.__all__:
         assert getattr(rindler_resonance, name) is not None, name
     assert set(rindler_resonance.__all__) <= set(dir(rindler_resonance))
+    assert set(rindler_resonance._LAZY) <= set(rindler_resonance.__all__)
+    for name, module_name in rindler_resonance._LAZY.items():
+        module = importlib.import_module(f"rindler_resonance.{module_name}")
+        assert getattr(rindler_resonance, name) is getattr(module, name), name
+    for module_name in ("core", "scalar", "em", "quad", "oracle"):
+        module = importlib.import_module(f"rindler_resonance.{module_name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module_name}.{name}"
 
 
 def test_moved_exceptions_are_reexported_unchanged():

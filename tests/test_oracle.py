@@ -78,12 +78,6 @@ class TestVerificationReport:
         assert rep.worst.check_id == "b"
         assert VerificationReport().worst is None
 
-    def test_merged_combines_and_resorts(self):
-        left = VerificationReport(checks=(make_check("b", 0.0, True),))
-        right = VerificationReport(checks=(make_check("a", 0.0, True),))
-        merged = left.merged(right)
-        assert [c.check_id for c in merged.checks] == ["a", "b"]
-
     def test_text_leads_with_summary(self):
         rep = VerificationReport(checks=(make_check("a", 1e-9, True),))
         text = rep.to_text()

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +12,6 @@ from rindler_resonance import (
     Parity,
     Regime,
     Scenario,
-    scalar_chi_density,
     scalar_farzone_asymptote,
     scalar_inertial_limit,
     scalar_resonance_energy,
@@ -22,38 +20,10 @@ from rindler_resonance import (
 
 # 50-digit evaluations.
 REDUCED_THETA1_ZETA1 = 0.449784872289726010235  # cos(asinh(1))/sqrt(2)
-SIN_2_ASINH_1 = 0.9816339318384565219309
 
 
 def scalar_scenario(theta, zeta, parity=Parity.SYMMETRIC, **kwargs):
     return Scenario.from_reduced(theta=theta, zeta=zeta, parity=parity, **kwargs)
-
-
-class TestChiDensity:
-    def test_zero_frequency(self):
-        geom = scenario_geometry(scalar_scenario(1.0, 1.0))
-        assert scalar_chi_density(0.0, geom) == 0.0
-
-    def test_inertial_quarter_wave(self):
-        sc = Scenario.scalar_field(
-            acceleration=0.0, separation=1.0, omega0=1.0, parity=Parity.SYMMETRIC
-        )
-        geom = scenario_geometry(sc)
-        omega = 0.5 * math.pi / geom.light_time
-        assert scalar_chi_density(omega, geom) == pytest.approx(1.0, rel=1e-12)
-
-    def test_unit_zeta_point(self):
-        # omega = a/c makes the phase exactly 2*asinh(1).
-        geom = scenario_geometry(scalar_scenario(1.0, 1.0))
-        omega = geom.acceleration / geom.constants.c
-        assert scalar_chi_density(omega, geom) == pytest.approx(SIN_2_ASINH_1, rel=1e-12)
-
-    def test_array_input_and_bound(self):
-        geom = scenario_geometry(scalar_scenario(2.0, 5.0))
-        omegas = np.linspace(0.0, 40.0 / geom.light_time, 500)
-        values = scalar_chi_density(omegas, geom)
-        assert values.shape == omegas.shape
-        assert np.max(np.abs(values)) <= 1.0
 
 
 class TestClosedForm:
