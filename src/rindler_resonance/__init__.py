@@ -11,7 +11,6 @@ cross-checks of every result.
 import importlib
 
 from .core import (
-    CONSTANTS,
     BOLTZMANN,
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
@@ -20,7 +19,6 @@ from .core import (
     FieldKind,
     FieldKindError,
     Parity,
-    PhysicalConstants,
     QuadratureError,
     ReducedGeometry,
     Regime,
@@ -105,7 +103,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOLTZMANN",
-    "CONSTANTS",
     "REDUCED_PLANCK",
     "SPEED_OF_LIGHT",
     "CheckResult",
@@ -115,7 +112,6 @@ __all__ = [
     "FieldKind",
     "FieldKindError",
     "Parity",
-    "PhysicalConstants",
     "PotentialTensors",
     "QuadratureError",
     "QuadratureSpec",

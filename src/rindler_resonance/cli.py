@@ -27,7 +27,7 @@ import sys
 from typing import Optional
 
 from .core import (
-    CONSTANTS,
+    SPEED_OF_LIGHT,
     DomainError,
     FieldKind,
     Parity,
@@ -192,9 +192,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     fmt = str(_merge(args, "format", "text"))
     if fmt not in ("text", "csv"):
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
-    geom = reduced_geometry(
-        scenario.acceleration, scenario.separation, scenario.omega0, scenario.constants
-    )
+    geom = reduced_geometry(scenario.acceleration, scenario.separation, scenario.omega0)
     if fmt == "csv":
         floats = (
             scenario.acceleration,
@@ -218,7 +216,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         ("reduced", f"{shift.reduced:.16e}"),
         ("si_joule", f"{shift.si_value:.16e}"),
         ("regime", shift.regime.value),
-        ("unruh_K", f"{unruh_temperature(scenario.acceleration, scenario.constants):.16e}"),
+        ("unruh_K", f"{unruh_temperature(scenario.acceleration):.16e}"),
         ("crossover_m", f"{geom.crossover_length:.16e}"),
     ]
     if shift.warning:
@@ -335,7 +333,7 @@ def cmd_regimes(args: argparse.Namespace) -> int:
     accel = float(_require(args, "accel", "--accel"))
     if accel < 0.0 or not math.isfinite(accel):
         raise DomainError(f"acceleration must be >= 0 and finite, got {accel}")
-    c = CONSTANTS.c
+    c = SPEED_OF_LIGHT
     rows = [
         ("a_mps2", f"{accel:.16e}"),
         ("unruh_K", f"{unruh_temperature(accel):.16e}"),

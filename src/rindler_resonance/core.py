@@ -18,15 +18,13 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "REDUCED_PLANCK",
     "BOLTZMANN",
-    "PhysicalConstants",
-    "CONSTANTS",
     "DomainError",
     "UsageError",
     "FieldKindError",
@@ -80,34 +78,6 @@ class QuadratureError(RuntimeError):
 
 class SingularityError(QuadratureError):
     """Evaluation requested on top of a light-cone singularity."""
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI constants used throughout.
-
-    Attributes
-    ----------
-    c:
-        Speed of light in m/s.
-    hbar:
-        Reduced Planck constant in J*s.
-    k_B:
-        Boltzmann constant in J/K.
-    """
-
-    c: float = SPEED_OF_LIGHT
-    hbar: float = REDUCED_PLANCK
-    k_B: float = BOLTZMANN
-
-    def __post_init__(self) -> None:
-        for name in ("c", "hbar", "k_B"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"constant {name} must be finite and positive, got {value!r}")
-
-
-CONSTANTS = PhysicalConstants()
 
 
 class FieldKind(enum.Enum):
@@ -245,7 +215,9 @@ class Scenario:
         any three real, finite numbers, stored as a tuple of three
         floats; complex components raise DomainError.
 
-    Every construction path validates, ``dataclasses.replace`` included.
+    The SI constants are the fixed module values ``SPEED_OF_LIGHT``,
+    ``REDUCED_PLANCK`` and ``BOLTZMANN``, not fields.  Every
+    construction path validates, ``dataclasses.replace`` included.
     """
 
     field_kind: FieldKind
@@ -256,7 +228,6 @@ class Scenario:
     coupling: Optional[float] = None
     dipole_a: Optional[tuple] = None
     dipole_b: Optional[tuple] = None
-    constants: PhysicalConstants = field(default=CONSTANTS)
 
     # Hand-written to validate and store in one step: the generated
     # frozen __init__ pays one object.__setattr__ per field.
@@ -270,7 +241,6 @@ class Scenario:
         coupling: Optional[float] = None,
         dipole_a=None,
         dipole_b=None,
-        constants: PhysicalConstants = CONSTANTS,
     ) -> None:
         check_kinematics(acceleration, separation, omega0)
         if field_kind is _SCALAR:
@@ -297,7 +267,6 @@ class Scenario:
         d["coupling"] = coupling
         d["dipole_a"] = dipole_a
         d["dipole_b"] = dipole_b
-        d["constants"] = constants
 
     @classmethod
     def scalar_field(
@@ -308,9 +277,8 @@ class Scenario:
         omega0: float,
         parity: Parity,
         coupling: float = 1.0,
-        constants: PhysicalConstants = CONSTANTS,
     ) -> "Scenario":
-        return cls(_SCALAR, parity, acceleration, separation, omega0, coupling, None, None, constants)
+        return cls(_SCALAR, parity, acceleration, separation, omega0, coupling, None, None)
 
     @classmethod
     def em_field(
@@ -322,9 +290,8 @@ class Scenario:
         parity: Parity,
         dipole_a,
         dipole_b,
-        constants: PhysicalConstants = CONSTANTS,
     ) -> "Scenario":
-        return cls(_EM, parity, acceleration, separation, omega0, None, dipole_a, dipole_b, constants)
+        return cls(_EM, parity, acceleration, separation, omega0, None, dipole_a, dipole_b)
 
     @classmethod
     def from_reduced(
@@ -338,7 +305,6 @@ class Scenario:
         coupling: float = 1.0,
         dipole_a=None,
         dipole_b=None,
-        constants: PhysicalConstants = CONSTANTS,
     ) -> "Scenario":
         """Build a scenario realizing given reduced variables at a chosen separation.
 
@@ -346,7 +312,7 @@ class Scenario:
         """
         if theta < 0.0 or zeta < 0.0:
             raise DomainError("theta and zeta must be non-negative")
-        c = constants.c
+        c = SPEED_OF_LIGHT
         omega0 = theta * c / separation
         acceleration = 2.0 * c * c * zeta / separation
         if field_kind is _SCALAR:
@@ -356,7 +322,6 @@ class Scenario:
                 omega0=omega0,
                 parity=parity,
                 coupling=coupling,
-                constants=constants,
             )
         return cls.em_field(
             acceleration=acceleration,
@@ -365,7 +330,6 @@ class Scenario:
             parity=parity,
             dipole_a=dipole_a,
             dipole_b=dipole_b,
-            constants=constants,
         )
 
     def require_field(self, kind: FieldKind) -> None:
@@ -406,7 +370,7 @@ def _plain(x):
     return float(x) if isinstance(x, float) or (np is not None and isinstance(x, np.integer)) else x
 
 
-def reduced_variables(acceleration, separation, omega0, constants: PhysicalConstants = CONSTANTS) -> tuple:
+def reduced_variables(acceleration, separation, omega0) -> tuple:
     """Return (zeta, theta, asinh(zeta)/zeta) for floats or numpy arrays.
 
     The inputs broadcast together, so a sweep passes one array and two
@@ -419,7 +383,7 @@ def reduced_variables(acceleration, separation, omega0, constants: PhysicalConst
     :func:`_scaled_product` for the case where z*a or omega0*z
     overflows while zeta or theta fits.
     """
-    c = constants.c
+    c = SPEED_OF_LIGHT
     zeta = _scaled_product(separation, acceleration, 2.0 * c * c)
     theta = _scaled_product(omega0, separation, c)
     if type(zeta) is float or (np := _numpy_if_array(zeta)) is None:
@@ -452,6 +416,13 @@ def _log_two_zeta(zeta: float) -> float:
     """log(2*zeta), as log(zeta) + log(2) only where 2*zeta overflows."""
     two_zeta = 2.0 * zeta
     return math.log(two_zeta) if two_zeta != math.inf else math.log(zeta) + math.log(2.0)
+
+
+def _farzone_warning(zeta: float) -> Optional[str]:
+    """The warning a far-zone asymptote carries below zeta = 1, else None."""
+    if zeta < 1.0:
+        return f"far-zone asymptote evaluated at zeta = {zeta:.3g} < 1; expect O(1) error"
+    return None
 
 
 def envelope_root(zeta):
@@ -491,7 +462,7 @@ def phase_cos_sin(phase) -> tuple:
 
 @dataclass(frozen=True)
 class ReducedGeometry:
-    """Reduced variables of one scenario.
+    """Reduced variables of one scenario, with c = ``SPEED_OF_LIGHT``.
 
     Attributes
     ----------
@@ -504,8 +475,6 @@ class ReducedGeometry:
         absorption along the accelerated trajectories, in s.
     theta:
         omega0*z/c.
-    omega_ratio:
-        omega0*c/a, or None for inertial atoms (a = 0).
     crossover_length:
         c**2/a in m, infinite for inertial atoms.
     separation, omega0:
@@ -516,16 +485,14 @@ class ReducedGeometry:
     s_ratio: float
     light_time: float
     theta: float
-    omega_ratio: Optional[float]
     crossover_length: float
     separation: float
     omega0: float
-    constants: PhysicalConstants = field(default=CONSTANTS)
 
     @property
     def acceleration(self) -> float:
         """Proper acceleration reconstructed from zeta, in m/s^2."""
-        c = self.constants.c
+        c = SPEED_OF_LIGHT
         return 2.0 * c * c * self.zeta / self.separation
 
     @property
@@ -542,43 +509,33 @@ def reduced_geometry(
     acceleration: float,
     separation: float,
     omega0: float,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> ReducedGeometry:
     """Map (a, z, omega0) to the dimensionless groups driving the shift."""
     check_kinematics(acceleration, separation, omega0)
-    c = constants.c
-    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0, constants)
-    if acceleration > 0.0:
-        omega_ratio: Optional[float] = omega0 * c / acceleration
-        crossover = c * c / acceleration
-    else:
-        omega_ratio = None
-        crossover = math.inf
+    c = SPEED_OF_LIGHT
+    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0)
+    crossover = c * c / acceleration if acceleration > 0.0 else math.inf
     return ReducedGeometry(
         zeta=zeta,
         s_ratio=ratio,
         light_time=(separation / c) * ratio,
         theta=theta,
-        omega_ratio=omega_ratio,
         crossover_length=crossover,
         separation=separation,
         omega0=omega0,
-        constants=constants,
     )
 
 
 def scenario_geometry(scenario: Scenario) -> ReducedGeometry:
-    """Reduced geometry of a scenario, using its own constants."""
-    return reduced_geometry(
-        scenario.acceleration, scenario.separation, scenario.omega0, scenario.constants
-    )
+    """Reduced geometry of a scenario."""
+    return reduced_geometry(scenario.acceleration, scenario.separation, scenario.omega0)
 
 
-def unruh_temperature(acceleration: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def unruh_temperature(acceleration: float) -> float:
     """Unruh temperature hbar*a/(2*pi*c*k_B) in K; zero for a = 0."""
     if not (acceleration >= 0.0 and math.isfinite(acceleration)):
         raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
-    return constants.hbar * acceleration / (2.0 * math.pi * constants.c * constants.k_B)
+    return REDUCED_PLANCK * acceleration / (2.0 * math.pi * SPEED_OF_LIGHT * BOLTZMANN)
 
 
 def atomic_correlation_factor(u: float, omega0: float, parity: Parity) -> float:

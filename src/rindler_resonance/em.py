@@ -31,7 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    REDUCED_PLANCK,
+    SPEED_OF_LIGHT,
     _EM,
+    _farzone_warning,
     _log_two_zeta,
     _scaled_product,
     DomainError,
@@ -194,7 +197,7 @@ def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensor
     if omega < 0.0:
         raise DomainError(f"omega must be non-negative, got {omega}")
     coeff = em_spectral_coefficients(geom)
-    x = omega * geom.separation / geom.constants.c
+    x = omega * geom.separation / SPEED_OF_LIGHT
     return EmSpectralTensors(
         f=Tensor3(coeff.f1 * x),
         g=Tensor3(coeff.g0 + coeff.g2 * x * x),
@@ -293,14 +296,14 @@ def em_closed_form(scenario: Scenario, acceleration, separation, omega0) -> tupl
     ``reduced`` is p * mu_A . z**3(V + W) . mu_B for unit dipoles, the
     five nonzero entries of :func:`em_reduced_components` contracted
     as plain products; the dipole magnitudes sit in the prefactor
-    mu_A*mu_B/z**3.  Parity, dipoles and constants come from
-    ``scenario``; the kinematic inputs may be floats or numpy arrays
-    that broadcast together, so one call evaluates a whole sweep with
-    the arithmetic of a single point.  The inputs are not validated.
+    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``; the
+    kinematic inputs may be floats or numpy arrays that broadcast
+    together, so one call evaluates a whole sweep with the arithmetic
+    of a single point.  The inputs are not validated.
     """
     (ax, ay, az), mag_a = _unit_dipole(scenario.dipole_a, "dipole_a")
     (bx, by, bz), mag_b = _unit_dipole(scenario.dipole_b, "dipole_b")
-    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0, scenario.constants)
+    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0)
     xx, yy, zz, xz = em_reduced_components(theta, zeta, *phase_cos_sin(theta * ratio))
     bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
     reduced = parity_sign(scenario.parity) * bilinear
@@ -339,7 +342,8 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     Valid for both dipoles along one common coordinate axis.  For
     dipoles along the separation (z) or transverse (y) axis the SI
     shift falls as z**-2; along the acceleration (x) axis the surviving
-    term falls as z**-4.
+    term falls as z**-4.  Requires acceleration > 0; below zeta = 1 the
+    asymptote is not meaningful and the result carries a warning.
     """
     scenario.require_field(_EM)
     if scenario.acceleration <= 0.0:
@@ -376,6 +380,7 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
         regime=geom.regime,
         parity=scenario.parity,
         field_kind=_EM,
+        warning=_farzone_warning(zeta),
     )
 
 
@@ -418,7 +423,7 @@ def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
     entry is not finite: w itself is not, or sinh(a*w/(2c))**2 or its
     products overflow.
     """
-    c = geom.constants.c
+    c = SPEED_OF_LIGHT
     accel = geom.acceleration
     zeta = geom.zeta
     with np.errstate(over="ignore", invalid="ignore"):
@@ -429,7 +434,10 @@ def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
                 f"correlation tensor evaluated on a light-cone crossing w = +-S "
                 f"(S = {geom.light_time:.6g}, w = {w})"
             )
-        prefactor = geom.constants.hbar * accel**4 / (4.0 * math.pi * c**7)
+        try:
+            prefactor = REDUCED_PLANCK * accel**4 / (4.0 * math.pi * c**7)
+        except OverflowError:  # a above about 1e77 m/s^2
+            prefactor = math.inf
         t1 = (_I3 - 2.0 * zeta * n_sign * _CROSS) * sh2
         t2 = (zeta * zeta) * (_I3 - 2.0 * _N_DYAD) * (1.0 + 2.0 * (_I3 - _Q_DYAD) * sh2)
         numerator = prefactor * (t1 + t2)
@@ -442,6 +450,19 @@ def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
             # overflow.  Only those entries take them, so the others
             # keep their bits.
             tensor = np.where(finite, tensor, numerator / gap / gap / gap)
+        finite = np.isfinite(tensor)
+        if not finite.all():
+            # At large zeta the prefactor or t1 + t2 overflows while the
+            # tensor fits.  Dividing t1 + t2 and gap by zeta**2, and the
+            # prefactor by zeta**4, keeps every factor in range; only the
+            # entries that overflowed above take this path.
+            z2 = zeta * zeta
+            q = accel / zeta
+            scale = REDUCED_PLANCK / (4.0 * math.pi * c**7) * q * q * q * q
+            t1 = (_I3 - 2.0 * zeta * n_sign * _CROSS) * (sh2 / z2)
+            t2 = (_I3 - 2.0 * _N_DYAD) * (1.0 + 2.0 * (_I3 - _Q_DYAD) * sh2)
+            ratio = gap / z2
+            tensor = np.where(finite, tensor, scale * (t1 + t2) / ratio / ratio / ratio)
     if not np.isfinite(tensor).all():
         raise DomainError(f"correlation tensor is not finite at w = {w}")
     return tensor

@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    CONSTANTS,
+    REDUCED_PLANCK,
+    SPEED_OF_LIGHT,
     DomainError,
     EnergyShift,
     FieldKind,
@@ -199,7 +200,7 @@ def scalar_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] =
 def _em_density(geom: ReducedGeometry, left: tuple, right: tuple) -> TrigPolyDensity:
     coeff = em_spectral_coefficients(geom)
     cf1, cg0, cg2 = coeff.contracted(left, right)
-    x_scale = geom.separation / geom.constants.c
+    x_scale = geom.separation / SPEED_OF_LIGHT
     return TrigPolyDensity(
         osc_time=geom.light_time,
         cos_coeffs=(0.0, cf1 * x_scale, 0.0),
@@ -333,7 +334,7 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     """
     if geom.zeta <= 0.0:
         raise DomainError("commutator consistency requires a positive acceleration")
-    c = geom.constants.c
+    c = SPEED_OF_LIGHT
     coeff = em_spectral_coefficients(geom)
     x_scale = geom.separation / c
     spectral = (
@@ -348,7 +349,7 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     both = _wightman_kernel(s_time + offsets, geom, 1) + np.swapaxes(
         _wightman_kernel(-(s_time + offsets), geom, -1), -1, -2
     )
-    scale = -math.pi * geom.separation**3 / geom.constants.hbar
+    scale = -math.pi * geom.separation**3 / REDUCED_PLANCK
     timed = tuple(
         weight * scale * np.mean(both * offsets[:, None, None] ** k, axis=0).real
         for k, weight in ((1, 1.0), (2, 1.0), (3, -0.5))
@@ -446,7 +447,7 @@ def asymptote_convergence_report(tolerance: Optional[float] = None) -> Verificat
     check's own.
     """
     checks = []
-    c_light = CONSTANTS.c
+    c_light = SPEED_OF_LIGHT
 
     # Scalar near zone: inertial-regime envelope ~ 1/z.
     accel = 1e16
@@ -595,8 +596,12 @@ def run_suites(
 ) -> dict:
     """Run named verification suites; keys are suite names.
 
-    Known names: scalar-pv, em-pv, em-commutator, asymptotes.
+    Known names: scalar-pv, em-pv, em-commutator, asymptotes.  A given
+    ``tolerance`` replaces every suite's own and must be positive and
+    finite.
     """
+    if tolerance is not None and not (tolerance > 0.0 and math.isfinite(tolerance)):
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
     kwargs = {"tolerance": tolerance} if tolerance is not None else {}
     out = {}
     for name in names:
@@ -605,7 +610,7 @@ def run_suites(
         elif name == "em-pv":
             out[name] = em_pv_suite(spec, **kwargs)
         elif name == "em-commutator":
-            c = CONSTANTS.c
+            c = SPEED_OF_LIGHT
             geom = reduced_geometry(2.0 * c * c, 1.0, c)  # zeta = 1, theta = 1
             out[name] = em_commutator_consistency(geom, **kwargs)
         elif name == "asymptotes":

@@ -13,8 +13,10 @@ import math
 from typing import TYPE_CHECKING, Optional, Union
 
 from .core import (
+    SPEED_OF_LIGHT,
     _INERTIAL,
     _SCALAR,
+    _farzone_warning,
     _log_two_zeta,
     DomainError,
     EnergyShift,
@@ -44,7 +46,7 @@ _classify = Regime.classify
 
 def _scalar_prefactor(scenario: Scenario, separation: ArrayLike) -> ArrayLike:
     lam = scenario.coupling
-    c = scenario.constants.c
+    c = SPEED_OF_LIGHT
     return lam * lam / (16.0 * math.pi * c * c * separation)
 
 
@@ -62,12 +64,12 @@ def scalar_closed_form(
     """(zeta, theta, reduced, prefactor) of the closed-form shift.
 
     The reduced value is -p * cos(omega0 * S) / sqrt(1 + zeta**2) with
-    p the parity sign.  Parity, coupling and constants come from
-    ``scenario``; the kinematic inputs may be floats or numpy arrays
-    that broadcast together, so one call evaluates a whole sweep with
-    the arithmetic of a single point.  The inputs are not validated.
+    p the parity sign.  Parity and coupling come from ``scenario``; the
+    kinematic inputs may be floats or numpy arrays that broadcast
+    together, so one call evaluates a whole sweep with the arithmetic
+    of a single point.  The inputs are not validated.
     """
-    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0, scenario.constants)
+    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0)
     cos_p, _ = phase_cos_sin(theta * ratio)
     reduced = -parity_sign(scenario.parity) * cos_p / envelope_root(zeta)
     return zeta, theta, reduced, _scalar_prefactor(scenario, separation)
@@ -114,7 +116,4 @@ def scalar_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     zeta = geom.zeta
     sign = -parity_sign(scenario.parity)
     reduced = sign * math.cos((geom.theta / zeta) * _log_two_zeta(zeta)) / zeta
-    warning = None
-    if zeta < 1.0:
-        warning = f"far-zone asymptote evaluated at zeta = {zeta:.3g} < 1; expect O(1) error"
-    return _shift(scenario, reduced, geom.regime, warning)
+    return _shift(scenario, reduced, geom.regime, _farzone_warning(zeta))

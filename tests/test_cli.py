@@ -112,6 +112,11 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-6"])
+    def test_bad_tolerance_flag(self, tol):
+        _, code = run_cli("verify", "--suite", "asymptotes", f"--tol={tol}")
+        assert code == 3
+
     def test_environment_tolerance_accepted(self):
         _, code = run_cli(
             "verify", "--suite", "scalar-pv",

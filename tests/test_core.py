@@ -14,7 +14,6 @@ from rindler_resonance.scalar import scalar_closed_form, scalar_resonance_energy
 
 from rindler_resonance import (
     BOLTZMANN,
-    CONSTANTS,
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     DomainError,
@@ -22,7 +21,6 @@ from rindler_resonance import (
     FieldKind,
     FieldKindError,
     Parity,
-    PhysicalConstants,
     Regime,
     Scenario,
     asinh_ratio,
@@ -45,7 +43,6 @@ class TestReducedGeometry:
         geom = reduced_geometry(0.0, 1.0, 5.0)
         assert geom.zeta == 0.0
         assert geom.light_time == 1.0 / C
-        assert geom.omega_ratio is None
         assert geom.crossover_length == math.inf
 
     def test_special_zeta_values(self):
@@ -55,8 +52,10 @@ class TestReducedGeometry:
         assert geom.s_ratio == pytest.approx(0.881374, abs=5e-7)
 
     def test_theta_is_omega_ratio_times_two_zeta(self):
-        geom = reduced_geometry(3.7e18, 2.5, 9.1e17)
-        assert geom.theta == pytest.approx(2.0 * geom.omega_ratio * geom.zeta, rel=1e-13)
+        accel, omega0 = 3.7e18, 9.1e17
+        geom = reduced_geometry(accel, 2.5, omega0)
+        omega_ratio = omega0 * C / accel
+        assert geom.theta == pytest.approx(2.0 * omega_ratio * geom.zeta, rel=1e-13)
 
     def test_light_time_continuity_at_zero_acceleration(self):
         z = 2.0
@@ -341,16 +340,6 @@ class TestDipoleValidation:
             em_scenario(dipole)
 
 
-class TestConstants:
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            CONSTANTS.c = 3e8
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            PhysicalConstants(c=-1.0)
-
-
 def scalar_scenario():
     return Scenario.scalar_field(
         acceleration=1e17, separation=1.0, omega0=1e8, parity=Parity.ANTISYMMETRIC, coupling=0.5
@@ -397,7 +386,6 @@ class TestRecordSemantics:
             ("coupling", kind, None),
             ("dipole_a", kind, None),
             ("dipole_b", kind, None),
-            ("constants", kind, CONSTANTS),
         ]
         assert _parameters(EnergyShift) == [
             ("reduced", kind, required),

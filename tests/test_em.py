@@ -11,6 +11,7 @@ from rindler_resonance import (
     DomainError,
     FieldKind,
     FieldKindError,
+    REDUCED_PLANCK,
     Parity,
     Scenario,
     SingularityError,
@@ -277,6 +278,12 @@ class TestFarzoneAsymptote:
         with pytest.raises(UsageError):
             em_farzone_asymptote(em_scenario(3.0, 40.0, da=[s, 0, s], db=[s, 0, s]))
 
+    def test_warning_below_unit_zeta(self):
+        low = em_farzone_asymptote(em_scenario(1.0, 0.5))
+        high = em_farzone_asymptote(em_scenario(1.0, 5.0))
+        assert low.warning is not None
+        assert high.warning is None
+
     def test_rejects_mismatched_axes(self):
         with pytest.raises(UsageError):
             em_farzone_asymptote(em_scenario(3.0, 40.0, da=[1, 0, 0], db=[0, 0, 1]))
@@ -340,15 +347,12 @@ class TestWightmanTensor:
         with pytest.raises(DomainError):
             em_wightman_tensor(0.0, static, 1e-6)
 
-    def test_far_from_crossings_matches_mpmath(self):
-        geom = unit_geometry()
-        s_time = geom.light_time
-        u, eps = 50.0 * s_time, s_time / 100.0
-        tensor = em_wightman_tensor(u, geom, eps)
+    @staticmethod
+    def assert_matches_mpmath(tensor, u, eps, geom):
         with mp.workdps(50):
             accel, c, zeta = (mp.mpf(x) for x in (geom.acceleration, C, geom.zeta))
             sh2 = mp.sinh(accel * mp.mpc(u, -eps) / (2 * c)) ** 2
-            scale = mp.mpf(geom.constants.hbar) * accel**4 / (4 * mp.pi * c**7)
+            scale = mp.mpf(REDUCED_PLANCK) * accel**4 / (4 * mp.pi * c**7)
             scale /= (sh2 - zeta * zeta) ** 3
             want = {
                 ("x", "x"): scale * (sh2 + zeta * zeta),
@@ -361,6 +365,22 @@ class TestWightmanTensor:
                 assert abs(tensor[slot] - value) <= 1e-12 * abs(value), slot
         for slot in ZERO_SLOTS:
             assert tensor[slot] == 0.0
+
+    def test_far_from_crossings_matches_mpmath(self):
+        geom = unit_geometry()
+        s_time = geom.light_time
+        u, eps = 50.0 * s_time, s_time / 100.0
+        self.assert_matches_mpmath(em_wightman_tensor(u, geom, eps), u, eps, geom)
+
+    @pytest.mark.parametrize("zeta", [1e50, 1e77])
+    @pytest.mark.parametrize("u_over_s", [0.5, 1.5])
+    def test_large_zeta_matches_mpmath(self, zeta, u_over_s):
+        # The prefactor hbar*a**4/(4 pi c**7) or its product with the
+        # bracket overflows here, while the tensor itself fits.
+        geom = reduced_geometry(2.0 * C * C * zeta, 1.0, C)
+        s_time = geom.light_time
+        u, eps = u_over_s * s_time, s_time / 100.0
+        self.assert_matches_mpmath(em_wightman_tensor(u, geom, eps), u, eps, geom)
 
     def test_underflows_to_zero_where_gap_cubed_overflows(self):
         geom = unit_geometry()

@@ -11,6 +11,7 @@ from rindler_resonance import (
     FieldKindError,
     Parity,
     Regime,
+    SPEED_OF_LIGHT,
     Scenario,
     scalar_farzone_asymptote,
     scalar_inertial_limit,
@@ -49,7 +50,7 @@ class TestClosedForm:
             coupling=3.0,
         )
         shift = scalar_resonance_energy(sc)
-        c = sc.constants.c
+        c = SPEED_OF_LIGHT
         assert shift.prefactor == pytest.approx(9.0 / (16.0 * math.pi * c * c * 2.0), rel=1e-15)
         assert shift.si_value == shift.prefactor * shift.reduced
         assert shift.field_kind is FieldKind.SCALAR
