@@ -10,7 +10,7 @@ description, the reduced-variable bookkeeping, and the small shared
 vocabulary (parity signs, regime labels, energy-shift records, and
 every exception type the package raises) used by the scalar and
 electromagnetic calculations.  It imports numpy only for a dipole that
-is not three Python numbers.
+is not three Python numbers and for array inputs.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ __all__ = [
     "check_finite_shift",
     "asinh_ratio",
     "check_kinematics",
-    "reduced_variables",
-    "envelope_root",
-    "phase_cos_sin",
+    "point_geometry",
+    "array_geometry",
     "reduced_geometry",
     "unruh_temperature",
     "parity_sign",
@@ -58,6 +57,10 @@ FARZONE_ZETA_MIN = 10.0
 
 # Below this zeta the direct asinh(zeta)/zeta quotient loses digits.
 _ASINH_RATIO_SERIES_CUTOFF = 1e-4
+
+# x is finite exactly where -_FLOAT_MAX <= x <= _FLOAT_MAX; unlike
+# math.isfinite, the comparison also rejects an int beyond the float range.
+_FLOAT_MAX = sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -148,11 +151,11 @@ def parity_sign(parity: Parity) -> float:
 
 def check_kinematics(acceleration: float, separation: float, omega0: float) -> None:
     """Raise DomainError unless z > 0, a >= 0 and omega0 >= 0 are all finite."""
-    if not (separation > 0.0 and math.isfinite(separation)):
+    if not 0.0 < separation <= _FLOAT_MAX:
         raise DomainError(f"separation must be positive and finite, got {separation}")
-    if not (acceleration >= 0.0 and math.isfinite(acceleration)):
+    if not 0.0 <= acceleration <= _FLOAT_MAX:
         raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
-    if not (omega0 >= 0.0 and math.isfinite(omega0)):
+    if not 0.0 <= omega0 <= _FLOAT_MAX:
         raise DomainError(f"omega0 must be >= 0 and finite, got {omega0}")
 
 
@@ -242,11 +245,16 @@ class Scenario:
         dipole_a=None,
         dipole_b=None,
     ) -> None:
-        check_kinematics(acceleration, separation, omega0)
+        if not (
+            0.0 < separation <= _FLOAT_MAX
+            and 0.0 <= acceleration <= _FLOAT_MAX
+            and 0.0 <= omega0 <= _FLOAT_MAX
+        ):
+            check_kinematics(acceleration, separation, omega0)
         if field_kind is _SCALAR:
             if coupling is None:
                 raise DomainError("scalar scenario requires a coupling strength")
-            if not math.isfinite(coupling):
+            if not -_FLOAT_MAX <= coupling <= _FLOAT_MAX:
                 raise DomainError(f"coupling must be finite, got {coupling}")
             if dipole_a is not None or dipole_b is not None:
                 raise DomainError("scalar scenario does not take dipole vectors")
@@ -313,8 +321,11 @@ class Scenario:
         if theta < 0.0 or zeta < 0.0:
             raise DomainError("theta and zeta must be non-negative")
         c = SPEED_OF_LIGHT
-        omega0 = theta * c / separation
-        acceleration = 2.0 * c * c * zeta / separation
+        try:
+            omega0 = theta * c / separation
+            acceleration = 2.0 * c * c * zeta / separation
+        except OverflowError:  # an int beyond the float range
+            raise DomainError("theta, zeta and separation must be finite") from None
         if field_kind is _SCALAR:
             return cls.scalar_field(
                 acceleration=acceleration,
@@ -350,66 +361,102 @@ def asinh_ratio(zeta: float) -> float:
     if zeta < _ASINH_RATIO_SERIES_CUTOFF:
         z2 = zeta * zeta
         return 1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0
-    return math.asinh(zeta) / zeta
+    try:
+        return math.asinh(zeta) / zeta
+    except OverflowError:  # an int beyond the float range
+        raise DomainError(f"zeta must be finite, got {zeta}") from None
 
 
-def _numpy_if_array(x):
-    """The numpy module if ``x`` is a numpy array, else None.
+def point_geometry(acceleration: float, separation: float, omega0: float) -> tuple:
+    """(zeta, theta, cos, sin, root) of one point given as three Python floats.
 
-    numpy is not imported here: an array cannot exist before numpy is
-    loaded, so scalar callers never pay for the import.
-    """
-    np = sys.modules.get("numpy")
-    return np if np is not None and isinstance(x, np.ndarray) else None
-
-
-def _plain(x):
-    # numpy scalars as the float of their value: np.float64 arithmetic
-    # warns on overflow, and numpy integers wrap around.
-    np = sys.modules.get("numpy")
-    return float(x) if isinstance(x, float) or (np is not None and isinstance(x, np.integer)) else x
-
-
-def reduced_variables(acceleration, separation, omega0) -> tuple:
-    """Return (zeta, theta, asinh(zeta)/zeta) for floats or numpy arrays.
-
-    The inputs broadcast together, so a sweep passes one array and two
-    floats.  The ratio goes through :func:`asinh_ratio` element by
-    element: numpy's arcsinh differs from ``math.asinh`` in the last
-    bit on some inputs, and a sweep row must equal the single-point
-    value exactly.
-
-    zeta is formed as z*a/(2c^2) and theta as omega0*z/c; see
-    :func:`_scaled_product` for the case where z*a or omega0*z
-    overflows while zeta or theta fits.
+    zeta = z*a/(2c^2), theta = omega0*z/c, cos and sin of the phase
+    omega0*S = theta*asinh(zeta)/zeta, and root = sqrt(1 + zeta**2); not
+    validated.  A product is formed as z*(a/(2c^2)) or omega0*(z/c) only
+    where the direct one overflows, the ratio takes the series of
+    :func:`asinh_ratio` below zeta = 1e-4, a non-finite phase gives nan
+    (which :class:`EnergyShift` rejects), and the root is zeta itself
+    where 1 + zeta**2 overflows (zeta above about 1.3e154).
     """
     c = SPEED_OF_LIGHT
-    zeta = _scaled_product(separation, acceleration, 2.0 * c * c)
-    theta = _scaled_product(omega0, separation, c)
-    if type(zeta) is float or (np := _numpy_if_array(zeta)) is None:
-        return zeta, theta, asinh_ratio(zeta)
-    ratio = np.array([asinh_ratio(x) for x in zeta.ravel().tolist()])
-    return zeta, theta, ratio.reshape(zeta.shape)
+    zeta = separation * acceleration / (2.0 * c * c)
+    if zeta == math.inf:
+        zeta = separation * (acceleration / (2.0 * c * c))
+    theta = omega0 * separation / c
+    if theta == math.inf:
+        theta = omega0 * (separation / c)
+    if zeta < _ASINH_RATIO_SERIES_CUTOFF:
+        if zeta < 0.0:  # as asinh_ratio, so the array path raises the same
+            raise DomainError(f"zeta must be non-negative, got {zeta}")
+        z2 = zeta * zeta
+        phase = theta * (1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0)
+    else:
+        phase = theta * (math.asinh(zeta) / zeta)
+    root = math.sqrt(1.0 + zeta * zeta)
+    if root == math.inf:
+        root = zeta
+    if math.isfinite(phase):
+        return zeta, theta, math.cos(phase), math.sin(phase), root
+    return zeta, theta, math.nan, math.nan, root
+
+
+def array_geometry(acceleration, separation, omega0) -> tuple:
+    """:func:`point_geometry` for inputs that are not three Python floats.
+
+    Arrays broadcast together, and each cell gets the bits of its own
+    float call: zeta, theta and the root are numpy arithmetic, which
+    rounds as Python does, while asinh, cos and sin go through ``math``
+    element by element, since numpy's may differ in the last bit.  A
+    Python int, numpy scalar or 0-d array goes through float() to the
+    float path, so numpy integers never wrap around.
+    """
+    np = sys.modules.get("numpy")
+    a_grid, z_grid, w_grid = (
+        np is not None and isinstance(x, np.ndarray) and x.ndim > 0
+        for x in (acceleration, separation, omega0)
+    )
+    if not (a_grid or z_grid or w_grid):
+        return point_geometry(float(acceleration), float(separation), float(omega0))
+    # A product of two plain numbers is one point's, so it is worked in
+    # floats: in numpy scalars it would cost more than a 100-cell column.
+    c = SPEED_OF_LIGHT
+    if a_grid or z_grid:
+        zeta = _scaled_product(separation, acceleration, 2.0 * c * c)
+        ratio = np.array([asinh_ratio(x) for x in zeta.ravel().tolist()]).reshape(zeta.shape)
+        with np.errstate(over="ignore"):
+            root = np.sqrt(1.0 + zeta * zeta)
+        root = np.where(np.isfinite(root), root, zeta)
+    else:
+        zeta, _, _, _, root = point_geometry(float(acceleration), float(separation), 0.0)
+        ratio = asinh_ratio(zeta)
+    if z_grid or w_grid:
+        theta = _scaled_product(omega0, separation, c)
+    else:
+        theta = point_geometry(0.0, float(separation), float(omega0))[1]
+    phase = theta * ratio
+    cos_sin = np.array([
+        (math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan)
+        for p in phase.ravel().tolist()
+    ]).reshape(phase.shape + (2,))
+    return zeta, theta, cos_sin[..., 0], cos_sin[..., 1], root
 
 
 def _scaled_product(x, y, d):
-    """x*y/d for floats or arrays, as x*(y/d) only where x*y overflows.
+    """x*y/d in numpy, as x*(y/d) only where x*y overflows; a float if x and y are.
 
     Every finite product keeps its bits, and the result is inf only
-    where x*y/d itself exceeds the largest float.
+    where x*y/d itself exceeds the largest float.  Integer inputs are
+    worked in float, since an integer array would wrap around.
     """
-    if type(x) is not float or type(y) is not float:
-        np = _numpy_if_array(x) or _numpy_if_array(y)
-        if np is not None:
-            # Integer arrays would wrap around where x*y overflows.
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-            with np.errstate(over="ignore"):
-                value = x * y / d
-                overflow = np.isinf(value)
-                return np.where(overflow, x * (y / d), value) if overflow.any() else value
-        x, y = _plain(x), _plain(y)
-    value = x * y / d
-    return value if value != math.inf else x * (y / d)
+    import numpy as np
+
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        value = x * y / d
+        overflow = np.isinf(value)
+        if overflow.any():
+            value = np.where(overflow, x * (y / d), value)
+    return value if value.ndim else float(value)
 
 
 def _log_two_zeta(zeta: float) -> float:
@@ -425,42 +472,7 @@ def _farzone_warning(zeta: float) -> Optional[str]:
     return None
 
 
-def envelope_root(zeta):
-    """sqrt(1 + zeta**2) for a float or an array, without overflow.
-
-    Where 1 + zeta**2 overflows (zeta above about 1.3e154) the root is
-    zeta itself to double precision, so zeta is returned there.
-    """
-    if type(zeta) is not float:
-        if (np := _numpy_if_array(zeta)) is not None:
-            with np.errstate(over="ignore"):
-                root = np.sqrt(1.0 + zeta * zeta)
-            return np.where(np.isfinite(root), root, zeta)
-        zeta = _plain(zeta)
-    root = math.sqrt(1.0 + zeta * zeta)
-    return root if root != math.inf else zeta
-
-
-def _cos_sin(phase: float) -> tuple:
-    if not math.isfinite(phase):
-        return math.nan, math.nan
-    return math.cos(phase), math.sin(phase)
-
-
-def phase_cos_sin(phase) -> tuple:
-    """(cos, sin) of the phase omega0*S, for a float or an array.
-
-    Arrays go through ``math`` element by element, since numpy's
-    vectorised sin and cos may differ from it in the last bit.  A
-    non-finite phase gives nan, which :class:`EnergyShift` rejects.
-    """
-    if type(phase) is float or (np := _numpy_if_array(phase)) is None:
-        return _cos_sin(phase)
-    cos_sin = np.array([_cos_sin(p) for p in phase.ravel().tolist()]).reshape(phase.shape + (2,))
-    return cos_sin[..., 0], cos_sin[..., 1]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReducedGeometry:
     """Reduced variables of one scenario, with c = ``SPEED_OF_LIGHT``.
 
@@ -479,6 +491,8 @@ class ReducedGeometry:
         c**2/a in m, infinite for inertial atoms.
     separation, omega0:
         Inputs carried through for convenience, SI units.
+    envelope:
+        sqrt(1 + zeta**2), equal to zeta where 1 + zeta**2 overflows.
     """
 
     zeta: float
@@ -488,6 +502,21 @@ class ReducedGeometry:
     crossover_length: float
     separation: float
     omega0: float
+    envelope: float
+
+    # Hand-written and stored as Scenario.__init__ is, for the same reasons.
+    def __init__(
+        self, zeta, s_ratio, light_time, theta, crossover_length, separation, omega0, envelope
+    ) -> None:
+        d = self.__dict__
+        d["zeta"] = zeta
+        d["s_ratio"] = s_ratio
+        d["light_time"] = light_time
+        d["theta"] = theta
+        d["crossover_length"] = crossover_length
+        d["separation"] = separation
+        d["omega0"] = omega0
+        d["envelope"] = envelope
 
     @property
     def acceleration(self) -> float:
@@ -510,19 +539,29 @@ def reduced_geometry(
     separation: float,
     omega0: float,
 ) -> ReducedGeometry:
-    """Map (a, z, omega0) to the dimensionless groups driving the shift."""
+    """Map (a, z, omega0) to the dimensionless groups driving the shift.
+
+    Raises DomainError for invalid kinematics, and where zeta or theta
+    exceeds the largest float.
+    """
     check_kinematics(acceleration, separation, omega0)
+    a, z, w = float(acceleration), float(separation), float(omega0)
+    zeta, theta, _, _, root = point_geometry(a, z, w)
+    if not (zeta <= _FLOAT_MAX and theta <= _FLOAT_MAX):
+        raise DomainError(
+            f"reduced variables overflow double precision (zeta = {zeta!r}, theta = {theta!r})"
+        )
+    ratio = asinh_ratio(zeta)
     c = SPEED_OF_LIGHT
-    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0)
-    crossover = c * c / acceleration if acceleration > 0.0 else math.inf
     return ReducedGeometry(
         zeta=zeta,
         s_ratio=ratio,
-        light_time=(separation / c) * ratio,
+        light_time=(z / c) * ratio,
         theta=theta,
-        crossover_length=crossover,
-        separation=separation,
-        omega0=omega0,
+        crossover_length=c * c / a if a > 0.0 else math.inf,
+        separation=z,
+        omega0=w,
+        envelope=root,
     )
 
 
@@ -533,7 +572,7 @@ def scenario_geometry(scenario: Scenario) -> ReducedGeometry:
 
 def unruh_temperature(acceleration: float) -> float:
     """Unruh temperature hbar*a/(2*pi*c*k_B) in K; zero for a = 0."""
-    if not (acceleration >= 0.0 and math.isfinite(acceleration)):
+    if not 0.0 <= acceleration <= _FLOAT_MAX:
         raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
     return REDUCED_PLANCK * acceleration / (2.0 * math.pi * SPEED_OF_LIGHT * BOLTZMANN)
 
@@ -577,7 +616,8 @@ class EnergyShift:
         field_kind: FieldKind,
         warning: Optional[str] = None,
     ) -> None:
-        check_finite_shift(reduced, si_value)
+        if not (-_FLOAT_MAX <= reduced <= _FLOAT_MAX and -_FLOAT_MAX <= si_value <= _FLOAT_MAX):
+            check_finite_shift(reduced, si_value)
         d = self.__dict__
         d["reduced"] = reduced
         d["prefactor"] = prefactor
@@ -594,7 +634,7 @@ def check_finite_shift(reduced: float, si_value: float) -> None:
     They are not when the inputs overflow double precision, for example
     zeta = inf once a*z exceeds the largest float.
     """
-    if not (math.isfinite(reduced) and math.isfinite(si_value)):
+    if not (-_FLOAT_MAX <= reduced <= _FLOAT_MAX and -_FLOAT_MAX <= si_value <= _FLOAT_MAX):
         raise DomainError(
             f"energy shift is not finite (reduced = {reduced!r}, si_value = {si_value!r}); "
             "the inputs overflow double precision"

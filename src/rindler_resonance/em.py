@@ -34,6 +34,7 @@ from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _EM,
+    _SYMMETRIC,
     _farzone_warning,
     _log_two_zeta,
     _scaled_product,
@@ -44,10 +45,9 @@ from .core import (
     Scenario,
     SingularityError,
     UsageError,
-    envelope_root,
+    array_geometry,
     parity_sign,
-    phase_cos_sin,
-    reduced_variables,
+    point_geometry,
     scenario_geometry,
 )
 
@@ -206,21 +206,21 @@ def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensor
     )
 
 
-def em_reduced_components(theta, zeta, cos_p, sin_p) -> tuple:
+def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     """Nonzero entries (xx, yy, zz, xz) of z**3*(V + W); zx = -xz.
 
-    ``cos_p`` and ``sin_p`` are the cosine and sine of the phase
-    omega0*S.  Plain arithmetic, so the arguments may be floats or
-    numpy arrays that broadcast together.  It is the spectral
-    coefficients resummed at omega0, written in u = 1/h and v = zeta/h
-    with h = sqrt(1 + zeta**2): then 1/N = u**2, zeta**2/N = v**2 and
+    The arguments are the five values of :func:`~.core.point_geometry`
+    or :func:`~.core.array_geometry`: cos and sin of the phase omega0*S
+    and h = sqrt(1 + zeta**2).  Plain arithmetic, so the closed form
+    runs this one kernel on floats and on broadcasting numpy arrays.
+    It is the spectral coefficients resummed at omega0, written in
+    u = 1/h and v = zeta/h: then 1/N = u**2, zeta**2/N = v**2 and
     zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
     grows.  Where theta**2 overflows (theta above about 1.3e154) the
     theta**2 terms are regrouped so that theta meets u or v first.
     """
-    h = envelope_root(zeta)
-    u = 1.0 / h
-    v = zeta / h
+    u = 1.0 / root
+    v = zeta / root
     a = u * u
     b = v * v
     t2 = theta * theta
@@ -259,12 +259,6 @@ def _regrouped_cos_terms(theta, u, v, a, b) -> tuple:
     )
 
 
-def _per_cubed_separation(value, separation):
-    # value/z**3 as three divisions: no z**3 to overflow or underflow to
-    # zero, and numpy rounds it exactly as Python does.
-    return value / separation / separation / separation
-
-
 def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     """Closed-form potentials V (diagonal family) and W (antisymmetric).
 
@@ -272,22 +266,34 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     z**3*(V + W) evaluated at the transition frequency, assembled from
     :func:`em_reduced_components`.
     """
-    xx, yy, zz, xz = em_reduced_components(geom.theta, geom.zeta, *phase_cos_sin(geom.phase))
+    # reduced_geometry keeps the phase finite, so cos and sin need no guard.
+    cos_p, sin_p = math.cos(geom.phase), math.sin(geom.phase)
+    xx, yy, zz, xz = em_reduced_components(geom.zeta, geom.theta, cos_p, sin_p, geom.envelope)
     red_v = np.diag([xx, yy, zz])
     red_w = xz * _CROSS
+    z = geom.separation
     return PotentialTensors(
-        v=Tensor3(_per_cubed_separation(red_v, geom.separation)),
-        w=Tensor3(_per_cubed_separation(red_w, geom.separation)),
+        v=Tensor3(red_v / z / z / z),
+        w=Tensor3(red_w / z / z / z),
         reduced=Tensor3(red_v + red_w),
     )
 
 
-def _unit_dipole(vec: tuple, name: str) -> tuple:
-    x, y, z = vec
-    mag = math.hypot(x, y, z)
-    if mag == 0.0:
-        raise DomainError(f"{name} must be a nonzero vector")
-    return (x / mag, y / mag, z / mag), mag
+def _dipole_factors(scenario: Scenario, separation) -> tuple:
+    """(unit mu_A, unit mu_B, mu_A*mu_B/z**3); DomainError for a zero dipole.
+
+    Three divisions by z, as for V and W: no z**3 to overflow or
+    underflow to zero, and numpy rounds them exactly as Python does.
+    """
+    (ax, ay, az), (bx, by, bz) = scenario.dipole_a, scenario.dipole_b
+    mag_a, mag_b = math.hypot(ax, ay, az), math.hypot(bx, by, bz)
+    if mag_a == 0.0 or mag_b == 0.0:
+        raise DomainError(f"{'dipole_a' if mag_a == 0.0 else 'dipole_b'} must be a nonzero vector")
+    return (
+        (ax / mag_a, ay / mag_a, az / mag_a),
+        (bx / mag_b, by / mag_b, bz / mag_b),
+        mag_a * mag_b / separation / separation / separation,
+    )
 
 
 def em_closed_form(scenario: Scenario, acceleration, separation, omega0) -> tuple:
@@ -296,18 +302,21 @@ def em_closed_form(scenario: Scenario, acceleration, separation, omega0) -> tupl
     ``reduced`` is p * mu_A . z**3(V + W) . mu_B for unit dipoles, the
     five nonzero entries of :func:`em_reduced_components` contracted
     as plain products; the dipole magnitudes sit in the prefactor
-    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``; the
-    kinematic inputs may be floats or numpy arrays that broadcast
-    together, so one call evaluates a whole sweep with the arithmetic
-    of a single point.  The inputs are not validated.
+    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``.  Three
+    Python floats take :func:`~.core.point_geometry`, other inputs
+    (numpy arrays that broadcast together) :func:`~.core.array_geometry`,
+    so one call evaluates a whole sweep and every cell equals its own
+    float call.  The inputs are not validated.
     """
-    (ax, ay, az), mag_a = _unit_dipole(scenario.dipole_a, "dipole_a")
-    (bx, by, bz), mag_b = _unit_dipole(scenario.dipole_b, "dipole_b")
-    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0)
-    xx, yy, zz, xz = em_reduced_components(theta, zeta, *phase_cos_sin(theta * ratio))
+    (ax, ay, az), (bx, by, bz), prefactor = _dipole_factors(scenario, separation)
+    if type(acceleration) is type(separation) is type(omega0) is float:
+        geometry = point_geometry(acceleration, separation, omega0)
+    else:
+        geometry = array_geometry(acceleration, separation, omega0)
+    xx, yy, zz, xz = em_reduced_components(*geometry)
     bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
-    reduced = parity_sign(scenario.parity) * bilinear
-    return zeta, theta, reduced, _per_cubed_separation(mag_a * mag_b, separation)
+    sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
+    return geometry[0], geometry[1], sign * bilinear, prefactor
 
 
 def em_resonance_energy(scenario: Scenario) -> EnergyShift:
@@ -316,7 +325,8 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     See :func:`em_closed_form`.  Raises DomainError when the inputs
     overflow double precision.
     """
-    scenario.require_field(_EM)
+    if scenario.field_kind is not _EM:
+        scenario.require_field(_EM)
     zeta, _, reduced, prefactor = em_closed_form(
         scenario, scenario.acceleration, scenario.separation, scenario.omega0
     )
@@ -349,8 +359,7 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     if scenario.acceleration <= 0.0:
         raise DomainError("far-zone asymptote requires a positive acceleration")
     geom = scenario_geometry(scenario)
-    ua, mag_a = _unit_dipole(scenario.dipole_a, "dipole_a")
-    ub, mag_b = _unit_dipole(scenario.dipole_b, "dipole_b")
+    ua, ub, prefactor = _dipole_factors(scenario, geom.separation)
     axis = None
     for i in range(3):
         if abs(abs(ua[i]) - 1.0) < 1e-12 and abs(abs(ub[i]) - 1.0) < 1e-12:
@@ -372,7 +381,6 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     }[axis]
     orientation = math.copysign(1.0, ua[axis]) * math.copysign(1.0, ub[axis])
     reduced = parity_sign(scenario.parity) * orientation * diag
-    prefactor = _per_cubed_separation(mag_a * mag_b, geom.separation)
     return EnergyShift(
         reduced=reduced,
         prefactor=prefactor,

@@ -26,13 +26,12 @@ from .core import (
     Parity,
     ReducedGeometry,
     Scenario,
-    envelope_root,
     parity_sign,
     reduced_geometry,
     scenario_geometry,
 )
 from .em import (
-    _unit_dipole,
+    _dipole_factors,
     _wightman_kernel,
     em_farzone_asymptote,
     em_resonance_energy,
@@ -194,7 +193,7 @@ def scalar_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] =
     scenario.require_field(FieldKind.SCALAR)
     geom = scenario_geometry(scenario)
     density = TrigPolyDensity(osc_time=geom.light_time, sin_coeffs=(1.0, 0.0, 0.0))
-    return _normalized_pv(geom, density, scenario.parity, spec) / envelope_root(geom.zeta)
+    return _normalized_pv(geom, density, scenario.parity, spec) / geom.envelope
 
 
 def _em_density(geom: ReducedGeometry, left: tuple, right: tuple) -> TrigPolyDensity:
@@ -216,8 +215,7 @@ def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = Non
     """
     scenario.require_field(FieldKind.EM)
     geom = scenario_geometry(scenario)
-    ua, _ = _unit_dipole(scenario.dipole_a, "dipole_a")
-    ub, _ = _unit_dipole(scenario.dipole_b, "dipole_b")
+    ua, ub, _ = _dipole_factors(scenario, geom.separation)
     return _normalized_pv(geom, _em_density(geom, ua, ub), scenario.parity, spec)
 
 

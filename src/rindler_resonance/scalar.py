@@ -16,16 +16,16 @@ from .core import (
     SPEED_OF_LIGHT,
     _INERTIAL,
     _SCALAR,
+    _SYMMETRIC,
     _farzone_warning,
     _log_two_zeta,
     DomainError,
     EnergyShift,
     Regime,
     Scenario,
-    envelope_root,
+    array_geometry,
     parity_sign,
-    phase_cos_sin,
-    reduced_variables,
+    point_geometry,
     scenario_geometry,
 )
 
@@ -64,15 +64,18 @@ def scalar_closed_form(
     """(zeta, theta, reduced, prefactor) of the closed-form shift.
 
     The reduced value is -p * cos(omega0 * S) / sqrt(1 + zeta**2) with
-    p the parity sign.  Parity and coupling come from ``scenario``; the
-    kinematic inputs may be floats or numpy arrays that broadcast
-    together, so one call evaluates a whole sweep with the arithmetic
-    of a single point.  The inputs are not validated.
+    p the parity sign.  Parity and coupling come from ``scenario``.
+    Three Python floats take :func:`~.core.point_geometry`, other inputs
+    (numpy arrays that broadcast together) :func:`~.core.array_geometry`,
+    so one call evaluates a whole sweep and every cell equals its own
+    float call.  The inputs are not validated.
     """
-    zeta, theta, ratio = reduced_variables(acceleration, separation, omega0)
-    cos_p, _ = phase_cos_sin(theta * ratio)
-    reduced = -parity_sign(scenario.parity) * cos_p / envelope_root(zeta)
-    return zeta, theta, reduced, _scalar_prefactor(scenario, separation)
+    if type(acceleration) is type(separation) is type(omega0) is float:
+        zeta, theta, cos_p, _, root = point_geometry(acceleration, separation, omega0)
+    else:
+        zeta, theta, cos_p, _, root = array_geometry(acceleration, separation, omega0)
+    sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
+    return zeta, theta, -sign * cos_p / root, _scalar_prefactor(scenario, separation)
 
 
 def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
@@ -83,7 +86,8 @@ def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     inertial expression bit for bit.  Raises DomainError when the
     inputs overflow double precision.
     """
-    scenario.require_field(_SCALAR)
+    if scenario.field_kind is not _SCALAR:
+        scenario.require_field(_SCALAR)
     zeta, _, reduced, pref = scalar_closed_form(
         scenario, scenario.acceleration, scenario.separation, scenario.omega0
     )

@@ -100,6 +100,12 @@ class TestExitCodes:
         assert code == 3
         assert out == b""
 
+    def test_regimes_overflowing_zeta(self):
+        # z*a/(2c^2) exceeds the largest float: no "zeta inf" with exit 0.
+        out, code = run_cli("regimes", "--accel", "1e300", "--sep", "1e300")
+        assert code == 3
+        assert out == b""
+
     def test_unreachable_tolerance_fails_verification(self):
         for suite in ("scalar-pv", "asymptotes"):
             _, code = run_cli("verify", "--suite", suite, "--tol", "1e-30")

@@ -3,12 +3,13 @@
 import dataclasses
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rindler_resonance.core import _scaled_product, envelope_root, phase_cos_sin, reduced_variables
+from rindler_resonance.core import array_geometry, point_geometry
 from rindler_resonance.em import em_closed_form, em_resonance_energy
 from rindler_resonance.scalar import scalar_closed_form, scalar_resonance_energy
 
@@ -68,6 +69,12 @@ class TestReducedGeometry:
         geom = reduced_geometry(4.4e17, 1.3, 2.2e16)
         assert geom.phase == geom.theta * geom.s_ratio
         assert geom.acceleration == pytest.approx(4.4e17, rel=1e-15)
+
+    @pytest.mark.parametrize("a,z,omega0", [(1e300, 1e300, 0.0), (0.0, 1e300, 1e300)])
+    def test_overflowing_reduced_variables(self, a, z, omega0):
+        # zeta or theta beyond the largest float, from finite inputs.
+        with pytest.raises(DomainError, match="overflow"):
+            reduced_geometry(a, z, omega0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -273,6 +280,19 @@ def em_scenario(dipole_a):
     )
 
 
+HUGE = 10**400  # an int beyond the float range
+KINEMATICS = dict(acceleration=1.0, separation=1.0, omega0=1.0, parity=Parity.SYMMETRIC)
+
+
+def scalar_with(**inputs):
+    return Scenario.scalar_field(**{**KINEMATICS, **inputs})
+
+
+def em_with(**inputs):
+    dipoles = dict(dipole_a=[1.0, 0.0, 0.0], dipole_b=[0.0, 0.0, 1.0])
+    return Scenario.em_field(**{**KINEMATICS, **dipoles, **inputs})
+
+
 class TestDipoleValidation:
     @pytest.mark.parametrize(
         "dipole,expected",
@@ -323,21 +343,40 @@ class TestDipoleValidation:
             em_scenario(dipole)
 
     @pytest.mark.parametrize(
-        "dipole",
+        "build,name",
         [
-            [10**400, 0, 0],
-            (0, -(10**400), 1),
-            np.array([10**400, 0, 0], dtype=object),
-            "abc",
-            ["a", "b", "c"],
-            b"xyz",
+            (lambda: em_scenario([10**400, 0, 0]), "dipole_a"),
+            (lambda: em_scenario((0, -(10**400), 1)), "dipole_a"),
+            (lambda: em_scenario(np.array([10**400, 0, 0], dtype=object)), "dipole_a"),
+            (lambda: em_scenario("abc"), "dipole_a"),
+            (lambda: em_scenario(["a", "b", "c"]), "dipole_a"),
+            (lambda: em_scenario(b"xyz"), "dipole_a"),
+            (lambda: scalar_with(acceleration=HUGE), "acceleration"),
+            (lambda: scalar_with(separation=HUGE), "separation"),
+            (lambda: scalar_with(omega0=HUGE), "omega0"),
+            (lambda: scalar_with(coupling=HUGE), "coupling"),
+            (lambda: em_with(acceleration=HUGE), "acceleration"),
+            (lambda: em_with(separation=HUGE), "separation"),
+            (lambda: em_with(omega0=HUGE), "omega0"),
+            (lambda: Scenario.from_reduced(theta=HUGE, zeta=1.0, parity=Parity.SYMMETRIC), "theta"),
+            (lambda: Scenario.from_reduced(theta=1.0, zeta=HUGE, parity=Parity.SYMMETRIC), "zeta"),
+            (lambda: reduced_geometry(HUGE, 1.0, 1.0), "acceleration"),
+            (lambda: unruh_temperature(HUGE), "acceleration"),
+            (lambda: asinh_ratio(HUGE), "zeta"),
+        ],
+        ids=[
+            "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
+            "scalar-acceleration", "scalar-separation", "scalar-omega0", "scalar-coupling",
+            "em-acceleration", "em-separation", "em-omega0",
+            "from-reduced-theta", "from-reduced-zeta", "reduced-geometry", "unruh", "asinh-ratio",
         ],
     )
-    def test_unconvertible_component(self, dipole):
+    def test_unconvertible_component(self, build, name):
         # An int beyond the float range or a non-number is a domain
-        # error, not Python's OverflowError or numpy's ValueError.
-        with pytest.raises(DomainError, match="dipole_a"):
-            em_scenario(dipole)
+        # error, not Python's OverflowError or numpy's ValueError, for a
+        # dipole and for every other real input.
+        with pytest.raises(DomainError, match=name):
+            build()
 
 
 def scalar_scenario():
@@ -464,38 +503,35 @@ class TestFloatDispatch:
     """Floats, np.float64, 0-d and 1-element arrays give the same bits."""
 
     @given(log_uniform, log_uniform, log_uniform)
-    def test_reduced_variables(self, a, z, omega0):
-        expected = _all_bits(reduced_variables(a, z, omega0))
+    def test_point_and_array_geometry(self, a, z, omega0):
+        expected = _all_bits(point_geometry(a, z, omega0))
         for form in POINT_FORMS.values():
             with np.errstate(all="ignore"):
-                got = reduced_variables(form(a), form(z), form(omega0))
+                got = array_geometry(form(a), form(z), form(omega0))
             assert _all_bits(got) == expected
-
-    @given(log_uniform)
-    def test_envelope_root(self, zeta):
-        expected = _bits(envelope_root(zeta))
-        for form in POINT_FORMS.values():
+        # One swept input, as in a sweep: the other two stay floats.
+        for i in range(3):
+            mixed = [a, z, omega0]
+            mixed[i] = np.array([mixed[i]])
             with np.errstate(all="ignore"):
-                assert _bits(envelope_root(form(zeta))) == expected
-
-    @given(log_uniform)
-    def test_phase_cos_sin(self, phase):
-        expected = _all_bits(phase_cos_sin(phase))
-        for form in POINT_FORMS.values():
-            assert _all_bits(phase_cos_sin(form(phase))) == expected
+                assert _all_bits(array_geometry(*mixed)) == expected
 
     @pytest.mark.parametrize("form", list(POINT_FORMS.values()), ids=list(POINT_FORMS))
     def test_overflow_needs_no_errstate(self, form):
         # No np.errstate here: under -W error a numpy overflow warning raises.
-        big = form(1e300)
-        assert _bits(envelope_root(form(1e200))) == (1e200).hex()
-        assert _all_bits(reduced_variables(big, big, big)) == _all_bits(
-            reduced_variables(1e300, 1e300, 1e300)
-        )
-        assert _all_bits(reduced_variables(1e300, big, 1.0)) == _all_bits(
-            reduced_variables(1e300, 1e300, 1.0)
-        )
-        assert _bits(_scaled_product(big, big, 1e300)) == (1e300).hex()
+        # z*a overflows where zeta fits, zeta**2 overflows, and both do.
+        for a, z, omega0 in ((1e10, 1e300, 1.0), (1e217, 1.0, 1.0), (1e300, 1e300, 1e300)):
+            expected = _all_bits(point_geometry(a, z, omega0))
+            assert _all_bits(array_geometry(form(a), form(z), form(omega0))) == expected
+            assert _all_bits(array_geometry(a, form(z), omega0)) == expected
+        zeta, _, _, _, root = point_geometry(1e217, 1.0, 1.0)
+        assert zeta > 1e199 and root == zeta
+
+    @pytest.mark.parametrize("form", list(POINT_FORMS.values()), ids=list(POINT_FORMS))
+    def test_negative_zeta_raises_on_both_paths(self, form):
+        # The closed forms do not validate; a negative a*z still fails loudly.
+        with pytest.raises(DomainError, match="non-negative"):
+            array_geometry(form(-1e17), form(1.0), form(1e8))
 
     @pytest.mark.parametrize(
         "form", [np.int64, np.uint64, lambda x: np.array([x]), lambda x: np.array(x)],
@@ -505,18 +541,28 @@ class TestFloatDispatch:
         # 1e10 * 1e10 exceeds the int64 range: numpy integer inputs are
         # worked in float, as the same values given as floats.
         big = 10**10
-        assert _all_bits(reduced_variables(form(big), form(big), form(3))) == _all_bits(
-            reduced_variables(1e10, 1e10, 3.0)
+        assert _all_bits(array_geometry(form(big), form(big), form(3))) == _all_bits(
+            point_geometry(1e10, 1e10, 3.0)
         )
 
     def test_numpy_integer_scenario(self):
+        # np.int64 kinematics reach both resonance energies with the bits of floats.
         big = np.int64(10**10)
-        scenario = Scenario.scalar_field(
+        scalar = Scenario.scalar_field(
             acceleration=big, separation=big, omega0=1.0, parity=Parity.SYMMETRIC
         )
-        floats = dataclasses.replace(scenario, acceleration=1e10, separation=1e10)
-        assert scenario_geometry(scenario).zeta == scenario_geometry(floats).zeta
-        assert scalar_resonance_energy(scenario).reduced == scalar_resonance_energy(floats).reduced
+        em = dataclasses.replace(
+            em_dipole_scenario(), acceleration=big, separation=big, omega0=np.int64(3)
+        )
+        for scenario, energy in ((scalar, scalar_resonance_energy), (em, em_resonance_energy)):
+            floats = dataclasses.replace(
+                scenario, acceleration=1e10, separation=1e10, omega0=float(scenario.omega0)
+            )
+            assert scenario_geometry(scenario).zeta == scenario_geometry(floats).zeta
+            shift, float_shift = energy(scenario), energy(floats)
+            assert _all_bits([shift.reduced, shift.prefactor, shift.si_value]) == _all_bits(
+                [float_shift.reduced, float_shift.prefactor, float_shift.si_value]
+            )
 
     @pytest.mark.parametrize("field", ["scalar", "em"])
     @given(a=log_uniform, z=log_uniform, omega0=log_uniform)
@@ -545,6 +591,42 @@ class TestFloatDispatch:
             [reduced, prefactor, si_value]
         )
         assert shift.regime is Regime.classify(float(zeta[0]))
+
+
+def python_calls(fn, *args) -> list:
+    """Names of the Python-level calls made by fn(*args), fn itself included."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+class TestPointCallCount:
+    """A float point stays a handful of Python calls; counted, not timed."""
+
+    @pytest.mark.parametrize("field", ["scalar", "em"])
+    @pytest.mark.parametrize("acceleration", [0.0, 1e17, 1e21], ids=["inertial", "zeta~1", "far"])
+    def test_resonance_energy_makes_at_most_seven_calls(self, field, acceleration):
+        if field == "scalar":
+            scenario = Scenario.scalar_field(
+                acceleration=acceleration, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC
+            )
+            energy = scalar_resonance_energy
+        else:
+            scenario = dataclasses.replace(em_dipole_scenario(), acceleration=acceleration)
+            energy = em_resonance_energy
+        energy(scenario)
+        calls = python_calls(energy, scenario)
+        assert calls[0] == energy.__name__
+        assert len(calls) <= 7, calls
 
 
 class TestClosedFormGrids:
