@@ -502,19 +502,35 @@ def em_dipole_scenario():
 class TestFloatDispatch:
     """Floats, np.float64, 0-d and 1-element arrays give the same bits."""
 
-    @given(log_uniform, log_uniform, log_uniform)
-    def test_point_and_array_geometry(self, a, z, omega0):
-        expected = _all_bits(point_geometry(a, z, omega0))
-        for form in POINT_FORMS.values():
-            with np.errstate(all="ignore"):
-                got = array_geometry(form(a), form(z), form(omega0))
-            assert _all_bits(got) == expected
+    @staticmethod
+    def assert_array_geometry_matches(a, z, omega0, picked):
+        """array_geometry gives point_geometry's bits for the values at `picked`."""
+        expected = [_bits(point_geometry(a, z, omega0)[i]) for i in picked]
+        calls = [[form(a), form(z), form(omega0)] for form in POINT_FORMS.values()]
         # One swept input, as in a sweep: the other two stay floats.
         for i in range(3):
             mixed = [a, z, omega0]
             mixed[i] = np.array([mixed[i]])
+            calls.append(mixed)
+        for args in calls:
             with np.errstate(all="ignore"):
-                assert _all_bits(array_geometry(*mixed)) == expected
+                got = array_geometry(*args)
+            assert [_bits(got[i]) for i in picked] == expected
+
+    @given(log_uniform, log_uniform, log_uniform)
+    def test_reduced_variables(self, a, z, omega0):
+        # zeta and theta.
+        self.assert_array_geometry_matches(a, z, omega0, (0, 1))
+
+    @given(log_uniform, log_uniform, log_uniform)
+    def test_phase_cos_sin(self, a, z, omega0):
+        # cos and sin of omega0 * S.
+        self.assert_array_geometry_matches(a, z, omega0, (2, 3))
+
+    @given(log_uniform, log_uniform, log_uniform)
+    def test_envelope_root(self, a, z, omega0):
+        # sqrt(1 + zeta**2).
+        self.assert_array_geometry_matches(a, z, omega0, (4,))
 
     @pytest.mark.parametrize("form", list(POINT_FORMS.values()), ids=list(POINT_FORMS))
     def test_overflow_needs_no_errstate(self, form):
