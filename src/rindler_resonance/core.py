@@ -130,7 +130,7 @@ class Regime(enum.Enum):
     @classmethod
     def classify(cls, zeta: float) -> "Regime":
         if not zeta >= 0.0:
-            raise DomainError(f"zeta must be non-negative, got {zeta}")
+            raise DomainError(f"zeta must be non-negative, got {_shown(zeta)}")
         if zeta < INERTIAL_ZETA_MAX:
             return _INERTIAL
         if zeta > FARZONE_ZETA_MIN:
@@ -149,14 +149,22 @@ def parity_sign(parity: Parity) -> float:
     return 1.0 if parity is _SYMMETRIC else -1.0
 
 
+def _shown(value, text=str) -> str:
+    """text(value) for an error message; an int too long for Python to print is named."""
+    try:
+        return text(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"<{type(value).__name__} too long to print>"
+
+
 def check_kinematics(acceleration: float, separation: float, omega0: float) -> None:
     """Raise DomainError unless z > 0, a >= 0 and omega0 >= 0 are all finite."""
     if not 0.0 < separation <= _FLOAT_MAX:
-        raise DomainError(f"separation must be positive and finite, got {separation}")
+        raise DomainError(f"separation must be positive and finite, got {_shown(separation)}")
     if not 0.0 <= acceleration <= _FLOAT_MAX:
-        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
+        raise DomainError(f"acceleration must be >= 0 and finite, got {_shown(acceleration)}")
     if not 0.0 <= omega0 <= _FLOAT_MAX:
-        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0}")
+        raise DomainError(f"omega0 must be >= 0 and finite, got {_shown(omega0)}")
 
 
 _REALS = frozenset((float, int, bool))
@@ -182,17 +190,31 @@ def _as_dipole(vec, name: str) -> tuple:
         # part with only a warning.
         arr = np.array(vec)
         if arr.dtype.kind == "c":
-            raise DomainError(f"{name} must be real, got {vec!r}")
+            raise DomainError(f"{name} must be real, got {_shown(vec, repr)}")
         try:
             arr = arr if arr.dtype == float else arr.astype(float)
         except (OverflowError, TypeError, ValueError):
-            raise DomainError(f"{name} must hold three real numbers, got {vec!r}") from None
+            raise DomainError(
+                f"{name} must hold three real numbers, got {_shown(vec, repr)}"
+            ) from None
         if arr.shape != (3,):
             raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
         x, y, z = arr.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DomainError(f"{name} must be finite")
     return (x, y, z)
+
+
+def _as_dipoles(dipole_a, dipole_b) -> list:
+    """Both dipoles as float triples; a tuple of three finite floats is kept as given."""
+    pair = [dipole_a, dipole_b]
+    for i in (0, 1):
+        v = pair[i]
+        # A sum is finite only if each term is; one that overflows takes _as_dipole.
+        if not (type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float
+                and -_FLOAT_MAX <= v[0] + v[1] + v[2] <= _FLOAT_MAX):
+            pair[i] = _as_dipole(v, "dipole_b" if i else "dipole_a")
+    return pair
 
 
 @dataclass(frozen=True, init=False)
@@ -255,7 +277,7 @@ class Scenario:
             if coupling is None:
                 raise DomainError("scalar scenario requires a coupling strength")
             if not -_FLOAT_MAX <= coupling <= _FLOAT_MAX:
-                raise DomainError(f"coupling must be finite, got {coupling}")
+                raise DomainError(f"coupling must be finite, got {_shown(coupling)}")
             if dipole_a is not None or dipole_b is not None:
                 raise DomainError("scalar scenario does not take dipole vectors")
         else:
@@ -263,8 +285,7 @@ class Scenario:
                 raise DomainError("electromagnetic scenario does not take a scalar coupling")
             if dipole_a is None or dipole_b is None:
                 raise DomainError("electromagnetic scenario requires both dipole vectors")
-            dipole_a = _as_dipole(dipole_a, "dipole_a")
-            dipole_b = _as_dipole(dipole_b, "dipole_b")
+            dipole_a, dipole_b = _as_dipoles(dipole_a, dipole_b)
         # One key at a time, in field order: the instance dict keeps its shared keys.
         d = self.__dict__
         d["field_kind"] = field_kind
@@ -357,14 +378,14 @@ def asinh_ratio(zeta: float) -> float:
     quantities inside asinh, so a short even series is used there.
     """
     if zeta < 0.0:
-        raise DomainError(f"zeta must be non-negative, got {zeta}")
+        raise DomainError(f"zeta must be non-negative, got {_shown(zeta)}")
     if zeta < _ASINH_RATIO_SERIES_CUTOFF:
         z2 = zeta * zeta
         return 1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0
     try:
         return math.asinh(zeta) / zeta
     except OverflowError:  # an int beyond the float range
-        raise DomainError(f"zeta must be finite, got {zeta}") from None
+        raise DomainError(f"zeta must be finite, got {_shown(zeta)}") from None
 
 
 def point_geometry(acceleration: float, separation: float, omega0: float) -> tuple:
@@ -573,7 +594,7 @@ def scenario_geometry(scenario: Scenario) -> ReducedGeometry:
 def unruh_temperature(acceleration: float) -> float:
     """Unruh temperature hbar*a/(2*pi*c*k_B) in K; zero for a = 0."""
     if not 0.0 <= acceleration <= _FLOAT_MAX:
-        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
+        raise DomainError(f"acceleration must be >= 0 and finite, got {_shown(acceleration)}")
     return REDUCED_PLANCK * acceleration / (2.0 * math.pi * SPEED_OF_LIGHT * BOLTZMANN)
 
 
@@ -636,6 +657,6 @@ def check_finite_shift(reduced: float, si_value: float) -> None:
     """
     if not (-_FLOAT_MAX <= reduced <= _FLOAT_MAX and -_FLOAT_MAX <= si_value <= _FLOAT_MAX):
         raise DomainError(
-            f"energy shift is not finite (reduced = {reduced!r}, si_value = {si_value!r}); "
-            "the inputs overflow double precision"
+            f"energy shift is not finite (reduced = {_shown(reduced, repr)}, si_value = "
+            f"{_shown(si_value, repr)}); the inputs overflow double precision"
         )

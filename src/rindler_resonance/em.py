@@ -38,6 +38,7 @@ from .core import (
     _farzone_warning,
     _log_two_zeta,
     _scaled_product,
+    _shown,
     DomainError,
     EnergyShift,
     ReducedGeometry,
@@ -195,7 +196,7 @@ def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
     """Evaluate the spectral tensor families at angular frequency omega."""
     if omega < 0.0:
-        raise DomainError(f"omega must be non-negative, got {omega}")
+        raise DomainError(f"omega must be non-negative, got {_shown(omega)}")
     coeff = em_spectral_coefficients(geom)
     x = omega * geom.separation / SPEED_OF_LIGHT
     return EmSpectralTensors(
@@ -297,22 +298,18 @@ def _dipole_factors(scenario: Scenario, separation) -> tuple:
 
 
 def em_closed_form(scenario: Scenario, acceleration, separation, omega0) -> tuple:
-    """(zeta, theta, reduced, prefactor) of the closed-form shift.
+    """(zeta, theta, reduced, prefactor) of the closed-form shift over arrays.
 
     ``reduced`` is p * mu_A . z**3(V + W) . mu_B for unit dipoles, the
     five nonzero entries of :func:`em_reduced_components` contracted
     as plain products; the dipole magnitudes sit in the prefactor
-    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``.  Three
-    Python floats take :func:`~.core.point_geometry`, other inputs
-    (numpy arrays that broadcast together) :func:`~.core.array_geometry`,
-    so one call evaluates a whole sweep and every cell equals its own
-    float call.  The inputs are not validated.
+    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``.  Arrays
+    that broadcast together take :func:`~.core.array_geometry`, so one
+    call evaluates a whole sweep; every cell equals
+    :func:`em_resonance_energy` on its point, bit for bit.  Not validated.
     """
     (ax, ay, az), (bx, by, bz), prefactor = _dipole_factors(scenario, separation)
-    if type(acceleration) is type(separation) is type(omega0) is float:
-        geometry = point_geometry(acceleration, separation, omega0)
-    else:
-        geometry = array_geometry(acceleration, separation, omega0)
+    geometry = array_geometry(acceleration, separation, omega0)
     xx, yy, zz, xz = em_reduced_components(*geometry)
     bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
@@ -322,14 +319,20 @@ def em_closed_form(scenario: Scenario, acceleration, separation, omega0) -> tupl
 def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Resonance shift p * mu_A . (V + W) . mu_B for the correlated pair.
 
-    See :func:`em_closed_form`.  Raises DomainError when the inputs
+    :func:`em_closed_form` at one point, with three Python floats taken
+    by :func:`~.core.point_geometry` and other kinematics by
+    :func:`~.core.array_geometry`.  Raises DomainError when the inputs
     overflow double precision.
     """
     if scenario.field_kind is not _EM:
         scenario.require_field(_EM)
-    zeta, _, reduced, prefactor = em_closed_form(
-        scenario, scenario.acceleration, scenario.separation, scenario.omega0
-    )
+    a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
+    (ax, ay, az), (bx, by, bz), prefactor = _dipole_factors(scenario, z)
+    geometry = point_geometry if type(a) is type(z) is type(w) is float else array_geometry
+    zeta, theta, cos_p, sin_p, root = geometry(a, z, w)
+    xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
+    bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+    reduced = bilinear if scenario.parity is _SYMMETRIC else -bilinear
     return EnergyShift(reduced, prefactor, prefactor * reduced, _classify(zeta), scenario.parity, _EM)
 
 
@@ -414,9 +417,9 @@ def em_wightman_tensor(
     if geom.zeta <= 0.0:
         raise DomainError("time-domain correlation tensor requires a positive acceleration")
     if not (eps > 0.0 and math.isfinite(eps)):
-        raise DomainError(f"eps must be positive and finite, got {eps}")
+        raise DomainError(f"eps must be positive and finite, got {_shown(eps)}")
     if n_sign not in (1, -1):
-        raise DomainError(f"n_sign must be +1 or -1, got {n_sign}")
+        raise DomainError(f"n_sign must be +1 or -1, got {_shown(n_sign)}")
     return Tensor3(_wightman_kernel(u - 1j * eps, geom, n_sign))
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
+    _shown,
     DomainError,
     EnergyShift,
     FieldKind,
@@ -599,7 +600,7 @@ def run_suites(
     finite.
     """
     if tolerance is not None and not (tolerance > 0.0 and math.isfinite(tolerance)):
-        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
+        raise DomainError(f"tolerance must be positive and finite, got {_shown(tolerance)}")
     kwargs = {"tolerance": tolerance} if tolerance is not None else {}
     out = {}
     for name in names:

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainError, QuadratureError, SingularityError
+from .core import DomainError, QuadratureError, SingularityError, _shown
 
 __all__ = [
     "QuadratureSpec",
@@ -119,11 +119,11 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
+            raise DomainError(f"rel_tol must be in (0, 1), got {_shown(self.rel_tol)}")
         if not (self.abs_tol >= 0.0):
-            raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
+            raise DomainError(f"abs_tol must be >= 0, got {_shown(self.abs_tol)}")
         if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
+            raise DomainError(f"max_depth must be >= 1, got {_shown(self.max_depth)}")
 
     @classmethod
     def from_environment(cls) -> "QuadratureSpec":
@@ -235,7 +235,7 @@ class TrigPolyDensity:
 
     def __post_init__(self) -> None:
         if not (self.osc_time > 0.0 and math.isfinite(self.osc_time)):
-            raise DomainError(f"osc_time must be positive and finite, got {self.osc_time}")
+            raise DomainError(f"osc_time must be positive and finite, got {_shown(self.osc_time)}")
         for name in ("cos_coeffs", "sin_coeffs"):
             coeffs = tuple(float(c) for c in getattr(self, name))
             if len(coeffs) != 3:

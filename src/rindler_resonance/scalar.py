@@ -61,19 +61,15 @@ def scalar_closed_form(
     separation: ArrayLike,
     omega0: ArrayLike,
 ) -> tuple:
-    """(zeta, theta, reduced, prefactor) of the closed-form shift.
+    """(zeta, theta, reduced, prefactor) of the closed-form shift over arrays.
 
     The reduced value is -p * cos(omega0 * S) / sqrt(1 + zeta**2) with
     p the parity sign.  Parity and coupling come from ``scenario``.
-    Three Python floats take :func:`~.core.point_geometry`, other inputs
-    (numpy arrays that broadcast together) :func:`~.core.array_geometry`,
-    so one call evaluates a whole sweep and every cell equals its own
-    float call.  The inputs are not validated.
+    Arrays that broadcast together take :func:`~.core.array_geometry`,
+    so one call evaluates a whole sweep; every cell equals
+    :func:`scalar_resonance_energy` on its point, bit for bit.  Not validated.
     """
-    if type(acceleration) is type(separation) is type(omega0) is float:
-        zeta, theta, cos_p, _, root = point_geometry(acceleration, separation, omega0)
-    else:
-        zeta, theta, cos_p, _, root = array_geometry(acceleration, separation, omega0)
+    zeta, theta, cos_p, _, root = array_geometry(acceleration, separation, omega0)
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
     return zeta, theta, -sign * cos_p / root, _scalar_prefactor(scenario, separation)
 
@@ -81,16 +77,20 @@ def scalar_closed_form(
 def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Closed-form resonance shift, valid at every acceleration.
 
-    See :func:`scalar_closed_form`; the symmetric state is shifted down
+    :func:`scalar_closed_form` at one point, with three Python floats
+    taken by :func:`~.core.point_geometry` and other kinematics by
+    :func:`~.core.array_geometry`; the symmetric state is shifted down
     at small separation.  At zero acceleration this reproduces the
     inertial expression bit for bit.  Raises DomainError when the
     inputs overflow double precision.
     """
     if scenario.field_kind is not _SCALAR:
         scenario.require_field(_SCALAR)
-    zeta, _, reduced, pref = scalar_closed_form(
-        scenario, scenario.acceleration, scenario.separation, scenario.omega0
-    )
+    a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
+    geometry = point_geometry if type(a) is type(z) is type(w) is float else array_geometry
+    zeta, _, cos_p, _, root = geometry(a, z, w)
+    reduced = (-cos_p if scenario.parity is _SYMMETRIC else cos_p) / root
+    pref = _scalar_prefactor(scenario, z)
     return EnergyShift(reduced, pref, pref * reduced, _classify(zeta), scenario.parity, _SCALAR)
 
 

@@ -1,6 +1,8 @@
 """Reduced variables, conventions, and scenario validation."""
 
+import collections
 import dataclasses
+import functools
 import inspect
 import math
 import sys
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rindler_resonance.core import array_geometry, point_geometry
-from rindler_resonance.em import em_closed_form, em_resonance_energy
+from rindler_resonance.em import em_closed_form, em_resonance_energy, em_spectral_tensors
 from rindler_resonance.scalar import scalar_closed_form, scalar_resonance_energy
 
 from rindler_resonance import (
@@ -22,6 +24,7 @@ from rindler_resonance import (
     FieldKind,
     FieldKindError,
     Parity,
+    QuadratureSpec,
     Regime,
     Scenario,
     asinh_ratio,
@@ -281,7 +284,11 @@ def em_scenario(dipole_a):
 
 
 HUGE = 10**400  # an int beyond the float range
+LONG = 10**5000  # more digits than Python converts to text by default
 KINEMATICS = dict(acceleration=1.0, separation=1.0, omega0=1.0, parity=Parity.SYMMETRIC)
+
+
+Vector = collections.namedtuple("Vector", "x y z")
 
 
 def scalar_with(**inputs):
@@ -303,10 +310,12 @@ class TestDipoleValidation:
             ((True, False, True), [1.0, 0.0, 1.0]),
             (np.array([0.5, -1.0, 2.0]), [0.5, -1.0, 2.0]),
             (np.array([1, 0, -3], dtype=np.int32), [1.0, 0.0, -3.0]),
+            (Vector(0.5, -1.0, 2.0), [0.5, -1.0, 2.0]),
         ],
     )
     def test_accepted_forms_give_read_only_float64_copies(self, dipole, expected):
-        # Stored as an immutable tuple of Python floats (IEEE doubles).
+        # Stored as an immutable tuple of Python floats (IEEE doubles),
+        # a plain tuple even where a tuple subclass was given.
         mu = em_scenario(dipole).dipole_a
         assert type(mu) is tuple
         assert [type(x) for x in mu] == [float, float, float]
@@ -325,7 +334,22 @@ class TestDipoleValidation:
         with pytest.raises(DomainError, match="finite"):
             em_scenario([0.0, bad, 1.0])
         with pytest.raises(DomainError, match="finite"):
+            em_scenario((0.0, bad, 1.0))
+        with pytest.raises(DomainError, match="dipole_b must be finite"):
+            Scenario.em_field(**KINEMATICS, dipole_a=(1.0, 0.0, 0.0), dipole_b=(0.0, bad, 1.0))
+        with pytest.raises(DomainError, match="finite"):
             em_scenario(np.array([0.0, bad, 1.0]))
+
+    def test_float_tuples_are_kept_as_given(self):
+        # Both dipoles of three finite floats skip every conversion.
+        da, db = (0.6, 0.0, -0.8), (-0.0, 1e-300, 1e300)
+        scenario = Scenario.em_field(**KINEMATICS, dipole_a=da, dipole_b=db)
+        assert scenario.dipole_a is da and scenario.dipole_b is db
+        as_list = Scenario.em_field(**KINEMATICS, dipole_a=list(da), dipole_b=list(db))
+        assert scenario == as_list and hash(scenario) == hash(as_list)
+        # A finite tuple whose sum overflows still passes.
+        big = (1e308, 1e308, 0.0)
+        assert Scenario.em_field(**KINEMATICS, dipole_a=big, dipole_b=big).dipole_a == big
 
     @pytest.mark.parametrize(
         "dipole",
@@ -363,18 +387,32 @@ class TestDipoleValidation:
             (lambda: reduced_geometry(HUGE, 1.0, 1.0), "acceleration"),
             (lambda: unruh_temperature(HUGE), "acceleration"),
             (lambda: asinh_ratio(HUGE), "zeta"),
+            (lambda: scalar_with(acceleration=LONG), "acceleration"),
+            (lambda: em_with(acceleration=LONG), "acceleration"),
+            (lambda: scalar_with(coupling=LONG), "coupling"),
+            (lambda: reduced_geometry(LONG, 1.0, 1.0), "acceleration"),
+            (lambda: unruh_temperature(LONG), "acceleration"),
+            (lambda: asinh_ratio(LONG), "zeta"),
+            (lambda: dataclasses.replace(energy_shift(), reduced=LONG), "reduced"),
+            (lambda: em_scenario(np.array([LONG, 0, 0], dtype=object)), "dipole_a"),
+            (lambda: em_spectral_tensors(-LONG, reduced_geometry(1.0, 1.0, 1.0)), "omega"),
+            (lambda: QuadratureSpec(rel_tol=LONG), "rel_tol"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
             "scalar-acceleration", "scalar-separation", "scalar-omega0", "scalar-coupling",
             "em-acceleration", "em-separation", "em-omega0",
             "from-reduced-theta", "from-reduced-zeta", "reduced-geometry", "unruh", "asinh-ratio",
+            "long-scalar-acceleration", "long-em-acceleration", "long-coupling",
+            "long-reduced-geometry", "long-unruh", "long-asinh-ratio", "long-shift", "long-dipole",
+            "long-omega", "long-rel-tol",
         ],
     )
     def test_unconvertible_component(self, build, name):
         # An int beyond the float range or a non-number is a domain
         # error, not Python's OverflowError or numpy's ValueError, for a
-        # dipole and for every other real input.
+        # dipole and for every other real input; an int too long to
+        # print does not break the message that quotes it.
         with pytest.raises(DomainError, match=name):
             build()
 
@@ -583,30 +621,33 @@ class TestFloatDispatch:
     @pytest.mark.parametrize("field", ["scalar", "em"])
     @given(a=log_uniform, z=log_uniform, omega0=log_uniform)
     def test_resonance_energy_equals_closed_form_row(self, field, a, z, omega0):
-        if field == "scalar":
-            scenario = Scenario.scalar_field(
-                acceleration=a, separation=z, omega0=omega0, parity=Parity.SYMMETRIC, coupling=1.7
+        # The energy and the closed form each apply the parity sign (and
+        # contract the dipoles), so both parities are checked.
+        for parity in Parity:
+            if field == "scalar":
+                scenario = Scenario.scalar_field(
+                    acceleration=a, separation=z, omega0=omega0, parity=parity, coupling=1.7
+                )
+                closed_form, energy = scalar_closed_form, scalar_resonance_energy
+            else:
+                scenario = dataclasses.replace(
+                    em_dipole_scenario(), acceleration=a, separation=z, omega0=omega0, parity=parity
+                )
+                closed_form, energy = em_closed_form, em_resonance_energy
+            with np.errstate(all="ignore"):
+                zeta, _, reduced, prefactor = closed_form(
+                    scenario, np.array([a]), np.array([z]), np.array([omega0])
+                )
+                si_value = prefactor * reduced
+            if not (np.isfinite(reduced[0]) and np.isfinite(si_value[0])):
+                with pytest.raises(DomainError):
+                    energy(scenario)
+                continue
+            shift = energy(scenario)
+            assert _all_bits([shift.reduced, shift.prefactor, shift.si_value]) == _all_bits(
+                [reduced, prefactor, si_value]
             )
-            closed_form, energy = scalar_closed_form, scalar_resonance_energy
-        else:
-            scenario = dataclasses.replace(
-                em_dipole_scenario(), acceleration=a, separation=z, omega0=omega0
-            )
-            closed_form, energy = em_closed_form, em_resonance_energy
-        with np.errstate(all="ignore"):
-            zeta, _, reduced, prefactor = closed_form(
-                scenario, np.array([a]), np.array([z]), np.array([omega0])
-            )
-            si_value = prefactor * reduced
-        if not (np.isfinite(reduced[0]) and np.isfinite(si_value[0])):
-            with pytest.raises(DomainError):
-                energy(scenario)
-            return
-        shift = energy(scenario)
-        assert _all_bits([shift.reduced, shift.prefactor, shift.si_value]) == _all_bits(
-            [reduced, prefactor, si_value]
-        )
-        assert shift.regime is Regime.classify(float(zeta[0]))
+            assert shift.regime is Regime.classify(float(zeta[0]))
 
 
 def python_calls(fn, *args) -> list:
@@ -631,6 +672,9 @@ class TestPointCallCount:
     @pytest.mark.parametrize("field", ["scalar", "em"])
     @pytest.mark.parametrize("acceleration", [0.0, 1e17, 1e21], ids=["inertial", "zeta~1", "far"])
     def test_resonance_energy_makes_at_most_seven_calls(self, field, acceleration):
+        # The energy evaluates its own point, with no closed-form call in
+        # between: 5 calls for the scalar field, 6 for EM.
+        bound = {"scalar": 5, "em": 6}[field]
         if field == "scalar":
             scenario = Scenario.scalar_field(
                 acceleration=acceleration, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC
@@ -642,7 +686,14 @@ class TestPointCallCount:
         energy(scenario)
         calls = python_calls(energy, scenario)
         assert calls[0] == energy.__name__
-        assert len(calls) <= 7, calls
+        assert len(calls) <= bound, calls
+
+    def test_em_field_with_float_tuples_makes_at_most_three_calls(self):
+        # em_field, __init__ and one check of both dipoles.
+        dipoles = dict(dipole_a=(0.3, -1.2, 0.7), dipole_b=(1.0, 0.5, -2.0))
+        calls = python_calls(functools.partial(Scenario.em_field, **KINEMATICS, **dipoles))
+        assert calls[0] == "Scenario.em_field"
+        assert len(calls) <= 3, calls
 
 
 class TestClosedFormGrids:
