@@ -26,7 +26,6 @@ from .core import (
     SingularityError,
     UsageError,
     asinh_ratio,
-    atomic_correlation_factor,
     parity_sign,
     reduced_geometry,
     scenario_geometry,
@@ -127,7 +126,6 @@ __all__ = [
     "adaptive_integral",
     "asinh_ratio",
     "asymptote_convergence_report",
-    "atomic_correlation_factor",
     "commutator_agreeing_components",
     "em_commutator_consistency",
     "em_energy_pv_oracle",

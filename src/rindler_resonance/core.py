@@ -44,7 +44,6 @@ __all__ = [
     "reduced_geometry",
     "unruh_temperature",
     "parity_sign",
-    "atomic_correlation_factor",
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
@@ -596,15 +595,6 @@ def unruh_temperature(acceleration: float) -> float:
     if not 0.0 <= acceleration <= _FLOAT_MAX:
         raise DomainError(f"acceleration must be >= 0 and finite, got {_shown(acceleration)}")
     return REDUCED_PLANCK * acceleration / (2.0 * math.pi * SPEED_OF_LIGHT * BOLTZMANN)
-
-
-def atomic_correlation_factor(u: float, omega0: float, parity: Parity) -> float:
-    """Two-atom correlation along the trajectory pair: +-cos(omega0*u).
-
-    The sign is the parity sign; ``u`` is the proper-time difference.
-    Field-specific prefactors are applied by the callers.
-    """
-    return parity_sign(parity) * math.cos(omega0 * u)
 
 
 @dataclass(frozen=True, init=False)

@@ -12,8 +12,11 @@ spectral one (coefficient tensors of the frequency density, resummed
 into the potential tensors V and W that give the shift in closed form)
 and a time-domain one (the correlation tensor along the trajectories,
 from which the field commutator follows as a boundary-value
-difference).  They are derived independently, so their mutual
-consistency is a meaningful internal check; see the oracle module.
+difference).  The time-domain tensor is the inertial correlator
+written in the chordal time sigma = (2c/a)*sinh(a*u/(2c)), one
+formula for every a >= 0 that reduces to the inertial one at a = 0.
+They are derived independently, so their mutual consistency is a
+meaningful internal check; see the oracle module.
 
 All tensors are expressed in the fixed frame with
 x = acceleration direction, z = separation direction.  Atom A sits at
@@ -34,6 +37,7 @@ from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _EM,
+    _FLOAT_MAX,
     _SYMMETRIC,
     _farzone_warning,
     _log_two_zeta,
@@ -195,8 +199,8 @@ def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
 
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
     """Evaluate the spectral tensor families at angular frequency omega."""
-    if omega < 0.0:
-        raise DomainError(f"omega must be non-negative, got {_shown(omega)}")
+    if not 0.0 <= omega <= _FLOAT_MAX:
+        raise DomainError(f"omega must be non-negative and finite, got {_shown(omega)}")
     coeff = em_spectral_coefficients(geom)
     x = omega * geom.separation / SPEED_OF_LIGHT
     return EmSpectralTensors(
@@ -401,26 +405,32 @@ def em_wightman_tensor(
     eps: float,
     n_sign: int = 1,
 ) -> Tensor3:
-    """Field correlation tensor along the trajectory pair.
+    """Field correlation tensor along the trajectory pair, for a >= 0.
 
     ``u`` is the proper-time difference, ``eps`` the positive
     regulator displacing it below the real axis, and ``n_sign`` the
     orientation of the separation vector (-1 evaluates the tensor with
-    the atoms swapped).  The result is complex.
+    the atoms swapped).  The result is complex; at a = 0 it is the
+    inertial correlator.
 
-    Raises SingularityError when u - i*eps lands on a light-cone
-    crossing (u = +-S with eps too small to resolve it), and
-    DomainError at zero acceleration where this representation
-    degenerates or an entry is not finite (u not finite, or |u|
-    beyond about 710 c/a, where sinh(a*u/(2c))**2 overflows).
+    Raises DomainError unless u is finite, eps positive and finite and
+    n_sign +-1.  Beyond that it raises SingularityError only on a
+    light-cone crossing (u = +-S with eps too small to resolve it), and
+    DomainError only where an entry or sinh(a*u/(2c)) overflows (|u|
+    beyond about 710 c/a).  An entry below the normal range may read 0.
     """
-    if geom.zeta <= 0.0:
-        raise DomainError("time-domain correlation tensor requires a positive acceleration")
-    if not (eps > 0.0 and math.isfinite(eps)):
+    if not -_FLOAT_MAX <= u <= _FLOAT_MAX:
+        raise DomainError(f"u must be finite, got {_shown(u)}")
+    if not 0.0 < eps <= _FLOAT_MAX:
         raise DomainError(f"eps must be positive and finite, got {_shown(eps)}")
     if n_sign not in (1, -1):
         raise DomainError(f"n_sign must be +1 or -1, got {_shown(n_sign)}")
     return Tensor3(_wightman_kernel(u - 1j * eps, geom, n_sign))
+
+
+def _sinhc(y):
+    """sinh(y)/y, with its limit 1 at y = 0."""
+    return np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
 
 
 def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
@@ -428,53 +438,54 @@ def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
 
     :func:`em_wightman_tensor` is this function at w = u - i*eps.  ``w``
     may be a complex number or an array; the result has shape
-    ``np.shape(w) + (3, 3)``.  The poles on the real axis are the
-    light-cone crossings w = +-S, of order three.  Raises
-    SingularityError at a point on a crossing, and DomainError where an
-    entry is not finite: w itself is not, or sinh(a*w/(2c))**2 or its
-    products overflow.
+    ``np.shape(w) + (3, 3)``.  In the chordal time
+    sigma = (2c/a)*sinh(a*w/(2c)), which is w at a = 0, the tensor is
+    the inertial correlator with u -> sigma (Takagi, Prog. Theor. Phys.
+    Suppl. 88 (1986) 1).  With s = sigma*c/z it reads
+
+        G = (4 hbar c/(pi z**4)) * [(I - 2 zeta n X) s**2
+              + (I - 2N)(1 + 2(I - Q) zeta**2 s**2)] / ((s - 1)(s + 1))**3,
+
+    one formula for every a >= 0.  The gaps s -+ 1 are products with
+    the factor w -+ S, so they keep their digits near the light-cone
+    crossings w = +-S, poles of order three.  The products are ordered
+    so that none overflows or underflows unless the entry does.
+
+    Raises SingularityError where s - 1 or s + 1 is within
+    ``_SINGULAR_FLOOR`` of 0, and DomainError where an entry is not
+    finite: w itself is not, or sinh(a*w/(2c)) or the entry overflows.
     """
     c = SPEED_OF_LIGHT
-    accel = geom.acceleration
-    zeta = geom.zeta
+    tau = geom.separation / c
+    light = geom.light_time
+    col = np.asarray(w)[..., None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        sh2 = np.sinh(accel * np.asarray(w)[..., None, None] / (2.0 * c)) ** 2
-        gap = sh2 - zeta * zeta
-        if np.any(np.abs(gap) <= _SINGULAR_FLOOR * max(1.0, zeta * zeta)):
+        # x = a*w/(2c) and y = a*S/(2c) = asinh(zeta): s and both gaps
+        # take their exponentials from the same two arguments.
+        x = geom.acceleration * col / (2.0 * c)
+        y = math.asinh(geom.zeta)
+        half_below, half_above = 0.5 * (x - y), 0.5 * (x + y)
+        s = col * _sinhc(x) / tau
+        below = (col - light) * np.cosh(half_above) * _sinhc(half_below) / tau
+        above = (col + light) * np.cosh(half_below) * _sinhc(half_above) / tau
+        if np.any(np.minimum(np.abs(below), np.abs(above)) <= _SINGULAR_FLOOR):
             raise SingularityError(
                 f"correlation tensor evaluated on a light-cone crossing w = +-S "
-                f"(S = {geom.light_time:.6g}, w = {w})"
+                f"(S = {light:.6g}, w = {w})"
             )
-        try:
-            prefactor = REDUCED_PLANCK * accel**4 / (4.0 * math.pi * c**7)
-        except OverflowError:  # a above about 1e77 m/s^2
-            prefactor = math.inf
-        t1 = (_I3 - 2.0 * zeta * n_sign * _CROSS) * sh2
-        t2 = (zeta * zeta) * (_I3 - 2.0 * _N_DYAD) * (1.0 + 2.0 * (_I3 - _Q_DYAD) * sh2)
-        numerator = prefactor * (t1 + t2)
-        cubed = gap**3
-        tensor = numerator / cubed
-        finite = np.isfinite(cubed)
-        if not finite.all():
-            # Far from the crossings gap**3 overflows while the tensor
-            # underflows toward 0; three divisions reach it without
-            # overflow.  Only those entries take them, so the others
-            # keep their bits.
-            tensor = np.where(finite, tensor, numerator / gap / gap / gap)
-        finite = np.isfinite(tensor)
-        if not finite.all():
-            # At large zeta the prefactor or t1 + t2 overflows while the
-            # tensor fits.  Dividing t1 + t2 and gap by zeta**2, and the
-            # prefactor by zeta**4, keeps every factor in range; only the
-            # entries that overflowed above take this path.
-            z2 = zeta * zeta
-            q = accel / zeta
-            scale = REDUCED_PLANCK / (4.0 * math.pi * c**7) * q * q * q * q
-            t1 = (_I3 - 2.0 * zeta * n_sign * _CROSS) * (sh2 / z2)
-            t2 = (_I3 - 2.0 * _N_DYAD) * (1.0 + 2.0 * (_I3 - _Q_DYAD) * sh2)
-            ratio = gap / z2
-            tensor = np.where(finite, tensor, scale * (t1 + t2) / ratio / ratio / ratio)
+        # Each product below takes the prefactor 4*hbar*c/(pi*z**4) as
+        # two square-root factors, and zeta only after the divisions.
+        root = math.sqrt(4.0 * REDUCED_PLANCK / (math.pi * c**3)) / tau / tau
+        q = 1.0 / below / above
+        r = root * (s / below / above)
+        t = geom.zeta * r
+        tensor = (
+            _I3 * (r * q * r)
+            - (2.0 * n_sign * _CROSS) * (t * q * r)
+            + (_I3 - 2.0 * _N_DYAD) * (
+                (root * q) * q * (root * q) + 2.0 * (_I3 - _Q_DYAD) * (t * q * t)
+            )
+        )
     if not np.isfinite(tensor).all():
         raise DomainError(f"correlation tensor is not finite at w = {w}")
     return tensor
-

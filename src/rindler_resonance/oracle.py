@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    _FLOAT_MAX,
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _shown,
@@ -322,17 +323,15 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
 
     where a_-k sums the coefficients of G(w; n = +1) and of the swapped
     G(-w; n = -1)^T.  They are taken with the trapezoid rule on a circle
-    of radius r = min(S, pi*c/a)/2 around w = S (Trefethen & Weideman,
-    SIAM Rev. 56 (2014) 385), which keeps every other pole at least 4r
-    away: no regulator and no extrapolation.
+    of radius r = min(S, pi*c/a)/2 around w = S, so r = S/2 at a = 0
+    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), which keeps every
+    other pole at least 4r away: no regulator and no extrapolation.
 
     Each of xx, yy, zz, xz and zx is compared at every order, with the
     error relative to the largest entry of that order's tensors.  The
     per-component summaries name the first failing order, so a
     systematic disagreement is named rather than averaged away.
     """
-    if geom.zeta <= 0.0:
-        raise DomainError("commutator consistency requires a positive acceleration")
     c = SPEED_OF_LIGHT
     coeff = em_spectral_coefficients(geom)
     x_scale = geom.separation / c
@@ -342,7 +341,7 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
         x_scale * x_scale * (coeff.g2 + coeff.g2_nd),
     )
     s_time = geom.light_time
-    offsets = 0.5 * min(s_time, math.pi * c / geom.acceleration) * np.exp(
+    offsets = 0.5 * s_time / max(1.0, geom.acceleration * s_time / (math.pi * c)) * np.exp(
         2j * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     )
     both = _wightman_kernel(s_time + offsets, geom, 1) + np.swapaxes(
@@ -599,7 +598,7 @@ def run_suites(
     ``tolerance`` replaces every suite's own and must be positive and
     finite.
     """
-    if tolerance is not None and not (tolerance > 0.0 and math.isfinite(tolerance)):
+    if tolerance is not None and not 0.0 < tolerance <= _FLOAT_MAX:
         raise DomainError(f"tolerance must be positive and finite, got {_shown(tolerance)}")
     kwargs = {"tolerance": tolerance} if tolerance is not None else {}
     out = {}

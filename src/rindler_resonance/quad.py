@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainError, QuadratureError, SingularityError, _shown
+from .core import _FLOAT_MAX, DomainError, QuadratureError, SingularityError, _shown
 
 __all__ = [
     "QuadratureSpec",
@@ -183,8 +183,8 @@ def adaptive_integral(
     budget; the message names the interval.
     """
     spec = spec or QuadratureSpec()
-    if not (math.isfinite(lower) and math.isfinite(upper) and upper > lower):
-        raise DomainError(f"invalid integration range [{lower}, {upper}]")
+    if not (-_FLOAT_MAX <= lower < upper <= _FLOAT_MAX):
+        raise DomainError(f"invalid integration range [{_shown(lower)}, {_shown(upper)}]")
 
     val, err = _gk_panel(f, lower, upper)
     intervals = [(lower, upper, val, err, 0)]
@@ -234,7 +234,7 @@ class TrigPolyDensity:
     sin_coeffs: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not (self.osc_time > 0.0 and math.isfinite(self.osc_time)):
+        if not 0.0 < self.osc_time <= _FLOAT_MAX:
             raise DomainError(f"osc_time must be positive and finite, got {_shown(self.osc_time)}")
         for name in ("cos_coeffs", "sin_coeffs"):
             coeffs = tuple(float(c) for c in getattr(self, name))
@@ -291,8 +291,8 @@ def pv_resonance_kernel(
             f"density must be a TrigPolyDensity, got {type(density).__name__}"
         )
     spec = spec or QuadratureSpec()
-    if not (omega0 > 0.0 and math.isfinite(omega0)):
-        raise DomainError(f"omega0 must be positive and finite, got {omega0}")
+    if not 0.0 < omega0 <= _FLOAT_MAX:
+        raise DomainError(f"omega0 must be positive and finite, got {_shown(omega0)}")
 
     w_lo = 0.5 * omega0
     w_hi = 1.5 * omega0

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rindler_resonance.core import array_geometry, point_geometry
-from rindler_resonance.em import em_closed_form, em_resonance_energy, em_spectral_tensors
+from rindler_resonance.em import (
+    em_closed_form,
+    em_resonance_energy,
+    em_spectral_tensors,
+    em_wightman_tensor,
+)
+from rindler_resonance.oracle import run_suites
+from rindler_resonance.quad import TrigPolyDensity, adaptive_integral, pv_resonance_kernel
 from rindler_resonance.scalar import scalar_closed_form, scalar_resonance_energy
 
 from rindler_resonance import (
@@ -28,7 +35,6 @@ from rindler_resonance import (
     Regime,
     Scenario,
     asinh_ratio,
-    atomic_correlation_factor,
     parity_sign,
     reduced_geometry,
     scenario_geometry,
@@ -133,17 +139,6 @@ class TestParityAndCorrelation:
     def test_parity_signs(self):
         assert parity_sign(Parity.SYMMETRIC) == 1.0
         assert parity_sign(Parity.ANTISYMMETRIC) == -1.0
-
-    def test_correlation_factor_values(self):
-        omega0 = 3.0
-        assert atomic_correlation_factor(0.0, omega0, Parity.SYMMETRIC) == 1.0
-        assert atomic_correlation_factor(math.pi / omega0, omega0, Parity.SYMMETRIC) == pytest.approx(-1.0)
-        assert atomic_correlation_factor(0.0, omega0, Parity.ANTISYMMETRIC) == -1.0
-
-    @given(st.floats(min_value=-50.0, max_value=50.0), st.floats(min_value=0.0, max_value=10.0))
-    def test_correlation_factor_even_in_u(self, u, omega0):
-        sym = atomic_correlation_factor(u, omega0, Parity.SYMMETRIC)
-        assert atomic_correlation_factor(-u, omega0, Parity.SYMMETRIC) == sym
 
     def test_labels(self):
         assert Parity.from_label("Symmetric") is Parity.SYMMETRIC
@@ -397,6 +392,16 @@ class TestDipoleValidation:
             (lambda: em_scenario(np.array([LONG, 0, 0], dtype=object)), "dipole_a"),
             (lambda: em_spectral_tensors(-LONG, reduced_geometry(1.0, 1.0, 1.0)), "omega"),
             (lambda: QuadratureSpec(rel_tol=LONG), "rel_tol"),
+            (lambda: em_spectral_tensors(HUGE, reduced_geometry(1.0, 1.0, 1.0)), "omega"),
+            (lambda: em_wightman_tensor(HUGE, reduced_geometry(1.0, 1.0, 1.0), 1e-9), "u must"),
+            (lambda: em_wightman_tensor(0.0, reduced_geometry(1.0, 1.0, 1.0), HUGE), "eps"),
+            (lambda: TrigPolyDensity(osc_time=HUGE), "osc_time"),
+            (lambda: adaptive_integral(np.cos, 0.0, HUGE), "range"),
+            (lambda: adaptive_integral(np.cos, -HUGE, 0.0), "range"),
+            (lambda: pv_resonance_kernel(TrigPolyDensity(osc_time=1.0), HUGE), "omega0"),
+            (lambda: run_suites([], tolerance=HUGE), "tolerance"),
+            (lambda: adaptive_integral(np.cos, 0.0, LONG), "range"),
+            (lambda: pv_resonance_kernel(TrigPolyDensity(osc_time=1.0), LONG), "omega0"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
@@ -406,6 +411,8 @@ class TestDipoleValidation:
             "long-scalar-acceleration", "long-em-acceleration", "long-coupling",
             "long-reduced-geometry", "long-unruh", "long-asinh-ratio", "long-shift", "long-dipole",
             "long-omega", "long-rel-tol",
+            "huge-omega", "huge-u", "huge-eps", "huge-osc-time", "huge-upper-bound",
+            "huge-lower-bound", "huge-pv-omega0", "huge-tolerance", "long-bound", "long-pv-omega0",
         ],
     )
     def test_unconvertible_component(self, build, name):

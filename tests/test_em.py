@@ -1,10 +1,11 @@
 """Electromagnetic shift: spectral tensors, potentials, correlation tensor."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from rindler_resonance import (
@@ -60,6 +61,26 @@ def em_scenario(theta, zeta, da=(0, 0, 1), db=(0, 0, 1), parity=Parity.SYMMETRIC
 def unit_geometry():
     # zeta = 1, theta = 1, z = 1.
     return scenario_geometry(em_scenario(1.0, 1.0))
+
+
+def mpmath_wightman(u, eps, geom, n_sign=1):
+    """The five nonzero entries of the correlation tensor in 50-digit mpmath.
+
+    Written in sinh(a*w/(2c)) with the prefactor hbar*a**4/(4 pi c**7),
+    not in the chordal time the package evaluates; needs a > 0.
+    """
+    with mp.workdps(50):
+        accel, c, zeta = (mp.mpf(x) for x in (geom.acceleration, C, geom.zeta))
+        sh2 = mp.sinh(accel * mp.mpc(u, -eps) / (2 * c)) ** 2
+        scale = mp.mpf(REDUCED_PLANCK) * accel**4 / (4 * mp.pi * c**7)
+        scale /= (sh2 - zeta * zeta) ** 3
+        return {
+            ("x", "x"): scale * (sh2 + zeta * zeta),
+            ("y", "y"): scale * (sh2 + zeta * zeta * (1 + 2 * sh2)),
+            ("z", "z"): scale * (sh2 - zeta * zeta * (1 + 2 * sh2)),
+            ("x", "z"): -2 * n_sign * zeta * scale * sh2,
+            ("z", "x"): 2 * n_sign * zeta * scale * sh2,
+        }
 
 
 class TestTensor3:
@@ -344,25 +365,12 @@ class TestWightmanTensor:
         with pytest.raises(DomainError):
             em_wightman_tensor(0.5 * s_time, geom, s_time / 100.0, n_sign=0)
         static = scenario_geometry(em_scenario(1.0, 0.0))
-        with pytest.raises(DomainError):
-            em_wightman_tensor(0.0, static, 1e-6)
+        assert np.isfinite(em_wightman_tensor(0.0, static, 1e-6).values).all()
 
     @staticmethod
     def assert_matches_mpmath(tensor, u, eps, geom):
-        with mp.workdps(50):
-            accel, c, zeta = (mp.mpf(x) for x in (geom.acceleration, C, geom.zeta))
-            sh2 = mp.sinh(accel * mp.mpc(u, -eps) / (2 * c)) ** 2
-            scale = mp.mpf(REDUCED_PLANCK) * accel**4 / (4 * mp.pi * c**7)
-            scale /= (sh2 - zeta * zeta) ** 3
-            want = {
-                ("x", "x"): scale * (sh2 + zeta * zeta),
-                ("y", "y"): scale * (sh2 + zeta * zeta * (1 + 2 * sh2)),
-                ("z", "z"): scale * (sh2 - zeta * zeta * (1 + 2 * sh2)),
-                ("x", "z"): -2 * zeta * scale * sh2,
-                ("z", "x"): 2 * zeta * scale * sh2,
-            }
-            for slot, value in want.items():
-                assert abs(tensor[slot] - value) <= 1e-12 * abs(value), slot
+        for slot, value in mpmath_wightman(u, eps, geom).items():
+            assert abs(tensor[slot] - value) <= 1e-12 * abs(value), slot
         for slot in ZERO_SLOTS:
             assert tensor[slot] == 0.0
 
@@ -375,20 +383,85 @@ class TestWightmanTensor:
     @pytest.mark.parametrize("zeta", [1e50, 1e77])
     @pytest.mark.parametrize("u_over_s", [0.5, 1.5])
     def test_large_zeta_matches_mpmath(self, zeta, u_over_s):
-        # The prefactor hbar*a**4/(4 pi c**7) or its product with the
-        # bracket overflows here, while the tensor itself fits.
+        # hbar*a**4/(4 pi c**7), the prefactor of the sinh form, or its
+        # product with the bracket overflows here, while the tensor fits.
         geom = reduced_geometry(2.0 * C * C * zeta, 1.0, C)
         s_time = geom.light_time
         u, eps = u_over_s * s_time, s_time / 100.0
         self.assert_matches_mpmath(em_wightman_tensor(u, geom, eps), u, eps, geom)
 
     def test_underflows_to_zero_where_gap_cubed_overflows(self):
+        # The largest exact entry is 1.2e-330 at 200 S and 5.4e-790 at
+        # 500 S, where sinh(a*u/(2c)) is about e**441 and still fits.
         geom = unit_geometry()
         s_time = geom.light_time
-        tensor = em_wightman_tensor(200.0 * s_time, geom, s_time / 100.0)
-        assert np.all(tensor.values == 0.0)
+        for u_over_s in (200.0, 500.0):
+            tensor = em_wightman_tensor(u_over_s * s_time, geom, s_time / 100.0)
+            assert np.all(tensor.values == 0.0), u_over_s
 
-    @pytest.mark.parametrize("u_over_s", [500.0, math.nan, math.inf])
+    def test_inertial_limit_matches_mpmath(self):
+        # At a = 0 the tensor is the inertial correlator (Boyer, Phys.
+        # Rev. D 21 (1980) 2137), with T = z/c:
+        # (4 hbar/(pi c**3)) [(w**2 + T**2) I - 2 T**2 N]/(w**2 - T**2)**3.
+        for separation in (1e-8, 1.0, 100.0):
+            geom = reduced_geometry(0.0, separation, C)
+            s_time = geom.light_time
+            for u_over_s in (0.0, 0.3, -0.7, 1.5, 3.0, 50.0):
+                u, eps = u_over_s * s_time, s_time / 100.0
+                tensor = em_wightman_tensor(u, geom, eps)
+                with mp.workdps(50):
+                    w2, t2 = mp.mpc(u, -eps) ** 2, (mp.mpf(separation) / C) ** 2
+                    scale = 4 * mp.mpf(REDUCED_PLANCK) / (mp.pi * mp.mpf(C) ** 3) / (w2 - t2) ** 3
+                    want = {
+                        ("x", "x"): scale * (w2 + t2),
+                        ("y", "y"): scale * (w2 + t2),
+                        ("z", "z"): scale * (w2 - t2),
+                    }
+                envelope = max(abs(v) for v in want.values())
+                for slot, value in want.items():
+                    assert abs(tensor[slot] - value) <= 1e-13 * envelope, (separation, u_over_s)
+                for slot in ZERO_SLOTS + sorted(OFF_PAIR):
+                    assert tensor[slot] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-8.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.floats(min_value=-6.0, max_value=-1.0),
+        st.sampled_from([1, -1]),
+    )
+    def test_matches_mpmath_over_the_whole_domain(self, log_zeta, log_z, u_over_s, log_eps, n_sign):
+        # A finite tensor within (2e-12 + 1e-14 S/|u - S|) of the largest
+        # exact entry, or DomainError exactly where an exact entry
+        # overflows a double; never SingularityError off the cone.  The
+        # S/|u - S| term is the rounding of a*u/(2c), which any float
+        # evaluation carries.  Entries below the normal range may lose
+        # their digits, down to 0.
+        zeta, separation = 10.0**log_zeta, 10.0**log_z
+        accel = 2.0 * C * C * zeta / separation
+        assume(math.isfinite(accel) and abs(u_over_s - 1.0) >= 1e-6)
+        geom = reduced_geometry(accel, separation, C)
+        s_time = geom.light_time
+        u, eps = u_over_s * s_time, 10.0**log_eps * s_time
+        assume(geom.acceleration * u / (2.0 * C) <= 700.0)
+        want = mpmath_wightman(u, eps, geom, n_sign)
+        largest = sys.float_info.max
+        if any(max(abs(v.real), abs(v.imag)) > largest for v in want.values()):
+            with pytest.raises(DomainError):
+                em_wightman_tensor(u, geom, eps, n_sign)
+            return
+        tensor = em_wightman_tensor(u, geom, eps, n_sign)
+        envelope = max(abs(v) for v in want.values())
+        bound = (2e-12 + 1e-14 * s_time / abs(u - s_time)) * envelope
+        tiny = sys.float_info.min
+        for slot, value in want.items():
+            got = tensor[slot]
+            assert abs(got - value) <= bound or (abs(value) < tiny and abs(got) < tiny), slot
+        for slot in ZERO_SLOTS:
+            assert tensor[slot] == 0.0
+
+    @pytest.mark.parametrize("u_over_s", [1000.0, math.nan, math.inf])
     def test_non_finite_tensor_raises(self, u_over_s):
         geom = unit_geometry()
         s_time = geom.light_time

@@ -273,10 +273,10 @@ class TestCommutatorConsistency:
         assert all(c.tolerance == 1e-8 for c in _pair_checks(rep))
 
     def test_identities_hold_across_zeta(self):
-        # The three Laurent identities at 25 log-spaced zeta in [1e-3, 1e3].
+        # The three Laurent identities at 25 log-spaced zeta in [1e-3, 1e3],
+        # at 1e-8 and 1e-6, and at a = 0.
         worst = 0.0
-        for k in range(25):
-            zeta = 10.0 ** (-3.0 + 0.25 * k)
+        for zeta in [10.0 ** (-3.0 + 0.25 * k) for k in range(25)] + [1e-8, 1e-6, 0.0]:
             rep = em_commutator_consistency(reduced_geometry(2.0 * C * C * zeta, 1.0, C))
             worst = max(worst, max(c.rel_error for c in _pair_checks(rep)))
         assert worst <= 1e-9
@@ -314,10 +314,6 @@ class TestCommutatorConsistency:
         assert failing == {("xz", "-1"), ("xz", "-3"), ("zx", "-1"), ("zx", "-3")}
         by_id = {c.check_id: c for c in rep.checks}
         assert "first failing u" in by_id["em-commutator/summary/comp=xz"].note
-
-    def test_rejects_inertial_geometry(self):
-        with pytest.raises(DomainError):
-            em_commutator_consistency(reduced_geometry(0.0, 1.0, C))
 
 
 class TestAsymptoteReport:
