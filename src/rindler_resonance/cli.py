@@ -13,9 +13,9 @@ flags win over config values.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
 
-numpy is imported only by the paths that handle arrays: ``sweep``,
-``verify`` and the electromagnetic field.  A scalar ``compute`` and
-``regimes`` run without it.
+numpy is imported only by ``sweep`` (for its grid), ``verify`` and
+the electromagnetic field.  A scalar ``compute`` and ``regimes`` run
+without it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .scalar import scalar_closed_form, scalar_resonance_energy
 CSV_HEADER = "field,parity,a_mps2,z_m,omega0_radps,zeta,theta,reduced,si_joule,regime"
 
 _SUITES = ("scalar-pv", "em-pv", "em-commutator", "asymptotes")
-_SWEPT_INPUT = {"sep": "separation", "accel": "acceleration", "omega0": "omega0"}
 _AXIS_SHORTCUTS = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
 _REGIME_LABELS = {regime: regime.value for regime in Regime}
 
@@ -241,11 +240,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not start < stop:
         raise UsageError(f"--from must be strictly below --to, got {start} and {stop}")
     if spacing == "lin":
-        values = np.linspace(start, stop, points)
+        values = np.linspace(start, stop, points).tolist()
     elif spacing == "log":
         if start <= 0.0:
             raise UsageError("log spacing requires strictly positive bounds")
-        values = np.geomspace(start, stop, points)
+        values = np.geomspace(start, stop, points).tolist()
     else:
         raise UsageError(f"--spacing must be 'lin' or 'log', got {spacing!r}")
 
@@ -261,41 +260,42 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         base["omega0"] = float(_require(args, "omega0", "--omega0"))
 
     # One scenario at the first grid value checks every other option as
-    # compute does; the swept column is then checked as a whole.
-    base[param] = float(values[0])
+    # compute does; the swept values are then checked in order.
+    base[param] = values[0]
     sub = argparse.Namespace(**vars(args))
     for key, value in base.items():
         setattr(sub, key, value)
     scenario = _build_scenario(sub)
-    inputs = {
-        "acceleration": scenario.acceleration,
-        "separation": scenario.separation,
-        "omega0": scenario.omega0,
-    }
-    in_domain = np.isfinite(values) & (values > 0.0 if param == "sep" else values >= 0.0)
-    if not in_domain.all():
-        check_kinematics(**{**inputs, _SWEPT_INPUT[param]: float(values[np.argmin(in_domain)])})
-    inputs[_SWEPT_INPUT[param]] = values
+    point = [scenario.acceleration, scenario.separation, scenario.omega0]
+    swept = ("accel", "sep", "omega0").index(param)
+    grid = []
+    for value in values:
+        point[swept] = value
+        if not 0.0 < value < math.inf:  # a zero may be in the domain
+            check_kinematics(*point)
+        grid.append(tuple(point))
+    point[swept] = values
 
     if scenario.field_kind is FieldKind.SCALAR:
         closed_form = scalar_closed_form
     else:
         from .em import em_closed_form as closed_form
+    zeta, theta, reduced, prefactor = map(list, zip(*closed_form(scenario, grid)))
+    si_value = [p * r for p, r in zip(prefactor, reduced)]
+    # Overflow shows up as inf or nan; the first such row fails as compute would.
+    for r, si in zip(reduced, si_value):
+        if not (math.isfinite(r) and math.isfinite(si)):
+            check_finite_shift(r, si)
 
-    # Overflow shows up as inf or nan and is rejected row by row below.
-    with np.errstate(all="ignore"):
-        zeta, theta, reduced, prefactor = closed_form(scenario, **inputs)
-        si_value = prefactor * reduced
-    finite = np.isfinite(reduced) & np.isfinite(si_value)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        check_finite_shift(float(reduced[k]), float(si_value[k]))
-
+    # zeta is one value in an omega0 sweep and theta one in an accel
+    # sweep, so each is formatted (and zeta classified) once.
     columns = (
-        inputs["acceleration"], inputs["separation"], inputs["omega0"],
-        zeta, theta, reduced, si_value,
+        *point,
+        zeta[0] if param == "omega0" else zeta,
+        theta[0] if param == "accel" else theta,
+        reduced, si_value,
     )
-    rows = _csv_rows(scenario, [c if isinstance(c, float) else c.tolist() for c in columns])
+    rows = _csv_rows(scenario, columns)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
@@ -331,8 +331,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_regimes(args: argparse.Namespace) -> int:
     accel = float(_require(args, "accel", "--accel"))
-    if accel < 0.0 or not math.isfinite(accel):
-        raise DomainError(f"acceleration must be >= 0 and finite, got {accel}")
     c = SPEED_OF_LIGHT
     rows = [
         ("a_mps2", f"{accel:.16e}"),

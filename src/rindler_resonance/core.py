@@ -10,7 +10,7 @@ description, the reduced-variable bookkeeping, and the small shared
 vocabulary (parity signs, regime labels, energy-shift records, and
 every exception type the package raises) used by the scalar and
 electromagnetic calculations.  It imports numpy only for a dipole that
-is not three Python numbers and for array inputs.
+is not three Python numbers.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "asinh_ratio",
     "check_kinematics",
     "point_geometry",
-    "array_geometry",
     "reduced_geometry",
     "unruh_temperature",
     "parity_sign",
@@ -406,7 +405,7 @@ def point_geometry(acceleration: float, separation: float, omega0: float) -> tup
     if theta == math.inf:
         theta = omega0 * (separation / c)
     if zeta < _ASINH_RATIO_SERIES_CUTOFF:
-        if zeta < 0.0:  # as asinh_ratio, so the array path raises the same
+        if zeta < 0.0:  # as asinh_ratio: the closed forms do not validate
             raise DomainError(f"zeta must be non-negative, got {zeta}")
         z2 = zeta * zeta
         phase = theta * (1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0)
@@ -420,63 +419,21 @@ def point_geometry(acceleration: float, separation: float, omega0: float) -> tup
     return zeta, theta, math.nan, math.nan, root
 
 
-def array_geometry(acceleration, separation, omega0) -> tuple:
-    """:func:`point_geometry` for inputs that are not three Python floats.
-
-    Arrays broadcast together, and each cell gets the bits of its own
-    float call: zeta, theta and the root are numpy arithmetic, which
-    rounds as Python does, while asinh, cos and sin go through ``math``
-    element by element, since numpy's may differ in the last bit.  A
-    Python int, numpy scalar or 0-d array goes through float() to the
-    float path, so numpy integers never wrap around.
-    """
-    np = sys.modules.get("numpy")
-    a_grid, z_grid, w_grid = (
-        np is not None and isinstance(x, np.ndarray) and x.ndim > 0
-        for x in (acceleration, separation, omega0)
-    )
-    if not (a_grid or z_grid or w_grid):
-        return point_geometry(float(acceleration), float(separation), float(omega0))
-    # A product of two plain numbers is one point's, so it is worked in
-    # floats: in numpy scalars it would cost more than a 100-cell column.
-    c = SPEED_OF_LIGHT
-    if a_grid or z_grid:
-        zeta = _scaled_product(separation, acceleration, 2.0 * c * c)
-        ratio = np.array([asinh_ratio(x) for x in zeta.ravel().tolist()]).reshape(zeta.shape)
-        with np.errstate(over="ignore"):
-            root = np.sqrt(1.0 + zeta * zeta)
-        root = np.where(np.isfinite(root), root, zeta)
-    else:
-        zeta, _, _, _, root = point_geometry(float(acceleration), float(separation), 0.0)
-        ratio = asinh_ratio(zeta)
-    if z_grid or w_grid:
-        theta = _scaled_product(omega0, separation, c)
-    else:
-        theta = point_geometry(0.0, float(separation), float(omega0))[1]
-    phase = theta * ratio
-    cos_sin = np.array([
-        (math.cos(p), math.sin(p)) if math.isfinite(p) else (math.nan, math.nan)
-        for p in phase.ravel().tolist()
-    ]).reshape(phase.shape + (2,))
-    return zeta, theta, cos_sin[..., 0], cos_sin[..., 1], root
+def _point_floats(scenario: Scenario) -> tuple:
+    """The scenario's (a, z, omega0) as floats; DomainError for an array with elements."""
+    a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
+    try:
+        return float(a), float(z), float(w)
+    except TypeError:
+        raise DomainError(
+            f"kinematics must be single numbers, got (a, z, omega0) = {_shown((a, z, w), repr)}"
+        ) from None
 
 
-def _scaled_product(x, y, d):
-    """x*y/d in numpy, as x*(y/d) only where x*y overflows; a float if x and y are.
-
-    Every finite product keeps its bits, and the result is inf only
-    where x*y/d itself exceeds the largest float.  Integer inputs are
-    worked in float, since an integer array would wrap around.
-    """
-    import numpy as np
-
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        value = x * y / d
-        overflow = np.isinf(value)
-        if overflow.any():
-            value = np.where(overflow, x * (y / d), value)
-    return value if value.ndim else float(value)
+def _scaled_product(x: float, y: float, d: float) -> float:
+    """x*y/d, as x*(y/d) only where x*y overflows."""
+    value = x * y / d
+    return value if value != math.inf else x * (y / d)
 
 
 def _log_two_zeta(zeta: float) -> float:

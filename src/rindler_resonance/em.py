@@ -16,7 +16,8 @@ difference).  The time-domain tensor is the inertial correlator
 written in the chordal time sigma = (2c/a)*sinh(a*u/(2c)), one
 formula for every a >= 0 that reduces to the inertial one at a = 0.
 They are derived independently, so their mutual consistency is a
-meaningful internal check; see the oracle module.
+meaningful internal check; see the oracle module.  The closed form
+works one point at a time in Python floats; only the tensors use numpy.
 
 All tensors are expressed in the fixed frame with
 x = acceleration direction, z = separation direction.  Atom A sits at
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .core import (
     _SYMMETRIC,
     _farzone_warning,
     _log_two_zeta,
+    _point_floats,
     _scaled_product,
     _shown,
     DomainError,
@@ -50,7 +53,6 @@ from .core import (
     Scenario,
     SingularityError,
     UsageError,
-    array_geometry,
     parity_sign,
     point_geometry,
     scenario_geometry,
@@ -214,11 +216,9 @@ def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensor
 def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     """Nonzero entries (xx, yy, zz, xz) of z**3*(V + W); zx = -xz.
 
-    The arguments are the five values of :func:`~.core.point_geometry`
-    or :func:`~.core.array_geometry`: cos and sin of the phase omega0*S
-    and h = sqrt(1 + zeta**2).  Plain arithmetic, so the closed form
-    runs this one kernel on floats and on broadcasting numpy arrays.
-    It is the spectral coefficients resummed at omega0, written in
+    The arguments are the five floats of :func:`~.core.point_geometry`:
+    cos and sin of the phase omega0*S and h = sqrt(1 + zeta**2).  It
+    is the spectral coefficients resummed at omega0, written in
     u = 1/h and v = zeta/h: then 1/N = u**2, zeta**2/N = v**2 and
     zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
     grows.  Where theta**2 overflows (theta above about 1.3e154) the
@@ -236,12 +236,7 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
         u * (a * (2.0 * a + 5.0 * b) - b * t2),
         a * v * (a + 4.0 * b + t2),
     )
-    if isinstance(t2, np.ndarray):
-        overflow = np.isinf(t2)
-        if overflow.any():
-            regrouped = _regrouped_cos_terms(theta, u, v, a, b)
-            cos_terms = tuple(np.where(overflow, r, c) for r, c in zip(regrouped, cos_terms))
-    elif t2 == math.inf:
+    if t2 == math.inf:
         cos_terms = _regrouped_cos_terms(theta, u, v, a, b)
     c_xx, c_yy, c_zz, c_xz = cos_terms
     xx = theta * a * (a + 4.0 * b) * sin_p + c_xx * cos_p
@@ -284,11 +279,11 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     )
 
 
-def _dipole_factors(scenario: Scenario, separation) -> tuple:
+def _dipole_factors(scenario: Scenario, separation: float) -> tuple:
     """(unit mu_A, unit mu_B, mu_A*mu_B/z**3); DomainError for a zero dipole.
 
     Three divisions by z, as for V and W: no z**3 to overflow or
-    underflow to zero, and numpy rounds them exactly as Python does.
+    underflow to zero.
     """
     (ax, ay, az), (bx, by, bz) = scenario.dipole_a, scenario.dipole_b
     mag_a, mag_b = math.hypot(ax, ay, az), math.hypot(bx, by, bz)
@@ -301,39 +296,43 @@ def _dipole_factors(scenario: Scenario, separation) -> tuple:
     )
 
 
-def em_closed_form(scenario: Scenario, acceleration, separation, omega0) -> tuple:
-    """(zeta, theta, reduced, prefactor) of the closed-form shift over arrays.
+def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
+    """(zeta, theta, reduced, prefactor) of the closed-form shift, one row per point.
 
+    ``points`` yields (a, z, omega0) triples of Python floats.
     ``reduced`` is p * mu_A . z**3(V + W) . mu_B for unit dipoles, the
     five nonzero entries of :func:`em_reduced_components` contracted
     as plain products; the dipole magnitudes sit in the prefactor
-    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``.  Arrays
-    that broadcast together take :func:`~.core.array_geometry`, so one
-    call evaluates a whole sweep; every cell equals
-    :func:`em_resonance_energy` on its point, bit for bit.  Not validated.
+    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``.  Each
+    row is the arithmetic of :func:`em_resonance_energy`, so it equals
+    that energy on its point bit for bit.  Not validated.
     """
-    (ax, ay, az), (bx, by, bz), prefactor = _dipole_factors(scenario, separation)
-    geometry = array_geometry(acceleration, separation, omega0)
-    xx, yy, zz, xz = em_reduced_components(*geometry)
-    bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+    (ax, ay, az), (bx, by, bz), magnitude = _dipole_factors(scenario, 1.0)
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
-    return geometry[0], geometry[1], sign * bilinear, prefactor
+    rows = []
+    for a, z, w in points:
+        zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
+        xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
+        bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+        rows.append((zeta, theta, sign * bilinear, magnitude / z / z / z))
+    return rows
 
 
 def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Resonance shift p * mu_A . (V + W) . mu_B for the correlated pair.
 
-    :func:`em_closed_form` at one point, with three Python floats taken
-    by :func:`~.core.point_geometry` and other kinematics by
-    :func:`~.core.array_geometry`.  Raises DomainError when the inputs
-    overflow double precision.
+    :func:`em_closed_form` at the scenario's point, written out so that
+    a float point costs six Python calls; kinematics that are not
+    Python floats are converted first.  Raises DomainError when the
+    inputs overflow double precision or are arrays.
     """
     if scenario.field_kind is not _EM:
         scenario.require_field(_EM)
     a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
+    if not (type(a) is type(z) is type(w) is float):
+        a, z, w = _point_floats(scenario)
     (ax, ay, az), (bx, by, bz), prefactor = _dipole_factors(scenario, z)
-    geometry = point_geometry if type(a) is type(z) is type(w) is float else array_geometry
-    zeta, theta, cos_p, sin_p, root = geometry(a, z, w)
+    zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
     xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
     bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
     reduced = bilinear if scenario.parity is _SYMMETRIC else -bilinear

@@ -75,9 +75,9 @@ _AXIS_VECTORS = {
 _REL_FLOOR = 1e-12
 
 
-def relative_error(computed: float, reference: float, floor: float = _REL_FLOOR) -> float:
-    """|computed - reference| over max(|reference|, floor)."""
-    return abs(computed - reference) / max(abs(reference), floor)
+def relative_error(computed: float, reference: float) -> float:
+    """|computed - reference| over max(|reference|, 1e-12)."""
+    return abs(computed - reference) / max(abs(reference), _REL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -331,6 +331,9 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     error relative to the largest entry of that order's tensors.  The
     per-component summaries name the first failing order, so a
     systematic disagreement is named rather than averaged away.
+
+    The check holds for zeta up to about 1e3: beyond that G cancels near
+    the pole in floats, and 16 of 21 checks fail at zeta = 3.2e3 to 1e5.
     """
     c = SPEED_OF_LIGHT
     coeff = em_spectral_coefficients(geom)

@@ -4,13 +4,14 @@ The radiation-reaction part of the field correlations alone drives the
 resonance shift, so the result is free of the thermal-like noise terms
 and reduces to a single closed form: a cosine of the phase omega0*S
 accumulated over the light-signal lapse S between the two accelerated
-trajectories, scaled by 1/sqrt(1 + zeta**2).
+trajectories, scaled by 1/sqrt(1 + zeta**2).  Every entry works one
+point at a time in Python floats, with no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Iterable, Optional
 
 from .core import (
     SPEED_OF_LIGHT,
@@ -19,18 +20,15 @@ from .core import (
     _SYMMETRIC,
     _farzone_warning,
     _log_two_zeta,
+    _point_floats,
     DomainError,
     EnergyShift,
     Regime,
     Scenario,
-    array_geometry,
     parity_sign,
     point_geometry,
     scenario_geometry,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "scalar_closed_form",
@@ -39,12 +37,10 @@ __all__ = [
     "scalar_farzone_asymptote",
 ]
 
-ArrayLike = Union[float, "np.ndarray"]
-
 _classify = Regime.classify
 
 
-def _scalar_prefactor(scenario: Scenario, separation: ArrayLike) -> ArrayLike:
+def _scalar_prefactor(scenario: Scenario, separation: float) -> float:
     lam = scenario.coupling
     c = SPEED_OF_LIGHT
     return lam * lam / (16.0 * math.pi * c * c * separation)
@@ -55,40 +51,39 @@ def _shift(scenario: Scenario, reduced: float, regime: Regime, warning: Optional
     return EnergyShift(reduced, pref, pref * reduced, regime, scenario.parity, _SCALAR, warning)
 
 
-def scalar_closed_form(
-    scenario: Scenario,
-    acceleration: ArrayLike,
-    separation: ArrayLike,
-    omega0: ArrayLike,
-) -> tuple:
-    """(zeta, theta, reduced, prefactor) of the closed-form shift over arrays.
+def scalar_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
+    """(zeta, theta, reduced, prefactor) of the closed-form shift, one row per point.
 
-    The reduced value is -p * cos(omega0 * S) / sqrt(1 + zeta**2) with
-    p the parity sign.  Parity and coupling come from ``scenario``.
-    Arrays that broadcast together take :func:`~.core.array_geometry`,
-    so one call evaluates a whole sweep; every cell equals
-    :func:`scalar_resonance_energy` on its point, bit for bit.  Not validated.
+    ``points`` yields (a, z, omega0) triples of Python floats.  The
+    reduced value is -p * cos(omega0 * S) / sqrt(1 + zeta**2) with p the
+    parity sign; parity and coupling come from ``scenario``.  Each row
+    is the arithmetic of :func:`scalar_resonance_energy`, so it equals
+    that energy on its point bit for bit.  Not validated.
     """
-    zeta, theta, cos_p, _, root = array_geometry(acceleration, separation, omega0)
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
-    return zeta, theta, -sign * cos_p / root, _scalar_prefactor(scenario, separation)
+    rows = []
+    for a, z, w in points:
+        zeta, theta, cos_p, _, root = point_geometry(a, z, w)
+        rows.append((zeta, theta, -sign * cos_p / root, _scalar_prefactor(scenario, z)))
+    return rows
 
 
 def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Closed-form resonance shift, valid at every acceleration.
 
-    :func:`scalar_closed_form` at one point, with three Python floats
-    taken by :func:`~.core.point_geometry` and other kinematics by
-    :func:`~.core.array_geometry`; the symmetric state is shifted down
-    at small separation.  At zero acceleration this reproduces the
+    :func:`scalar_closed_form` at the scenario's point, written out so
+    that a float point costs five Python calls; kinematics that are not
+    Python floats are converted first.  The symmetric state is shifted
+    down at small separation.  At zero acceleration this reproduces the
     inertial expression bit for bit.  Raises DomainError when the
-    inputs overflow double precision.
+    inputs overflow double precision or are arrays.
     """
     if scenario.field_kind is not _SCALAR:
         scenario.require_field(_SCALAR)
     a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
-    geometry = point_geometry if type(a) is type(z) is type(w) is float else array_geometry
-    zeta, _, cos_p, _, root = geometry(a, z, w)
+    if not (type(a) is type(z) is type(w) is float):
+        a, z, w = _point_floats(scenario)
+    zeta, _, cos_p, _, root = point_geometry(a, z, w)
     reduced = (-cos_p if scenario.parity is _SYMMETRIC else cos_p) / root
     pref = _scalar_prefactor(scenario, z)
     return EnergyShift(reduced, pref, pref * reduced, _classify(zeta), scenario.parity, _SCALAR)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rindler_resonance.core import array_geometry, point_geometry
+from rindler_resonance.core import point_geometry
 from rindler_resonance.em import (
     em_closed_form,
     em_resonance_energy,
@@ -402,6 +402,9 @@ class TestDipoleValidation:
             (lambda: run_suites([], tolerance=HUGE), "tolerance"),
             (lambda: adaptive_integral(np.cos, 0.0, LONG), "range"),
             (lambda: pv_resonance_kernel(TrigPolyDensity(osc_time=1.0), LONG), "omega0"),
+            (lambda: scalar_resonance_energy(scalar_with(acceleration=np.array([1e17]))),
+             r"single numbers, got \(a, z, omega0\) = \(array\(\[1.e\+17\]\)"),
+            (lambda: em_resonance_energy(em_with(separation=np.array([2.0]))), "single numbers"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
@@ -413,6 +416,7 @@ class TestDipoleValidation:
             "long-omega", "long-rel-tol",
             "huge-omega", "huge-u", "huge-eps", "huge-osc-time", "huge-upper-bound",
             "huge-lower-bound", "huge-pv-omega0", "huge-tolerance", "long-bound", "long-pv-omega0",
+            "1-element-scalar-energy", "1-element-em-energy",
         ],
     )
     def test_unconvertible_component(self, build, name):
@@ -544,67 +548,116 @@ def em_dipole_scenario():
     )
 
 
+def field_scenario(field, a, z, omega0, parity=Parity.ANTISYMMETRIC):
+    if field == "scalar":
+        return Scenario.scalar_field(
+            acceleration=a, separation=z, omega0=omega0, parity=parity, coupling=1.7
+        )
+    return dataclasses.replace(
+        em_dipole_scenario(), acceleration=a, separation=z, omega0=omega0, parity=parity
+    )
+
+
+ROUTES = {
+    "scalar": (scalar_closed_form, scalar_resonance_energy),
+    "em": (em_closed_form, em_resonance_energy),
+}
+
+
+def _shift_bits(energy, scenario):
+    """Bits of reduced, prefactor and si_value, and the regime; or the DomainError type."""
+    try:
+        shift = energy(scenario)
+    except DomainError:
+        return DomainError
+    return _all_bits([shift.reduced, shift.prefactor, shift.si_value]) + [shift.regime]
+
+
+def _row_bits(row):
+    """_shift_bits of a closed-form row, which is not validated."""
+    zeta, _, reduced, prefactor = row
+    si_value = prefactor * reduced
+    if not (math.isfinite(reduced) and math.isfinite(si_value)):
+        return DomainError
+    return _all_bits([reduced, prefactor, si_value]) + [Regime.classify(zeta)]
+
+
 class TestFloatDispatch:
-    """Floats, np.float64, 0-d and 1-element arrays give the same bits."""
+    """Floats, np.float64 and 0-d kinematics give the same bits; arrays are refused."""
 
     @staticmethod
-    def assert_array_geometry_matches(a, z, omega0, picked):
-        """array_geometry gives point_geometry's bits for the values at `picked`."""
-        expected = [_bits(point_geometry(a, z, omega0)[i]) for i in picked]
-        calls = [[form(a), form(z), form(omega0)] for form in POINT_FORMS.values()]
-        # One swept input, as in a sweep: the other two stay floats.
-        for i in range(3):
-            mixed = [a, z, omega0]
-            mixed[i] = np.array([mixed[i]])
-            calls.append(mixed)
-        for args in calls:
-            with np.errstate(all="ignore"):
-                got = array_geometry(*args)
-            assert [_bits(got[i]) for i in picked] == expected
+    def assert_routes_match(floats, given):
+        """Both energies on `given` kinematics, and a one-point closed-form
+        row, give the bits of the energy on the equal `floats`."""
+        for field, (closed_form, energy) in ROUTES.items():
+            scenario = field_scenario(field, *floats)
+            expected = _shift_bits(energy, scenario)
+            other = field_scenario(field, *given)
+            if np.ndim(given[0]) or np.ndim(given[1]) or np.ndim(given[2]):
+                with pytest.raises(DomainError, match="single numbers"):
+                    energy(other)
+            else:
+                assert _shift_bits(energy, other) == expected
+            (row,) = closed_form(scenario, [floats])
+            assert _all_bits(row[:2]) == _all_bits(point_geometry(*floats)[:2])
+            assert _row_bits(row) == expected
+
+    @classmethod
+    def assert_point_forms_match(cls, a, z, omega0):
+        for form in (np.float64, np.array):
+            cls.assert_routes_match((a, z, omega0), (form(a), form(z), form(omega0)))
 
     @given(log_uniform, log_uniform, log_uniform)
     def test_reduced_variables(self, a, z, omega0):
-        # zeta and theta.
-        self.assert_array_geometry_matches(a, z, omega0, (0, 1))
+        # zeta and theta, where z*a or omega0*z overflows and where neither does.
+        self.assert_point_forms_match(a, z, omega0)
 
-    @given(log_uniform, log_uniform, log_uniform)
-    def test_phase_cos_sin(self, a, z, omega0):
-        # cos and sin of omega0 * S.
-        self.assert_array_geometry_matches(a, z, omega0, (2, 3))
+    @given(
+        st.floats(min_value=-12.0, max_value=4.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-300.0, max_value=280.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0**e),
+    )
+    def test_phase_cos_sin(self, zeta, theta, z):
+        # cos and sin of omega0 * S, on both sides of the 1e-4 series
+        # cutoff of asinh(zeta)/zeta, for phases from 1e-300 to 1e280.
+        self.assert_point_forms_match(2.0 * C * C * zeta / z, z, theta * C / z)
 
-    @given(log_uniform, log_uniform, log_uniform)
-    def test_envelope_root(self, a, z, omega0):
-        # sqrt(1 + zeta**2).
-        self.assert_array_geometry_matches(a, z, omega0, (4,))
+    @given(
+        st.floats(min_value=100.0, max_value=280.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0**e),
+    )
+    def test_envelope_root(self, zeta, z):
+        # sqrt(1 + zeta**2), and zeta itself where zeta**2 overflows.
+        self.assert_point_forms_match(2.0 * C * C * zeta / z, z, C / z)
 
     @pytest.mark.parametrize("form", list(POINT_FORMS.values()), ids=list(POINT_FORMS))
     def test_overflow_needs_no_errstate(self, form):
         # No np.errstate here: under -W error a numpy overflow warning raises.
         # z*a overflows where zeta fits, zeta**2 overflows, and both do.
-        for a, z, omega0 in ((1e10, 1e300, 1.0), (1e217, 1.0, 1.0), (1e300, 1e300, 1e300)):
-            expected = _all_bits(point_geometry(a, z, omega0))
-            assert _all_bits(array_geometry(form(a), form(z), form(omega0))) == expected
-            assert _all_bits(array_geometry(a, form(z), omega0)) == expected
+        for point in ((1e10, 1e300, 1.0), (1e217, 1.0, 1.0), (1e300, 1e300, 1e300)):
+            self.assert_routes_match(point, [form(x) for x in point])
         zeta, _, _, _, root = point_geometry(1e217, 1.0, 1.0)
         assert zeta > 1e199 and root == zeta
 
     @pytest.mark.parametrize("form", list(POINT_FORMS.values()), ids=list(POINT_FORMS))
     def test_negative_zeta_raises_on_both_paths(self, form):
-        # The closed forms do not validate; a negative a*z still fails loudly.
-        with pytest.raises(DomainError, match="non-negative"):
-            array_geometry(form(-1e17), form(1.0), form(1e8))
+        # The closed forms do not validate, yet a negative a*z fails loudly
+        # there; a scenario refuses it in every form.
+        for field, (closed_form, _) in ROUTES.items():
+            with pytest.raises(DomainError, match="non-negative"):
+                closed_form(field_scenario(field, 1.0, 1.0, 1.0), [(-1e17, 1.0, 1e8)])
+            with pytest.raises(DomainError, match="acceleration"):
+                field_scenario(field, form(-1e17), form(1.0), form(1e8))
 
     @pytest.mark.parametrize(
         "form", [np.int64, np.uint64, lambda x: np.array([x]), lambda x: np.array(x)],
         ids=["int64", "uint64", "1-element", "0-d"],
     )
     def test_numpy_integers_do_not_wrap(self, form):
-        # 1e10 * 1e10 exceeds the int64 range: numpy integer inputs are
-        # worked in float, as the same values given as floats.
+        # 1e10 * 1e10 exceeds the int64 range: numpy integer kinematics are
+        # converted to float before any product.
         big = 10**10
-        assert _all_bits(array_geometry(form(big), form(big), form(3))) == _all_bits(
-            point_geometry(1e10, 1e10, 3.0)
-        )
+        self.assert_routes_match((1e10, 1e10, 3.0), (form(big), form(big), form(3)))
 
     def test_numpy_integer_scenario(self):
         # np.int64 kinematics reach both resonance energies with the bits of floats.
@@ -630,31 +683,11 @@ class TestFloatDispatch:
     def test_resonance_energy_equals_closed_form_row(self, field, a, z, omega0):
         # The energy and the closed form each apply the parity sign (and
         # contract the dipoles), so both parities are checked.
+        closed_form, energy = ROUTES[field]
         for parity in Parity:
-            if field == "scalar":
-                scenario = Scenario.scalar_field(
-                    acceleration=a, separation=z, omega0=omega0, parity=parity, coupling=1.7
-                )
-                closed_form, energy = scalar_closed_form, scalar_resonance_energy
-            else:
-                scenario = dataclasses.replace(
-                    em_dipole_scenario(), acceleration=a, separation=z, omega0=omega0, parity=parity
-                )
-                closed_form, energy = em_closed_form, em_resonance_energy
-            with np.errstate(all="ignore"):
-                zeta, _, reduced, prefactor = closed_form(
-                    scenario, np.array([a]), np.array([z]), np.array([omega0])
-                )
-                si_value = prefactor * reduced
-            if not (np.isfinite(reduced[0]) and np.isfinite(si_value[0])):
-                with pytest.raises(DomainError):
-                    energy(scenario)
-                continue
-            shift = energy(scenario)
-            assert _all_bits([shift.reduced, shift.prefactor, shift.si_value]) == _all_bits(
-                [reduced, prefactor, si_value]
-            )
-            assert shift.regime is Regime.classify(float(zeta[0]))
+            scenario = field_scenario(field, a, z, omega0, parity)
+            (row,) = closed_form(scenario, [(a, z, omega0)])
+            assert _shift_bits(energy, scenario) == _row_bits(row)
 
 
 def python_calls(fn, *args) -> list:
@@ -701,29 +734,3 @@ class TestPointCallCount:
         calls = python_calls(functools.partial(Scenario.em_field, **KINEMATICS, **dipoles))
         assert calls[0] == "Scenario.em_field"
         assert len(calls) <= 3, calls
-
-
-class TestClosedFormGrids:
-    """n-D inputs broadcast, and every cell equals its own float call."""
-
-    ACCELERATION = np.array([[0.0, 1e15, 1e19], [1e60, 1e200, 1e300]])
-    SEPARATION = np.array([1e-6, 1.0, 1e3])
-    OMEGA0 = np.array([[1e15], [1e300]])
-
-    @pytest.mark.parametrize("field", ["scalar", "em"])
-    def test_grid_equals_elementwise_float_calls(self, field):
-        if field == "scalar":
-            scenario, closed_form = scalar_scenario(), scalar_closed_form
-        else:
-            scenario, closed_form = em_dipole_scenario(), em_closed_form
-        with np.errstate(all="ignore"):
-            grid = closed_form(scenario, self.ACCELERATION, self.SEPARATION, self.OMEGA0)
-        grid = [np.broadcast_to(v, (2, 3)) for v in grid]
-        assert grid[2].shape == (2, 3)
-        for i in range(2):
-            for j in range(3):
-                single = closed_form(
-                    scenario, float(self.ACCELERATION[i, j]), float(self.SEPARATION[j]),
-                    float(self.OMEGA0[i, 0]),
-                )
-                assert _all_bits([v[i, j] for v in grid]) == _all_bits(single)

@@ -1,6 +1,7 @@
-"""numpy loads only where arrays are: importing the package, scalar
-closed forms, a scalar ``compute`` and ``regimes`` run without it, and
-the lazily resolved names are the same objects as their modules'."""
+"""numpy loads only where arrays are: importing the package, the scalar
+energy and closed form (on a list of points), a scalar ``compute`` and
+``regimes`` run without it, and the lazily resolved names are the same
+objects as their modules'."""
 
 import importlib
 import pathlib
@@ -19,11 +20,14 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import rindler_resonance as rr
 from rindler_resonance import cli
+from rindler_resonance.scalar import scalar_closed_form
 
 scenario = rr.Scenario.scalar_field(
     acceleration=1e20, separation=1e-6, omega0=1e15, parity=rr.Parity.SYMMETRIC
 )
 rr.scalar_resonance_energy(scenario)
+rows = scalar_closed_form(scenario, [(1e20, 1e-6, 1e15), (0.0, 1.0, 3e8)])
+assert len(rows) == 2 and all(type(x) is float for row in rows for x in row)
 assert cli.main([
     "compute", "--field", "scalar", "--parity", "anti",
     "--accel", "1e17", "--sep", "1.0", "--omega0", "3e8",

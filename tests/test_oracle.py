@@ -281,6 +281,15 @@ class TestCommutatorConsistency:
             worst = max(worst, max(c.rel_error for c in _pair_checks(rep)))
         assert worst <= 1e-9
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: from zeta ~ 3e3 the float correlation tensor loses digits "
+        "near the pole, and 16 of 21 checks miss 1e-8",
+    )
+    def test_identities_hold_at_zeta_1e4(self):
+        rep = em_commutator_consistency(reduced_geometry(2.0 * C * C * 1e4, 1.0, C))
+        assert rep.passed
+
     def test_detects_perturbed_spectral_density(self, monkeypatch):
         # A 2% error in any one family fails exactly the checks of its
         # order where that family is nonzero.
