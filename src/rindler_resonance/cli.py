@@ -129,16 +129,16 @@ def _parse_dipole(raw: str, name: str) -> list:
 def _build_scenario(args: argparse.Namespace) -> Scenario:
     field_kind = FieldKind.from_label(_require(args, "field", "--field"))
     parity = Parity.from_label(_require(args, "parity", "--parity"))
-    separation = float(_require(args, "sep", "--sep"))
-    omega0 = float(_require(args, "omega0", "--omega0"))
-    acceleration = float(_merge(args, "accel", 0.0))
+    separation = _require(args, "sep", "--sep")
+    omega0 = _require(args, "omega0", "--omega0")
+    acceleration = _merge(args, "accel", 0.0)
     if field_kind is FieldKind.SCALAR:
         return Scenario.scalar_field(
             acceleration=acceleration,
             separation=separation,
             omega0=omega0,
             parity=parity,
-            coupling=float(_merge(args, "coupling", 1.0)),
+            coupling=_merge(args, "coupling", 1.0),
         )
     return Scenario.em_field(
         acceleration=acceleration,
@@ -231,8 +231,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     param = str(_require(args, "param", "--param"))
     if param not in ("sep", "accel", "omega0"):
         raise UsageError(f"--param must be one of sep, accel, omega0; got {param!r}")
-    start = float(_require(args, "from", "--from"))
-    stop = float(_require(args, "to", "--to"))
+    start = _require(args, "from", "--from")
+    stop = _require(args, "to", "--to")
     points = int(_merge(args, "points", 50))
     spacing = str(_merge(args, "spacing", "lin"))
     if points < 2:
@@ -250,14 +250,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     base = {
         "sep": None,
-        "accel": float(_merge(args, "accel", 0.0)),
+        "accel": _merge(args, "accel", 0.0),
         "omega0": None,
     }
     # The swept parameter needs no base value; the others stay fixed.
     if param != "sep":
-        base["sep"] = float(_require(args, "sep", "--sep"))
+        base["sep"] = _require(args, "sep", "--sep")
     if param != "omega0":
-        base["omega0"] = float(_require(args, "omega0", "--omega0"))
+        base["omega0"] = _require(args, "omega0", "--omega0")
 
     # One scenario at the first grid value checks every other option as
     # compute does; the swept values are then checked in order.
@@ -330,7 +330,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_regimes(args: argparse.Namespace) -> int:
-    accel = float(_require(args, "accel", "--accel"))
+    accel = _require(args, "accel", "--accel")
     c = SPEED_OF_LIGHT
     rows = [
         ("a_mps2", f"{accel:.16e}"),
@@ -339,14 +339,12 @@ def cmd_regimes(args: argparse.Namespace) -> int:
     ]
     omega0 = _merge(args, "omega0")
     if omega0 is not None:
-        omega0 = float(omega0)
         if not (omega0 > 0.0 and math.isfinite(omega0)):
             raise DomainError(f"omega0 must be positive and finite, got {omega0}")
         rows.append(("wavelength_m", f"{c / omega0:.16e}"))
     sep = _merge(args, "sep")
     if sep is not None:
-        sep = float(sep)
-        geom = reduced_geometry(accel, sep, float(omega0 or 0.0))
+        geom = reduced_geometry(accel, sep, omega0 or 0.0)
         rows.append(("zeta", f"{geom.zeta:.16e}"))
         rows.append(("regime", geom.regime.value))
     text = "".join(f"{key:<14}{value}\n" for key, value in rows)

@@ -155,14 +155,39 @@ def _shown(value, text=str) -> str:
         return f"<{type(value).__name__} too long to print>"
 
 
-def check_kinematics(acceleration: float, separation: float, omega0: float) -> None:
-    """Raise DomainError unless z > 0, a >= 0 and omega0 >= 0 are all finite."""
+def check_kinematics(acceleration: float, separation: float, omega0: float) -> tuple:
+    """(a, z, omega0) as floats; DomainError unless z > 0, a >= 0 and omega0 >= 0 are finite."""
+    acceleration = _as_float(acceleration, "acceleration")
+    separation = _as_float(separation, "separation")
+    omega0 = _as_float(omega0, "omega0")
     if not 0.0 < separation <= _FLOAT_MAX:
-        raise DomainError(f"separation must be positive and finite, got {_shown(separation)}")
+        raise DomainError(f"separation must be positive and finite, got {separation}")
     if not 0.0 <= acceleration <= _FLOAT_MAX:
-        raise DomainError(f"acceleration must be >= 0 and finite, got {_shown(acceleration)}")
+        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
     if not 0.0 <= omega0 <= _FLOAT_MAX:
-        raise DomainError(f"omega0 must be >= 0 and finite, got {_shown(omega0)}")
+        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0}")
+    return acceleration, separation, omega0
+
+
+def _as_float(value, name: str) -> float:
+    """One real number as a Python float, or DomainError naming ``name``.
+
+    Bools, ints and floats (Python or numpy), Fraction, Decimal and 0-d
+    arrays convert without importing numpy; text, complex values, None,
+    arrays with elements and ints beyond the float range are refused.
+    """
+    if type(value) is float:
+        return value
+    text = isinstance(value, (str, bytes, bytearray))
+    kind = getattr(getattr(value, "dtype", None), "kind", "U" if text else "f")
+    if kind in "biuf" and getattr(value, "ndim", 0) == 0:
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"{name} must be finite, got {_shown(value)}") from None
+        except (TypeError, ValueError):  # a complex, None, a list, a signalling NaN
+            pass
+    raise DomainError(f"{name} must be one real number, got {_shown(value, repr)}")
 
 
 _REALS = frozenset((float, int, bool))
@@ -173,10 +198,7 @@ def _as_dipole(vec, name: str) -> tuple:
     if type(vec) in (list, tuple) and len(vec) == 3 and (
         type(vec[0]) in _REALS and type(vec[1]) in _REALS and type(vec[2]) in _REALS
     ):
-        try:
-            x, y, z = float(vec[0]), float(vec[1]), float(vec[2])
-        except OverflowError:
-            raise DomainError(f"{name} must be finite") from None
+        x, y, z = _as_float(vec[0], name), _as_float(vec[1], name), _as_float(vec[2], name)
     else:
         # Arrays, numpy scalars, complex values and wrong shapes: import
         # numpy only the first time one arrives.
@@ -238,9 +260,12 @@ class Scenario:
         any three real, finite numbers, stored as a tuple of three
         floats; complex components raise DomainError.
 
-    The SI constants are the fixed module values ``SPEED_OF_LIGHT``,
-    ``REDUCED_PLANCK`` and ``BOLTZMANN``, not fields.  Every
-    construction path validates, ``dataclasses.replace`` included.
+    The kinematics and the coupling are stored as Python floats: any
+    one real number converts, and anything else (text, a complex value,
+    an array with elements) raises DomainError.  The SI constants are
+    the fixed module values ``SPEED_OF_LIGHT``, ``REDUCED_PLANCK`` and
+    ``BOLTZMANN``, not fields.  Every construction path validates and
+    converts, ``dataclasses.replace`` included.
     """
 
     field_kind: FieldKind
@@ -266,16 +291,19 @@ class Scenario:
         dipole_b=None,
     ) -> None:
         if not (
-            0.0 < separation <= _FLOAT_MAX
+            type(acceleration) is type(separation) is type(omega0) is float
+            and 0.0 < separation <= _FLOAT_MAX
             and 0.0 <= acceleration <= _FLOAT_MAX
             and 0.0 <= omega0 <= _FLOAT_MAX
         ):
-            check_kinematics(acceleration, separation, omega0)
+            acceleration, separation, omega0 = check_kinematics(acceleration, separation, omega0)
         if field_kind is _SCALAR:
             if coupling is None:
                 raise DomainError("scalar scenario requires a coupling strength")
+            if type(coupling) is not float:
+                coupling = _as_float(coupling, "coupling")
             if not -_FLOAT_MAX <= coupling <= _FLOAT_MAX:
-                raise DomainError(f"coupling must be finite, got {_shown(coupling)}")
+                raise DomainError(f"coupling must be finite, got {coupling}")
             if dipole_a is not None or dipole_b is not None:
                 raise DomainError("scalar scenario does not take dipole vectors")
         else:
@@ -337,30 +365,18 @@ class Scenario:
 
         Inverts theta = omega0*z/c and zeta = z*a/(2*c**2) for omega0 and a.
         """
+        theta, zeta = _as_float(theta, "theta"), _as_float(zeta, "zeta")
+        separation = _as_float(separation, "separation")
         if theta < 0.0 or zeta < 0.0:
             raise DomainError("theta and zeta must be non-negative")
+        if not separation > 0.0:  # the inversion divides by it
+            raise DomainError(f"separation must be positive and finite, got {separation}")
         c = SPEED_OF_LIGHT
-        try:
-            omega0 = theta * c / separation
-            acceleration = 2.0 * c * c * zeta / separation
-        except OverflowError:  # an int beyond the float range
-            raise DomainError("theta, zeta and separation must be finite") from None
+        omega0 = theta * c / separation
+        acceleration = 2.0 * c * c * zeta / separation
         if field_kind is _SCALAR:
-            return cls.scalar_field(
-                acceleration=acceleration,
-                separation=separation,
-                omega0=omega0,
-                parity=parity,
-                coupling=coupling,
-            )
-        return cls.em_field(
-            acceleration=acceleration,
-            separation=separation,
-            omega0=omega0,
-            parity=parity,
-            dipole_a=dipole_a,
-            dipole_b=dipole_b,
-        )
+            return cls(_SCALAR, parity, acceleration, separation, omega0, coupling)
+        return cls(_EM, parity, acceleration, separation, omega0, None, dipole_a, dipole_b)
 
     def require_field(self, kind: FieldKind) -> None:
         if self.field_kind is not kind:
@@ -375,15 +391,13 @@ def asinh_ratio(zeta: float) -> float:
     Direct evaluation below zeta = 1e-4 would subtract nearly equal
     quantities inside asinh, so a short even series is used there.
     """
+    zeta = _as_float(zeta, "zeta")
     if zeta < 0.0:
-        raise DomainError(f"zeta must be non-negative, got {_shown(zeta)}")
+        raise DomainError(f"zeta must be non-negative, got {zeta}")
     if zeta < _ASINH_RATIO_SERIES_CUTOFF:
         z2 = zeta * zeta
         return 1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0
-    try:
-        return math.asinh(zeta) / zeta
-    except OverflowError:  # an int beyond the float range
-        raise DomainError(f"zeta must be finite, got {_shown(zeta)}") from None
+    return math.asinh(zeta) / zeta
 
 
 def point_geometry(acceleration: float, separation: float, omega0: float) -> tuple:
@@ -417,17 +431,6 @@ def point_geometry(acceleration: float, separation: float, omega0: float) -> tup
     if math.isfinite(phase):
         return zeta, theta, math.cos(phase), math.sin(phase), root
     return zeta, theta, math.nan, math.nan, root
-
-
-def _point_floats(scenario: Scenario) -> tuple:
-    """The scenario's (a, z, omega0) as floats; DomainError for an array with elements."""
-    a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
-    try:
-        return float(a), float(z), float(w)
-    except TypeError:
-        raise DomainError(
-            f"kinematics must be single numbers, got (a, z, omega0) = {_shown((a, z, w), repr)}"
-        ) from None
 
 
 def _scaled_product(x: float, y: float, d: float) -> float:
@@ -521,8 +524,7 @@ def reduced_geometry(
     Raises DomainError for invalid kinematics, and where zeta or theta
     exceeds the largest float.
     """
-    check_kinematics(acceleration, separation, omega0)
-    a, z, w = float(acceleration), float(separation), float(omega0)
+    a, z, w = check_kinematics(acceleration, separation, omega0)
     zeta, theta, _, _, root = point_geometry(a, z, w)
     if not (zeta <= _FLOAT_MAX and theta <= _FLOAT_MAX):
         raise DomainError(
@@ -549,8 +551,9 @@ def scenario_geometry(scenario: Scenario) -> ReducedGeometry:
 
 def unruh_temperature(acceleration: float) -> float:
     """Unruh temperature hbar*a/(2*pi*c*k_B) in K; zero for a = 0."""
+    acceleration = _as_float(acceleration, "acceleration")
     if not 0.0 <= acceleration <= _FLOAT_MAX:
-        raise DomainError(f"acceleration must be >= 0 and finite, got {_shown(acceleration)}")
+        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
     return REDUCED_PLANCK * acceleration / (2.0 * math.pi * SPEED_OF_LIGHT * BOLTZMANN)
 
 

@@ -43,7 +43,6 @@ from .core import (
     _SYMMETRIC,
     _farzone_warning,
     _log_two_zeta,
-    _point_floats,
     _scaled_product,
     _shown,
     DomainError,
@@ -321,16 +320,13 @@ def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
 def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Resonance shift p * mu_A . (V + W) . mu_B for the correlated pair.
 
-    :func:`em_closed_form` at the scenario's point, written out so that
-    a float point costs six Python calls; kinematics that are not
-    Python floats are converted first.  Raises DomainError when the
-    inputs overflow double precision or are arrays.
+    :func:`em_closed_form` at the scenario's point (which the scenario
+    holds as Python floats), written out so that it costs six Python
+    calls.  Raises DomainError when the result overflows double precision.
     """
     if scenario.field_kind is not _EM:
         scenario.require_field(_EM)
     a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
-    if not (type(a) is type(z) is type(w) is float):
-        a, z, w = _point_floats(scenario)
     (ax, ay, az), (bx, by, bz), prefactor = _dipole_factors(scenario, z)
     zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
     xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)

@@ -20,7 +20,6 @@ from .core import (
     _SYMMETRIC,
     _farzone_warning,
     _log_two_zeta,
-    _point_floats,
     DomainError,
     EnergyShift,
     Regime,
@@ -71,18 +70,16 @@ def scalar_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
 def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Closed-form resonance shift, valid at every acceleration.
 
-    :func:`scalar_closed_form` at the scenario's point, written out so
-    that a float point costs five Python calls; kinematics that are not
-    Python floats are converted first.  The symmetric state is shifted
-    down at small separation.  At zero acceleration this reproduces the
-    inertial expression bit for bit.  Raises DomainError when the
-    inputs overflow double precision or are arrays.
+    :func:`scalar_closed_form` at the scenario's point (which the
+    scenario holds as Python floats), written out so that it costs five
+    Python calls.  The symmetric state is shifted down at small
+    separation.  At zero acceleration this reproduces the inertial
+    expression bit for bit.  Raises DomainError when the result
+    overflows double precision.
     """
     if scenario.field_kind is not _SCALAR:
         scenario.require_field(_SCALAR)
     a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
-    if not (type(a) is type(z) is type(w) is float):
-        a, z, w = _point_floats(scenario)
     zeta, _, cos_p, _, root = point_geometry(a, z, w)
     reduced = (-cos_p if scenario.parity is _SYMMETRIC else cos_p) / root
     pref = _scalar_prefactor(scenario, z)

@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import decimal
+import fractions
 import functools
 import inspect
 import math
@@ -402,9 +404,28 @@ class TestDipoleValidation:
             (lambda: run_suites([], tolerance=HUGE), "tolerance"),
             (lambda: adaptive_integral(np.cos, 0.0, LONG), "range"),
             (lambda: pv_resonance_kernel(TrigPolyDensity(osc_time=1.0), LONG), "omega0"),
-            (lambda: scalar_resonance_energy(scalar_with(acceleration=np.array([1e17]))),
-             r"single numbers, got \(a, z, omega0\) = \(array\(\[1.e\+17\]\)"),
-            (lambda: em_resonance_energy(em_with(separation=np.array([2.0]))), "single numbers"),
+            (lambda: scalar_with(acceleration=np.array([1e17])),
+             r"acceleration must be one real number, got array\(\[1.e\+17\]\)"),
+            (lambda: em_with(separation=np.array([2.0])), "separation must be one real number"),
+            (lambda: scalar_with(omega0=np.array([1e8])), "omega0"),
+            (lambda: em_with(acceleration=np.array([1e17])), "acceleration"),
+            (lambda: scalar_with(acceleration=np.array([1e17, 2e17])), "acceleration"),
+            (lambda: scalar_with(acceleration="1e17"), "acceleration must be one real number"),
+            (lambda: scalar_with(separation=b"1"), "separation"),
+            (lambda: em_with(omega0=np.str_("1e8")), "omega0"),
+            (lambda: scalar_with(acceleration=1e17 + 0j), "acceleration must be one real number"),
+            (lambda: em_with(omega0=np.complex128(1e8)), "omega0"),
+            (lambda: scalar_with(acceleration=None), "acceleration"),
+            (lambda: scalar_with(coupling=np.array([2.0])), "coupling"),
+            (lambda: scalar_with(coupling="2"), "coupling"),
+            (lambda: reduced_geometry(np.array([1e17]), 1.0, 1e8), "acceleration"),
+            (lambda: reduced_geometry(np.complex128(1e17), 1.0, 1e8), "acceleration"),
+            (lambda: unruh_temperature(np.array([1e20])), "acceleration"),
+            (lambda: asinh_ratio(np.array([1e-5])), "zeta"),
+            (lambda: Scenario.from_reduced(
+                theta=np.array([1.0]), zeta=1.0, parity=Parity.SYMMETRIC), "theta"),
+            (lambda: Scenario.from_reduced(
+                theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC, separation=0.0), "separation"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
@@ -417,6 +438,11 @@ class TestDipoleValidation:
             "huge-omega", "huge-u", "huge-eps", "huge-osc-time", "huge-upper-bound",
             "huge-lower-bound", "huge-pv-omega0", "huge-tolerance", "long-bound", "long-pv-omega0",
             "1-element-scalar-energy", "1-element-em-energy",
+            "1-element-omega0", "1-element-em-acceleration", "2-element", "text", "bytes",
+            "numpy-text", "complex", "numpy-complex", "none", "1-element-coupling",
+            "text-coupling", "1-element-reduced-geometry", "complex-reduced-geometry",
+            "1-element-unruh", "1-element-asinh-ratio", "1-element-from-reduced",
+            "from-reduced-zero-separation",
         ],
     )
     def test_unconvertible_component(self, build, name):
@@ -583,7 +609,8 @@ def _row_bits(row):
 
 
 class TestFloatDispatch:
-    """Floats, np.float64 and 0-d kinematics give the same bits; arrays are refused."""
+    """Floats, np.float64 and 0-d kinematics give the same bits; arrays
+    with elements are refused when the scenario is built."""
 
     @staticmethod
     def assert_routes_match(floats, given):
@@ -592,12 +619,11 @@ class TestFloatDispatch:
         for field, (closed_form, energy) in ROUTES.items():
             scenario = field_scenario(field, *floats)
             expected = _shift_bits(energy, scenario)
-            other = field_scenario(field, *given)
             if np.ndim(given[0]) or np.ndim(given[1]) or np.ndim(given[2]):
-                with pytest.raises(DomainError, match="single numbers"):
-                    energy(other)
+                with pytest.raises(DomainError, match="must be one real number"):
+                    field_scenario(field, *given)
             else:
-                assert _shift_bits(energy, other) == expected
+                assert _shift_bits(energy, field_scenario(field, *given)) == expected
             (row,) = closed_form(scenario, [floats])
             assert _all_bits(row[:2]) == _all_bits(point_geometry(*floats)[:2])
             assert _row_bits(row) == expected
@@ -658,6 +684,33 @@ class TestFloatDispatch:
         # converted to float before any product.
         big = 10**10
         self.assert_routes_match((1e10, 1e10, 3.0), (form(big), form(big), form(3)))
+
+    @pytest.mark.parametrize(
+        "form",
+        [np.float32, np.array, int, bool, fractions.Fraction, decimal.Decimal, np.bool_, np.int64,
+         np.uint64, lambda x: np.array(x, dtype=np.int64)],
+        ids=["float32", "0-d", "int", "bool", "Fraction", "Decimal", "np.bool_", "int64",
+             "uint64", "0-d-int64"],
+    )
+    def test_scenario_stores_python_floats(self, form):
+        # Every stored number is a Python float: the scenario hashes as
+        # the float one does, and the energies, the geometry and the
+        # Unruh temperature keep the bits of float(x).  np.float32 takes
+        # no numpy comparison, so no overflow warning in a cast.
+        given = [form(10**17), form(3), form(10**8)]
+        floats = [float(x) for x in given]
+        for field, (_, energy) in ROUTES.items():
+            scenario, expected = field_scenario(field, *given), field_scenario(field, *floats)
+            if field == "scalar":
+                scenario = dataclasses.replace(scenario, coupling=form(2))
+                expected = dataclasses.replace(expected, coupling=float(form(2)))
+                assert type(scenario.coupling) is float
+            assert all(type(x) is float for x in (
+                scenario.acceleration, scenario.separation, scenario.omega0))
+            assert scenario == expected and hash(scenario) == hash(expected)
+            assert _shift_bits(energy, scenario) == _shift_bits(energy, expected)
+        assert reduced_geometry(*given) == reduced_geometry(*floats)
+        assert _bits(unruh_temperature(given[0])) == _bits(unruh_temperature(floats[0]))
 
     def test_numpy_integer_scenario(self):
         # np.int64 kinematics reach both resonance energies with the bits of floats.

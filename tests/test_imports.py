@@ -1,7 +1,8 @@
 """numpy loads only where arrays are: importing the package, the scalar
 energy and closed form (on a list of points), a scalar ``compute`` and
-``regimes`` run without it, and the lazily resolved names are the same
-objects as their modules'."""
+``regimes``, and a scenario, geometry or Unruh temperature of Python
+ints, bools and Fractions run without it, and the lazily resolved names
+are the same objects as their modules'."""
 
 import importlib
 import pathlib
@@ -41,6 +42,16 @@ em_scenarios = [
     for _ in range(2)
 ]
 assert em_scenarios[0] == em_scenarios[1] and hash(em_scenarios[0]) == hash(em_scenarios[1])
+from fractions import Fraction
+
+exact = rr.Scenario.scalar_field(
+    acceleration=10**20, separation=Fraction(1, 10**6), omega0=True, parity=rr.Parity.SYMMETRIC,
+    coupling=2,
+)
+assert all(type(x) is float for x in (exact.acceleration, exact.separation, exact.omega0,
+                                      exact.coupling))
+rr.reduced_geometry(10**20, 1, 10**15)
+rr.unruh_temperature(10**20)
 assert "numpy" not in sys.modules, "the scalar path loaded numpy"
 assert cli.main([
     "compute", "--field", "em", "--parity", "sym", "--sep", "0.5", "--omega0", "1e8",

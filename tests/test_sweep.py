@@ -1,5 +1,6 @@
-"""``sweep`` evaluates its rows as one batch; each row must still be the
-exact bytes ``compute --format csv`` prints for the same inputs."""
+"""``sweep`` evaluates each row through the closed form's float body;
+each row must be the exact bytes ``compute --format csv`` prints for
+the same inputs."""
 
 import itertools
 
