@@ -3,7 +3,9 @@
 Four subcommands: ``compute`` evaluates one configuration, ``sweep``
 scans one parameter and emits CSV, ``verify`` runs the numerical
 cross-check suites, and ``regimes`` prints the characteristic scales
-for a given acceleration.
+for a given acceleration.  ``compute`` is a sweep of one point: both
+build their CSV rows from the closed forms through one helper, so a
+sweep row is the row ``compute --format csv`` prints for its value.
 
 Exit codes: 0 success, 1 verification or numerical failure, 2 usage
 error, 3 domain error (unphysical parameter values).
@@ -40,7 +42,7 @@ from .core import (
     reduced_geometry,
     unruh_temperature,
 )
-from .scalar import scalar_closed_form, scalar_resonance_energy
+from .scalar import scalar_closed_form
 
 CSV_HEADER = "field,parity,a_mps2,z_m,omega0_radps,zeta,theta,reduced,si_joule,regime"
 
@@ -150,31 +152,44 @@ def _build_scenario(args: argparse.Namespace) -> Scenario:
     )
 
 
-def _energy(scenario: Scenario):
-    if scenario.field_kind is FieldKind.SCALAR:
-        return scalar_resonance_energy(scenario)
-    from .em import em_resonance_energy
+def _closed_form_rows(scenario: Scenario, grid: list, point, param=None) -> list:
+    """CSV rows of the closed form, one per (a, z, omega0) float triple of ``grid``.
 
-    return em_resonance_energy(scenario)
-
-
-def _csv_rows(scenario: Scenario, columns) -> list:
-    """CSV rows: field, parity, the seven float columns of CSV_HEADER, regime.
-
-    A column is a float, the same on every row, or a list of one float
-    per row.  Constant cells are formatted once into a ``%`` template.
+    ``point`` holds the a, z and omega0 columns: floats, except that
+    the ``param`` column, if any, is the list of its grid values.
+    Constant cells are formatted once into a ``%`` template.  The first
+    non-finite shift raises DomainError.
     """
-    zeta, classify = columns[3], Regime.classify
-    regime = (classify(zeta).value if isinstance(zeta, float)
-              else [_REGIME_LABELS[classify(z)] for z in zeta])
+    if scenario.field_kind is FieldKind.SCALAR:
+        closed_form = scalar_closed_form
+    else:
+        from .em import em_closed_form as closed_form
+    zeta, theta, reduced, prefactor = map(list, zip(*closed_form(scenario, grid)))
+    si_value = [p * r for p, r in zip(prefactor, reduced)]
+    # Overflow shows up as inf or nan; the first such row fails.
+    for r, si in zip(reduced, si_value):
+        if not (math.isfinite(r) and math.isfinite(si)):
+            check_finite_shift(r, si)
+
+    # zeta is one value in an omega0 sweep and theta one in an accel
+    # sweep, so each is formatted (and zeta classified) once.
+    classify = Regime.classify
+    if param == "omega0":
+        zeta = zeta[0]
+        regime = classify(zeta).value
+    else:
+        regime = [_REGIME_LABELS[classify(z)] for z in zeta]
+    if param == "accel":
+        theta = theta[0]
     template, varying = f"{scenario.field_kind.value},{scenario.parity.value}", []
-    for column, fmt in zip((*columns, regime), ("%.16e",) * 7 + ("%s",)):
+    columns = (*point, zeta, theta, reduced, si_value, regime)
+    for column, fmt in zip(columns, ("%.16e",) * 7 + ("%s",)):
         if isinstance(column, list):
             template += "," + fmt
             varying.append(column)
         else:
             template += "," + fmt % column
-    return [template % row for row in zip(*varying)] if varying else [template]
+    return [template % row for row in zip(*varying)]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -187,41 +202,21 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     scenario = _build_scenario(args)
-    shift = _energy(scenario)
+    point = (scenario.acceleration, scenario.separation, scenario.omega0)
+    (row,) = _closed_form_rows(scenario, [point], point)
     fmt = str(_merge(args, "format", "text"))
     if fmt not in ("text", "csv"):
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
-    geom = reduced_geometry(scenario.acceleration, scenario.separation, scenario.omega0)
     if fmt == "csv":
-        floats = (
-            scenario.acceleration,
-            scenario.separation,
-            scenario.omega0,
-            geom.zeta,
-            geom.theta,
-            shift.reduced,
-            shift.si_value,
-        )
-        _emit(CSV_HEADER + "\n" + _csv_rows(scenario, floats)[0] + "\n", args.out)
+        _emit(CSV_HEADER + "\n" + row + "\n", args.out)
         return 0
+    a = scenario.acceleration
     rows = [
-        ("field", scenario.field_kind.value),
-        ("parity", scenario.parity.value),
-        ("a_mps2", f"{scenario.acceleration:.16e}"),
-        ("z_m", f"{scenario.separation:.16e}"),
-        ("omega0_radps", f"{scenario.omega0:.16e}"),
-        ("zeta", f"{geom.zeta:.16e}"),
-        ("theta", f"{geom.theta:.16e}"),
-        ("reduced", f"{shift.reduced:.16e}"),
-        ("si_joule", f"{shift.si_value:.16e}"),
-        ("regime", shift.regime.value),
-        ("unruh_K", f"{unruh_temperature(scenario.acceleration):.16e}"),
-        ("crossover_m", f"{geom.crossover_length:.16e}"),
+        *zip(CSV_HEADER.split(","), row.split(",")),
+        ("unruh_K", f"{unruh_temperature(a):.16e}"),
+        ("crossover_m", f"{SPEED_OF_LIGHT * SPEED_OF_LIGHT / a if a > 0.0 else math.inf:.16e}"),
     ]
-    if shift.warning:
-        rows.append(("warning", shift.warning))
-    text = "".join(f"{key:<14}{value}\n" for key, value in rows)
-    _emit(text, args.out)
+    _emit("".join(f"{key:<14}{value}\n" for key, value in rows), args.out)
     return 0
 
 
@@ -276,26 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid.append(tuple(point))
     point[swept] = values
 
-    if scenario.field_kind is FieldKind.SCALAR:
-        closed_form = scalar_closed_form
-    else:
-        from .em import em_closed_form as closed_form
-    zeta, theta, reduced, prefactor = map(list, zip(*closed_form(scenario, grid)))
-    si_value = [p * r for p, r in zip(prefactor, reduced)]
-    # Overflow shows up as inf or nan; the first such row fails as compute would.
-    for r, si in zip(reduced, si_value):
-        if not (math.isfinite(r) and math.isfinite(si)):
-            check_finite_shift(r, si)
-
-    # zeta is one value in an omega0 sweep and theta one in an accel
-    # sweep, so each is formatted (and zeta classified) once.
-    columns = (
-        *point,
-        zeta[0] if param == "omega0" else zeta,
-        theta[0] if param == "accel" else theta,
-        reduced, si_value,
-    )
-    rows = _csv_rows(scenario, columns)
+    rows = _closed_form_rows(scenario, grid, point, param)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
@@ -312,7 +288,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"unknown suite {suite!r}; expected one of {', '.join(_SUITES)} or all")
     tol = _merge(args, "tol")
-    tol = float(tol) if tol is not None else None
     spec = QuadratureSpec.from_environment()
     fmt = str(_merge(args, "format", "text"))
     if fmt not in ("text", "csv"):

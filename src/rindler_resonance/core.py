@@ -208,15 +208,16 @@ def _as_dipole(vec, name: str) -> tuple:
 
         # The dtype is read first: a cast to float drops an imaginary
         # part with only a warning.
-        arr = np.array(vec)
-        if arr.dtype.kind == "c":
-            raise DomainError(f"{name} must be real, got {_shown(vec, repr)}")
         try:
-            arr = arr if arr.dtype == float else arr.astype(float)
-        except (OverflowError, TypeError, ValueError):
+            arr = np.array(vec)
+            if arr.dtype.kind != "c" and arr.dtype != float:
+                arr = arr.astype(float)
+        except (OverflowError, TypeError, ValueError):  # a ragged or unconvertible vector
             raise DomainError(
                 f"{name} must hold three real numbers, got {_shown(vec, repr)}"
             ) from None
+        if arr.dtype.kind == "c":
+            raise DomainError(f"{name} must be real, got {_shown(vec, repr)}")
         if arr.shape != (3,):
             raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
         x, y, z = arr.tolist()
@@ -564,8 +565,10 @@ class EnergyShift:
     ``reduced`` is the dimensionless shape factor; ``si_value`` is the
     shift in J, equal to ``prefactor * reduced``.  ``warning`` is set
     when the requested evaluation is outside its comfort zone (for
-    example a far-zone asymptote used at moderate zeta).  Every
-    construction path checks finiteness, ``dataclasses.replace`` included.
+    example a far-zone asymptote used at moderate zeta).  The three
+    numbers are stored as Python floats, and anything that is not one
+    real number raises DomainError.  Every construction path converts
+    and checks finiteness, ``dataclasses.replace`` included.
     """
 
     reduced: float
@@ -587,7 +590,14 @@ class EnergyShift:
         field_kind: FieldKind,
         warning: Optional[str] = None,
     ) -> None:
-        if not (-_FLOAT_MAX <= reduced <= _FLOAT_MAX and -_FLOAT_MAX <= si_value <= _FLOAT_MAX):
+        if not (
+            type(reduced) is type(prefactor) is type(si_value) is float
+            and -_FLOAT_MAX <= reduced <= _FLOAT_MAX
+            and -_FLOAT_MAX <= si_value <= _FLOAT_MAX
+        ):
+            reduced = _as_float(reduced, "reduced")
+            prefactor = _as_float(prefactor, "prefactor")
+            si_value = _as_float(si_value, "si_value")
             check_finite_shift(reduced, si_value)
         d = self.__dict__
         d["reduced"] = reduced

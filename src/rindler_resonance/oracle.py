@@ -21,7 +21,7 @@ from .core import (
     _FLOAT_MAX,
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
-    _shown,
+    _as_float,
     DomainError,
     EnergyShift,
     FieldKind,
@@ -601,8 +601,10 @@ def run_suites(
     ``tolerance`` replaces every suite's own and must be positive and
     finite.
     """
-    if tolerance is not None and not 0.0 < tolerance <= _FLOAT_MAX:
-        raise DomainError(f"tolerance must be positive and finite, got {_shown(tolerance)}")
+    if tolerance is not None:
+        tolerance = _as_float(tolerance, "tolerance")
+        if not 0.0 < tolerance <= _FLOAT_MAX:
+            raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
     kwargs = {"tolerance": tolerance} if tolerance is not None else {}
     out = {}
     for name in names:

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _FLOAT_MAX, DomainError, QuadratureError, SingularityError, _shown
+from .core import _FLOAT_MAX, DomainError, QuadratureError, SingularityError, _as_float, _shown
 
 __all__ = [
     "QuadratureSpec",
@@ -118,10 +118,13 @@ class QuadratureSpec:
     max_depth: int = 50
 
     def __post_init__(self) -> None:
+        for name in ("rel_tol", "abs_tol"):
+            if type(getattr(self, name)) is not float:
+                object.__setattr__(self, name, _as_float(getattr(self, name), name))
         if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must be in (0, 1), got {_shown(self.rel_tol)}")
+            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if not (self.abs_tol >= 0.0):
-            raise DomainError(f"abs_tol must be >= 0, got {_shown(self.abs_tol)}")
+            raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {_shown(self.max_depth)}")
 
@@ -183,8 +186,10 @@ def adaptive_integral(
     budget; the message names the interval.
     """
     spec = spec or QuadratureSpec()
+    lower = _as_float(lower, "lower end of the range")
+    upper = _as_float(upper, "upper end of the range")
     if not (-_FLOAT_MAX <= lower < upper <= _FLOAT_MAX):
-        raise DomainError(f"invalid integration range [{_shown(lower)}, {_shown(upper)}]")
+        raise DomainError(f"invalid integration range [{lower}, {upper}]")
 
     val, err = _gk_panel(f, lower, upper)
     intervals = [(lower, upper, val, err, 0)]
@@ -234,8 +239,10 @@ class TrigPolyDensity:
     sin_coeffs: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
+        if type(self.osc_time) is not float:
+            object.__setattr__(self, "osc_time", _as_float(self.osc_time, "osc_time"))
         if not 0.0 < self.osc_time <= _FLOAT_MAX:
-            raise DomainError(f"osc_time must be positive and finite, got {_shown(self.osc_time)}")
+            raise DomainError(f"osc_time must be positive and finite, got {self.osc_time}")
         for name in ("cos_coeffs", "sin_coeffs"):
             coeffs = tuple(float(c) for c in getattr(self, name))
             if len(coeffs) != 3:
@@ -291,8 +298,9 @@ def pv_resonance_kernel(
             f"density must be a TrigPolyDensity, got {type(density).__name__}"
         )
     spec = spec or QuadratureSpec()
+    omega0 = _as_float(omega0, "omega0")
     if not 0.0 < omega0 <= _FLOAT_MAX:
-        raise DomainError(f"omega0 must be positive and finite, got {_shown(omega0)}")
+        raise DomainError(f"omega0 must be positive and finite, got {omega0}")
 
     w_lo = 0.5 * omega0
     w_hi = 1.5 * omega0

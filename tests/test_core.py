@@ -426,6 +426,22 @@ class TestDipoleValidation:
                 theta=np.array([1.0]), zeta=1.0, parity=Parity.SYMMETRIC), "theta"),
             (lambda: Scenario.from_reduced(
                 theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC, separation=0.0), "separation"),
+            (lambda: em_scenario([np.array([1.0]), 0, 0]), "dipole_a must hold three real numbers"),
+            (lambda: dataclasses.replace(energy_shift(), reduced=np.array([-0.25])), "reduced"),
+            (lambda: dataclasses.replace(energy_shift(), prefactor=np.array([2.0])), "prefactor"),
+            (lambda: dataclasses.replace(energy_shift(), si_value=np.array([-0.5])), "si_value"),
+            (lambda: dataclasses.replace(energy_shift(), reduced="-0.25"), "reduced"),
+            (lambda: em_spectral_tensors(np.array([1.0]), reduced_geometry(1.0, 1.0, 1.0)), "omega"),
+            (lambda: TrigPolyDensity(osc_time=np.array([1.0])), "osc_time"),
+            (lambda: QuadratureSpec(rel_tol=np.array([1e-9])), "rel_tol"),
+            (lambda: QuadratureSpec(abs_tol="1e-12"), "abs_tol"),
+            (lambda: run_suites([], tolerance=np.array([1e-6])), "tolerance"),
+            (lambda: pv_resonance_kernel(TrigPolyDensity(osc_time=1.0), np.array([1.0])), "omega0"),
+            (lambda: adaptive_integral(np.cos, np.array([0.0]), 1.0), "lower end"),
+            (lambda: adaptive_integral(np.cos, 0.0, "1"), "upper end"),
+            (lambda: em_wightman_tensor(
+                np.array([0.5]), reduced_geometry(1.0, 1.0, 1.0), 1e-9), "u must be one real"),
+            (lambda: em_wightman_tensor(0.5, reduced_geometry(1.0, 1.0, 1.0), "1e-9"), "eps"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
@@ -442,7 +458,11 @@ class TestDipoleValidation:
             "numpy-text", "complex", "numpy-complex", "none", "1-element-coupling",
             "text-coupling", "1-element-reduced-geometry", "complex-reduced-geometry",
             "1-element-unruh", "1-element-asinh-ratio", "1-element-from-reduced",
-            "from-reduced-zero-separation",
+            "from-reduced-zero-separation", "array-component",
+            "1-element-shift-reduced", "1-element-shift-prefactor", "1-element-shift-si-value",
+            "text-shift-reduced", "1-element-spectral-omega", "1-element-osc-time",
+            "1-element-rel-tol", "text-abs-tol", "1-element-tolerance", "1-element-pv-omega0",
+            "1-element-lower-bound", "text-upper-bound", "1-element-u", "text-eps",
         ],
     )
     def test_unconvertible_component(self, build, name):

@@ -2,10 +2,13 @@
 each row must be the exact bytes ``compute --format csv`` prints for
 the same inputs."""
 
+import contextlib
+import io
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rindler_resonance.cli import CSV_HEADER, main
 
@@ -160,3 +163,59 @@ def test_out_of_domain_sweep_fails_like_compute(capsys, tmp_path, field, param, 
     assert single_code == 3
     assert err == single_err
     assert err.startswith("error: ")
+
+
+def run_captured(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# Decades from 1e-300 to 1e308: in part of the draws a*z or omega0*z overflows.
+magnitudes = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e308]),
+    st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
+)
+BASE_FLAGS = {"accel": "--accel", "sep": "--sep", "omega0": "--omega0"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(["scalar", "em"]),
+    parity=st.sampled_from(["sym", "anti"]),
+    param=st.sampled_from(list(BASE_FLAGS)),
+    spacing=st.sampled_from(["lin", "log"]),
+    base=st.fixed_dictionaries({name: magnitudes for name in BASE_FLAGS}),
+    bounds=st.lists(magnitudes, min_size=2, max_size=2, unique=True).map(sorted),
+    points=st.integers(2, 6),
+    coupling=st.sampled_from(["1", "1.7", "0", "1e200"]),
+    dipoles=st.sampled_from(["z", "x", "0.3,-1.2,0.7", "0,0,0", "1e308,1e308,0", "1e-300,0,0"]),
+)
+def test_every_sweep_row_is_the_compute_row(
+    field, parity, param, spacing, base, bounds, points, coupling, dipoles
+):
+    # Each row is compute --format csv at its grid value; a failing sweep
+    # prints compute's error at the first grid value where compute fails.
+    start, stop = bounds
+    if spacing == "log" and start == 0.0:
+        spacing = "lin"
+    common = ["--field", field, "--parity", parity]
+    common += ["--coupling", coupling] if field == "scalar" else [
+        "--dipole-a", dipoles, "--dipole-b", "0.3,-1.2,0.7"]
+    for name, flag in BASE_FLAGS.items():
+        if name != param:
+            common += [flag, repr(base[name])]
+    code, out, err = run_captured(
+        "sweep", *common, "--param", param, "--from", repr(start), "--to", repr(stop),
+        "--points", str(points), "--spacing", spacing,
+    )
+    rows = [CSV_HEADER]
+    for value in (np.geomspace if spacing == "log" else np.linspace)(start, stop, points).tolist():
+        single = run_captured("compute", *common, BASE_FLAGS[param], repr(value), "--format", "csv")
+        if single[0] != 0:
+            assert (code, out, err) == (single[0], "", single[2])
+            return
+        assert single[1].splitlines()[0] == CSV_HEADER
+        rows.append(single[1].splitlines()[1])
+    assert (code, out, err) == (0, "\n".join(rows) + "\n", "")
