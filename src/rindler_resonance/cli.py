@@ -10,8 +10,14 @@ sweep row is the row ``compute --format csv`` prints for its value.
 Exit codes: 0 success, 1 verification or numerical failure, 2 usage
 error, 3 domain error (unphysical parameter values).
 
-A flat ``key = value`` config file can seed any option; command line
-flags win over config values.  The environment variable
+One table, ``_OPTIONS``, gives each option its caster, its choices and
+its help text; ``_COMMANDS`` names the options each subcommand allows.
+A flag is ``--name value`` or ``--name=value``, may be shortened to a
+unique prefix, and takes the next token as its value even if that
+starts with ``-``; the last repeat wins.  A flat ``key = value`` config
+file (``--config``) can seed any option under its name with ``_`` for
+``-``; command line flags win over config values, and choices are
+checked for flags only.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
 
@@ -22,8 +28,6 @@ without it.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
 from typing import Optional
@@ -50,25 +54,35 @@ _SUITES = ("scalar-pv", "em-pv", "em-commutator", "asymptotes")
 _AXIS_SHORTCUTS = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
 _REGIME_LABELS = {regime: regime.value for regime in Regime}
 
-_CONFIG_KEYS = {
-    "field": str,
-    "parity": str,
-    "accel": float,
-    "sep": float,
-    "omega0": float,
-    "coupling": float,
-    "dipole_a": str,
-    "dipole_b": str,
-    "param": str,
-    "from": float,
-    "to": float,
-    "points": int,
-    "spacing": str,
-    "suite": str,
-    "tol": float,
-    "format": str,
-    "out": str,
+# name: (caster, choices a flag must be one of, help text)
+_OPTIONS = {
+    "field": (str, ("scalar", "em"), "field the atoms couple to"),
+    "parity": (str, ("sym", "anti"), "two-atom state symmetry"),
+    "accel": (float, None, "proper acceleration in m/s^2 (default 0, required by regimes)"),
+    "sep": (float, None, "interatomic separation in m"),
+    "omega0": (float, None, "transition frequency in rad/s"),
+    "coupling": (float, None, "scalar coupling strength (default 1)"),
+    "dipole_a": (str, None, "dipole of atom A: x|y|z or 'dx,dy,dz' (default z)"),
+    "dipole_b": (str, None, "dipole of atom B: x|y|z or 'dx,dy,dz' (default z)"),
+    "param": (str, ("sep", "accel", "omega0"), "parameter to sweep"),
+    "from": (float, None, "sweep start"),
+    "to": (float, None, "sweep end, above --from"),
+    "points": (int, None, "number of samples (default 50)"),
+    "spacing": (str, ("lin", "log"), "sample spacing (default lin)"),
+    "suite": (str, (*_SUITES, "all"), "suite to run (default all)"),
+    "tol": (float, None, "override the suite tolerance"),
+    "format": (str, ("text", "csv"), "output format (default text)"),
+    "out": (str, None, "write output to this file instead of stdout"),
+    "config": (str, None, "flat key = value config file"),
 }
+
+
+def _cast(name: str, value: str, where: str = ""):
+    cast = _OPTIONS[name][0]
+    try:
+        return cast(value)
+    except ValueError:
+        raise UsageError(f"{where}cannot parse {value!r} as {cast.__name__} for {name!r}") from None
 
 
 def _read_config(path: str) -> dict:
@@ -86,33 +100,16 @@ def _read_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS or key == "config":
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = _CONFIG_KEYS[key]
-        try:
-            values[key] = caster(value)
-        except ValueError:
-            raise UsageError(
-                f"{path}:{lineno}: cannot parse {value!r} as {caster.__name__} for {key!r}"
-            ) from None
+        values[key] = _cast(key, value.strip(), f"{path}:{lineno}: ")
     return values
 
 
-def _merge(args: argparse.Namespace, key: str, default=None):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    config = getattr(args, "_config", {})
-    if key in config:
-        return config[key]
-    return default
-
-
-def _require(args: argparse.Namespace, key: str, flag: str):
-    value = _merge(args, key)
+def _require(opts: dict, key: str):
+    value = opts.get(key)
     if value is None:
-        raise UsageError(f"missing required option {flag} (or config key '{key}')")
+        raise UsageError(f"missing required option --{key} (or config key '{key}')")
     return value
 
 
@@ -128,27 +125,27 @@ def _parse_dipole(raw: str, name: str) -> list:
         raise UsageError(f"cannot parse {name} components from {raw!r}") from None
 
 
-def _build_scenario(args: argparse.Namespace) -> Scenario:
-    field_kind = FieldKind.from_label(_require(args, "field", "--field"))
-    parity = Parity.from_label(_require(args, "parity", "--parity"))
-    separation = _require(args, "sep", "--sep")
-    omega0 = _require(args, "omega0", "--omega0")
-    acceleration = _merge(args, "accel", 0.0)
+def _build_scenario(opts: dict) -> Scenario:
+    field_kind = FieldKind.from_label(_require(opts, "field"))
+    parity = Parity.from_label(_require(opts, "parity"))
+    separation = _require(opts, "sep")
+    omega0 = _require(opts, "omega0")
+    acceleration = opts.get("accel", 0.0)
     if field_kind is FieldKind.SCALAR:
         return Scenario.scalar_field(
             acceleration=acceleration,
             separation=separation,
             omega0=omega0,
             parity=parity,
-            coupling=_merge(args, "coupling", 1.0),
+            coupling=opts.get("coupling", 1.0),
         )
     return Scenario.em_field(
         acceleration=acceleration,
         separation=separation,
         omega0=omega0,
         parity=parity,
-        dipole_a=_parse_dipole(str(_merge(args, "dipole_a", "z")), "--dipole-a"),
-        dipole_b=_parse_dipole(str(_merge(args, "dipole_b", "z")), "--dipole-b"),
+        dipole_a=_parse_dipole(opts.get("dipole_a", "z"), "--dipole-a"),
+        dipole_b=_parse_dipole(opts.get("dipole_b", "z"), "--dipole-b"),
     )
 
 
@@ -200,15 +197,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    scenario = _build_scenario(args)
+def cmd_compute(opts: dict) -> int:
+    scenario = _build_scenario(opts)
     point = (scenario.acceleration, scenario.separation, scenario.omega0)
     (row,) = _closed_form_rows(scenario, [point], point)
-    fmt = str(_merge(args, "format", "text"))
+    fmt = opts.get("format", "text")
     if fmt not in ("text", "csv"):
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
     if fmt == "csv":
-        _emit(CSV_HEADER + "\n" + row + "\n", args.out)
+        _emit(CSV_HEADER + "\n" + row + "\n", opts.get("out"))
         return 0
     a = scenario.acceleration
     rows = [
@@ -216,20 +213,20 @@ def cmd_compute(args: argparse.Namespace) -> int:
         ("unruh_K", f"{unruh_temperature(a):.16e}"),
         ("crossover_m", f"{SPEED_OF_LIGHT * SPEED_OF_LIGHT / a if a > 0.0 else math.inf:.16e}"),
     ]
-    _emit("".join(f"{key:<14}{value}\n" for key, value in rows), args.out)
+    _emit("".join(f"{key:<14}{value}\n" for key, value in rows), opts.get("out"))
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(opts: dict) -> int:
     import numpy as np
 
-    param = str(_require(args, "param", "--param"))
+    param = _require(opts, "param")
     if param not in ("sep", "accel", "omega0"):
         raise UsageError(f"--param must be one of sep, accel, omega0; got {param!r}")
-    start = _require(args, "from", "--from")
-    stop = _require(args, "to", "--to")
-    points = int(_merge(args, "points", 50))
-    spacing = str(_merge(args, "spacing", "lin"))
+    start = _require(opts, "from")
+    stop = _require(opts, "to")
+    points = opts.get("points", 50)
+    spacing = opts.get("spacing", "lin")
     if points < 2:
         raise UsageError(f"--points must be at least 2, got {points}")
     if not start < stop:
@@ -243,24 +240,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"--spacing must be 'lin' or 'log', got {spacing!r}")
 
-    base = {
-        "sep": None,
-        "accel": _merge(args, "accel", 0.0),
-        "omega0": None,
-    }
     # The swept parameter needs no base value; the others stay fixed.
-    if param != "sep":
-        base["sep"] = _require(args, "sep", "--sep")
-    if param != "omega0":
-        base["omega0"] = _require(args, "omega0", "--omega0")
-
+    base = {key: _require(opts, key) for key in ("sep", "omega0") if key != param}
     # One scenario at the first grid value checks every other option as
     # compute does; the swept values are then checked in order.
     base[param] = values[0]
-    sub = argparse.Namespace(**vars(args))
-    for key, value in base.items():
-        setattr(sub, key, value)
-    scenario = _build_scenario(sub)
+    scenario = _build_scenario({**opts, **base})
     point = [scenario.acceleration, scenario.separation, scenario.omega0]
     swept = ("accel", "sep", "omega0").index(param)
     grid = []
@@ -272,27 +257,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     point[swept] = values
 
     rows = _closed_form_rows(scenario, grid, point, param)
-    _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
+    _emit("\n".join([CSV_HEADER, *rows]) + "\n", opts.get("out"))
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(opts: dict) -> int:
     from .oracle import run_suites
     from .quad import QuadratureSpec
 
-    suite = str(_merge(args, "suite", "all"))
+    suite = opts.get("suite", "all")
     if suite == "all":
         names = list(_SUITES)
     elif suite in _SUITES:
         names = [suite]
     else:
         raise UsageError(f"unknown suite {suite!r}; expected one of {', '.join(_SUITES)} or all")
-    tol = _merge(args, "tol")
     spec = QuadratureSpec.from_environment()
-    fmt = str(_merge(args, "format", "text"))
+    fmt = opts.get("format", "text")
     if fmt not in ("text", "csv"):
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
-    reports = run_suites(names, spec=spec, tolerance=tol)
+    reports = run_suites(names, spec=spec, tolerance=opts.get("tol"))
     chunks = []
     for name in names:
         report = reports[name]
@@ -300,104 +284,113 @@ def cmd_verify(args: argparse.Namespace) -> int:
             chunks.append(report.to_csv())
         else:
             chunks.append(f"== suite {name} ==\n{report.to_text()}")
-    _emit("".join(chunks), args.out)
+    _emit("".join(chunks), opts.get("out"))
     return 0 if all(report.passed for report in reports.values()) else 1
 
 
-def cmd_regimes(args: argparse.Namespace) -> int:
-    accel = _require(args, "accel", "--accel")
+def cmd_regimes(opts: dict) -> int:
+    accel = _require(opts, "accel")
     c = SPEED_OF_LIGHT
     rows = [
         ("a_mps2", f"{accel:.16e}"),
         ("unruh_K", f"{unruh_temperature(accel):.16e}"),
         ("crossover_m", f"{(c * c / accel) if accel > 0 else math.inf:.16e}"),
     ]
-    omega0 = _merge(args, "omega0")
+    omega0 = opts.get("omega0")
     if omega0 is not None:
         if not (omega0 > 0.0 and math.isfinite(omega0)):
             raise DomainError(f"omega0 must be positive and finite, got {omega0}")
         rows.append(("wavelength_m", f"{c / omega0:.16e}"))
-    sep = _merge(args, "sep")
+    sep = opts.get("sep")
     if sep is not None:
         geom = reduced_geometry(accel, sep, omega0 or 0.0)
         rows.append(("zeta", f"{geom.zeta:.16e}"))
         rows.append(("regime", geom.regime.value))
     text = "".join(f"{key:<14}{value}\n" for key, value in rows)
-    _emit(text, args.out)
+    _emit(text, opts.get("out"))
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+def _command(handler, summary: str, *names: str) -> tuple:
+    """(handler, summary, {flag: option name}) for a subcommand allowing ``names``."""
+    flags = {"--" + name.replace("_", "-"): name for name in (*names, "config", "out")}
+    return handler, summary, flags
 
 
-def _add_scenario(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--field", choices=["scalar", "em"], help="field the atoms couple to")
-    parser.add_argument("--parity", choices=["sym", "anti"], help="two-atom state symmetry")
-    parser.add_argument("--accel", type=float, help="proper acceleration in m/s^2 (default 0)")
-    parser.add_argument("--sep", type=float, help="interatomic separation in m")
-    parser.add_argument("--omega0", type=float, help="transition frequency in rad/s")
-    parser.add_argument("--coupling", type=float, help="scalar coupling strength (default 1)")
-    parser.add_argument("--dipole-a", dest="dipole_a", help="dipole of atom A: x|y|z or 'dx,dy,dz'")
-    parser.add_argument("--dipole-b", dest="dipole_b", help="dipole of atom B: x|y|z or 'dx,dy,dz'")
+_SCENARIO = ("field", "parity", "accel", "sep", "omega0", "coupling", "dipole_a", "dipole_b")
+_COMMANDS = {
+    "compute": _command(cmd_compute, "evaluate one configuration", *_SCENARIO, "format"),
+    "sweep": _command(
+        cmd_sweep, "scan one parameter, emit CSV",
+        *_SCENARIO, "param", "from", "to", "points", "spacing",
+    ),
+    "verify": _command(cmd_verify, "run numerical cross-check suites", "suite", "tol", "format"),
+    "regimes": _command(
+        cmd_regimes, "characteristic scales for an acceleration", "accel", "omega0", "sep"
+    ),
+}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process and shared by every call."""
-    parser = argparse.ArgumentParser(
-        prog="rindler-resonance",
-        description="Resonance energy shift of two uniformly accelerated correlated atoms.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse(argv) -> tuple:
+    """(command, flags) from argv; flags is None if help was asked for."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in ("-h", "--help"):
+            return None, None
+        got = f"; got {argv[0]!r}" if argv else ""
+        raise UsageError(f"expected a command, one of {', '.join(_COMMANDS)}{got}")
+    command, flags = argv[0], {}
+    allowed = _COMMANDS[command][2]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-h":
+            return command, None
+        flag, eq, value = token.partition("=")
+        if flag not in allowed:
+            if flag[:2] != "--" or flag == "--":
+                raise UsageError(f"unexpected argument {token!r}")
+            matches = [f for f in (*allowed, "--help") if f.startswith(flag)]
+            if len(matches) != 1:
+                which = f"ambiguous option {flag} could be {', '.join(matches)}"
+                raise UsageError(which if matches else f"unknown option {flag} for {command}")
+            flag = matches[0]
+            if flag == "--help":
+                return command, None
+        name = allowed[flag]
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"option {flag} expects a value")
+        value = _cast(name, value)
+        choices = _OPTIONS[name][1]
+        if choices and value not in choices:
+            raise UsageError(f"{flag} must be one of {', '.join(choices)}; got {value!r}")
+        flags[name] = value
+    return command, flags
 
-    p_compute = sub.add_parser("compute", help="evaluate one configuration")
-    _add_scenario(p_compute)
-    p_compute.add_argument("--format", dest="format", choices=["text", "csv"])
-    _add_common(p_compute)
-    p_compute.set_defaults(handler=cmd_compute)
 
-    p_sweep = sub.add_parser("sweep", help="scan one parameter, emit CSV")
-    _add_scenario(p_sweep)
-    p_sweep.add_argument("--param", choices=["sep", "accel", "omega0"], help="parameter to sweep")
-    p_sweep.add_argument("--from", dest="from", type=float, help="sweep start")
-    p_sweep.add_argument("--to", dest="to", type=float, help="sweep end (exclusive of --from)")
-    p_sweep.add_argument("--points", type=int, help="number of samples (default 50)")
-    p_sweep.add_argument("--spacing", choices=["lin", "log"], help="sample spacing (default lin)")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run numerical cross-check suites")
-    p_verify.add_argument(
-        "--suite", choices=list(_SUITES) + ["all"], help="suite to run (default all)"
-    )
-    p_verify.add_argument("--tol", type=float, help="override the suite tolerance")
-    p_verify.add_argument("--format", dest="format", choices=["text", "csv"])
-    _add_common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_regimes = sub.add_parser("regimes", help="characteristic scales for an acceleration")
-    p_regimes.add_argument("--accel", type=float, help="proper acceleration in m/s^2")
-    p_regimes.add_argument("--omega0", type=float, help="optional transition frequency in rad/s")
-    p_regimes.add_argument("--sep", type=float, help="optional separation in m")
-    _add_common(p_regimes)
-    p_regimes.set_defaults(handler=cmd_regimes)
-    return parser
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        usage, summary = "COMMAND", "Resonance energy shift of two uniformly accelerated atoms."
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        usage, summary, flags = command, *_COMMANDS[command][1:]
+        rows = [("-h, --help", "print this help")]
+        for flag, name in flags.items():
+            _, choices, text = _OPTIONS[name]
+            rows.append((flag, text + (f"; one of {', '.join(choices)}" if choices else "")))
+    lines = [f"usage: rindler-resonance {usage} [--option value ...]", "", summary, ""]
+    lines += [f"  {key:<12}{text}" for key, text in rows]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if getattr(args, "config", None):
-            setattr(args, "_config", _read_config(args.config))
-        else:
-            setattr(args, "_config", {})
-        return args.handler(args)
+        command, flags = _parse(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            sys.stdout.write(_help(command))
+            return 0
+        path = flags.get("config")
+        return _COMMANDS[command][0]({**_read_config(path), **flags} if path else flags)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

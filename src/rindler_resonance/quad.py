@@ -125,6 +125,11 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if not (self.abs_tol >= 0.0):
             raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
+        depth = self.max_depth
+        if type(depth) is not int:
+            if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
+                raise DomainError(f"max_depth must be one integer, got {_shown(depth, repr)}")
+            object.__setattr__(self, "max_depth", int(depth))
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {_shown(self.max_depth)}")
 

@@ -86,6 +86,14 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_negative_value_reaches_domain_check(self):
+        # A value that starts with "-" is the option's value, not an option.
+        _, code = run_cli(
+            "compute", "--field", "scalar", "--parity", "sym",
+            "--accel", "-1e17", "--sep", "1", "--omega0", "1",
+        )
+        assert code == 3
+
     def test_regimes_negative_acceleration(self):
         _, code = run_cli("regimes", "--accel", "-5")
         assert code == 3
@@ -172,6 +180,12 @@ class TestComputeOutput:
         content = target.read_text()
         assert content.startswith(CSV_HEADER + "\n")
 
+    def test_dipole_may_start_with_minus(self):
+        argv = ["compute", "--field", "em", "--parity", "sym", "--sep", "1", "--omega0", "1e8"]
+        spaced, code = run_cli(*argv, "--dipole-a", "-1,0,0", "--dipole-b", "z")
+        assert code == 0
+        assert spaced == run_cli(*argv, "--dipole-a=-1,0,0", "--dipole-b", "z")[0]
+
 
 class TestSweepOutput:
     def test_schema_and_row_count(self):
@@ -206,6 +220,43 @@ class TestConfigFile:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert float(rows[0]["z_m"]) == 3.0
+
+    @pytest.mark.parametrize("command", ["compute", "sweep"])
+    def test_config_out_writes_file(self, tmp_path, command):
+        target = tmp_path / "result.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "field = scalar\nparity = sym\nsep = 1\nomega0 = 1\nformat = csv\n"
+            f"param = accel\nfrom = 0\nto = 1e17\npoints = 3\nout = {target}\n"
+        )
+        stdout, code = run_cli(command, "--config", str(config))
+        assert code == 0
+        assert stdout == b""
+        lines = target.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == (2 if command == "compute" else 4)
+
+    @pytest.mark.parametrize(
+        "text,expected_exit",
+        [
+            ("parity = symmetric\n", 0),
+            ("dipole-a = -1,0,0\n", 0),
+            ("points = 2.5\n", 2),
+            ("field = foo\n", 3),
+            ("param = foo\n", 2),
+            ("spacing = cubic\n", 2),
+        ],
+    )
+    def test_config_values_skip_flag_choices(self, tmp_path, text, expected_exit):
+        # Choices bind flags only: a config value reaches the checks of
+        # the command, which accept aliases and set the exit code.
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "field = em\nparity = sym\nsep = 1\nomega0 = 1e8\n"
+            "param = accel\nfrom = 0\nto = 1e17\npoints = 3\n" + text
+        )
+        _, code = run_cli_text("sweep", "--config", str(config))
+        assert code == expected_exit
 
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -246,8 +297,8 @@ class TestInProcessMain:
         assert "error:" in capsys.readouterr().err
 
     def test_repeated_calls_carry_nothing_over(self, tmp_path, capsys):
-        # One process-wide parser serves every call: each in-process call
-        # must print what the same argv prints in a fresh interpreter.
+        # Each in-process call must print what the same argv prints in a
+        # fresh interpreter: no option or config value outlives its call.
         sweep_cfg = tmp_path / "sweep.cfg"
         sweep_cfg.write_text(
             "field = scalar\nparity = anti\nsep = 2.0\nomega0 = 4e8\npoints = 3\nspacing = log\n"
@@ -285,3 +336,71 @@ class TestInProcessMain:
         assert "zeta" not in in_process[2][0]
         assert in_process[3][0].startswith("field")
         assert len(in_process[4][0].splitlines()) == 51
+
+
+_SCENARIO_FLAGS = [
+    "--field", "--parity", "--accel", "--sep", "--omega0", "--coupling", "--dipole-a", "--dipole-b",
+]
+_COMMAND_FLAGS = {
+    "compute": [*_SCENARIO_FLAGS, "--format"],
+    "sweep": [*_SCENARIO_FLAGS, "--param", "--from", "--to", "--points", "--spacing"],
+    "verify": ["--suite", "--tol", "--format"],
+    "regimes": ["--accel", "--omega0", "--sep"],
+}
+_SWEEP = [
+    "sweep", "--field", "scalar", "--parity", "sym", "--param", "sep",
+    "--from", "1", "--to", "2", "--points", "3", "--omega0", "1",
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_top_level_help(self, capsys, flag):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in _COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+    def test_command_help_names_every_option(self, capsys, command, flag):
+        assert main([command, flag]) == 0
+        captured = capsys.readouterr()
+        options = [line.split()[0] for line in captured.out.splitlines() if line.startswith("  --")]
+        assert sorted(options) == sorted([*_COMMAND_FLAGS[command], "--config", "--out"])
+        assert captured.err == ""
+
+    def test_help_exits_zero_from_a_fresh_interpreter(self):
+        out, code = run_cli_text("sweep", "--help")
+        assert code == 0
+        assert "--spacing" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["foo"],
+            [*_SWEEP, "--volume", "11"],
+            [*_SWEEP, "--dipole", "x"],
+            [*_SWEEP, "--accel"],
+            [*_SWEEP, "stray"],
+            [*_SWEEP, "--points", "2.5"],
+            [*_SWEEP, "--field", "foo"],
+            [*_SWEEP, "--parity", "symmetric"],
+            [*_SWEEP, "--format", "csv"],
+        ],
+        ids=[
+            "unknown-command", "unknown-option", "ambiguous-prefix", "missing-value", "stray",
+            "bad-int", "bad-choice", "alias-as-flag", "option-of-another-command",
+        ],
+    )
+    def test_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_unique_prefix_and_last_repeat_win(self, capsys):
+        assert main([*_SWEEP, "--omega0", "1e8"]) == 0
+        full = capsys.readouterr().out
+        assert main([*_SWEEP, "--omeg", "5", "--omeg=1e8"]) == 0
+        assert capsys.readouterr().out == full
+        assert full.splitlines()[1].split(",")[4] == "1.0000000000000000e+08"

@@ -442,6 +442,10 @@ class TestDipoleValidation:
             (lambda: em_wightman_tensor(
                 np.array([0.5]), reduced_geometry(1.0, 1.0, 1.0), 1e-9), "u must be one real"),
             (lambda: em_wightman_tensor(0.5, reduced_geometry(1.0, 1.0, 1.0), "1e-9"), "eps"),
+            (lambda: QuadratureSpec(max_depth=2.5), "max_depth must be one integer"),
+            (lambda: QuadratureSpec(max_depth=np.array([3])), "max_depth"),
+            (lambda: QuadratureSpec(max_depth=True), "max_depth"),
+            (lambda: QuadratureSpec(max_depth="3"), "max_depth"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
@@ -463,6 +467,7 @@ class TestDipoleValidation:
             "text-shift-reduced", "1-element-spectral-omega", "1-element-osc-time",
             "1-element-rel-tol", "text-abs-tol", "1-element-tolerance", "1-element-pv-omega0",
             "1-element-lower-bound", "text-upper-bound", "1-element-u", "text-eps",
+            "float-max-depth", "1-element-max-depth", "bool-max-depth", "text-max-depth",
         ],
     )
     def test_unconvertible_component(self, build, name):

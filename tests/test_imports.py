@@ -34,6 +34,7 @@ assert cli.main([
     "--accel", "1e17", "--sep", "1.0", "--omega0", "3e8",
 ]) == 0
 assert cli.main(["regimes", "--accel", "1e20", "--omega0", "1e15", "--sep", "0.01"]) == 0
+assert "argparse" not in sys.modules, "the command line loaded argparse"
 em_scenarios = [
     rr.Scenario.em_field(
         acceleration=1e20, separation=1e-6, omega0=1e15, parity=rr.Parity.SYMMETRIC,

@@ -76,6 +76,9 @@ class TestQuadratureSpec:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_depth=0)
+        with pytest.raises(DomainError):
+            QuadratureSpec(max_depth=np.int64(0))
+        assert type(QuadratureSpec(max_depth=np.int64(3)).max_depth) is int
 
     def test_from_environment(self, monkeypatch):
         monkeypatch.delenv("RINDLER_RESONANCE_TOL", raising=False)
