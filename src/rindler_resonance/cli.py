@@ -93,7 +93,14 @@ def _read_config(path: str) -> dict:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        # "#" opens a comment at the start of a line or after whitespace,
+        # as configparser's inline comments do: "out = run#1.csv" keeps it.
+        line = raw.strip()
+        cut = line.find("#")
+        while cut > 0 and not line[cut - 1].isspace():
+            cut = line.find("#", cut + 1)
+        if cut >= 0:
+            line = line[:cut].rstrip()
         if not line:
             continue
         if "=" not in line:
@@ -231,14 +238,15 @@ def cmd_sweep(opts: dict) -> int:
         raise UsageError(f"--points must be at least 2, got {points}")
     if not start < stop:
         raise UsageError(f"--from must be strictly below --to, got {start} and {stop}")
-    if spacing == "lin":
-        values = np.linspace(start, stop, points).tolist()
-    elif spacing == "log":
-        if start <= 0.0:
-            raise UsageError("log spacing requires strictly positive bounds")
-        values = np.geomspace(start, stop, points).tolist()
-    else:
+    if spacing not in ("lin", "log"):
         raise UsageError(f"--spacing must be 'lin' or 'log', got {spacing!r}")
+    if spacing == "log" and start <= 0.0:
+        raise UsageError("log spacing requires strictly positive bounds")
+    # An infinite bound or an overflowing span leaves stop - start
+    # infinite; caught here, numpy never warns about the grid.
+    if not stop - start < math.inf:
+        raise DomainError(f"--from and --to must span a finite range, got {start} and {stop}")
+    values = (np.linspace if spacing == "lin" else np.geomspace)(start, stop, points).tolist()
 
     # The swept parameter needs no base value; the others stay fixed.
     base = {key: _require(opts, key) for key in ("sep", "omega0") if key != param}

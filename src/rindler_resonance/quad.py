@@ -146,13 +146,15 @@ class QuadratureSpec:
         return cls(rel_tol=rel)
 
 
-def _scaled_rule_error(ik, ig, resasc):
+def _scaled_rule_error(ik: float, ig: float, resasc: float) -> float:
     # Plain |K15 - G7| tracks the error of the 7-point rule; rescale it
-    # toward the much smaller 15-point error the usual way.
-    uasc = np.abs(ik - ig)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * uasc / resasc) ** 1.5)
-    return np.where(resasc > 0.0, scaled, uasc)
+    # toward the much smaller 15-point error the usual way.  The ratio
+    # is capped before the power, which cannot overflow then, and a nan
+    # ratio stays nan.
+    uasc = abs(ik - ig)
+    if not resasc > 0.0:
+        return uasc
+    return resasc * min(200.0 * uasc / resasc, 1.0) ** 1.5
 
 
 def _gk_panel(f: Callable, a: float, b: float) -> tuple:
@@ -164,7 +166,7 @@ def _gk_panel(f: Callable, a: float, b: float) -> tuple:
     if math.isfinite(ik):
         ig = half * float(np.dot(_WG7, fv[_G7_IDX]))
         resasc = half * float(np.dot(_WGK, np.abs(fv - ik / (b - a))))
-        err = float(_scaled_rule_error(ik, ig, resasc))
+        err = _scaled_rule_error(ik, ig, resasc)
     if not math.isfinite(err):
         raise QuadratureError(
             f"panel on [{a:.6g}, {b:.6g}] is not finite: "
@@ -249,7 +251,7 @@ class TrigPolyDensity:
         if not 0.0 < self.osc_time <= _FLOAT_MAX:
             raise DomainError(f"osc_time must be positive and finite, got {self.osc_time}")
         for name in ("cos_coeffs", "sin_coeffs"):
-            coeffs = tuple(float(c) for c in getattr(self, name))
+            coeffs = tuple(_as_float(c, name) for c in getattr(self, name))
             if len(coeffs) != 3:
                 raise DomainError(f"{name} must have exactly 3 entries")
             object.__setattr__(self, name, coeffs)

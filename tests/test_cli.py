@@ -72,6 +72,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--from", "0", "--to", "inf"), ("--from=-1.7e308", "--to", "1.7e308")],
+        ids=["infinite-bound", "overflowing-span"],
+    )
+    def test_unbounded_sweep_is_a_domain_error(self, bounds, capsys):
+        # The child runs under -W error: numpy's grid must not warn.
+        argv = ("sweep", "--field", "scalar", "--parity", "sym", "--param", "sep",
+                "--omega0", "1", *bounds)
+        assert run_cli(*argv) == (b"", 3)
+        assert main(list(argv)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --from and --to ")
+
     def test_log_spacing_needs_positive_start(self):
         _, code = run_cli(
             "sweep", "--field", "scalar", "--parity", "sym", "--param", "sep",
@@ -257,6 +271,19 @@ class TestConfigFile:
         )
         _, code = run_cli_text("sweep", "--config", str(config))
         assert code == expected_exit
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # "#" opens a comment only at the start of a line or after whitespace.
+        target = tmp_path / "run#1.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "# base configuration\nfield = scalar  # inline comment\nparity = sym\n"
+            f"sep = 1\nomega0 = 1\nformat = csv\nout = {target}\n"
+        )
+        stdout, code = run_cli("compute", "--config", str(config))
+        assert (stdout, code) == (b"", 0)
+        assert target.read_text().splitlines()[0] == CSV_HEADER
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "run.cfg"

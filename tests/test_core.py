@@ -446,6 +446,10 @@ class TestDipoleValidation:
             (lambda: QuadratureSpec(max_depth=np.array([3])), "max_depth"),
             (lambda: QuadratureSpec(max_depth=True), "max_depth"),
             (lambda: QuadratureSpec(max_depth="3"), "max_depth"),
+            (lambda: TrigPolyDensity(osc_time=1.0, cos_coeffs=("1", 0.0, 0.0)), "cos_coeffs"),
+            (lambda: TrigPolyDensity(osc_time=1.0, sin_coeffs=(1.0, 1j, 0.0)), "sin_coeffs"),
+            (lambda: TrigPolyDensity(
+                osc_time=1.0, cos_coeffs=(0.0, 0.0, np.array([1.0]))), "cos_coeffs"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
@@ -468,6 +472,7 @@ class TestDipoleValidation:
             "1-element-rel-tol", "text-abs-tol", "1-element-tolerance", "1-element-pv-omega0",
             "1-element-lower-bound", "text-upper-bound", "1-element-u", "text-eps",
             "float-max-depth", "1-element-max-depth", "bool-max-depth", "text-max-depth",
+            "text-cos-coeff", "complex-sin-coeff", "1-element-cos-coeff",
         ],
     )
     def test_unconvertible_component(self, build, name):

@@ -335,8 +335,40 @@ class TestAsymptoteReport:
         assert "asymptote/em/far-zone-slope/axis=x" in ids
         assert any("far-zone-ratio" in i for i in ids)
 
+    def test_tolerance_is_applied_to_every_check(self):
+        rep = asymptote_convergence_report(tolerance=1e-5)
+        assert len(rep.checks) == 11
+        assert {c.tolerance for c in rep.checks} == {1e-5}
+        assert all(c.passed == (c.rel_error <= 1e-5) for c in rep.checks)
+        assert not rep.passed  # slopes fitted over a few points miss 1e-5
+
+
+class TestAgreementCheck:
+    @pytest.mark.parametrize("total", [3, 15])
+    def test_passes_iff_nine_tenths_agree(self, total):
+        # The summaries see k/3 (one component) and k/15 (all pairs).
+        for agreeing in range(total + 1):
+            outcomes = [True] * agreeing + [False] * (total - agreeing)
+            check = oracle_module._agreement_check("id", outcomes, "")
+            assert check.passed == (agreeing / total >= 0.9)
+            assert check.tolerance == 0.1
+
 
 class TestRunSuites:
+    def test_tolerance_reaches_commutator_and_asymptote_checks(self):
+        out = oracle_module.run_suites(["em-commutator", "asymptotes"], tolerance=1e-4)
+        assert list(out) == ["em-commutator", "asymptotes"]
+        pairs = [c for c in out["em-commutator"].checks if "/summary/" not in c.check_id]
+        assert len(pairs) == 15
+        assert {c.tolerance for c in pairs} == {1e-4}
+        assert all(c.passed == (c.rel_error <= 1e-4) for c in pairs)
+        assert out["em-commutator"].passed
+        summaries = [c for c in out["em-commutator"].checks if "/summary/" in c.check_id]
+        assert {c.tolerance for c in summaries} == {0.1}
+        asymptotes = out["asymptotes"].checks
+        assert {c.tolerance for c in asymptotes} == {1e-4}
+        assert all(c.passed == (c.rel_error <= 1e-4) for c in asymptotes)
+
     def test_selected_suites(self):
         out = oracle_module.run_suites(["scalar-pv", "asymptotes"])
         assert set(out) == {"scalar-pv", "asymptotes"}

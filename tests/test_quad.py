@@ -21,6 +21,7 @@ from rindler_resonance import (
     adaptive_integral,
     pv_resonance_kernel,
 )
+from rindler_resonance.quad import _scaled_rule_error
 
 PI_COS_1 = 1.697409754832973169691  # 50-digit pi*cos(1)
 
@@ -191,6 +192,18 @@ class TestTrigPolyDensity:
             TrigPolyDensity(osc_time=0.0)
         with pytest.raises(DomainError):
             TrigPolyDensity(osc_time=1.0, sin_coeffs=(1.0, 2.0))
+
+
+class TestScaledRuleError:
+    def test_capped_ratio_gives_resasc(self):
+        # A ratio far above 1, whose 1.5th power would overflow a float.
+        assert _scaled_rule_error(1.0, 0.0, 1e-300) == 1e-300
+
+    def test_zero_resasc_gives_the_plain_difference(self):
+        assert _scaled_rule_error(1.0, 0.75, 0.0) == 0.25
+
+    def test_nan_difference_stays_nan(self):
+        assert math.isnan(_scaled_rule_error(1.0, math.nan, 1.0))
 
 
 class TestAgainstMpmath:
