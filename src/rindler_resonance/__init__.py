@@ -37,9 +37,10 @@ from .scalar import (
     scalar_resonance_energy,
 )
 
-# The array-based modules load numpy, so their names are imported on
-# first access (PEP 562): importing the package and evaluating scalar
-# closed forms never pay for numpy.
+# Names imported on first access (PEP 562): quad and oracle load numpy,
+# which the package and the closed forms never pay for; em loads it only
+# to build a tensor, and stays lazy so that importing the package and a
+# scalar first call (what the bench's setup_s times) never read em.py.
 _LAZY_SUBMODULES = ("em", "quad", "oracle")
 _LAZY = {
     **dict.fromkeys(

@@ -21,9 +21,8 @@ checked for flags only.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
 
-numpy is imported only by ``sweep`` (for its grid), ``verify`` and
-the electromagnetic field.  A scalar ``compute`` and ``regimes`` run
-without it.
+numpy is imported only by ``sweep`` (for its grid) and ``verify``.
+``compute``, for either field, and ``regimes`` run without it.
 """
 
 from __future__ import annotations

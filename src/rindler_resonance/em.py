@@ -17,7 +17,8 @@ written in the chordal time sigma = (2c/a)*sinh(a*u/(2c)), one
 formula for every a >= 0 that reduces to the inertial one at a = 0.
 They are derived independently, so their mutual consistency is a
 meaningful internal check; see the oracle module.  The closed form
-works one point at a time in Python floats; only the tensors use numpy.
+works one point at a time in Python floats; numpy is imported only
+where a tensor is built, from its five entries, by ``_tensor``.
 
 All tensors are expressed in the fixed frame with
 x = acceleration direction, z = separation direction.  Atom A sits at
@@ -31,9 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     REDUCED_PLANCK,
@@ -58,6 +57,9 @@ from .core import (
     scenario_geometry,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "Tensor3",
     "SpectralCoefficients",
@@ -76,30 +78,22 @@ __all__ = [
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
-_I3 = np.eye(3)
-_N_DYAD = np.zeros((3, 3))
-_N_DYAD[2, 2] = 1.0  # separation axis
-_Q_DYAD = np.zeros((3, 3))
-_Q_DYAD[0, 0] = 1.0  # acceleration axis
-# Antisymmetric xz generator: CROSS[l, m] = n_m q_l - n_l q_m.
-_CROSS = np.zeros((3, 3))
-_CROSS[0, 2] = 1.0
-_CROSS[2, 0] = -1.0
-
 _SINGULAR_FLOOR = 1e-12
 
 _classify = Regime.classify
 
 
-def _index(key) -> tuple:
-    if isinstance(key, tuple) and len(key) == 2:
-        l, m = key
-        if isinstance(l, str):
-            l = _AXIS_INDEX[l.lower()]
-        if isinstance(m, str):
-            m = _AXIS_INDEX[m.lower()]
-        return l, m
-    raise KeyError(f"tensor index must be a pair, got {key!r}")
+def _tensor(xx, yy, zz, xz=0.0):
+    """[[xx, 0, xz], [0, yy, 0], [-xz, 0, zz]], the layout of every tensor here.
+
+    Entries may be arrays; they broadcast to shape (..., 3, 3).
+    """
+    import numpy as np
+
+    out = np.zeros(np.broadcast(xx, yy, zz, xz).shape + (3, 3), np.result_type(xx, yy, zz, xz))
+    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2] = xx, yy, zz
+    out[..., 0, 2], out[..., 2, 0] = xz, -xz
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,17 +103,19 @@ class Tensor3:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values)
+        import numpy as np
+
+        arr = np.array(self.values)
         if arr.shape != (3, 3):
             raise DomainError(f"Tensor3 needs shape (3, 3), got {arr.shape}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __getitem__(self, key) -> complex:
-        l, m = _index(key)
-        value = self.values[l, m]
-        return complex(value) if np.iscomplexobj(self.values) else float(value)
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KeyError(f"tensor index must be a pair, got {key!r}")
+        value = self.values[tuple(_AXIS_INDEX[k.lower()] if isinstance(k, str) else k for k in key)]
+        return complex(value) if self.values.dtype.kind == "c" else float(value)
 
 
 @dataclass(frozen=True)
@@ -180,23 +176,21 @@ class PotentialTensors:
 
 def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
     """Coefficient tensors of the spectral density for one geometry."""
-    z2 = geom.zeta * geom.zeta
+    zeta = geom.zeta
+    z2 = zeta * zeta
     n = 1.0 + z2
+    p = 1.0 + 2.0 * z2
     n2 = n * n
     n15 = n * math.sqrt(n)
     n25 = n2 * math.sqrt(n)
-    f1 = ((_I3 - 3.0 * _N_DYAD)
-          + z2 * (2.0 * (_I3 + _Q_DYAD - _N_DYAD)
-                  + (_I3 - _Q_DYAD - 2.0 * _N_DYAD) * (1.0 + 2.0 * z2))) / n2
-    g0 = -((1.0 + z2) * _I3
-           + z2 * (1.0 + 4.0 * z2) * _Q_DYAD
-           - 3.0 * (1.0 + 2.0 * z2) * _N_DYAD) / n25
-    g2 = ((1.0 + z2) * _I3 - z2 * _Q_DYAD - (1.0 + 2.0 * z2) * _N_DYAD) / n15
-    zeta = geom.zeta
-    f1_nd = zeta * (1.0 - 2.0 * z2) / n2 * _CROSS
-    g0_nd = -zeta * (1.0 + 4.0 * z2) / n25 * _CROSS
-    g2_nd = -zeta * (1.0 + z2) / n25 * _CROSS
-    return SpectralCoefficients(f1=f1, g0=g0, g2=g2, f1_nd=f1_nd, g0_nd=g0_nd, g2_nd=g2_nd)
+    return SpectralCoefficients(
+        f1=_tensor(1.0 + 4.0 * z2, 1.0 + z2 * (2.0 + p), -2.0 - z2 * p) / n2,
+        g0=-_tensor(n + z2 * (1.0 + 4.0 * z2), n, n - 3.0 * p) / n25,
+        g2=_tensor(n - z2, n, n - p) / n15,
+        f1_nd=_tensor(0.0, 0.0, 0.0, zeta * (1.0 - 2.0 * z2) / n2),
+        g0_nd=_tensor(0.0, 0.0, 0.0, -zeta * (1.0 + 4.0 * z2) / n25),
+        g2_nd=_tensor(0.0, 0.0, 0.0, -zeta * n / n25),
+    )
 
 
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
@@ -270,13 +264,11 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     # reduced_geometry keeps the phase finite, so cos and sin need no guard.
     cos_p, sin_p = math.cos(geom.phase), math.sin(geom.phase)
     xx, yy, zz, xz = em_reduced_components(geom.zeta, geom.theta, cos_p, sin_p, geom.envelope)
-    red_v = np.diag([xx, yy, zz])
-    red_w = xz * _CROSS
     z = geom.separation
     return PotentialTensors(
-        v=Tensor3(red_v / z / z / z),
-        w=Tensor3(red_w / z / z / z),
-        reduced=Tensor3(red_v + red_w),
+        v=Tensor3(_tensor(xx, yy, zz) / z / z / z),
+        w=Tensor3(_tensor(0.0, 0.0, 0.0, xz) / z / z / z),
+        reduced=Tensor3(_tensor(xx, yy, zz, xz)),
     )
 
 
@@ -344,10 +336,9 @@ def em_inertial_potential(geom: ReducedGeometry) -> Tensor3:
     with t = omega0*z/c.  The antisymmetric part is absent.
     """
     t = geom.theta
-    return Tensor3(
-        (_I3 - 3.0 * _N_DYAD) * (math.cos(t) + t * math.sin(t))
-        - (_I3 - _N_DYAD) * t * t * math.cos(t)
-    )
+    common = math.cos(t) + t * math.sin(t)
+    transverse = common - t * t * math.cos(t)
+    return Tensor3(_tensor(transverse, transverse, -2.0 * common))
 
 
 def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
@@ -426,11 +417,6 @@ def em_wightman_tensor(
     return Tensor3(_wightman_kernel(u - 1j * eps, geom, n_sign))
 
 
-def _sinhc(y):
-    """sinh(y)/y, with its limit 1 at y = 0."""
-    return np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
-
-
 def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
     """The correlation tensor at complex proper-time differences ``w``.
 
@@ -453,19 +439,25 @@ def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
     ``_SINGULAR_FLOOR`` of 0, and DomainError where an entry is not
     finite: w itself is not, or sinh(a*w/(2c)) or the entry overflows.
     """
+    import numpy as np
+
+    def sinhc(y):  # sinh(y)/y, with its limit 1 at y = 0
+        return np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
+
     c = SPEED_OF_LIGHT
     tau = geom.separation / c
     light = geom.light_time
-    col = np.asarray(w)[..., None, None]
+    # A trailing axis keeps a scalar w out of numpy's 0-d loops, which round differently.
+    col = np.asarray(w)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         # x = a*w/(2c) and y = a*S/(2c) = asinh(zeta): s and both gaps
         # take their exponentials from the same two arguments.
         x = geom.acceleration * col / (2.0 * c)
         y = math.asinh(geom.zeta)
         half_below, half_above = 0.5 * (x - y), 0.5 * (x + y)
-        s = col * _sinhc(x) / tau
-        below = (col - light) * np.cosh(half_above) * _sinhc(half_below) / tau
-        above = (col + light) * np.cosh(half_below) * _sinhc(half_above) / tau
+        s = col * sinhc(x) / tau
+        below = (col - light) * np.cosh(half_above) * sinhc(half_below) / tau
+        above = (col + light) * np.cosh(half_below) * sinhc(half_above) / tau
         if np.any(np.minimum(np.abs(below), np.abs(above)) <= _SINGULAR_FLOOR):
             raise SingularityError(
                 f"correlation tensor evaluated on a light-cone crossing w = +-S "
@@ -477,13 +469,12 @@ def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
         q = 1.0 / below / above
         r = root * (s / below / above)
         t = geom.zeta * r
-        tensor = (
-            _I3 * (r * q * r)
-            - (2.0 * n_sign * _CROSS) * (t * q * r)
-            + (_I3 - 2.0 * _N_DYAD) * (
-                (root * q) * q * (root * q) + 2.0 * (_I3 - _Q_DYAD) * (t * q * t)
-            )
-        )
+        common = r * q * r
+        transverse = (root * q) * q * (root * q)
+        pair = transverse + 2.0 * (t * q * t)
+        tensor = _tensor(
+            common + transverse, common + pair, common - pair, -2.0 * n_sign * (t * q * r)
+        )[..., 0, :, :]
     if not np.isfinite(tensor).all():
         raise DomainError(f"correlation tensor is not finite at w = {w}")
     return tensor

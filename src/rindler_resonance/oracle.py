@@ -341,8 +341,8 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     per-component summaries name the first failing order, so a
     systematic disagreement is named rather than averaged away.
 
-    The check holds for zeta up to about 1e3: beyond that G cancels near
-    the pole in floats, and 16 of 21 checks fail at zeta = 3.2e3 to 1e5.
+    The check holds for zeta up to at least 2e3.  From 3.2e3 to 1e5 G
+    cancels near the pole in floats, and yy and zz fail at order -1.
     """
     c = SPEED_OF_LIGHT
     coeff = em_spectral_coefficients(geom)

@@ -251,7 +251,14 @@ class TrigPolyDensity:
         if not 0.0 < self.osc_time <= _FLOAT_MAX:
             raise DomainError(f"osc_time must be positive and finite, got {self.osc_time}")
         for name in ("cos_coeffs", "sin_coeffs"):
-            coeffs = tuple(_as_float(c, name) for c in getattr(self, name))
+            given = getattr(self, name)
+            try:  # text iterates by character, and no character is a coefficient
+                items = None if isinstance(given, (str, bytes, bytearray)) else tuple(given)
+            except TypeError:  # a number, None, a 0-d array
+                items = None
+            if items is None:
+                raise DomainError(f"{name} must hold three real numbers, got {_shown(given, repr)}")
+            coeffs = tuple(_as_float(c, name) for c in items)
             if len(coeffs) != 3:
                 raise DomainError(f"{name} must have exactly 3 entries")
             object.__setattr__(self, name, coeffs)

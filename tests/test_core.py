@@ -450,6 +450,12 @@ class TestDipoleValidation:
             (lambda: TrigPolyDensity(osc_time=1.0, sin_coeffs=(1.0, 1j, 0.0)), "sin_coeffs"),
             (lambda: TrigPolyDensity(
                 osc_time=1.0, cos_coeffs=(0.0, 0.0, np.array([1.0]))), "cos_coeffs"),
+            (lambda: TrigPolyDensity(osc_time=1.0, cos_coeffs=1.0),
+             "cos_coeffs must hold three real numbers, got 1.0"),
+            (lambda: TrigPolyDensity(osc_time=1.0, sin_coeffs=None),
+             "sin_coeffs must hold three real numbers, got None"),
+            (lambda: TrigPolyDensity(osc_time=1.0, cos_coeffs="abc"),
+             "cos_coeffs must hold three real numbers, got 'abc'"),
         ],
         ids=[
             "dipole0", "dipole1", "dipole2", "abc", "dipole4", "xyz",
@@ -473,6 +479,7 @@ class TestDipoleValidation:
             "1-element-lower-bound", "text-upper-bound", "1-element-u", "text-eps",
             "float-max-depth", "1-element-max-depth", "bool-max-depth", "text-max-depth",
             "text-cos-coeff", "complex-sin-coeff", "1-element-cos-coeff",
+            "float-cos-coeffs", "none-sin-coeffs", "text-cos-coeffs",
         ],
     )
     def test_unconvertible_component(self, build, name):

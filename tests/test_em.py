@@ -103,6 +103,16 @@ class TestTensor3:
         with pytest.raises(ValueError):
             t.values[0, 0] = 1.0
 
+    def test_items_are_python_numbers(self):
+        # A real tensor gives floats (an int one too), the correlation tensor complex numbers.
+        geom = unit_geometry()
+        real = em_potential_tensors(geom).reduced
+        assert {type(real[l, m]) for l in "xyz" for m in "xyz"} == {float}
+        assert type(Tensor3(np.eye(3, dtype=int))["y", "y"]) is float
+        wightman = em_wightman_tensor(0.5 * geom.light_time, geom, 1e-3 * geom.light_time)
+        assert {type(wightman[l, m]) for l in "xyz" for m in "xyz"} == {complex}
+        assert wightman["x", "z"] == complex(wightman.values[0, 2]) != 0.0
+
 
 class TestSpectralTensors:
     def test_unit_zeta_zz_value(self):

@@ -1,8 +1,9 @@
 """numpy loads only where arrays are: importing the package, the scalar
-energy and closed form (on a list of points), a scalar ``compute`` and
-``regimes``, and a scenario, geometry or Unruh temperature of Python
-ints, bools and Fractions run without it, and the lazily resolved names
-are the same objects as their modules'."""
+and EM energies and closed forms (on a list of points), the EM far-zone
+asymptote, a scalar or EM ``compute`` and ``regimes``, and a scenario,
+geometry or Unruh temperature of Python ints, bools and Fractions run
+without it; a ``sweep`` loads it for its grid.  The lazily resolved
+names are the same objects as their modules'."""
 
 import importlib
 import pathlib
@@ -54,9 +55,24 @@ assert all(type(x) is float for x in (exact.acceleration, exact.separation, exac
 rr.reduced_geometry(10**20, 1, 10**15)
 rr.unruh_temperature(10**20)
 assert "numpy" not in sys.modules, "the scalar path loaded numpy"
+from rindler_resonance.em import em_closed_form
+
+rr.em_resonance_energy(em_scenarios[0])
+rows = em_closed_form(em_scenarios[0], [(1e20, 1e-6, 1e15), (0.0, 1.0, 3e8)])
+assert len(rows) == 2 and all(type(x) is float for row in rows for x in row)
+rr.em_farzone_asymptote(rr.Scenario.em_field(
+    acceleration=1e20, separation=1.0, omega0=1e15, parity=rr.Parity.SYMMETRIC,
+    dipole_a=(0.0, 0.0, 1.0), dipole_b=(0.0, 0.0, 1.0),
+))
+for fmt in ("text", "csv"):
+    assert cli.main([
+        "compute", "--field", "em", "--parity", "sym", "--accel", "1e17", "--sep", "0.5",
+        "--omega0", "1e8", "--dipole-a", "x", "--dipole-b", "z", "--format", fmt,
+    ]) == 0
+assert "numpy" not in sys.modules, "the EM closed-form path loaded numpy"
 assert cli.main([
-    "compute", "--field", "em", "--parity", "sym", "--sep", "0.5", "--omega0", "1e8",
-    "--dipole-a", "x", "--dipole-b", "z", "--format", "csv",
+    "sweep", "--field", "scalar", "--parity", "sym", "--accel", "1e17", "--omega0", "1e8",
+    "--param", "sep", "--from", "0.5", "--to", "1.5", "--points", "3",
 ]) == 0
 assert "numpy" in sys.modules
 """
@@ -68,7 +84,7 @@ def test_scalar_paths_never_load_numpy():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("\n") == 20
+    assert proc.stdout.count("\n") == 36
 
 
 def test_every_public_name_resolves():

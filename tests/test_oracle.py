@@ -284,7 +284,7 @@ class TestCommutatorConsistency:
     @pytest.mark.xfail(
         strict=True,
         reason="known defect: from zeta ~ 3e3 the float correlation tensor loses digits "
-        "near the pole, and 16 of 21 checks miss 1e-8",
+        "near the pole; yy and zz miss 1e-8 at order -1, failing 5 of 21 checks",
     )
     def test_identities_hold_at_zeta_1e4(self):
         rep = em_commutator_consistency(reduced_geometry(2.0 * C * C * 1e4, 1.0, C))
