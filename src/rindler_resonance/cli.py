@@ -21,8 +21,8 @@ checked for flags only.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
 
-numpy is imported only by ``sweep`` (for its grid) and ``verify``.
-``compute``, for either field, and ``regimes`` run without it.
+numpy is imported only by ``verify``.  ``compute`` and ``sweep``, for
+either field, and ``regimes`` run without it.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .core import (
     Regime,
     Scenario,
     UsageError,
+    _as_float,
     check_finite_shift,
     check_kinematics,
     reduced_geometry,
@@ -223,9 +224,31 @@ def cmd_compute(opts: dict) -> int:
     return 0
 
 
-def cmd_sweep(opts: dict) -> int:
-    import numpy as np
+def _sweep_grid(start: float, stop: float, points: int, spacing: str) -> list:
+    """``points`` values from start to stop, both kept exactly, without numpy.
 
+    A "lin" grid is np.linspace(start, stop, points).tolist() bit for
+    bit.  A "log" grid is 10**x over the "lin" grid of the log10 bounds;
+    inside the ends it may round other than np.geomspace, whose pow and
+    log10 are not libm's.
+    """
+    if spacing == "log":
+        inner = _sweep_grid(math.log10(start), math.log10(stop), points, "lin")[1:-1]
+        try:
+            return [start, *[10.0**x for x in inner], stop]
+        except OverflowError:  # a rounded log10 just below the largest float
+            raise DomainError(f"a log grid from {start} to {stop} overflows") from None
+    div = points - 1
+    step = (stop - start) / div
+    if step == 0.0:  # a subnormal span: as numpy, scale before multiplying
+        values = [i / div * (stop - start) + start for i in range(points)]
+    else:
+        values = [i * step + start for i in range(points)]
+    values[-1] = stop
+    return values
+
+
+def cmd_sweep(opts: dict) -> int:
     param = _require(opts, "param")
     if param not in ("sep", "accel", "omega0"):
         raise UsageError(f"--param must be one of sep, accel, omega0; got {param!r}")
@@ -242,10 +265,10 @@ def cmd_sweep(opts: dict) -> int:
     if spacing == "log" and start <= 0.0:
         raise UsageError("log spacing requires strictly positive bounds")
     # An infinite bound or an overflowing span leaves stop - start
-    # infinite; caught here, numpy never warns about the grid.
+    # infinite; caught here, the grid holds finite values only.
     if not stop - start < math.inf:
         raise DomainError(f"--from and --to must span a finite range, got {start} and {stop}")
-    values = (np.linspace if spacing == "lin" else np.geomspace)(start, stop, points).tolist()
+    values = _sweep_grid(start, stop, points, spacing)
 
     # The swept parameter needs no base value; the others stay fixed.
     base = {key: _require(opts, key) for key in ("sep", "omega0") if key != param}
@@ -305,8 +328,7 @@ def cmd_regimes(opts: dict) -> int:
     ]
     omega0 = opts.get("omega0")
     if omega0 is not None:
-        if not (omega0 > 0.0 and math.isfinite(omega0)):
-            raise DomainError(f"omega0 must be positive and finite, got {omega0}")
+        omega0 = _as_float(omega0, "omega0", "positive")
         rows.append(("wavelength_m", f"{c / omega0:.16e}"))
     sep = opts.get("sep")
     if sep is not None:

@@ -9,8 +9,9 @@ in units of the transition wavelength.  This module owns the scenario
 description, the reduced-variable bookkeeping, and the small shared
 vocabulary (parity signs, regime labels, energy-shift records, and
 every exception type the package raises) used by the scalar and
-electromagnetic calculations.  It imports numpy only for a dipole that
-is not three Python numbers.
+electromagnetic calculations.  Every real input of the package, a
+dipole component included, becomes a Python float through the one
+private door ``_as_float``, and this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -157,73 +158,64 @@ def _shown(value, text=str) -> str:
 
 def check_kinematics(acceleration: float, separation: float, omega0: float) -> tuple:
     """(a, z, omega0) as floats; DomainError unless z > 0, a >= 0 and omega0 >= 0 are finite."""
-    acceleration = _as_float(acceleration, "acceleration")
-    separation = _as_float(separation, "separation")
-    omega0 = _as_float(omega0, "omega0")
-    if not 0.0 < separation <= _FLOAT_MAX:
-        raise DomainError(f"separation must be positive and finite, got {separation}")
-    if not 0.0 <= acceleration <= _FLOAT_MAX:
-        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
-    if not 0.0 <= omega0 <= _FLOAT_MAX:
-        raise DomainError(f"omega0 must be >= 0 and finite, got {omega0}")
-    return acceleration, separation, omega0
+    return (
+        _as_float(acceleration, "acceleration", ">= 0"),
+        _as_float(separation, "separation", "positive"),
+        _as_float(omega0, "omega0", ">= 0"),
+    )
 
 
-def _as_float(value, name: str) -> float:
-    """One real number as a Python float, or DomainError naming ``name``.
+def _as_float(value, name: str, low: str = "") -> float:
+    """One finite real number as a Python float, or DomainError naming ``name``.
 
-    Bools, ints and floats (Python or numpy), Fraction, Decimal and 0-d
-    arrays convert without importing numpy; text, complex values, None,
-    arrays with elements and ints beyond the float range are refused.
+    The one door for a real input.  Bools, ints and floats (Python or
+    numpy), Fraction, Decimal and 0-d arrays convert without importing
+    numpy; text, complex values, None and arrays with elements are
+    refused, and so are nan, the infinities and ints beyond the float
+    range.  ``low`` bounds the value from below: ``">= 0"``, ``"positive"``,
+    or ``""`` for no bound.
     """
-    if type(value) is float:
-        return value
-    text = isinstance(value, (str, bytes, bytearray))
-    kind = getattr(getattr(value, "dtype", None), "kind", "U" if text else "f")
-    if kind in "biuf" and getattr(value, "ndim", 0) == 0:
-        try:
-            return float(value)
-        except OverflowError:
-            raise DomainError(f"{name} must be finite, got {_shown(value)}") from None
-        except (TypeError, ValueError):  # a complex, None, a list, a signalling NaN
-            pass
-    raise DomainError(f"{name} must be one real number, got {_shown(value, repr)}")
-
-
-_REALS = frozenset((float, int, bool))
-
-
-def _as_dipole(vec, name: str) -> tuple:
-    """A tuple of three finite floats; a list or tuple of Python numbers skips numpy."""
-    if type(vec) in (list, tuple) and len(vec) == 3 and (
-        type(vec[0]) in _REALS and type(vec[1]) in _REALS and type(vec[2]) in _REALS
-    ):
-        x, y, z = _as_float(vec[0], name), _as_float(vec[1], name), _as_float(vec[2], name)
+    x = value
+    if type(value) is not float:
+        text = isinstance(value, (str, bytes, bytearray))
+        kind = getattr(getattr(value, "dtype", None), "kind", "U" if text else "f")
+        x = None
+        if kind in "biuf" and getattr(value, "ndim", 0) == 0:
+            try:
+                x = float(value)
+            except OverflowError:  # an int beyond the float range
+                x = math.inf
+            except (TypeError, ValueError):  # a complex, None, a list, a signalling NaN
+                pass
+        if x is None:
+            raise DomainError(f"{name} must be one real number, got {_shown(value, repr)}")
+    if low == "positive":
+        ok = 0.0 < x <= _FLOAT_MAX
+    elif low == ">= 0":
+        ok = 0.0 <= x <= _FLOAT_MAX
     else:
-        # Arrays, numpy scalars, complex values and wrong shapes: import
-        # numpy only the first time one arrives.
-        np = sys.modules.get("numpy")
-        if np is None:
-            import numpy as np
+        ok = -_FLOAT_MAX <= x <= _FLOAT_MAX
+    if not ok:
+        bound = f"{low} and finite" if low else "finite"
+        raise DomainError(f"{name} must be {bound}, got {_shown(value)}")
+    return x
 
-        # The dtype is read first: a cast to float drops an imaginary
-        # part with only a warning.
-        try:
-            arr = np.array(vec)
-            if arr.dtype.kind != "c" and arr.dtype != float:
-                arr = arr.astype(float)
-        except (OverflowError, TypeError, ValueError):  # a ragged or unconvertible vector
-            raise DomainError(
-                f"{name} must hold three real numbers, got {_shown(vec, repr)}"
-            ) from None
-        if arr.dtype.kind == "c":
-            raise DomainError(f"{name} must be real, got {_shown(vec, repr)}")
-        if arr.shape != (3,):
-            raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
-        x, y, z = arr.tolist()
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise DomainError(f"{name} must be finite")
-    return (x, y, z)
+
+def _as_triple(given, name: str) -> tuple:
+    """Three finite floats, each through :func:`_as_float`: a dipole or a coefficient set."""
+    try:  # text iterates by character, and no character is a number
+        items = () if isinstance(given, (str, bytes, bytearray)) else tuple(given)
+    except TypeError:  # a number, None, a 0-d array
+        items = ()
+    for c in items:
+        if isinstance(c, (list, tuple)) or getattr(c, "ndim", 0):  # a nested vector
+            items = ()
+        elif isinstance(c, complex) or getattr(getattr(c, "dtype", None), "kind", "") == "c":
+            raise DomainError(f"{name} must be real, got {_shown(given, repr)}")
+    if len(items) != 3:
+        shown = _shown(given, repr)
+        raise DomainError(f"{name} must hold three real numbers, got {shown}, not a 3-vector")
+    return (_as_float(items[0], name), _as_float(items[1], name), _as_float(items[2], name))
 
 
 def _as_dipoles(dipole_a, dipole_b) -> list:
@@ -231,10 +223,10 @@ def _as_dipoles(dipole_a, dipole_b) -> list:
     pair = [dipole_a, dipole_b]
     for i in (0, 1):
         v = pair[i]
-        # A sum is finite only if each term is; one that overflows takes _as_dipole.
+        # A sum is finite only if each term is; one that overflows takes _as_triple.
         if not (type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float
                 and -_FLOAT_MAX <= v[0] + v[1] + v[2] <= _FLOAT_MAX):
-            pair[i] = _as_dipole(v, "dipole_b" if i else "dipole_a")
+            pair[i] = _as_triple(v, "dipole_b" if i else "dipole_a")
     return pair
 
 
@@ -301,10 +293,8 @@ class Scenario:
         if field_kind is _SCALAR:
             if coupling is None:
                 raise DomainError("scalar scenario requires a coupling strength")
-            if type(coupling) is not float:
+            if not (type(coupling) is float and -_FLOAT_MAX <= coupling <= _FLOAT_MAX):
                 coupling = _as_float(coupling, "coupling")
-            if not -_FLOAT_MAX <= coupling <= _FLOAT_MAX:
-                raise DomainError(f"coupling must be finite, got {coupling}")
             if dipole_a is not None or dipole_b is not None:
                 raise DomainError("scalar scenario does not take dipole vectors")
         else:
@@ -366,12 +356,8 @@ class Scenario:
 
         Inverts theta = omega0*z/c and zeta = z*a/(2*c**2) for omega0 and a.
         """
-        theta, zeta = _as_float(theta, "theta"), _as_float(zeta, "zeta")
-        separation = _as_float(separation, "separation")
-        if theta < 0.0 or zeta < 0.0:
-            raise DomainError("theta and zeta must be non-negative")
-        if not separation > 0.0:  # the inversion divides by it
-            raise DomainError(f"separation must be positive and finite, got {separation}")
+        theta, zeta = _as_float(theta, "theta", ">= 0"), _as_float(zeta, "zeta", ">= 0")
+        separation = _as_float(separation, "separation", "positive")  # the inversion divides by it
         c = SPEED_OF_LIGHT
         omega0 = theta * c / separation
         acceleration = 2.0 * c * c * zeta / separation
@@ -392,9 +378,7 @@ def asinh_ratio(zeta: float) -> float:
     Direct evaluation below zeta = 1e-4 would subtract nearly equal
     quantities inside asinh, so a short even series is used there.
     """
-    zeta = _as_float(zeta, "zeta")
-    if zeta < 0.0:
-        raise DomainError(f"zeta must be non-negative, got {zeta}")
+    zeta = _as_float(zeta, "zeta", ">= 0")
     if zeta < _ASINH_RATIO_SERIES_CUTOFF:
         z2 = zeta * zeta
         return 1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0
@@ -552,9 +536,7 @@ def scenario_geometry(scenario: Scenario) -> ReducedGeometry:
 
 def unruh_temperature(acceleration: float) -> float:
     """Unruh temperature hbar*a/(2*pi*c*k_B) in K; zero for a = 0."""
-    acceleration = _as_float(acceleration, "acceleration")
-    if not 0.0 <= acceleration <= _FLOAT_MAX:
-        raise DomainError(f"acceleration must be >= 0 and finite, got {acceleration}")
+    acceleration = _as_float(acceleration, "acceleration", ">= 0")
     return REDUCED_PLANCK * acceleration / (2.0 * math.pi * SPEED_OF_LIGHT * BOLTZMANN)
 
 
@@ -594,11 +576,15 @@ class EnergyShift:
             type(reduced) is type(prefactor) is type(si_value) is float
             and -_FLOAT_MAX <= reduced <= _FLOAT_MAX
             and -_FLOAT_MAX <= si_value <= _FLOAT_MAX
+            and -_FLOAT_MAX <= prefactor <= _FLOAT_MAX
         ):
-            reduced = _as_float(reduced, "reduced")
-            prefactor = _as_float(prefactor, "prefactor")
-            si_value = _as_float(si_value, "si_value")
+            # A non-finite float shift is left to check_finite_shift, which says why.
+            if type(reduced) is not float:
+                reduced = _as_float(reduced, "reduced")
+            if type(si_value) is not float:
+                si_value = _as_float(si_value, "si_value")
             check_finite_shift(reduced, si_value)
+            prefactor = _as_float(prefactor, "prefactor")
         d = self.__dict__
         d["reduced"] = reduced
         d["prefactor"] = prefactor

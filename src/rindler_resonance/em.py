@@ -38,7 +38,6 @@ from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _EM,
-    _FLOAT_MAX,
     _SYMMETRIC,
     _as_float,
     _farzone_warning,
@@ -195,9 +194,7 @@ def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
 
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
     """Evaluate the spectral tensor families at angular frequency omega."""
-    omega = _as_float(omega, "omega")
-    if not 0.0 <= omega <= _FLOAT_MAX:
-        raise DomainError(f"omega must be non-negative and finite, got {omega}")
+    omega = _as_float(omega, "omega", ">= 0")
     coeff = em_spectral_coefficients(geom)
     x = omega * geom.separation / SPEED_OF_LIGHT
     return EmSpectralTensors(
@@ -407,11 +404,7 @@ def em_wightman_tensor(
     DomainError only where an entry or sinh(a*u/(2c)) overflows (|u|
     beyond about 710 c/a).  An entry below the normal range may read 0.
     """
-    u, eps = _as_float(u, "u"), _as_float(eps, "eps")
-    if not -_FLOAT_MAX <= u <= _FLOAT_MAX:
-        raise DomainError(f"u must be finite, got {u}")
-    if not 0.0 < eps <= _FLOAT_MAX:
-        raise DomainError(f"eps must be positive and finite, got {eps}")
+    u, eps = _as_float(u, "u"), _as_float(eps, "eps", "positive")
     if n_sign not in (1, -1):
         raise DomainError(f"n_sign must be +1 or -1, got {_shown(n_sign)}")
     return Tensor3(_wightman_kernel(u - 1j * eps, geom, n_sign))

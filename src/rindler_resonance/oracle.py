@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    _FLOAT_MAX,
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _as_float,
@@ -99,7 +98,11 @@ def _check(
     tolerance: float,
     note: str = "",
 ) -> CheckResult:
-    """The one place a check is built: it passes iff deviation <= tolerance."""
+    """The one place a check is built: it passes iff deviation <= tolerance.
+
+    ``tolerance`` must be one positive, finite real number, or DomainError.
+    """
+    tolerance = _as_float(tolerance, "tolerance", "positive")
     return CheckResult(
         check_id, computed, reference, deviation, tolerance, deviation <= tolerance, note
     )
@@ -540,9 +543,7 @@ def run_suites(
     finite.
     """
     if tolerance is not None:
-        tolerance = _as_float(tolerance, "tolerance")
-        if not 0.0 < tolerance <= _FLOAT_MAX:
-            raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
+        tolerance = _as_float(tolerance, "tolerance", "positive")
     kwargs = {"tolerance": tolerance} if tolerance is not None else {}
     out = {}
     for name in names:

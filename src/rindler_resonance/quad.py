@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _FLOAT_MAX, DomainError, QuadratureError, SingularityError, _as_float, _shown
+from .core import DomainError, QuadratureError, SingularityError, _as_float, _as_triple, _shown
 
 __all__ = [
     "QuadratureSpec",
@@ -118,13 +118,10 @@ class QuadratureSpec:
     max_depth: int = 50
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol"):
-            if type(getattr(self, name)) is not float:
-                object.__setattr__(self, name, _as_float(getattr(self, name), name))
-        if not (0.0 < self.rel_tol < 1.0):
+        object.__setattr__(self, "rel_tol", _as_float(self.rel_tol, "rel_tol", "positive"))
+        object.__setattr__(self, "abs_tol", _as_float(self.abs_tol, "abs_tol", ">= 0"))
+        if not self.rel_tol < 1.0:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if not (self.abs_tol >= 0.0):
-            raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol}")
         depth = self.max_depth
         if type(depth) is not int:
             if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
@@ -195,7 +192,7 @@ def adaptive_integral(
     spec = spec or QuadratureSpec()
     lower = _as_float(lower, "lower end of the range")
     upper = _as_float(upper, "upper end of the range")
-    if not (-_FLOAT_MAX <= lower < upper <= _FLOAT_MAX):
+    if not lower < upper:
         raise DomainError(f"invalid integration range [{lower}, {upper}]")
 
     val, err = _gk_panel(f, lower, upper)
@@ -246,22 +243,9 @@ class TrigPolyDensity:
     sin_coeffs: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if type(self.osc_time) is not float:
-            object.__setattr__(self, "osc_time", _as_float(self.osc_time, "osc_time"))
-        if not 0.0 < self.osc_time <= _FLOAT_MAX:
-            raise DomainError(f"osc_time must be positive and finite, got {self.osc_time}")
+        object.__setattr__(self, "osc_time", _as_float(self.osc_time, "osc_time", "positive"))
         for name in ("cos_coeffs", "sin_coeffs"):
-            given = getattr(self, name)
-            try:  # text iterates by character, and no character is a coefficient
-                items = None if isinstance(given, (str, bytes, bytearray)) else tuple(given)
-            except TypeError:  # a number, None, a 0-d array
-                items = None
-            if items is None:
-                raise DomainError(f"{name} must hold three real numbers, got {_shown(given, repr)}")
-            coeffs = tuple(_as_float(c, name) for c in items)
-            if len(coeffs) != 3:
-                raise DomainError(f"{name} must have exactly 3 entries")
-            object.__setattr__(self, name, coeffs)
+            object.__setattr__(self, name, _as_triple(getattr(self, name), name))
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)
@@ -303,7 +287,8 @@ def pv_resonance_kernel(
     M = sum_k (|c_k| + |s_k|) omega0**k, so a density with small
     coefficients is still integrated to ``spec.rel_tol``.
 
-    Raises TypeError for anything but a TrigPolyDensity, and
+    Raises TypeError for anything but a TrigPolyDensity, DomainError
+    unless omega0 is positive and finite and M is finite, and
     QuadratureError if an adaptive piece cannot reach the requested
     tolerance.
     """
@@ -312,9 +297,12 @@ def pv_resonance_kernel(
             f"density must be a TrigPolyDensity, got {type(density).__name__}"
         )
     spec = spec or QuadratureSpec()
-    omega0 = _as_float(omega0, "omega0")
-    if not 0.0 < omega0 <= _FLOAT_MAX:
-        raise DomainError(f"omega0 must be positive and finite, got {omega0}")
+    omega0 = _as_float(omega0, "omega0", "positive")
+    c0, c1, c2 = density.cos_coeffs
+    s0, s1, s2 = density.sin_coeffs
+    size = abs(c0) + abs(s0) + (abs(c1) + abs(s1)) * omega0 + (abs(c2) + abs(s2)) * omega0 * omega0
+    if size == math.inf:
+        raise DomainError(f"the density's size at omega0 = {omega0} overflows double precision")
 
     w_lo = 0.5 * omega0
     w_hi = 1.5 * omega0
@@ -327,9 +315,6 @@ def pv_resonance_kernel(
         dv = density(w)
         return (dv - d0) / (w - omega0) + dv / (w + omega0)
 
-    c0, c1, c2 = density.cos_coeffs
-    s0, s1, s2 = density.sin_coeffs
-    size = abs(c0) + abs(s0) + (abs(c1) + abs(s1)) * omega0 + (abs(c2) + abs(s2)) * omega0 * omega0
     part_spec = replace(spec, abs_tol=0.25 * spec.abs_tol * size)
     head = adaptive_integral(plain, 0.0, w_lo, part_spec)
     mid = adaptive_integral(subtracted, w_lo, omega0, part_spec)

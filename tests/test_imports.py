@@ -1,9 +1,10 @@
 """numpy loads only where arrays are: importing the package, the scalar
 and EM energies and closed forms (on a list of points), the EM far-zone
-asymptote, a scalar or EM ``compute`` and ``regimes``, and a scenario,
-geometry or Unruh temperature of Python ints, bools and Fractions run
-without it; a ``sweep`` loads it for its grid.  The lazily resolved
-names are the same objects as their modules'."""
+asymptote, a scalar or EM ``compute``, a linear or log ``sweep`` and
+``regimes``, a scenario, geometry or Unruh temperature of Python ints,
+bools and Fractions, and an EM scenario whose dipoles are a namedtuple,
+Fractions or Decimals run without it.  The lazily resolved names are the
+same objects as their modules'."""
 
 import importlib
 import pathlib
@@ -70,11 +71,23 @@ for fmt in ("text", "csv"):
         "--omega0", "1e8", "--dipole-a", "x", "--dipole-b", "z", "--format", fmt,
     ]) == 0
 assert "numpy" not in sys.modules, "the EM closed-form path loaded numpy"
-assert cli.main([
-    "sweep", "--field", "scalar", "--parity", "sym", "--accel", "1e17", "--omega0", "1e8",
-    "--param", "sep", "--from", "0.5", "--to", "1.5", "--points", "3",
-]) == 0
-assert "numpy" in sys.modules
+import collections
+from decimal import Decimal
+
+Vector = collections.namedtuple("Vector", "x y z")
+for dipole in (Vector(0.6, 0.0, -0.8), (Fraction(3, 5), 0, Fraction(-4, 5)),
+               [Decimal("0.6"), Decimal(0), Decimal("-0.8")]):
+    assert rr.Scenario.em_field(
+        acceleration=1e20, separation=1e-6, omega0=1e15, parity=rr.Parity.SYMMETRIC,
+        dipole_a=dipole, dipole_b=dipole,
+    ).dipole_a == (0.6, 0.0, -0.8)
+assert "numpy" not in sys.modules, "a dipole of Python numbers loaded numpy"
+for spacing in ("lin", "log"):
+    assert cli.main([
+        "sweep", "--field", "scalar", "--parity", "sym", "--accel", "1e17", "--omega0", "1e8",
+        "--param", "sep", "--from", "0.5", "--to", "1.5", "--points", "3", "--spacing", spacing,
+    ]) == 0
+assert "numpy" not in sys.modules, "a sweep loaded numpy"
 """
 
 
@@ -84,7 +97,7 @@ def test_scalar_paths_never_load_numpy():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("\n") == 36
+    assert proc.stdout.count("\n") == 40
 
 
 def test_every_public_name_resolves():

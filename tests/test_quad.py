@@ -174,6 +174,9 @@ class TestPvResonanceKernel:
             pv_resonance_kernel(density, 0.0)
         with pytest.raises(DomainError):
             pv_resonance_kernel(density, math.inf)
+        # The density's size at the pole, which scales abs_tol, overflows.
+        with pytest.raises(DomainError, match="overflows"):
+            pv_resonance_kernel(TrigPolyDensity(osc_time=1.0, cos_coeffs=(0.0, 0.0, 1.0)), 1e200)
 
     def test_deterministic(self):
         density = TrigPolyDensity(osc_time=0.8, sin_coeffs=(0.3, 0.0, 1.0))

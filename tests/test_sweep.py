@@ -5,12 +5,16 @@ the same inputs."""
 import contextlib
 import io
 import itertools
+import math
+import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rindler_resonance.cli import CSV_HEADER, main
+from rindler_resonance import DomainError
+from rindler_resonance.cli import CSV_HEADER, _sweep_grid, main
 
 # The sep and accel ranges cross at least two regimes (zeta below 0.1,
 # between, above 10); omega0 leaves zeta alone.
@@ -33,9 +37,43 @@ def run(capsys, *argv):
 
 
 def grid(start, stop, spacing):
-    if spacing == "log":
-        return np.geomspace(start, stop, POINTS)
-    return np.linspace(start, stop, POINTS)
+    # The sweep's own grid; test_linear_grid_is_numpy_linspace and
+    # test_log_grid_is_numpy_geomspace_to_rounding pin it to numpy.
+    return _sweep_grid(start, stop, POINTS, spacing)
+
+
+def test_linear_grid_is_numpy_linspace():
+    # Bit for bit, on seeded grids of either sign from 1e-30 to 1e30.
+    rng = random.Random(20260)
+    for _ in range(2000):
+        start, stop = sorted(
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30.0, 30.0) for _ in range(2)
+        )
+        points = rng.randint(2, 200)
+        expected = np.linspace(start, stop, points).tolist()
+        assert _sweep_grid(start, stop, points, "lin") == expected, (start, stop, points)
+    # A subnormal span takes numpy's zero-step branch.
+    tiny = math.ulp(0.0)
+    assert _sweep_grid(tiny, 2.0 * tiny, 200, "lin") == np.linspace(tiny, 2.0 * tiny, 200).tolist()
+
+
+def test_log_grid_is_numpy_geomspace_to_rounding():
+    # Ends exact; inside, libm's log10 and pow may round other than
+    # numpy's, a relative 1e-14 at most for bounds within 1e+-30.
+    rng = random.Random(20261)
+    for _ in range(2000):
+        start, stop = sorted(10.0 ** rng.uniform(-30.0, 30.0) for _ in range(2))
+        points = rng.randint(2, 200)
+        values = _sweep_grid(start, stop, points, "log")
+        expected = np.geomspace(start, stop, points).tolist()
+        assert values[0] == start and values[-1] == stop
+        assert all(abs(x - y) <= 1e-14 * y for x, y in zip(values, expected))
+    # Whole decades match numpy bit for bit.
+    assert _sweep_grid(1e-3, 1e3, 7, "log") == np.geomspace(1e-3, 1e3, 7).tolist()
+    # Near the largest float, 10**x of a rounded log10 may overflow.
+    top = sys.float_info.max
+    with pytest.raises(DomainError, match="overflows"):
+        _sweep_grid(top * (1.0 - 2.0**-52), top, 5, "log")
 
 
 @pytest.mark.parametrize(
@@ -211,7 +249,7 @@ def test_every_sweep_row_is_the_compute_row(
         "--points", str(points), "--spacing", spacing,
     )
     rows = [CSV_HEADER]
-    for value in (np.geomspace if spacing == "log" else np.linspace)(start, stop, points).tolist():
+    for value in _sweep_grid(start, stop, points, spacing):
         single = run_captured("compute", *common, BASE_FLAGS[param], repr(value), "--format", "csv")
         if single[0] != 0:
             assert (code, out, err) == (single[0], "", single[2])
