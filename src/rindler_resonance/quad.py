@@ -5,16 +5,16 @@ oscillatory spectral density against the kernel
 
     K(w) = 1/(w + w0) + 1/(w - w0) = 2*w/(w**2 - w0**2).
 
-It is evaluated in four pieces: an ordinary adaptive integral on
-[0, w0/2], pole-subtracted integrals on [w0/2, w0] and [w0, 3*w0/2]
-whose logarithmic remainder cancels exactly on the symmetric window,
-and the oscillatory tail on [3*w0/2, inf).  The tail is rotated onto
-the ray w = 3*w0/2 + i*y, where the oscillation e^{iSw} becomes the
-decay e^{-Sy} and no pole of K is crossed (numerical steepest descent,
-Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026); the
-part of the integrand that grows with w is split off first, since its
-Abel tail is elementary.  The result is the Abel value of the tail
-directly, with no damping and no extrapolation.
+It is evaluated in three pieces.  The head [0, w0/2] and the pole
+window [w0/2, 3*w0/2], folded onto t = |w - w0| so that its principal
+value needs no subtraction, make one real-axis integral over
+(0, w0/2].  The tail's polynomial part has an elementary Abel integral
+from A = 3*w0/2, and the rest of the tail is rotated onto the ray
+w = A + i*y, where the oscillation e^{iSw} becomes the decay e^{-Sy}
+and no pole of K is crossed (numerical steepest descent, Huybrechs &
+Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026); nothing is damped or
+extrapolated.  A larger A would lose digits at small w0*S, where the
+last two pieces grow with A and cancel.
 
 Everything here is deterministic: fixed Gauss-Kronrod nodes and worst-
 interval-first bisection with first-index tie breaking.
@@ -140,6 +140,8 @@ class QuadratureSpec:
             rel = float(raw)
         except ValueError:
             raise DomainError(f"{_ENV_REL_TOL} must parse as a float, got {raw!r}") from None
+        if not 0.0 < rel < 1.0:
+            raise DomainError(f"{_ENV_REL_TOL} must be in (0, 1), got {raw!r}")
         return cls(rel_tol=rel)
 
 
@@ -264,9 +266,11 @@ def pv_resonance_kernel(
 ) -> float:
     """Principal value of integral_0^inf density(w) * K(w) dw.
 
-    K(w) = 1/(w + omega0) + 1/(w - omega0).  The simple pole at omega0
-    is subtracted on the symmetric window [omega0/2, 3*omega0/2], where
-    its logarithmic remainder vanishes identically.
+    K(w) = 1/(w + omega0) + 1/(w - omega0).  The head [0, omega0/2] and
+    the pole window [omega0/2, 3*omega0/2], folded onto t = |w - omega0|,
+    are one integral over t in (0, omega0/2] (f = density, w0 = omega0):
+
+        f(t)K(t) + [f(w0+t) - f(w0-t)]/t + f(w0+t)/(2w0+t) + f(w0-t)/(2w0-t)
 
     The improper tail is defined in the Abel sense.  With A = 3*omega0/2
     and the density written as Re[E(w) e^{iSw}] (see
@@ -304,24 +308,16 @@ def pv_resonance_kernel(
     if size == math.inf:
         raise DomainError(f"the density's size at omega0 = {omega0} overflows double precision")
 
-    w_lo = 0.5 * omega0
     w_hi = 1.5 * omega0
-    d0 = float(density(np.array([omega0]))[0])
 
-    def plain(w: np.ndarray) -> np.ndarray:
-        return density(w) * (1.0 / (w + omega0) + 1.0 / (w - omega0))
-
-    def subtracted(w: np.ndarray) -> np.ndarray:
-        dv = density(w)
-        return (dv - d0) / (w - omega0) + dv / (w + omega0)
+    def folded(t: np.ndarray) -> np.ndarray:
+        # The head at w = t and the window's halves at w = omega0 -+ t.
+        low, down, up = density(np.stack((t, omega0 - t, omega0 + t)))
+        head = low * (1.0 / (t + omega0) + 1.0 / (t - omega0))
+        return head + (up - down) / t + up / (2.0 * omega0 + t) + down / (2.0 * omega0 - t)
 
     part_spec = replace(spec, abs_tol=0.25 * spec.abs_tol * size)
-    head = adaptive_integral(plain, 0.0, w_lo, part_spec)
-    mid = adaptive_integral(subtracted, w_lo, omega0, part_spec)
-    mid += adaptive_integral(subtracted, omega0, w_hi, part_spec)
-    # Symmetric window: log((w_hi - omega0)/(omega0 - w_lo)) = log(1) = 0.
-    log_term = d0 * math.log((w_hi - omega0) / (omega0 - w_lo))
-    finite = head + mid + log_term
+    finite = adaptive_integral(folded, 0.0, 0.5 * omega0, part_spec)
 
     # Tail on [A, inf), A = w_hi: E*K = 2*(p0 + p1*w) + q(w).
     s_time = density.osc_time

@@ -87,8 +87,13 @@ class TestQuadratureSpec:
         monkeypatch.setenv("RINDLER_RESONANCE_TOL", "1e-6")
         assert QuadratureSpec.from_environment().rel_tol == 1e-6
         monkeypatch.setenv("RINDLER_RESONANCE_TOL", "banana")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="RINDLER_RESONANCE_TOL must parse as a float, got 'banana'"):
             QuadratureSpec.from_environment()
+        # Out-of-range values name the variable and show its text, not rel_tol.
+        for raw in ("nan", "inf", "-inf", "0", "-1e-6", "1e-400", "1", "2"):
+            monkeypatch.setenv("RINDLER_RESONANCE_TOL", raw)
+            with pytest.raises(DomainError, match=rf"^RINDLER_RESONANCE_TOL must be in \(0, 1\), got '{raw}'$"):
+                QuadratureSpec.from_environment()
 
 
 class TestPvResonanceKernel:
@@ -221,3 +226,27 @@ class TestAgainstMpmath:
             ref = float(mp.pi * mp.cos(mp.mpf(omega0) * mp.mpf(S)))
         density = TrigPolyDensity(osc_time=S, sin_coeffs=(1.0, 0.0, 0.0))
         assert pv_resonance_kernel(density, omega0) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("S, omega0", [(1.1, 0.7), (0.8, 1.0), (5.0, 4.0), (0.3, 0.5), (2.0, 3.0)])
+    @pytest.mark.parametrize("family, k", [(f, k) for f in ("cos_coeffs", "sin_coeffs") for k in range(3)])
+    def test_every_monomial(self, family, k, S, omega0):
+        # Abel PV of w**k times cos(wS) or sin(wS) against the kernel,
+        # x = omega0*S.  The cos, w*sin and w**2*cos references need the
+        # cosine and sine integrals Ci and Si.
+        with mp.workdps(30):
+            w0, inv_s = mp.mpf(omega0), 1 / mp.mpf(S)
+            x = w0 * mp.mpf(S)
+            ci, si, c, s = mp.ci(x), mp.si(x), mp.cos(x), mp.sin(x)
+            cos_ref = -2 * (ci * c + si * s)
+            ref = float({
+                ("cos_coeffs", 0): cos_ref,
+                ("sin_coeffs", 0): mp.pi * c,
+                ("cos_coeffs", 1): -mp.pi * w0 * s,
+                ("sin_coeffs", 1): 2 * inv_s + 2 * w0 * (si * c - ci * s),
+                ("cos_coeffs", 2): -2 * inv_s**2 + w0**2 * cos_ref,
+                ("sin_coeffs", 2): mp.pi * w0**2 * c,
+            }[family, k])
+        coeffs = [0.0, 0.0, 0.0]
+        coeffs[k] = 1.0
+        density = TrigPolyDensity(osc_time=S, **{family: tuple(coeffs)})
+        assert abs(pv_resonance_kernel(density, omega0) - ref) <= 1e-12 * max(omega0**k, abs(ref))
