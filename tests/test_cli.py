@@ -431,3 +431,73 @@ class TestParser:
         assert main([*_SWEEP, "--omeg", "5", "--omeg=1e8"]) == 0
         assert capsys.readouterr().out == full
         assert full.splitlines()[1].split(",")[4] == "1.0000000000000000e+08"
+
+
+_COMPUTE = ["compute", "--field", "scalar", "--parity", "sym", "--sep", "1", "--omega0", "1"]
+_OUT_ARGV = {
+    "compute-text": _COMPUTE,
+    "compute-csv": [*_COMPUTE, "--format", "csv"],
+    "sweep": [*_SWEEP, "--points", "20", "--accel", "1e17"],
+    "regimes": ["regimes", "--accel", "1e17", "--omega0", "1", "--sep", "1"],
+}
+
+
+class TestOutFile:
+    """``--out`` overwrites in place, cuts to length, and types a failed write."""
+
+    def stdout_of(self, capsys, argv) -> bytes:
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("junk", [None, 10_000, 1], ids=["new", "longer", "shorter"])
+    @pytest.mark.parametrize("case", ["compute-text", "compute-csv", "sweep"])
+    def test_file_holds_exactly_the_stdout_bytes(self, tmp_path, capsys, case, junk):
+        argv = _OUT_ARGV[case]
+        expected = self.stdout_of(capsys, argv)
+        # The longer junk runs past the output's end: only the cut removes its tail.
+        assert len(expected) < 10_000
+        target = tmp_path / "out.txt"
+        if junk is not None:
+            target.write_bytes(b"#" * junk)
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes() == expected
+
+    def test_dev_null(self, capsys):
+        assert main([*_OUT_ARGV["sweep"], "--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        expected = self.stdout_of(capsys, _OUT_ARGV["compute-csv"])
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"junk\n" * 100)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main([*_OUT_ARGV["compute-csv"], "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "path", ["missing/out.txt", ".", "", "file.txt/out.txt"],
+        ids=["missing-parent", "directory", "empty", "parent-is-a-file"],
+    )
+    @pytest.mark.parametrize("case", ["compute-text", "sweep", "regimes"])
+    def test_unwritable_path_is_a_usage_error(self, tmp_path, capsys, case, path):
+        (tmp_path / "file.txt").write_text("keep\n")
+        path = str(tmp_path / path) if path else path
+        # An uncaught OSError would propagate out of main as a traceback.
+        assert main([*_OUT_ARGV[case], "--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert "Traceback" not in captured.err
+        assert (tmp_path / "file.txt").read_text() == "keep\n"
+
+    def test_empty_out_from_config(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("out =\n")
+        assert main([*_COMPUTE, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "error: cannot write '': No such file or directory\n")
+
+    def test_unwritable_path_exits_2_from_a_fresh_interpreter(self):
+        assert run_cli(*_COMPUTE, "--out", "/nonexistent/x.txt") == (b"", 2)
