@@ -142,10 +142,27 @@ _SCALAR, _EM = FieldKind
 _SYMMETRIC, _ANTISYMMETRIC = Parity
 _INERTIAL, _INTERMEDIATE, _FARZONE = Regime
 
+# Allocates a record without a class call: the Scenario factories and
+# _energy_shift fill it themselves.
+_new = object.__new__
+
 
 def parity_sign(parity: Parity) -> float:
-    """Sign carried by the correlated state: +1 symmetric, -1 antisymmetric."""
-    return 1.0 if parity is _SYMMETRIC else -1.0
+    """Sign carried by the correlated state: +1 symmetric, -1 antisymmetric.
+
+    Raises DomainError for anything but a :class:`Parity` member.
+    """
+    if parity is _SYMMETRIC:
+        return 1.0
+    if parity is _ANTISYMMETRIC:
+        return -1.0
+    raise _not_a_member(Parity, "parity", parity)
+
+
+def _not_a_member(cls: type, name: str, value) -> DomainError:
+    """The error for a ``name`` that is no member of the enum ``cls``, its text label included."""
+    members = " or ".join(f"{cls.__name__}.{m.name}" for m in cls)
+    return DomainError(f"{name} must be {members}, got {_shown(value, repr)}")
 
 
 def _shown(value, text=str) -> str:
@@ -218,16 +235,16 @@ def _as_triple(given, name: str) -> tuple:
     return (_as_float(items[0], name), _as_float(items[1], name), _as_float(items[2], name))
 
 
-def _as_dipoles(dipole_a, dipole_b) -> list:
+def _as_dipoles(a, b) -> tuple:
     """Both dipoles as float triples; a tuple of three finite floats is kept as given."""
-    pair = [dipole_a, dipole_b]
-    for i in (0, 1):
-        v = pair[i]
-        # A sum is finite only if each term is; one that overflows takes _as_triple.
-        if not (type(v) is tuple and len(v) == 3 and type(v[0]) is type(v[1]) is type(v[2]) is float
-                and -_FLOAT_MAX <= v[0] + v[1] + v[2] <= _FLOAT_MAX):
-            pair[i] = _as_triple(v, "dipole_b" if i else "dipole_a")
-    return pair
+    # A sum is finite only if each term is; one that overflows takes _as_triple.
+    if not (type(a) is tuple and len(a) == 3 and type(a[0]) is type(a[1]) is type(a[2]) is float
+            and -_FLOAT_MAX <= a[0] + a[1] + a[2] <= _FLOAT_MAX):
+        a = _as_triple(a, "dipole_a")
+    if not (type(b) is tuple and len(b) == 3 and type(b[0]) is type(b[1]) is type(b[2]) is float
+            and -_FLOAT_MAX <= b[0] + b[1] + b[2] <= _FLOAT_MAX):
+        b = _as_triple(b, "dipole_b")
+    return a, b
 
 
 @dataclass(frozen=True, init=False)
@@ -255,10 +272,13 @@ class Scenario:
 
     The kinematics and the coupling are stored as Python floats: any
     one real number converts, and anything else (text, a complex value,
-    an array with elements) raises DomainError.  The SI constants are
-    the fixed module values ``SPEED_OF_LIGHT``, ``REDUCED_PLANCK`` and
-    ``BOLTZMANN``, not fields.  Every construction path validates and
-    converts, ``dataclasses.replace`` included.
+    an array with elements) raises DomainError.  ``field_kind`` and
+    ``parity`` must be members of :class:`FieldKind` and :class:`Parity`
+    (``from_label`` reads their text labels); anything else raises
+    DomainError.  The SI constants are the fixed module values
+    ``SPEED_OF_LIGHT``, ``REDUCED_PLANCK`` and ``BOLTZMANN``, not
+    fields.  Every construction path validates and converts through
+    ``__init__``, ``dataclasses.replace`` included.
     """
 
     field_kind: FieldKind
@@ -283,6 +303,8 @@ class Scenario:
         dipole_a=None,
         dipole_b=None,
     ) -> None:
+        if parity is not _SYMMETRIC and parity is not _ANTISYMMETRIC:
+            raise _not_a_member(Parity, "parity", parity)
         if not (
             type(acceleration) is type(separation) is type(omega0) is float
             and 0.0 < separation <= _FLOAT_MAX
@@ -297,12 +319,14 @@ class Scenario:
                 coupling = _as_float(coupling, "coupling")
             if dipole_a is not None or dipole_b is not None:
                 raise DomainError("scalar scenario does not take dipole vectors")
-        else:
+        elif field_kind is _EM:
             if coupling is not None:
                 raise DomainError("electromagnetic scenario does not take a scalar coupling")
             if dipole_a is None or dipole_b is None:
                 raise DomainError("electromagnetic scenario requires both dipole vectors")
             dipole_a, dipole_b = _as_dipoles(dipole_a, dipole_b)
+        else:
+            raise _not_a_member(FieldKind, "field_kind", field_kind)
         # One key at a time, in field order: the instance dict keeps its shared keys.
         d = self.__dict__
         d["field_kind"] = field_kind
@@ -324,7 +348,10 @@ class Scenario:
         parity: Parity,
         coupling: float = 1.0,
     ) -> "Scenario":
-        return cls(_SCALAR, parity, acceleration, separation, omega0, coupling, None, None)
+        # __init__ called directly: a class call packs the arguments twice before it runs.
+        self = _new(cls)
+        self.__init__(_SCALAR, parity, acceleration, separation, omega0, coupling)
+        return self
 
     @classmethod
     def em_field(
@@ -337,7 +364,9 @@ class Scenario:
         dipole_a,
         dipole_b,
     ) -> "Scenario":
-        return cls(_EM, parity, acceleration, separation, omega0, None, dipole_a, dipole_b)
+        self = _new(cls)
+        self.__init__(_EM, parity, acceleration, separation, omega0, None, dipole_a, dipole_b)
+        return self
 
     @classmethod
     def from_reduced(
@@ -348,22 +377,28 @@ class Scenario:
         parity: Parity,
         field_kind: FieldKind = FieldKind.SCALAR,
         separation: float = 1.0,
-        coupling: float = 1.0,
+        coupling: Optional[float] = None,
         dipole_a=None,
         dipole_b=None,
     ) -> "Scenario":
         """Build a scenario realizing given reduced variables at a chosen separation.
 
         Inverts theta = omega0*z/c and zeta = z*a/(2*c**2) for omega0 and a.
+        The other inputs are validated as by the constructor; a scalar
+        scenario takes coupling 1.0 unless one is given.
         """
         theta, zeta = _as_float(theta, "theta", ">= 0"), _as_float(zeta, "zeta", ">= 0")
         separation = _as_float(separation, "separation", "positive")  # the inversion divides by it
         c = SPEED_OF_LIGHT
         omega0 = theta * c / separation
         acceleration = 2.0 * c * c * zeta / separation
-        if field_kind is _SCALAR:
-            return cls(_SCALAR, parity, acceleration, separation, omega0, coupling)
-        return cls(_EM, parity, acceleration, separation, omega0, None, dipole_a, dipole_b)
+        if coupling is None and field_kind is _SCALAR:
+            coupling = 1.0
+        self = _new(cls)
+        self.__init__(
+            field_kind, parity, acceleration, separation, omega0, coupling, dipole_a, dipole_b
+        )
+        return self
 
     def require_field(self, kind: FieldKind) -> None:
         if self.field_kind is not kind:
@@ -548,9 +583,12 @@ class EnergyShift:
     shift in J, equal to ``prefactor * reduced``.  ``warning`` is set
     when the requested evaluation is outside its comfort zone (for
     example a far-zone asymptote used at moderate zeta).  The three
-    numbers are stored as Python floats, and anything that is not one
-    real number raises DomainError.  Every construction path converts
-    and checks finiteness, ``dataclasses.replace`` included.
+    numbers are stored as Python floats.  The constructor is the door
+    for values from outside, ``dataclasses.replace`` included: it
+    converts them, raises DomainError for anything that is not one real
+    number, and checks finiteness.  The shifts the package returns are
+    built from its own floats by one private builder, which checks
+    finiteness only.
     """
 
     reduced: float
@@ -593,6 +631,39 @@ class EnergyShift:
         d["parity"] = parity
         d["field_kind"] = field_kind
         d["warning"] = warning
+
+
+def _energy_shift(reduced, prefactor, zeta, parity, field_kind, warning=None) -> EnergyShift:
+    """The record of a shift the package computed: si_value = prefactor * reduced.
+
+    Every :class:`EnergyShift` the package returns is built here, from
+    Python floats, into the fields and key order the constructor
+    gives; the constructor stays the door for outside values.  Only
+    finiteness is checked, by :func:`check_finite_shift` (a non-finite
+    prefactor makes si_value non-finite).  The regime is that of zeta,
+    as :meth:`Regime.classify` gives it; the pair at rest passes 0.
+    """
+    if zeta > FARZONE_ZETA_MIN:
+        regime = _FARZONE
+    elif zeta >= INERTIAL_ZETA_MAX:
+        regime = _INTERMEDIATE
+    elif zeta >= 0.0:
+        regime = _INERTIAL
+    else:
+        regime = Regime.classify(zeta)  # raises for a negative or nan zeta
+    si_value = prefactor * reduced
+    if not (-_FLOAT_MAX <= reduced <= _FLOAT_MAX and -_FLOAT_MAX <= si_value <= _FLOAT_MAX):
+        check_finite_shift(reduced, si_value)
+    shift = _new(EnergyShift)
+    d = shift.__dict__
+    d["reduced"] = reduced
+    d["prefactor"] = prefactor
+    d["si_value"] = si_value
+    d["regime"] = regime
+    d["parity"] = parity
+    d["field_kind"] = field_kind
+    d["warning"] = warning
+    return shift
 
 
 def check_finite_shift(reduced: float, si_value: float) -> None:

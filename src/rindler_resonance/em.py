@@ -40,6 +40,7 @@ from .core import (
     _EM,
     _SYMMETRIC,
     _as_float,
+    _energy_shift,
     _farzone_warning,
     _log_two_zeta,
     _scaled_product,
@@ -47,7 +48,6 @@ from .core import (
     DomainError,
     EnergyShift,
     ReducedGeometry,
-    Regime,
     Scenario,
     SingularityError,
     UsageError,
@@ -78,8 +78,6 @@ __all__ = [
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 _SINGULAR_FLOOR = 1e-12
-
-_classify = Regime.classify
 
 
 def _tensor(xx, yy, zz, xz=0.0):
@@ -270,18 +268,18 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
 
 
 def _dipole_factors(scenario: Scenario, separation: float) -> tuple:
-    """(unit mu_A, unit mu_B, mu_A*mu_B/z**3); DomainError for a zero dipole.
+    """The six components of unit mu_A and unit mu_B, then mu_A*mu_B/z**3, as one flat tuple.
 
-    Three divisions by z, as for V and W: no z**3 to overflow or
-    underflow to zero.
+    DomainError for a zero dipole.  Three divisions by z, as for V and
+    W: no z**3 to overflow or underflow to zero.
     """
     (ax, ay, az), (bx, by, bz) = scenario.dipole_a, scenario.dipole_b
     mag_a, mag_b = math.hypot(ax, ay, az), math.hypot(bx, by, bz)
     if mag_a == 0.0 or mag_b == 0.0:
         raise DomainError(f"{'dipole_a' if mag_a == 0.0 else 'dipole_b'} must be a nonzero vector")
     return (
-        (ax / mag_a, ay / mag_a, az / mag_a),
-        (bx / mag_b, by / mag_b, bz / mag_b),
+        ax / mag_a, ay / mag_a, az / mag_a,
+        bx / mag_b, by / mag_b, bz / mag_b,
         mag_a * mag_b / separation / separation / separation,
     )
 
@@ -297,7 +295,7 @@ def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
     row is the arithmetic of :func:`em_resonance_energy`, so it equals
     that energy on its point bit for bit.  Not validated.
     """
-    (ax, ay, az), (bx, by, bz), magnitude = _dipole_factors(scenario, 1.0)
+    ax, ay, az, bx, by, bz, magnitude = _dipole_factors(scenario, 1.0)
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
     rows = []
     for a, z, w in points:
@@ -312,18 +310,20 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Resonance shift p * mu_A . (V + W) . mu_B for the correlated pair.
 
     :func:`em_closed_form` at the scenario's point (which the scenario
-    holds as Python floats), written out so that it costs six Python
-    calls.  Raises DomainError when the result overflows double precision.
+    holds as Python floats), written out so that it costs five Python
+    calls: itself, ``_dipole_factors``, ``point_geometry``,
+    :func:`em_reduced_components` and the record builder.  Raises
+    DomainError when the result overflows double precision.
     """
     if scenario.field_kind is not _EM:
         scenario.require_field(_EM)
-    a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
-    (ax, ay, az), (bx, by, bz), prefactor = _dipole_factors(scenario, z)
-    zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
+    z = scenario.separation
+    ax, ay, az, bx, by, bz, prefactor = _dipole_factors(scenario, z)
+    zeta, theta, cos_p, sin_p, root = point_geometry(scenario.acceleration, z, scenario.omega0)
     xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
     bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
     reduced = bilinear if scenario.parity is _SYMMETRIC else -bilinear
-    return EnergyShift(reduced, prefactor, prefactor * reduced, _classify(zeta), scenario.parity, _EM)
+    return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM)
 
 
 def em_inertial_potential(geom: ReducedGeometry) -> Tensor3:
@@ -351,7 +351,8 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     if scenario.acceleration <= 0.0:
         raise DomainError("far-zone asymptote requires a positive acceleration")
     geom = scenario_geometry(scenario)
-    ua, ub, prefactor = _dipole_factors(scenario, geom.separation)
+    ax, ay, az, bx, by, bz, prefactor = _dipole_factors(scenario, geom.separation)
+    ua, ub = (ax, ay, az), (bx, by, bz)
     axis = None
     for i in range(3):
         if abs(abs(ua[i]) - 1.0) < 1e-12 and abs(abs(ub[i]) - 1.0) < 1e-12:
@@ -373,15 +374,7 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     }[axis]
     orientation = math.copysign(1.0, ua[axis]) * math.copysign(1.0, ub[axis])
     reduced = parity_sign(scenario.parity) * orientation * diag
-    return EnergyShift(
-        reduced=reduced,
-        prefactor=prefactor,
-        si_value=prefactor * reduced,
-        regime=geom.regime,
-        parity=scenario.parity,
-        field_kind=_EM,
-        warning=_farzone_warning(zeta),
-    )
+    return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM, _farzone_warning(zeta))
 
 
 def em_wightman_tensor(

@@ -234,8 +234,8 @@ def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = Non
     """
     scenario.require_field(FieldKind.EM)
     geom = scenario_geometry(scenario)
-    ua, ub, _ = _dipole_factors(scenario, geom.separation)
-    return _normalized_pv(geom, _em_density(geom, ua, ub), scenario.parity, spec)
+    units = _dipole_factors(scenario, geom.separation)
+    return _normalized_pv(geom, _em_density(geom, units[:3], units[3:6]), scenario.parity, spec)
 
 
 def _pv_report(

@@ -11,18 +11,17 @@ point at a time in Python floats, with no numpy.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import (
     SPEED_OF_LIGHT,
-    _INERTIAL,
     _SCALAR,
     _SYMMETRIC,
+    _energy_shift,
     _farzone_warning,
     _log_two_zeta,
     DomainError,
     EnergyShift,
-    Regime,
     Scenario,
     parity_sign,
     point_geometry,
@@ -36,18 +35,8 @@ __all__ = [
     "scalar_farzone_asymptote",
 ]
 
-_classify = Regime.classify
-
-
-def _scalar_prefactor(scenario: Scenario, separation: float) -> float:
-    lam = scenario.coupling
-    c = SPEED_OF_LIGHT
-    return lam * lam / (16.0 * math.pi * c * c * separation)
-
-
-def _shift(scenario: Scenario, reduced: float, regime: Regime, warning: Optional[str] = None) -> EnergyShift:
-    pref = _scalar_prefactor(scenario, scenario.separation)
-    return EnergyShift(reduced, pref, pref * reduced, regime, scenario.parity, _SCALAR, warning)
+# The prefactor is coupling**2/(_K*z), and _K*z rounds as 16*pi*c*c*z does.
+_K = 16.0 * math.pi * SPEED_OF_LIGHT * SPEED_OF_LIGHT
 
 
 def scalar_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
@@ -60,10 +49,11 @@ def scalar_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
     that energy on its point bit for bit.  Not validated.
     """
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
+    lam = scenario.coupling
     rows = []
     for a, z, w in points:
         zeta, theta, cos_p, _, root = point_geometry(a, z, w)
-        rows.append((zeta, theta, -sign * cos_p / root, _scalar_prefactor(scenario, z)))
+        rows.append((zeta, theta, -sign * cos_p / root, lam * lam / (_K * z)))
     return rows
 
 
@@ -71,19 +61,18 @@ def scalar_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Closed-form resonance shift, valid at every acceleration.
 
     :func:`scalar_closed_form` at the scenario's point (which the
-    scenario holds as Python floats), written out so that it costs five
-    Python calls.  The symmetric state is shifted down at small
-    separation.  At zero acceleration this reproduces the inertial
-    expression bit for bit.  Raises DomainError when the result
-    overflows double precision.
+    scenario holds as Python floats), written out so that it costs three
+    Python calls: itself, ``point_geometry`` and the record builder.
+    The symmetric state is shifted down at small separation.  At zero
+    acceleration this reproduces the inertial expression bit for bit.
+    Raises DomainError when the result overflows double precision.
     """
     if scenario.field_kind is not _SCALAR:
         scenario.require_field(_SCALAR)
-    a, z, w = scenario.acceleration, scenario.separation, scenario.omega0
-    zeta, _, cos_p, _, root = point_geometry(a, z, w)
+    z, lam = scenario.separation, scenario.coupling
+    zeta, _, cos_p, _, root = point_geometry(scenario.acceleration, z, scenario.omega0)
     reduced = (-cos_p if scenario.parity is _SYMMETRIC else cos_p) / root
-    pref = _scalar_prefactor(scenario, z)
-    return EnergyShift(reduced, pref, pref * reduced, _classify(zeta), scenario.parity, _SCALAR)
+    return _energy_shift(reduced, lam * lam / (_K * z), zeta, scenario.parity, _SCALAR)
 
 
 def scalar_inertial_limit(scenario: Scenario) -> EnergyShift:
@@ -94,7 +83,9 @@ def scalar_inertial_limit(scenario: Scenario) -> EnergyShift:
     scenario.require_field(_SCALAR)
     geom = scenario_geometry(scenario)
     reduced = -parity_sign(scenario.parity) * math.cos(geom.theta)
-    return _shift(scenario, reduced, _INERTIAL)
+    lam = scenario.coupling
+    pref = lam * lam / (_K * scenario.separation)
+    return _energy_shift(reduced, pref, 0.0, scenario.parity, _SCALAR)  # zeta = 0: at rest
 
 
 def scalar_farzone_asymptote(scenario: Scenario) -> EnergyShift:
@@ -112,4 +103,6 @@ def scalar_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     zeta = geom.zeta
     sign = -parity_sign(scenario.parity)
     reduced = sign * math.cos((geom.theta / zeta) * _log_two_zeta(zeta)) / zeta
-    return _shift(scenario, reduced, geom.regime, _farzone_warning(zeta))
+    lam = scenario.coupling
+    pref = lam * lam / (_K * scenario.separation)
+    return _energy_shift(reduced, pref, zeta, scenario.parity, _SCALAR, _farzone_warning(zeta))

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 from rindler_resonance.core import point_geometry
 from rindler_resonance.em import (
     em_closed_form,
+    em_farzone_asymptote,
     em_resonance_energy,
     em_spectral_tensors,
     em_wightman_tensor,
@@ -30,7 +31,12 @@ from rindler_resonance.oracle import (
     scalar_pv_suite,
 )
 from rindler_resonance.quad import TrigPolyDensity, adaptive_integral, pv_resonance_kernel
-from rindler_resonance.scalar import scalar_closed_form, scalar_resonance_energy
+from rindler_resonance.scalar import (
+    scalar_closed_form,
+    scalar_farzone_asymptote,
+    scalar_inertial_limit,
+    scalar_resonance_energy,
+)
 
 from rindler_resonance import (
     BOLTZMANN,
@@ -256,6 +262,61 @@ class TestScenario:
         sc.require_field(FieldKind.SCALAR)
         with pytest.raises(FieldKindError):
             sc.require_field(FieldKind.EM)
+
+    # Each of these read as antisymmetric or as EM: "sym" gave +0.5046
+    # where Parity.SYMMETRIC gives -0.5046, with no error.
+    NOT_MEMBERS = ["sym", "symmetric", "anti", None, 1, FieldKind.SCALAR]
+
+    @pytest.mark.parametrize("parity", NOT_MEMBERS, ids=repr)
+    def test_parity_must_be_a_member(self, parity):
+        message = r"parity must be Parity\.SYMMETRIC or Parity\.ANTISYMMETRIC, got "
+        dipoles = dict(dipole_a=(1.0, 0.0, 0.0), dipole_b=(1.0, 0.0, 0.0))
+        for build in (
+            lambda: Scenario.scalar_field(**{**KINEMATICS, "parity": parity}),
+            lambda: Scenario.em_field(**{**KINEMATICS, "parity": parity}, **dipoles),
+            lambda: Scenario.from_reduced(theta=1.0, zeta=1.0, parity=parity),
+            lambda: Scenario(FieldKind.SCALAR, parity, 1.0, 1.0, 1.0, 1.0),
+            lambda: dataclasses.replace(scalar_scenario(), parity=parity),
+            lambda: parity_sign(parity),
+        ):
+            with pytest.raises(DomainError, match=message):
+                build()
+
+    @pytest.mark.parametrize(
+        "kind", ["scalar", "em", "EM", None, 0, Parity.SYMMETRIC], ids=repr
+    )
+    def test_field_kind_must_be_a_member(self, kind):
+        # A text kind fell into the EM branch and blamed the coupling.
+        message = r"field_kind must be FieldKind\.SCALAR or FieldKind\.EM, got "
+        for build in (
+            lambda: Scenario(kind, Parity.SYMMETRIC, 1.0, 1.0, 1.0, 1.0),
+            lambda: Scenario(kind, Parity.SYMMETRIC, 1.0, 1.0, 1.0, None, (1.0, 0, 0), (1.0, 0, 0)),
+            lambda: Scenario.from_reduced(theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC,
+                                          field_kind=kind),
+            lambda: dataclasses.replace(scalar_scenario(), field_kind=kind),
+        ):
+            with pytest.raises(DomainError, match=message):
+                build()
+
+    def test_from_reduced_passes_every_input_on(self):
+        # The inputs the constructor refuses, from_reduced refuses too.
+        reduced = dict(theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC)
+        dipoles = dict(dipole_a=(1.0, 0.0, 0.0), dipole_b=(0.0, 0.0, 1.0))
+        with pytest.raises(DomainError, match="scalar scenario does not take dipole vectors"):
+            Scenario.from_reduced(**reduced, dipole_a=(1.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="scalar scenario does not take dipole vectors"):
+            Scenario.from_reduced(**reduced, field_kind=FieldKind.SCALAR, **dipoles)
+        with pytest.raises(DomainError, match="does not take a scalar coupling"):
+            Scenario.from_reduced(**reduced, field_kind=FieldKind.EM, coupling=1.0, **dipoles)
+        with pytest.raises(DomainError, match="requires both dipole vectors"):
+            Scenario.from_reduced(**reduced, field_kind=FieldKind.EM)
+        # What it keeps equals the constructor's scenario at the same point.
+        scalar = Scenario.from_reduced(**reduced, coupling=2.5)
+        em = Scenario.from_reduced(**reduced, field_kind=FieldKind.EM, **dipoles)
+        point = (scalar.acceleration, scalar.separation, scalar.omega0)
+        assert scalar == Scenario(FieldKind.SCALAR, Parity.SYMMETRIC, *point, 2.5)
+        assert em == Scenario(FieldKind.EM, Parity.SYMMETRIC, *point, None, *dipoles.values())
+        assert Scenario.from_reduced(**reduced).coupling == 1.0
 
     def test_from_reduced_round_trip(self):
         sc = Scenario.from_reduced(theta=2.0, zeta=0.3, parity=Parity.SYMMETRIC)
@@ -894,6 +955,83 @@ class TestFloatDispatch:
             assert _shift_bits(energy, scenario) == _row_bits(row)
 
 
+def package_shifts():
+    """name: (shift, zeta of its regime) for every entry that returns an EnergyShift."""
+    shifts = {}
+    for parity in Parity:
+        for a in (0.0, 1e17, 1e21, 2e15):  # zeta 0, 0.56, 5.6e3 and 0.011
+            scalar = Scenario.scalar_field(
+                acceleration=a, separation=1.0, omega0=1e8, parity=parity, coupling=0.5
+            )
+            em = Scenario.em_field(
+                acceleration=a, separation=1.0, omega0=1e8, parity=parity,
+                dipole_a=[0.0, 2e-30, 0.0], dipole_b=(0.0, -1e-29, 0.0),
+            )
+            general = dataclasses.replace(em_dipole_scenario(), acceleration=a, parity=parity)
+            zeta = scenario_geometry(scalar).zeta
+            tag = f"{parity.value}-zeta={zeta:.2g}"
+            shifts[f"scalar_resonance_energy-{tag}"] = scalar_resonance_energy(scalar), zeta
+            shifts[f"scalar_inertial_limit-{tag}"] = scalar_inertial_limit(scalar), 0.0  # at rest
+            shifts[f"em_resonance_energy-{tag}"] = em_resonance_energy(em), zeta
+            shifts[f"em_resonance_energy-general-{tag}"] = em_resonance_energy(general), zeta
+            if a > 0.0:
+                shifts[f"scalar_farzone_asymptote-{tag}"] = scalar_farzone_asymptote(scalar), zeta
+                shifts[f"em_farzone_asymptote-{tag}"] = em_farzone_asymptote(em), zeta
+    return shifts
+
+
+PACKAGE_SHIFTS = package_shifts()
+
+
+class TestPackageShifts:
+    """Every shift the package returns is the record EnergyShift(*fields) would make."""
+
+    def test_cover_every_regime_and_a_warning(self):
+        shifts = [shift for shift, _ in PACKAGE_SHIFTS.values()]
+        assert {s.regime for s in shifts} == set(Regime)
+        assert {s.field_kind for s in shifts} == set(FieldKind)
+        assert {s.parity for s in shifts} == set(Parity)
+        warned = {n.split("-")[0] for n, (s, _) in PACKAGE_SHIFTS.items() if s.warning is not None}
+        assert warned == {"scalar_farzone_asymptote", "em_farzone_asymptote"}
+
+    @pytest.mark.parametrize("name", list(PACKAGE_SHIFTS))
+    def test_equals_the_constructor_record(self, name):
+        shift, zeta = PACKAGE_SHIFTS[name]
+        names = [f.name for f in dataclasses.fields(EnergyShift)]
+        built = EnergyShift(*[getattr(shift, n) for n in names])
+        assert type(shift) is EnergyShift
+        assert shift == built and hash(shift) == hash(built) and repr(shift) == repr(built)
+        assert shift.si_value == shift.prefactor * shift.reduced
+        assert shift.regime is Regime.classify(zeta)
+        # Same keys in the same order, and the same size: the instance
+        # dict still shares its keys with every other EnergyShift.
+        assert list(shift.__dict__) == list(built.__dict__) == names
+        size = sys.getsizeof(shift) + sys.getsizeof(shift.__dict__)
+        assert size == sys.getsizeof(built) + sys.getsizeof(built.__dict__)
+
+    @pytest.mark.parametrize(
+        "energy",
+        [scalar_resonance_energy, scalar_inertial_limit, scalar_farzone_asymptote,
+         em_resonance_energy, em_farzone_asymptote],
+        ids=lambda f: f.__name__,
+    )
+    def test_non_finite_shift_is_refused(self, energy):
+        # The prefactor overflows: coupling**2, or the product of two
+        # dipole magnitudes of 1e200.
+        if energy.__module__.endswith("scalar"):
+            scenario = Scenario.scalar_field(
+                acceleration=1e17, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC,
+                coupling=1e200,
+            )
+        else:
+            scenario = Scenario.em_field(
+                acceleration=1e17, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC,
+                dipole_a=(0.0, 1e200, 0.0), dipole_b=(0.0, -1e200, 0.0),
+            )
+        with pytest.raises(DomainError, match="energy shift is not finite"):
+            energy(scenario)
+
+
 def python_calls(fn, *args) -> list:
     """Names of the Python-level calls made by fn(*args), fn itself included."""
     names = []
@@ -915,10 +1053,11 @@ class TestPointCallCount:
 
     @pytest.mark.parametrize("field", ["scalar", "em"])
     @pytest.mark.parametrize("acceleration", [0.0, 1e17, 1e21], ids=["inertial", "zeta~1", "far"])
-    def test_resonance_energy_makes_at_most_seven_calls(self, field, acceleration):
+    def test_resonance_energy_makes_three_or_five_calls(self, field, acceleration):
         # The energy evaluates its own point, with no closed-form call in
-        # between: 5 calls for the scalar field, 6 for EM.
-        bound = {"scalar": 5, "em": 6}[field]
+        # between, and builds its record in one call: 3 calls for the
+        # scalar field, 5 for EM (dipole factors and the tensor entries).
+        bound = {"scalar": 3, "em": 5}[field]
         if field == "scalar":
             scenario = Scenario.scalar_field(
                 acceleration=acceleration, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC
@@ -938,3 +1077,19 @@ class TestPointCallCount:
         calls = python_calls(functools.partial(Scenario.em_field, **KINEMATICS, **dipoles))
         assert calls[0] == "Scenario.em_field"
         assert len(calls) <= 3, calls
+
+    def test_scalar_field_with_floats_makes_two_calls(self):
+        # scalar_field and __init__, whose float checks are inline.
+        calls = python_calls(functools.partial(Scenario.scalar_field, **KINEMATICS, coupling=0.5))
+        assert calls == ["Scenario.scalar_field", "Scenario.__init__"]
+
+    @pytest.mark.parametrize("field", ["scalar", "em"])
+    def test_from_reduced_makes_five_or_six_calls(self, field):
+        # from_reduced, one conversion each of theta, zeta and the
+        # separation, and __init__; EM adds the check of both dipoles.
+        inputs = dict(theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC)
+        if field == "em":
+            inputs.update(field_kind=FieldKind.EM, dipole_a=(1.0, 0.0, 0.0), dipole_b=(0.0, 0.0, 1.0))
+        calls = python_calls(functools.partial(Scenario.from_reduced, **inputs))
+        assert calls[0] == "Scenario.from_reduced" and "Scenario.__init__" in calls
+        assert len(calls) <= {"scalar": 5, "em": 6}[field], calls
