@@ -37,10 +37,11 @@ from .scalar import (
     scalar_resonance_energy,
 )
 
-# Names imported on first access (PEP 562): quad and oracle load numpy,
-# which the package and the closed forms never pay for; em loads it only
-# to build a tensor, and stays lazy so that importing the package and a
-# scalar first call (what the bench's setup_s times) never read em.py.
+# Names imported on first access (PEP 562), so that importing the package
+# and a scalar first call (what the bench's setup_s times) never read
+# em.py, quad.py or oracle.py.  None of them imports numpy at module
+# level: em loads it to build a tensor and oracle for the commutator's
+# circle rule only.
 _LAZY_SUBMODULES = ("em", "quad", "oracle")
 _LAZY = {
     **dict.fromkeys(

@@ -23,8 +23,9 @@ checked for flags only.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
 
-numpy is imported only by ``verify``.  ``compute`` and ``sweep``, for
-either field, and ``regimes`` run without it.
+numpy is imported only by ``verify`` with the em-commutator suite
+(``all`` included).  ``compute`` and ``sweep``, for either field,
+``regimes`` and the other suites run without it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ vocabulary (parity signs, regime labels, energy-shift records, and
 every exception type the package raises) used by the scalar and
 electromagnetic calculations.  Every real input of the package, a
 dipole component included, becomes a Python float through the one
-private door ``_as_float``, and this module never imports numpy.
+private door ``_as_float``, every label field is checked by
+``_as_member``, and this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -88,10 +89,12 @@ class FieldKind(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "FieldKind":
+        """The member of a text label; DomainError for any other label or non-text."""
         try:
-            return cls(label.strip().lower())
+            return cls(label.strip().lower() if isinstance(label, str) else None)
         except ValueError:
-            raise DomainError(f"unknown field kind {label!r}; expected 'scalar' or 'em'") from None
+            shown = _shown(label, repr)
+            raise DomainError(f"unknown field kind {shown}; expected 'scalar' or 'em'") from None
 
 
 class Parity(enum.Enum):
@@ -102,7 +105,8 @@ class Parity(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Parity":
-        key = label.strip().lower()
+        """The member of a text label; DomainError for any other label or non-text."""
+        key = label.strip().lower() if isinstance(label, str) else None
         aliases = {
             "sym": cls.SYMMETRIC,
             "symmetric": cls.SYMMETRIC,
@@ -110,7 +114,7 @@ class Parity(enum.Enum):
             "antisymmetric": cls.ANTISYMMETRIC,
         }
         if key not in aliases:
-            raise DomainError(f"unknown parity {label!r}; expected 'sym' or 'anti'")
+            raise DomainError(f"unknown parity {_shown(label, repr)}; expected 'sym' or 'anti'")
         return aliases[key]
 
 
@@ -154,15 +158,8 @@ def parity_sign(parity: Parity) -> float:
     """
     if parity is _SYMMETRIC:
         return 1.0
-    if parity is _ANTISYMMETRIC:
-        return -1.0
-    raise _not_a_member(Parity, "parity", parity)
-
-
-def _not_a_member(cls: type, name: str, value) -> DomainError:
-    """The error for a ``name`` that is no member of the enum ``cls``, its text label included."""
-    members = " or ".join(f"{cls.__name__}.{m.name}" for m in cls)
-    return DomainError(f"{name} must be {members}, got {_shown(value, repr)}")
+    _as_member(Parity, parity, "parity")
+    return -1.0
 
 
 def _shown(value, text=str) -> str:
@@ -216,6 +213,18 @@ def _as_float(value, name: str, low: str = "") -> float:
         bound = f"{low} and finite" if low else "finite"
         raise DomainError(f"{name} must be {bound}, got {_shown(value)}")
     return x
+
+
+def _as_member(cls: type, value, name: str):
+    """``value`` if it is a member of the enum ``cls``, else DomainError naming ``name``.
+
+    The one door for a label field: its text label, None, a number and
+    another enum's member are all refused.
+    """
+    if type(value) is cls:
+        return value
+    members = " or ".join(f"{cls.__name__}.{m.name}" for m in cls)
+    raise DomainError(f"{name} must be {members}, got {_shown(value, repr)}")
 
 
 def _as_triple(given, name: str) -> tuple:
@@ -304,7 +313,7 @@ class Scenario:
         dipole_b=None,
     ) -> None:
         if parity is not _SYMMETRIC and parity is not _ANTISYMMETRIC:
-            raise _not_a_member(Parity, "parity", parity)
+            parity = _as_member(Parity, parity, "parity")
         if not (
             type(acceleration) is type(separation) is type(omega0) is float
             and 0.0 < separation <= _FLOAT_MAX
@@ -326,7 +335,7 @@ class Scenario:
                 raise DomainError("electromagnetic scenario requires both dipole vectors")
             dipole_a, dipole_b = _as_dipoles(dipole_a, dipole_b)
         else:
-            raise _not_a_member(FieldKind, "field_kind", field_kind)
+            field_kind = _as_member(FieldKind, field_kind, "field_kind")
         # One key at a time, in field order: the instance dict keeps its shared keys.
         d = self.__dict__
         d["field_kind"] = field_kind
@@ -586,7 +595,9 @@ class EnergyShift:
     numbers are stored as Python floats.  The constructor is the door
     for values from outside, ``dataclasses.replace`` included: it
     converts them, raises DomainError for anything that is not one real
-    number, and checks finiteness.  The shifts the package returns are
+    number, and checks finiteness; ``regime``, ``parity`` and
+    ``field_kind`` must be members of their enums and ``warning`` text
+    or None, or DomainError.  The shifts the package returns are
     built from its own floats by one private builder, which checks
     finiteness only.
     """
@@ -623,6 +634,17 @@ class EnergyShift:
                 si_value = _as_float(si_value, "si_value")
             check_finite_shift(reduced, si_value)
             prefactor = _as_float(prefactor, "prefactor")
+        if not (
+            type(regime) is Regime
+            and type(parity) is Parity
+            and type(field_kind) is FieldKind
+            and (warning is None or isinstance(warning, str))
+        ):
+            regime = _as_member(Regime, regime, "regime")
+            parity = _as_member(Parity, parity, "parity")
+            field_kind = _as_member(FieldKind, field_kind, "field_kind")
+            if not (warning is None or isinstance(warning, str)):
+                raise DomainError(f"warning must be text or None, got {_shown(warning, repr)}")
         d = self.__dict__
         d["reduced"] = reduced
         d["prefactor"] = prefactor

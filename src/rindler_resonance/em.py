@@ -31,6 +31,7 @@ antisymmetric xz/zx part is fixed by this convention.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -38,6 +39,7 @@ from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _EM,
+    _FLOAT_MAX,
     _SYMMETRIC,
     _as_float,
     _energy_shift,
@@ -135,17 +137,6 @@ class SpectralCoefficients:
     g0_nd: np.ndarray
     g2_nd: np.ndarray
 
-    def contracted(self, left: np.ndarray, right: np.ndarray) -> tuple:
-        """Scalar coefficients (cf1, cg0, cg2) for unit vectors left, right."""
-        total_f1 = self.f1 + self.f1_nd
-        total_g0 = self.g0 + self.g0_nd
-        total_g2 = self.g2 + self.g2_nd
-        return (
-            float(left @ total_f1 @ right),
-            float(left @ total_g0 @ right),
-            float(left @ total_g2 @ right),
-        )
-
 
 @dataclass(frozen=True)
 class EmSpectralTensors:
@@ -171,35 +162,61 @@ class PotentialTensors:
     reduced: Tensor3
 
 
-def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
-    """Coefficient tensors of the spectral density for one geometry."""
-    zeta = geom.zeta
+def _spectral_entries(zeta: float, strict: bool = True) -> tuple:
+    """(xx, yy, zz, xz) of f1, g0 and g2 at zeta: three tuples of floats.
+
+    The diagonal entries are the family's, xz its *_nd companion's
+    (zx = -xz).  From zeta ~ 1e77 entries overflow: where one is not
+    finite this raises DomainError naming zeta, or with ``strict``
+    false warns (RuntimeWarning) and returns them.
+    """
     z2 = zeta * zeta
     n = 1.0 + z2
     p = 1.0 + 2.0 * z2
     n2 = n * n
     n15 = n * math.sqrt(n)
     n25 = n2 * math.sqrt(n)
-    return SpectralCoefficients(
-        f1=_tensor(1.0 + 4.0 * z2, 1.0 + z2 * (2.0 + p), -2.0 - z2 * p) / n2,
-        g0=-_tensor(n + z2 * (1.0 + 4.0 * z2), n, n - 3.0 * p) / n25,
-        g2=_tensor(n - z2, n, n - p) / n15,
-        f1_nd=_tensor(0.0, 0.0, 0.0, zeta * (1.0 - 2.0 * z2) / n2),
-        g0_nd=_tensor(0.0, 0.0, 0.0, -zeta * (1.0 + 4.0 * z2) / n25),
-        g2_nd=_tensor(0.0, 0.0, 0.0, -zeta * n / n25),
+    entries = (
+        ((1.0 + 4.0 * z2) / n2, (1.0 + z2 * (2.0 + p)) / n2, (-2.0 - z2 * p) / n2,
+         zeta * (1.0 - 2.0 * z2) / n2),
+        (-(n + z2 * (1.0 + 4.0 * z2)) / n25, -n / n25, -(n - 3.0 * p) / n25,
+         -zeta * (1.0 + 4.0 * z2) / n25),
+        ((n - z2) / n15, n / n15, (n - p) / n15, -zeta * n / n25),
     )
+    if not all(-_FLOAT_MAX <= e <= _FLOAT_MAX for family in entries for e in family):
+        message = f"spectral coefficients are not finite at zeta = {zeta!r}"
+        if strict:
+            raise DomainError(message)
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+    return entries
+
+
+def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
+    """Coefficient tensors of the spectral density for one geometry.
+
+    From zeta ~ 1e77 some entries overflow to inf or nan; they are
+    returned with a RuntimeWarning, where every other route raises.
+    """
+    entries = _spectral_entries(geom.zeta, strict=False)
+    diagonal = [_tensor(*family[:3]) for family in entries]
+    return SpectralCoefficients(*diagonal, *[_tensor(0.0, 0.0, 0.0, e[3]) for e in entries])
 
 
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
-    """Evaluate the spectral tensor families at angular frequency omega."""
+    """Evaluate the spectral tensor families at angular frequency omega.
+
+    DomainError where the coefficients are not finite (zeta from ~1e77).
+    """
     omega = _as_float(omega, "omega", ">= 0")
-    coeff = em_spectral_coefficients(geom)
+    f1, g0, g2 = _spectral_entries(geom.zeta)
     x = omega * geom.separation / SPEED_OF_LIGHT
+    f = [e * x for e in f1]
+    g = [e0 + e2 * x * x for e0, e2 in zip(g0, g2)]
     return EmSpectralTensors(
-        f=Tensor3(coeff.f1 * x),
-        g=Tensor3(coeff.g0 + coeff.g2 * x * x),
-        f_nd=Tensor3(coeff.f1_nd * x),
-        g_nd=Tensor3(coeff.g0_nd + coeff.g2_nd * x * x),
+        f=Tensor3(_tensor(*f[:3])),
+        g=Tensor3(_tensor(*g[:3])),
+        f_nd=Tensor3(_tensor(0.0, 0.0, 0.0, f[3])),
+        g_nd=Tensor3(_tensor(0.0, 0.0, 0.0, g[3])),
     )
 
 

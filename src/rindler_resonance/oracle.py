@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
@@ -33,10 +31,10 @@ from .core import (
 )
 from .em import (
     _dipole_factors,
+    _spectral_entries,
     _wightman_kernel,
     em_farzone_asymptote,
     em_resonance_energy,
-    em_spectral_coefficients,
 )
 from .quad import (
     QuadratureSpec,
@@ -185,57 +183,59 @@ class VerificationReport:
 
 def _normalized_pv(
     geom: ReducedGeometry,
-    density: TrigPolyDensity,
     parity: Parity,
     spec: Optional[QuadratureSpec],
+    cos_coeffs: tuple = (0.0, 0.0, 0.0),
+    sin_coeffs: tuple = (0.0, 0.0, 0.0),
 ) -> float:
-    """-p/pi times the principal-value integral of ``density`` at omega0.
+    """-p/pi times the principal-value integral of a density in v = omega/omega0.
 
-    p is the parity sign.  Both fields' reduced shifts are this integral
-    of their spectral density against the resonance kernel, the scalar
-    one further divided by sqrt(1 + zeta**2).  The constant is analytic,
-    not fitted to the closed form the oracle checks.
+    The density has the given coefficients of powers of v and osc_time
+    omega0*S, so the kernel's pole sits at v = 1; p is the parity sign.
+    Both fields' reduced shifts are this integral, the scalar one further
+    divided by sqrt(1 + zeta**2).  The constant is analytic, not fitted
+    to the closed form the oracle checks.
     """
-    if not geom.omega0 > 0.0:
+    if not geom.phase > 0.0:
         raise DomainError("principal-value oracle requires omega0 > 0")
-    pv = pv_resonance_kernel(density, geom.omega0, spec)
+    density = TrigPolyDensity(geom.phase, cos_coeffs, sin_coeffs)
+    pv = pv_resonance_kernel(density, 1.0, spec)
     return -parity_sign(parity) * pv / math.pi
 
 
 def scalar_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = None) -> float:
     """Reduced scalar shift recomputed from the principal-value integral.
 
-    Independent of the closed form: the spectral density sin(omega*S)
+    Independent of the closed form: the spectral density sin(v*omega0*S)
     is integrated against the resonance kernel and normalized by
     -p/(pi*sqrt(1+zeta**2)).
     """
     scenario.require_field(FieldKind.SCALAR)
     geom = scenario_geometry(scenario)
-    density = TrigPolyDensity(osc_time=geom.light_time, sin_coeffs=(1.0, 0.0, 0.0))
-    return _normalized_pv(geom, density, scenario.parity, spec) / geom.envelope
-
-
-def _em_density(geom: ReducedGeometry, left: tuple, right: tuple) -> TrigPolyDensity:
-    coeff = em_spectral_coefficients(geom)
-    cf1, cg0, cg2 = coeff.contracted(left, right)
-    x_scale = geom.separation / SPEED_OF_LIGHT
-    return TrigPolyDensity(
-        osc_time=geom.light_time,
-        cos_coeffs=(0.0, cf1 * x_scale, 0.0),
-        sin_coeffs=(cg0, 0.0, cg2 * x_scale * x_scale),
-    )
+    pv = _normalized_pv(geom, scenario.parity, spec, sin_coeffs=(1.0, 0.0, 0.0))
+    return pv / geom.envelope
 
 
 def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = None) -> float:
     """Reduced electromagnetic shift recomputed from the frequency integral.
 
-    The dipole-contracted spectral density is integrated against the
-    resonance kernel and normalized by -p/pi.
+    The coefficient families f1, g0 and g2, contracted with the unit
+    dipoles, make the density f1*x*cos(v*omega0*S) + (g0 + g2*x**2)*sin(v*omega0*S)
+    with x = omega*z/c = v*theta, integrated against the resonance kernel
+    and normalized by -p/pi.  DomainError where the coefficients are not
+    finite (zeta from ~1e77).
     """
     scenario.require_field(FieldKind.EM)
     geom = scenario_geometry(scenario)
-    units = _dipole_factors(scenario, geom.separation)
-    return _normalized_pv(geom, _em_density(geom, units[:3], units[3:6]), scenario.parity, spec)
+    ax, ay, az, bx, by, bz, _ = _dipole_factors(scenario, 1.0)
+    f1, g0, g2 = (
+        ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+        for xx, yy, zz, xz in _spectral_entries(geom.zeta)
+    )
+    theta = geom.theta
+    return _normalized_pv(
+        geom, scenario.parity, spec, (0.0, f1 * theta, 0.0), (g0, 0.0, g2 * theta * theta)
+    )
 
 
 def _pv_report(
@@ -347,14 +347,12 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     The check holds for zeta up to at least 2e3.  From 3.2e3 to 1e5 G
     cancels near the pole in floats, and yy and zz fail at order -1.
     """
+    import numpy as np  # for the circle rule only
+
     c = SPEED_OF_LIGHT
-    coeff = em_spectral_coefficients(geom)
+    f1, g0, g2 = _spectral_entries(geom.zeta)
     x_scale = geom.separation / c
-    spectral = (
-        coeff.g0 + coeff.g0_nd,
-        x_scale * (coeff.f1 + coeff.f1_nd),
-        x_scale * x_scale * (coeff.g2 + coeff.g2_nd),
-    )
+    spectral = (g0, [x_scale * e for e in f1], [x_scale * x_scale * e for e in g2])
     s_time = geom.light_time
     offsets = 0.5 * s_time / max(1.0, geom.acceleration * s_time / (math.pi * c)) * np.exp(
         2j * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
@@ -369,12 +367,13 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     )
     checks = []
     outcomes: dict = {label: [] for label in _COMMUTATOR_COMPONENTS}
-    for order, reference_t, computed_t in zip((-1, -2, -3), spectral, timed):
-        envelope = max(np.max(np.abs(reference_t)), np.max(np.abs(computed_t)))
+    for order, (xx, yy, zz, xz), computed_t in zip((-1, -2, -3), spectral, timed):
+        envelope = max(abs(xx), abs(yy), abs(zz), abs(xz), np.max(np.abs(computed_t)))
+        references = {"xx": xx, "yy": yy, "zz": zz, "xz": xz, "zx": -xz}
         for label in _COMMUTATOR_COMPONENTS:
             index = ("xyz".index(label[0]), "xyz".index(label[1]))
             computed = float(computed_t[index])
-            reference = float(reference_t[index])
+            reference = references[label]
             rel = abs(computed - reference) / envelope
             check_id = f"em-commutator/comp={label}/u=+1.00S/order={order}"
             check = _check(check_id, computed, reference, rel, tolerance)
@@ -408,8 +407,12 @@ def commutator_agreeing_components(report: VerificationReport) -> tuple:
 
 
 def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    coeffs = np.polyfit(np.log(np.asarray(xs)), np.log(np.abs(np.asarray(ys))), 1)
-    return float(coeffs[0])
+    """Least-squares slope of log|y| against log x."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(abs(y)) for y in ys]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    covariance = math.fsum((x - mx) * (y - my) for x, y in zip(lx, ly))
+    return covariance / math.fsum((x - mx) * (x - mx) for x in lx)
 
 
 def _phase_aligned_separations(accel: float, omega_ratio: float, ks: Sequence[int]) -> list:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
-
-import numpy as np
 
 from .core import DomainError, QuadratureError, SingularityError, _as_float, _as_triple, _shown
 
@@ -42,58 +41,50 @@ __all__ = [
 ]
 
 # 15-point Kronrod abscissae and weights with the embedded 7-point Gauss
-# rule (weights wg attach to the odd-index abscissae and the centre).
-_XGK = np.array(
-    [
-        -0.9914553711208126,
-        -0.9491079123427585,
-        -0.8648644233597691,
-        -0.7415311855993944,
-        -0.5860872354676911,
-        -0.4058451513773972,
-        -0.2077849550078985,
-        0.0,
-        0.2077849550078985,
-        0.4058451513773972,
-        0.5860872354676911,
-        0.7415311855993944,
-        0.8648644233597691,
-        0.9491079123427585,
-        0.9914553711208126,
-    ]
+# rule (weights _WG7 attach to the odd-index abscissae, the centre included).
+_XGK = (
+    -0.9914553711208126,
+    -0.9491079123427585,
+    -0.8648644233597691,
+    -0.7415311855993944,
+    -0.5860872354676911,
+    -0.4058451513773972,
+    -0.2077849550078985,
+    0.0,
+    0.2077849550078985,
+    0.4058451513773972,
+    0.5860872354676911,
+    0.7415311855993944,
+    0.8648644233597691,
+    0.9491079123427585,
+    0.9914553711208126,
 )
-_WGK = np.array(
-    [
-        0.02293532201052922,
-        0.06309209262997855,
-        0.10479001032225018,
-        0.14065325971552592,
-        0.16900472663926790,
-        0.19035057806478541,
-        0.20443294007529889,
-        0.20948214108472783,
-        0.20443294007529889,
-        0.19035057806478541,
-        0.16900472663926790,
-        0.14065325971552592,
-        0.10479001032225018,
-        0.06309209262997855,
-        0.02293532201052922,
-    ]
+_WGK = (
+    0.02293532201052922,
+    0.06309209262997855,
+    0.10479001032225018,
+    0.14065325971552592,
+    0.16900472663926790,
+    0.19035057806478541,
+    0.20443294007529889,
+    0.20948214108472783,
+    0.20443294007529889,
+    0.19035057806478541,
+    0.16900472663926790,
+    0.14065325971552592,
+    0.10479001032225018,
+    0.06309209262997855,
+    0.02293532201052922,
 )
-_WG7 = np.array(
-    [
-        0.12948496616886969,
-        0.27970539148927667,
-        0.38183005050511894,
-        0.41795918367346939,
-        0.38183005050511894,
-        0.27970539148927667,
-        0.12948496616886969,
-    ]
+_WG7 = (
+    0.12948496616886969,
+    0.27970539148927667,
+    0.38183005050511894,
+    0.41795918367346939,
+    0.38183005050511894,
+    0.27970539148927667,
+    0.12948496616886969,
 )
-# Indices of the embedded Gauss nodes inside _XGK.
-_G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 _ENV_REL_TOL = "RINDLER_RESONANCE_TOL"
 
@@ -124,9 +115,12 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         depth = self.max_depth
         if type(depth) is not int:
-            if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
-                raise DomainError(f"max_depth must be one integer, got {_shown(depth, repr)}")
-            object.__setattr__(self, "max_depth", int(depth))
+            try:  # any integer type, numpy's included, but not a bool
+                depth = operator.index(None if isinstance(depth, bool) else depth)
+            except TypeError:
+                shown = _shown(depth, repr)
+                raise DomainError(f"max_depth must be one integer, got {shown}") from None
+            object.__setattr__(self, "max_depth", depth)
         if self.max_depth < 1:
             raise DomainError(f"max_depth must be >= 1, got {_shown(self.max_depth)}")
 
@@ -159,12 +153,13 @@ def _scaled_rule_error(ik: float, ig: float, resasc: float) -> float:
 def _gk_panel(f: Callable, a: float, b: float) -> tuple:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fv = f(mid + half * _XGK)
-    ik = half * float(np.dot(_WGK, fv))
+    fv = [f(mid + half * x) for x in _XGK]
+    ik = half * sum(map(operator.mul, _WGK, fv))
     err = math.nan
     if math.isfinite(ik):
-        ig = half * float(np.dot(_WG7, fv[_G7_IDX]))
-        resasc = half * float(np.dot(_WGK, np.abs(fv - ik / (b - a))))
+        ig = half * sum(map(operator.mul, _WG7, fv[1::2]))
+        mean = ik / (b - a)
+        resasc = half * sum(w * abs(v - mean) for w, v in zip(_WGK, fv))
         err = _scaled_rule_error(ik, ig, resasc)
     if not math.isfinite(err):
         raise QuadratureError(
@@ -182,7 +177,7 @@ def adaptive_integral(
 ) -> float:
     """Integrate f on finite [lower, upper] with adaptive Gauss-Kronrod.
 
-    ``f`` takes a numpy array of points and returns their values.
+    ``f`` takes one float and returns its value.
     Endpoints are never evaluated (the Kronrod nodes are interior), so
     integrable endpoint behaviour is tolerated.
 
@@ -249,14 +244,17 @@ class TrigPolyDensity:
         for name in ("cos_coeffs", "sin_coeffs"):
             object.__setattr__(self, name, _as_triple(getattr(self, name), name))
 
-    def __call__(self, w):
-        w = np.asarray(w, dtype=float)
+    def __call__(self, w: float) -> float:
+        """The density at one float w; DomainError where w*S overflows."""
         c0, c1, c2 = self.cos_coeffs
         s0, s1, s2 = self.sin_coeffs
         phase = w * self.osc_time
-        return (c0 + (c1 + c2 * w) * w) * np.cos(phase) + (
-            s0 + (s1 + s2 * w) * w
-        ) * np.sin(phase)
+        try:
+            return (c0 + (c1 + c2 * w) * w) * math.cos(phase) + (
+                s0 + (s1 + s2 * w) * w
+            ) * math.sin(phase)
+        except ValueError:  # math.cos and math.sin refuse an infinite phase
+            raise DomainError(f"the phase w * osc_time overflows at w = {w!r}") from None
 
 
 def pv_resonance_kernel(
@@ -292,9 +290,11 @@ def pv_resonance_kernel(
     coefficients is still integrated to ``spec.rel_tol``.
 
     Raises TypeError for anything but a TrigPolyDensity, DomainError
-    unless omega0 is positive and finite and M is finite, and
-    QuadratureError if an adaptive piece cannot reach the requested
-    tolerance.
+    unless omega0 is positive and finite, M is finite and the phase
+    omega0*S is within reach of double precision (1.5*omega0*S finite
+    and omega0*S above about 1e-305), and QuadratureError if an
+    adaptive piece cannot reach the requested tolerance or the result
+    is not finite.  Only these three types are raised.
     """
     if not isinstance(density, TrigPolyDensity):
         raise TypeError(
@@ -309,32 +309,48 @@ def pv_resonance_kernel(
         raise DomainError(f"the density's size at omega0 = {omega0} overflows double precision")
 
     w_hi = 1.5 * omega0
+    s_time = density.osc_time
+    a = min(omega0, 1.0 / s_time)
+    # Past y = 750/S the factor e^{-Sy} is exactly 0.
+    u_max = math.log1p(750.0 / s_time / a)
+    if s_time * w_hi == math.inf or u_max == math.inf:
+        raise DomainError(
+            f"omega0 * osc_time = {omega0 * s_time!r} is beyond double precision "
+            f"(omega0 = {omega0!r}, osc_time = {s_time!r})"
+        )
+    part_spec = replace(spec, abs_tol=0.25 * spec.abs_tol * size)
 
-    def folded(t: np.ndarray) -> np.ndarray:
+    def folded(t: float) -> float:
         # The head at w = t and the window's halves at w = omega0 -+ t.
-        low, down, up = density(np.stack((t, omega0 - t, omega0 + t)))
+        low, down, up = density(t), density(omega0 - t), density(omega0 + t)
         head = low * (1.0 / (t + omega0) + 1.0 / (t - omega0))
         return head + (up - down) / t + up / (2.0 * omega0 + t) + down / (2.0 * omega0 - t)
 
-    part_spec = replace(spec, abs_tol=0.25 * spec.abs_tol * size)
-    finite = adaptive_integral(folded, 0.0, 0.5 * omega0, part_spec)
-
     # Tail on [A, inf), A = w_hi: E*K = 2*(p0 + p1*w) + q(w).
-    s_time = density.osc_time
     edge = cmath.exp(1j * s_time * w_hi)
     p0 = complex(c1, -s1)
     p1 = complex(c2, -s2)
-    poly = 2.0 * edge * (1j * p0 / s_time + p1 * (1j * w_hi / s_time - 1.0 / s_time**2))
-    a = min(omega0, 1.0 / s_time)
-    # Past y = 750/S the factor e^{-Sy} is exactly 0.
-    u_max = math.log1p(750.0 / (s_time * a))
+    # 1/S**2 as two divisions by S, so that a tiny S gives no 1/0.
+    poly = 2.0 * edge * (1j * p0 / s_time + p1 * (1j * w_hi - 1.0 / s_time) / s_time)
     rotation = 1j * a * edge
 
-    def rotated(u: np.ndarray) -> np.ndarray:
-        y = a * np.expm1(u)
-        w = w_hi + 1j * y
+    def rotated(u: float) -> float:
+        y = a * math.expm1(u)
+        w = complex(w_hi, y)
         envelope = (c0 + (c1 + c2 * w) * w) - 1j * (s0 + (s1 + s2 * w) * w)
-        q = 2.0 * complex(c0, -s0) / w + envelope * 2.0 * omega0**2 / (w * (w * w - omega0**2))
-        return (rotation * q).real * np.exp(u - s_time * y)
+        # omega0**2/(w*(w**2 - omega0**2)) in r = omega0/w, |r| <= 2/3: no w**3 to overflow.
+        r = omega0 / w
+        q = 2.0 * complex(c0, -s0) / w + 2.0 * (envelope * r) * r / (w * (1.0 - r * r))
+        return (rotation * q).real * math.exp(u - s_time * y)
 
-    return finite + poly.real + adaptive_integral(rotated, 0.0, u_max, part_spec)
+    try:
+        total = (
+            adaptive_integral(folded, 0.0, 0.5 * omega0, part_spec)
+            + poly.real
+            + adaptive_integral(rotated, 0.0, u_max, part_spec)
+        )
+    except ArithmeticError as exc:  # a division by an underflowed 0, an overflowing fsum
+        raise QuadratureError(f"principal value at omega0 = {omega0!r} fails: {exc}") from None
+    if not math.isfinite(total):
+        raise QuadratureError(f"principal value at omega0 = {omega0!r} is not finite: {total}")
+    return total

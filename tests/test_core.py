@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import decimal
+import enum
 import fractions
 import functools
 import inspect
@@ -164,6 +165,27 @@ class TestParityAndCorrelation:
             Parity.from_label("mixed")
         with pytest.raises(DomainError):
             FieldKind.from_label("tensor")
+
+    @pytest.mark.parametrize("label", [None, 1, Parity.SYMMETRIC, FieldKind.EM], ids=repr)
+    def test_labels_must_be_text(self, label):
+        # These once reached label.strip() and raised AttributeError.
+        with pytest.raises(DomainError, match="unknown parity"):
+            Parity.from_label(label)
+        with pytest.raises(DomainError, match="unknown field kind"):
+            FieldKind.from_label(label)
+
+    def test_energy_shift_refuses_text_labels_and_a_numeric_warning(self):
+        members = (Regime.INERTIAL, Parity.SYMMETRIC, FieldKind.SCALAR)
+        for k, (text, field) in enumerate(
+            (("Inertial", "regime"), ("sym", "parity"), ("scalar", "field_kind"))
+        ):
+            labels = members[:k] + (text,) + members[k + 1:]
+            with pytest.raises(DomainError, match=rf"^{field} must be "):
+                EnergyShift(1.0, 2.0, 2.0, *labels)
+        for warning in (5, b"warning", 0.5):
+            with pytest.raises(DomainError, match="^warning must be text or None"):
+                EnergyShift(1.0, 2.0, 2.0, *members, warning=warning)
+        assert EnergyShift(1.0, 2.0, 2.0, *members, warning="w").warning == "w"
 
 
 class TestRegime:
@@ -448,19 +470,40 @@ ACCEPTED = {
 }
 
 
+# Every public entry that takes a label, as (entry, field, builder).  They
+# refuse every kind above, the accepted numbers included, and the kinds
+# of LABEL_REFUSED.
+LABEL_ENTRIES = [
+    ("EnergyShift", "regime", lambda x: dataclasses.replace(energy_shift(), regime=x)),
+    ("EnergyShift", "parity", lambda x: dataclasses.replace(energy_shift(), parity=x)),
+    ("EnergyShift", "field_kind", lambda x: dataclasses.replace(energy_shift(), field_kind=x)),
+    ("Parity.from_label", "parity", Parity.from_label),
+    ("FieldKind.from_label", "field kind", FieldKind.from_label),
+]
+
+
+class Foreign(enum.Enum):
+    """An enum outside the package, whose member's value is a valid label."""
+
+    SYM = "sym"
+
+
+LABEL_REFUSED = {**REFUSED, **ACCEPTED, "int": 1, "foreign-member": Foreign.SYM}
+
 # None is their documented "each suite's own tolerance".
 NONE_IS_DEFAULT = {"run_suites", "asymptote_convergence_report"}
 
 
-def _cells(kinds):
+def _cells(kinds, entries=ENTRIES):
     return {
         f"{entry}-{field.split()[0]}-{kind}": (build, field, value)
-        for (entry, field, build), (kind, value) in itertools.product(ENTRIES, kinds.items())
+        for (entry, field, build), (kind, value) in itertools.product(entries, kinds.items())
         if not (value is None and entry in NONE_IS_DEFAULT)
     }
 
 
-REFUSED_CELLS, ACCEPTED_CELLS = _cells(REFUSED), _cells(ACCEPTED)
+REFUSED_CELLS = {**_cells(REFUSED), **_cells(LABEL_REFUSED, LABEL_ENTRIES)}
+ACCEPTED_CELLS = _cells(ACCEPTED)
 
 
 @pytest.mark.parametrize("cell", list(REFUSED_CELLS))

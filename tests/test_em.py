@@ -1,6 +1,7 @@
 """Electromagnetic shift: spectral tensors, potentials, correlation tensor."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from rindler_resonance import (
     em_farzone_asymptote,
     em_inertial_potential,
     em_potential_tensors,
+    em_energy_pv_oracle,
     em_resonance_energy,
     em_spectral_coefficients,
     em_spectral_tensors,
@@ -137,6 +139,22 @@ class TestSpectralTensors:
     def test_rejects_negative_frequency(self):
         with pytest.raises(DomainError):
             em_spectral_tensors(-1.0, unit_geometry())
+
+    @pytest.mark.parametrize("zeta", [1e77, 1.2e77, 1e200])
+    def test_non_finite_coefficients(self, zeta):
+        # From zeta ~ 1e77 the coefficients overflow to inf or nan.  The
+        # tensors and the oracle refuse them; the coefficient record
+        # returns them with a warning.
+        scenario = em_scenario(1.0, zeta)
+        geom = scenario_geometry(scenario)
+        message = f"not finite at zeta = {re.escape(repr(geom.zeta))}$"
+        with pytest.raises(DomainError, match=message):
+            em_spectral_tensors(1.0, geom)
+        with pytest.raises(DomainError, match=message):
+            em_energy_pv_oracle(scenario)
+        with pytest.warns(RuntimeWarning, match=message):
+            coeff = em_spectral_coefficients(geom)
+        assert not all(np.isfinite(t).all() for t in (coeff.f1, coeff.g0, coeff.g2))
 
     @settings(max_examples=40)
     @given(

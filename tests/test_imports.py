@@ -3,8 +3,9 @@ and EM energies and closed forms (on a list of points), the EM far-zone
 asymptote, a scalar or EM ``compute``, a linear or log ``sweep`` and
 ``regimes``, a scenario, geometry or Unruh temperature of Python ints,
 bools and Fractions, and an EM scenario whose dipoles are a namedtuple,
-Fractions or Decimals run without it.  The lazily resolved names are the
-same objects as their modules'."""
+Fractions or Decimals run without it.  So do importing ``quad`` and
+``oracle`` and the ``verify`` suites scalar-pv, em-pv and asymptotes.
+The lazily resolved names are the same objects as their modules'."""
 
 import importlib
 import pathlib
@@ -98,6 +99,29 @@ def test_scalar_paths_never_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 40
+
+
+VERIFY_SCRIPT = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import rindler_resonance.oracle
+import rindler_resonance.quad
+from rindler_resonance import cli
+
+assert "numpy" not in sys.modules, "importing quad and oracle loaded numpy"
+for suite in ("scalar-pv", "em-pv", "asymptotes"):
+    assert cli.main(["verify", "--suite", suite, "--out", "/dev/null"]) == 0
+    assert "numpy" not in sys.modules, f"verify --suite {suite} loaded numpy"
+"""
+
+
+def test_verify_suites_never_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-E", "-s", "-W", "error", "-c", VERIFY_SCRIPT, str(SRC)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_public_name_resolves():

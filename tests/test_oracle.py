@@ -7,7 +7,6 @@ code path than the closed forms they compare against.
 
 import csv
 import io
-from dataclasses import replace
 
 import pytest
 
@@ -226,13 +225,8 @@ class TestEmOracle:
     def test_detects_perturbed_spectral_density(self, monkeypatch):
         # Perturb one coefficient family; the grid checks must notice.
         spec = QuadratureSpec()
-        true_coeffs = oracle_module.em_spectral_coefficients
-
-        def tweaked(geom):
-            coeff = true_coeffs(geom)
-            return replace(coeff, g0=coeff.g0 * 1.02)
-
-        monkeypatch.setattr(oracle_module, "em_spectral_coefficients", tweaked)
+        tweaked = _scaled_families(oracle_module._spectral_entries, {"g0": 1.02})
+        monkeypatch.setattr(oracle_module, "_spectral_entries", tweaked)
         rep = em_pv_suite(spec, thetas=(1.0,), zetas=(1.0,), dipole_configs=(("z", "z"),))
         assert not rep.passed
 
@@ -240,6 +234,21 @@ class TestEmOracle:
 _COMPONENTS = ("xx", "xz", "yy", "zx", "zz")
 # Laurent order at u = S that each spectral coefficient family weighs.
 _FAMILY_ORDERS = {"g0": -1, "g0_nd": -1, "f1": -2, "f1_nd": -2, "g2": -3, "g2_nd": -3}
+
+
+def _scaled_families(true_entries, factors):
+    """``true_entries`` with each named family scaled: f1, g0 or g2 on the
+    diagonal, f1_nd, g0_nd or g2_nd its xz entry."""
+
+    def tweaked(zeta):
+        entries = [list(family) for family in true_entries(zeta)]
+        for family, factor in factors.items():
+            row = entries[("f1", "g0", "g2").index(family[:2])]
+            for k in (3,) if family.endswith("_nd") else (0, 1, 2):
+                row[k] *= factor
+        return tuple(tuple(row) for row in entries)
+
+    return tweaked
 
 
 def _pair_checks(report):
@@ -293,14 +302,10 @@ class TestCommutatorConsistency:
     def test_detects_perturbed_spectral_density(self, monkeypatch):
         # A 2% error in any one family fails exactly the checks of its
         # order where that family is nonzero.
-        true_coeffs = oracle_module.em_spectral_coefficients
+        true_entries = oracle_module._spectral_entries
         for family, order in _FAMILY_ORDERS.items():
-
-            def tweaked(geom, family=family):
-                coeff = true_coeffs(geom)
-                return replace(coeff, **{family: getattr(coeff, family) * 1.02})
-
-            monkeypatch.setattr(oracle_module, "em_spectral_coefficients", tweaked)
+            tweaked = _scaled_families(true_entries, {family: 1.02})
+            monkeypatch.setattr(oracle_module, "_spectral_entries", tweaked)
             rep = em_commutator_consistency(unit_commutator_geometry())
             assert not rep.passed, family
             perturbed = {"xz", "zx"} if family.endswith("_nd") else {"xx", "yy", "zz"}
@@ -310,19 +315,47 @@ class TestCommutatorConsistency:
 
     def test_detects_flipped_cross_sign(self, monkeypatch):
         # The sign error once carried by the sin(omega*S) cross families.
-        true_coeffs = oracle_module.em_spectral_coefficients
-
-        def flipped(geom):
-            coeff = true_coeffs(geom)
-            return replace(coeff, g0_nd=-coeff.g0_nd, g2_nd=-coeff.g2_nd)
-
-        monkeypatch.setattr(oracle_module, "em_spectral_coefficients", flipped)
+        flipped = _scaled_families(oracle_module._spectral_entries, {"g0_nd": -1.0, "g2_nd": -1.0})
+        monkeypatch.setattr(oracle_module, "_spectral_entries", flipped)
         rep = em_commutator_consistency(unit_commutator_geometry())
         assert commutator_agreeing_components(rep) == ("xx", "yy", "zz")
         failing = {(_component(c), c.check_id[-2:]) for c in _pair_checks(rep) if not c.passed}
         assert failing == {("xz", "-1"), ("xz", "-3"), ("zx", "-1"), ("zx", "-3")}
         by_id = {c.check_id: c for c in rep.checks}
         assert "first failing u" in by_id["em-commutator/summary/comp=xz"].note
+
+
+_DIPOLE_AXES = (
+    ((0.0, 0.0, 1e-30), (0.0, 0.0, 1e-30)),
+    ((1e-30, 0.0, 0.0), (1e-30, 0.0, 0.0)),
+    ((0.0, 1e-30, 0.0), (0.0, 1e-30, 0.0)),
+    ((1e-30, 0.0, 0.0), (0.0, 0.0, 1e-30)),
+)
+
+
+@pytest.mark.parametrize("separation", [1e-200, 1e-120, 1.0, 1e120, 1e200])
+def test_oracles_match_at_every_separation(separation):
+    # The densities live in v = omega/omega0, so no SI scale enters the
+    # integral.  EM points whose closed-form SI shift overflows (dipoles
+    # of 1e-30 C m at 1e-200 m) are skipped.
+    for theta in (0.5, 5.0):
+        for zeta in (0.1, 0.5, 10.0):
+            scalar = Scenario.from_reduced(
+                theta=theta, zeta=zeta, parity=Parity.ANTISYMMETRIC, separation=separation
+            )
+            reference = scalar_resonance_energy(scalar).reduced
+            assert scalar_energy_pv_oracle(scalar) == pytest.approx(reference, rel=1e-12)
+            for axes in _DIPOLE_AXES:
+                em = Scenario.from_reduced(
+                    theta=theta, zeta=zeta, parity=Parity.SYMMETRIC, separation=separation,
+                    field_kind=FieldKind.EM, dipole_a=axes[0], dipole_b=axes[1],
+                )
+                try:
+                    reference = em_resonance_energy(em).reduced
+                except DomainError:
+                    assert separation == 1e-200
+                    continue
+                assert em_energy_pv_oracle(em) == pytest.approx(reference, rel=1e-12)
 
 
 class TestAsymptoteReport:

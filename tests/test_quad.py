@@ -183,6 +183,26 @@ class TestPvResonanceKernel:
         with pytest.raises(DomainError, match="overflows"):
             pv_resonance_kernel(TrigPolyDensity(osc_time=1.0, cos_coeffs=(0.0, 0.0, 1.0)), 1e200)
 
+    @pytest.mark.parametrize(
+        "osc_time, omega0, coeffs",
+        [
+            (1e-200, 1.0, {"sin_coeffs": (1.0, 0.0, 0.0)}),
+            (5e-324, 1.0, {"sin_coeffs": (1.0, 0.0, 0.0)}),
+            (1.0, 1.3e308, {"cos_coeffs": (1.0, 0.0, 0.0)}),
+            (1e300, 1e10, {"cos_coeffs": (1.0, 0.0, 0.0)}),
+        ],
+    )
+    def test_extreme_scales_raise_only_typed_errors(self, osc_time, omega0, coeffs):
+        # A tiny S once divided by S**2 = 0; a phase omega0*S beyond the
+        # float range once reached math.cos and cmath.exp.  The sine
+        # density at S = 1e-200 still integrates to pi*cos(omega0*S).
+        density = TrigPolyDensity(osc_time=osc_time, **coeffs)
+        if osc_time == 1e-200:
+            assert pv_resonance_kernel(density, omega0) == pytest.approx(math.pi, rel=1e-12)
+        else:
+            with pytest.raises(DomainError, match="beyond double precision"):
+                pv_resonance_kernel(density, omega0)
+
     def test_deterministic(self):
         density = TrigPolyDensity(osc_time=0.8, sin_coeffs=(0.3, 0.0, 1.0))
         assert pv_resonance_kernel(density, 1.3) == pv_resonance_kernel(density, 1.3)
@@ -191,9 +211,13 @@ class TestPvResonanceKernel:
 class TestTrigPolyDensity:
     def test_evaluates_its_polynomial(self):
         d = TrigPolyDensity(osc_time=2.0, cos_coeffs=(1.0, 0.5, 0.0), sin_coeffs=(0.0, 0.0, 2.0))
-        w = np.array([0.0, 0.7, 3.1])
-        expected = (1.0 + 0.5 * w) * np.cos(2.0 * w) + 2.0 * w * w * np.sin(2.0 * w)
-        assert np.allclose(d(w), expected, rtol=1e-15)
+        for w in (0.0, 0.7, 3.1):
+            expected = (1.0 + 0.5 * w) * math.cos(2.0 * w) + 2.0 * w * w * math.sin(2.0 * w)
+            assert d(w) == pytest.approx(expected, rel=1e-15, abs=1e-15)
+
+    def test_phase_overflow_raises(self):
+        with pytest.raises(DomainError, match="overflows"):
+            TrigPolyDensity(osc_time=1e300, sin_coeffs=(1.0, 0.0, 0.0))(1e10)
 
     def test_validation(self):
         with pytest.raises(DomainError):
