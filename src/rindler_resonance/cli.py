@@ -6,6 +6,8 @@ cross-check suites, and ``regimes`` prints the characteristic scales
 for a given acceleration.  ``compute`` is a sweep of one point: both
 build their CSV rows from the closed forms through one helper, so a
 sweep row is the row ``compute --format csv`` prints for its value.
+The helper builds each line in one pass over the closed-form rows, with
+no Python call beyond the closed form's own per row.
 
 Exit codes: 0 success, 1 verification or numerical failure, 2 usage
 error (an ``--out`` path that cannot be written is one), 3 domain error
@@ -37,7 +39,11 @@ import sys
 from typing import Optional
 
 from .core import (
+    FARZONE_ZETA_MIN,
+    INERTIAL_ZETA_MAX,
     SPEED_OF_LIGHT,
+    _FLOAT_MAX,
+    _SCALAR,
     DomainError,
     FieldKind,
     Parity,
@@ -57,7 +63,8 @@ CSV_HEADER = "field,parity,a_mps2,z_m,omega0_radps,zeta,theta,reduced,si_joule,r
 
 _SUITES = ("scalar-pv", "em-pv", "em-commutator", "asymptotes")
 _AXIS_SHORTCUTS = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
-_REGIME_LABELS = {regime: regime.value for regime in Regime}
+# Bound once: an Enum member's .value is a Python call on 3.11.
+_INERTIAL_LABEL, _INTERMEDIATE_LABEL, _FARZONE_LABEL = (regime.value for regime in Regime)
 
 # name: (caster, choices a flag must be one of, help text)
 _OPTIONS = {
@@ -161,44 +168,46 @@ def _build_scenario(opts: dict) -> Scenario:
     )
 
 
-def _closed_form_rows(scenario: Scenario, grid: list, point, param=None) -> list:
+def _closed_form_rows(scenario: Scenario, grid: list, param=None) -> list:
     """CSV rows of the closed form, one per (a, z, omega0) float triple of ``grid``.
 
-    ``point`` holds the a, z and omega0 columns: floats, except that
-    the ``param`` column, if any, is the list of its grid values.
-    Constant cells are formatted once into a ``%`` template.  The first
-    non-finite shift raises DomainError.
+    ``param`` names the swept column (None, for compute's one row, is
+    formatted as sep).  The other inputs, zeta in an omega0 sweep and
+    theta in an accel sweep are formatted once into a ``%`` template.
+    One pass over the closed-form rows builds the lines with no Python
+    call; only a negative or nan zeta goes through
+    :meth:`Regime.classify`, which raises.  The first non-finite shift
+    raises DomainError.
     """
-    if scenario.field_kind is FieldKind.SCALAR:
+    if scenario.field_kind is _SCALAR:
         closed_form = scalar_closed_form
     else:
         from .em import em_closed_form as closed_form
-    zeta, theta, reduced, prefactor = map(list, zip(*closed_form(scenario, grid)))
-    si_value = [p * r for p, r in zip(prefactor, reduced)]
-    # Overflow shows up as inf or nan; the first such row fails.
-    for r, si in zip(reduced, si_value):
-        if not (math.isfinite(r) and math.isfinite(si)):
-            check_finite_shift(r, si)
-
-    # zeta is one value in an omega0 sweep and theta one in an accel
-    # sweep, so each is formatted (and zeta classified) once.
-    classify = Regime.classify
-    if param == "omega0":
-        zeta = zeta[0]
-        regime = classify(zeta).value
-    else:
-        regime = [_REGIME_LABELS[classify(z)] for z in zeta]
-    if param == "accel":
-        theta = theta[0]
-    template, varying = f"{scenario.field_kind.value},{scenario.parity.value}", []
-    columns = (*point, zeta, theta, reduced, si_value, regime)
-    for column, fmt in zip(columns, ("%.16e",) * 7 + ("%s",)):
-        if isinstance(column, list):
-            template += "," + fmt
-            varying.append(column)
+    rows = closed_form(scenario, grid)
+    first = (*grid[0], *rows[0][:2])  # a, z, omega0, zeta, theta
+    fixed = {"accel": (1, 2, 4), "omega0": (0, 1, 3)}.get(param, (0, 2))
+    cells = [",%.16e" % first[i] if i in fixed else ",%.16e" for i in range(7)]
+    template = f"{scenario.field_kind.value},{scenario.parity.value}{''.join(cells)},%s"
+    lines = []
+    for (a, z, w), (zeta, theta, reduced, prefactor) in zip(grid, rows):
+        si_value = prefactor * reduced
+        if not (-_FLOAT_MAX <= reduced <= _FLOAT_MAX and -_FLOAT_MAX <= si_value <= _FLOAT_MAX):
+            check_finite_shift(reduced, si_value)
+        if zeta > FARZONE_ZETA_MIN:
+            regime = _FARZONE_LABEL
+        elif zeta >= INERTIAL_ZETA_MAX:
+            regime = _INTERMEDIATE_LABEL
+        elif zeta >= 0.0:
+            regime = _INERTIAL_LABEL
         else:
-            template += "," + fmt % column
-    return [template % row for row in zip(*varying)]
+            regime = Regime.classify(zeta).value  # raises for a negative or nan zeta
+        if param == "omega0":
+            lines.append(template % (w, theta, reduced, si_value, regime))
+        elif param == "accel":
+            lines.append(template % (a, zeta, reduced, si_value, regime))
+        else:
+            lines.append(template % (z, zeta, theta, reduced, si_value, regime))
+    return lines
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -223,7 +232,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def cmd_compute(opts: dict) -> int:
     scenario = _build_scenario(opts)
     point = (scenario.acceleration, scenario.separation, scenario.omega0)
-    (row,) = _closed_form_rows(scenario, [point], point)
+    (row,) = _closed_form_rows(scenario, [point])
     fmt = opts.get("format", "text")
     if fmt not in ("text", "csv"):
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
@@ -300,9 +309,8 @@ def cmd_sweep(opts: dict) -> int:
         if not 0.0 < value < math.inf:  # a zero may be in the domain
             check_kinematics(*point)
         grid.append(tuple(point))
-    point[swept] = values
 
-    rows = _closed_form_rows(scenario, grid, point, param)
+    rows = _closed_form_rows(scenario, grid, param)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", opts.get("out"))
     return 0
 

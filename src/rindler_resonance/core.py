@@ -244,18 +244,6 @@ def _as_triple(given, name: str) -> tuple:
     return (_as_float(items[0], name), _as_float(items[1], name), _as_float(items[2], name))
 
 
-def _as_dipoles(a, b) -> tuple:
-    """Both dipoles as float triples; a tuple of three finite floats is kept as given."""
-    # A sum is finite only if each term is; one that overflows takes _as_triple.
-    if not (type(a) is tuple and len(a) == 3 and type(a[0]) is type(a[1]) is type(a[2]) is float
-            and -_FLOAT_MAX <= a[0] + a[1] + a[2] <= _FLOAT_MAX):
-        a = _as_triple(a, "dipole_a")
-    if not (type(b) is tuple and len(b) == 3 and type(b[0]) is type(b[1]) is type(b[2]) is float
-            and -_FLOAT_MAX <= b[0] + b[1] + b[2] <= _FLOAT_MAX):
-        b = _as_triple(b, "dipole_b")
-    return a, b
-
-
 @dataclass(frozen=True, init=False)
 class Scenario:
     """Full description of one two-atom configuration.
@@ -333,7 +321,15 @@ class Scenario:
                 raise DomainError("electromagnetic scenario does not take a scalar coupling")
             if dipole_a is None or dipole_b is None:
                 raise DomainError("electromagnetic scenario requires both dipole vectors")
-            dipole_a, dipole_b = _as_dipoles(dipole_a, dipole_b)
+            # A tuple of three finite floats is kept as given; a sum is
+            # finite only if each term is, and one that overflows takes _as_triple.
+            a, b = dipole_a, dipole_b
+            if not (type(a) is tuple and len(a) == 3 and type(a[0]) is type(a[1]) is type(a[2])
+                    is float and -_FLOAT_MAX <= a[0] + a[1] + a[2] <= _FLOAT_MAX):
+                dipole_a = _as_triple(a, "dipole_a")
+            if not (type(b) is tuple and len(b) == 3 and type(b[0]) is type(b[1]) is type(b[2])
+                    is float and -_FLOAT_MAX <= b[0] + b[1] + b[2] <= _FLOAT_MAX):
+                dipole_b = _as_triple(b, "dipole_b")
         else:
             field_kind = _as_member(FieldKind, field_kind, "field_kind")
         # One key at a time, in field order: the instance dict keeps its shared keys.
@@ -595,7 +591,8 @@ class EnergyShift:
     numbers are stored as Python floats.  The constructor is the door
     for values from outside, ``dataclasses.replace`` included: it
     converts them, raises DomainError for anything that is not one real
-    number, and checks finiteness; ``regime``, ``parity`` and
+    number, checks finiteness and refuses an ``si_value`` other than
+    ``prefactor * reduced``; ``regime``, ``parity`` and
     ``field_kind`` must be members of their enums and ``warning`` text
     or None, or DomainError.  The shifts the package returns are
     built from its own floats by one private builder, which checks
@@ -634,6 +631,9 @@ class EnergyShift:
                 si_value = _as_float(si_value, "si_value")
             check_finite_shift(reduced, si_value)
             prefactor = _as_float(prefactor, "prefactor")
+        if si_value != prefactor * reduced:
+            raise DomainError(f"si_value must be prefactor * reduced = {prefactor * reduced!r}, "
+                              f"got {si_value!r}")
         if not (
             type(regime) is Regime
             and type(parity) is Parity

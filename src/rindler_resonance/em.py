@@ -18,7 +18,9 @@ formula for every a >= 0 that reduces to the inertial one at a = 0.
 They are derived independently, so their mutual consistency is a
 meaningful internal check; see the oracle module.  The closed form
 works one point at a time in Python floats; numpy is imported only
-where a tensor is built, from its five entries, by ``_tensor``.
+where a tensor is built, from its five entries, by ``_tensor``.  A
+whole point, ``Scenario.em_field`` from floats and its energy, makes
+five Python calls.
 
 All tensors are expressed in the fixed frame with
 x = acceleration direction, z = separation direction.  Atom A sits at
@@ -230,22 +232,20 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
     grows.  Where theta**2 overflows (theta above about 1.3e154) the
     theta**2 terms are regrouped so that theta meets u or v first.
+    :func:`em_resonance_energy` holds a written-out copy, operation for
+    operation.
     """
-    u = 1.0 / root
-    v = zeta / root
-    a = u * u
-    b = v * v
+    u, v = 1.0 / root, zeta / root
+    a, b = u * u, v * v
     t2 = theta * theta
     # The cos_p coefficients, the only terms that carry theta**2.
-    cos_terms = (
-        u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2),
-        u * (a - t2),
-        u * (a * (2.0 * a + 5.0 * b) - b * t2),
-        a * v * (a + 4.0 * b + t2),
-    )
     if t2 == math.inf:
-        cos_terms = _regrouped_cos_terms(theta, u, v, a, b)
-    c_xx, c_yy, c_zz, c_xz = cos_terms
+        c_xx, c_yy, c_zz, c_xz = _regrouped_cos_terms(theta, u, v, a, b)
+    else:
+        c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2)
+        c_yy = u * (a - t2)
+        c_zz = u * (a * (2.0 * a + 5.0 * b) - b * t2)
+        c_xz = a * v * (a + 4.0 * b + t2)
     xx = theta * a * (a + 4.0 * b) * sin_p + c_xx * cos_p
     yy = theta * (a + 2.0 * b) * sin_p + c_yy * cos_p
     zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
@@ -327,18 +327,37 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Resonance shift p * mu_A . (V + W) . mu_B for the correlated pair.
 
     :func:`em_closed_form` at the scenario's point (which the scenario
-    holds as Python floats), written out so that it costs five Python
-    calls: itself, ``_dipole_factors``, ``point_geometry``,
-    :func:`em_reduced_components` and the record builder.  Raises
-    DomainError when the result overflows double precision.
+    holds as Python floats), with ``_dipole_factors`` and
+    :func:`em_reduced_components` written out so that it costs three
+    Python calls: itself, ``point_geometry`` and the record builder.
+    Raises DomainError when the result overflows double precision.
     """
     if scenario.field_kind is not _EM:
         scenario.require_field(_EM)
     z = scenario.separation
-    ax, ay, az, bx, by, bz, prefactor = _dipole_factors(scenario, z)
+    (ax, ay, az), (bx, by, bz) = scenario.dipole_a, scenario.dipole_b
+    mag_a, mag_b = math.hypot(ax, ay, az), math.hypot(bx, by, bz)
+    if mag_a == 0.0 or mag_b == 0.0:
+        _dipole_factors(scenario, z)  # raises the DomainError naming the zero dipole
+    ax, ay, az, bx, by, bz = ax / mag_a, ay / mag_a, az / mag_a, bx / mag_b, by / mag_b, bz / mag_b
+    prefactor = mag_a * mag_b / z / z / z
     zeta, theta, cos_p, sin_p, root = point_geometry(scenario.acceleration, z, scenario.omega0)
-    xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
-    bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+    u, v = 1.0 / root, zeta / root
+    a, b = u * u, v * v
+    t2 = theta * theta
+    if t2 == math.inf:
+        c_xx, c_yy, c_zz, c_xz = _regrouped_cos_terms(theta, u, v, a, b)
+    else:
+        c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2)
+        c_yy = u * (a - t2)
+        c_zz = u * (a * (2.0 * a + 5.0 * b) - b * t2)
+        c_xz = a * v * (a + 4.0 * b + t2)
+    bilinear = (
+        ax * bx * (theta * a * (a + 4.0 * b) * sin_p + c_xx * cos_p)
+        + ay * by * (theta * (a + 2.0 * b) * sin_p + c_yy * cos_p)
+        + az * bz * (-theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p)
+        + (ax * bz - az * bx) * (theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p)
+    )
     reduced = bilinear if scenario.parity is _SYMMETRIC else -bilinear
     return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM)
 

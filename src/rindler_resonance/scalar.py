@@ -5,7 +5,9 @@ resonance shift, so the result is free of the thermal-like noise terms
 and reduces to a single closed form: a cosine of the phase omega0*S
 accumulated over the light-signal lapse S between the two accelerated
 trajectories, scaled by 1/sqrt(1 + zeta**2).  Every entry works one
-point at a time in Python floats, with no numpy.
+point at a time in Python floats, with no numpy.  A whole point,
+``Scenario.scalar_field`` from floats and its energy, makes five Python
+calls, as an electromagnetic point does.
 """
 
 from __future__ import annotations

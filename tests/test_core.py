@@ -6,9 +6,11 @@ import decimal
 import enum
 import fractions
 import functools
+import gc
 import inspect
 import itertools
 import math
+import random
 import re
 import sys
 
@@ -16,10 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rindler_resonance import cli
 from rindler_resonance.core import point_geometry
 from rindler_resonance.em import (
     em_closed_form,
     em_farzone_asymptote,
+    em_potential_tensors,
     em_resonance_energy,
     em_spectral_tensors,
     em_wightman_tensor,
@@ -416,9 +420,14 @@ ENTRIES = [
         theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC, separation=x)),
     ("asinh_ratio", "zeta", asinh_ratio),
     ("unruh_temperature", "acceleration", unruh_temperature),
-    ("EnergyShift", "reduced", lambda x: dataclasses.replace(energy_shift(), reduced=x)),
-    ("EnergyShift", "prefactor", lambda x: dataclasses.replace(energy_shift(), prefactor=x)),
-    ("EnergyShift", "si_value", lambda x: dataclasses.replace(energy_shift(), si_value=x)),
+    # si_value = prefactor * reduced holds in each EnergyShift cell, and the
+    # field the cell names is the first one the constructor checks.
+    ("EnergyShift", "reduced", lambda x: dataclasses.replace(
+        energy_shift(), reduced=x, prefactor=0.0, si_value=0.0)),
+    ("EnergyShift", "prefactor", lambda x: dataclasses.replace(
+        energy_shift(), reduced=0.0, prefactor=x, si_value=0.0)),
+    ("EnergyShift", "si_value", lambda x: dataclasses.replace(
+        energy_shift(), reduced=1.0, prefactor=x, si_value=x)),
     ("em_spectral_tensors", "omega", lambda x: em_spectral_tensors(x, GEOM).f.values.tolist()),
     ("em_wightman_tensor", "u", lambda x: em_wightman_tensor(x, GEOM, 1e-9).values.tolist()),
     ("em_wightman_tensor", "eps", lambda x: em_wightman_tensor(0.5, GEOM, x).values.tolist()),
@@ -797,6 +806,22 @@ class TestRecordSemantics:
         with pytest.raises(DomainError):
             dataclasses.replace(energy_shift(), reduced=math.nan)
 
+    def test_si_value_must_be_prefactor_times_reduced(self):
+        members = (Regime.INERTIAL, Parity.SYMMETRIC, FieldKind.SCALAR)
+        for numbers in ((1.0, 2.0, 5.0), (1.0, 2.0, np.float64(5.0)), (0.1, 3.0, 0.3)):
+            with pytest.raises(DomainError, match=r"^si_value must be prefactor \* reduced"):
+                EnergyShift(*numbers, *members)
+        # A product that overflows is no finite si_value.
+        with pytest.raises(DomainError, match="^si_value must be"):
+            EnergyShift(1e200, 1e200, 1.0, *members)
+        shift = energy_shift()
+        for change in (dict(reduced=1.0), dict(prefactor=1.0), dict(si_value=1.0)):
+            with pytest.raises(DomainError, match="^si_value must be"):
+                dataclasses.replace(shift, **change)
+        # Equal values pass whatever the sign of a zero; 0.1 * 3.0 is 0.30000000000000004.
+        assert EnergyShift(-0.0, 2.0, 0.0, *members).si_value == 0.0
+        assert EnergyShift(0.1, 3.0, 0.1 * 3.0, *members).si_value == 0.1 * 3.0
+
 
 # Log-uniform over [1e-300, 1e300]: z*a, omega0*z and zeta**2 overflow
 # on part of the range, so every overflow branch is drawn.
@@ -829,14 +854,48 @@ def em_dipole_scenario():
     )
 
 
-def field_scenario(field, a, z, omega0, parity=Parity.ANTISYMMETRIC):
+def field_scenario(field, a, z, omega0, parity=Parity.ANTISYMMETRIC, dipoles=None):
     if field == "scalar":
         return Scenario.scalar_field(
             acceleration=a, separation=z, omega0=omega0, parity=parity, coupling=1.7
         )
-    return dataclasses.replace(
+    scenario = dataclasses.replace(
         em_dipole_scenario(), acceleration=a, separation=z, omega0=omega0, parity=parity
     )
+    if dipoles is not None:
+        scenario = dataclasses.replace(scenario, dipole_a=dipoles[0], dipole_b=dipoles[1])
+    return scenario
+
+
+def _em_dipole_pairs(seed=2016):
+    """name: (dipole_a, dipole_b), seeded: parallel, antiparallel, crossed and general."""
+    rng = random.Random(seed)
+    d, e = ([rng.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(2))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    return {
+        "parallel": (d, [scale * c for c in d]),
+        "antiparallel": (d, [-scale * c for c in d]),
+        "crossed": ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+        "general": (d, e),
+    }
+
+
+EM_DIPOLE_PAIRS = _em_dipole_pairs()
+
+
+def _contracted_potential_bits(scenario):
+    """Bits of p * unit mu_A . em_potential_tensors(...).reduced . unit mu_B,
+    contracted over the five nonzero entries as the energy contracts them."""
+    with np.errstate(over="ignore"):  # V and W carry 1/z**3; only reduced is read
+        r = em_potential_tensors(scenario_geometry(scenario)).reduced
+    (ax, ay, az), (bx, by, bz) = (
+        [c / math.hypot(*d) for c in d] for d in (scenario.dipole_a, scenario.dipole_b)
+    )
+    bilinear = (
+        ax * bx * r["x", "x"] + ay * by * r["y", "y"] + az * bz * r["z", "z"]
+        + (ax * bz - az * bx) * r["x", "z"]
+    )
+    return _bits(bilinear if scenario.parity is Parity.SYMMETRIC else -bilinear)
 
 
 ROUTES = {
@@ -986,16 +1045,50 @@ class TestFloatDispatch:
                 [float_shift.reduced, float_shift.prefactor, float_shift.si_value]
             )
 
+    @staticmethod
+    def assert_copies_agree(field, a, z, omega0):
+        # The energy and the closed form each apply the parity sign (and
+        # contract the dipoles), so both parities are checked.  The EM
+        # energy is a written-out copy of em_reduced_components: it must
+        # also equal the contracted em_potential_tensors(...).reduced.
+        closed_form, energy = ROUTES[field]
+        pairs = EM_DIPOLE_PAIRS.values() if field == "em" else [None]
+        for parity, dipoles in itertools.product(Parity, pairs):
+            scenario = field_scenario(field, a, z, omega0, parity, dipoles)
+            (row,) = closed_form(scenario, [(a, z, omega0)])
+            bits = _shift_bits(energy, scenario)
+            assert bits == _row_bits(row)
+            if field == "em" and bits is not DomainError:
+                assert bits[0] == _contracted_potential_bits(scenario)
+
     @pytest.mark.parametrize("field", ["scalar", "em"])
     @given(a=log_uniform, z=log_uniform, omega0=log_uniform)
     def test_resonance_energy_equals_closed_form_row(self, field, a, z, omega0):
-        # The energy and the closed form each apply the parity sign (and
-        # contract the dipoles), so both parities are checked.
-        closed_form, energy = ROUTES[field]
-        for parity in Parity:
-            scenario = field_scenario(field, a, z, omega0, parity)
-            (row,) = closed_form(scenario, [(a, z, omega0)])
-            assert _shift_bits(energy, scenario) == _row_bits(row)
+        self.assert_copies_agree(field, a, z, omega0)
+
+    @pytest.mark.parametrize(
+        "point,branch",
+        [
+            ((1e10, 1.0, 1e8), "series"),
+            ((1e200, 1.0, 1e8), "root"),
+            ((1e117, 1.0, 1e163), "theta2"),  # zeta ~ 6e99: finite, where zeta ~ 1 overflows
+            ((1e200, 1.0, 1e170), "root+theta2"),
+            ((1e17, 1.0, 1e8), "none"),
+        ],
+        ids=lambda p: p if isinstance(p, str) else None,
+    )
+    @pytest.mark.parametrize("field", ["scalar", "em"])
+    def test_resonance_energy_equals_closed_form_row_on_each_branch(self, field, point, branch):
+        # The asinh(zeta)/zeta series (zeta < 1e-4), root = zeta (zeta
+        # above about 1.3e154) and the regrouped theta**2 = inf terms.
+        zeta, theta, _, _, root = point_geometry(*point)
+        assert (zeta < 1e-4) == (branch == "series")
+        assert (zeta * zeta == math.inf) == ("root" in branch)
+        assert root == zeta or "root" not in branch
+        assert (theta * theta == math.inf) == ("theta2" in branch)
+        self.assert_copies_agree(field, *point)
+        # Each point's shift is finite, so the bits above were compared.
+        assert ROUTES[field][1](field_scenario(field, *point)).reduced != 0.0
 
 
 def package_shifts():
@@ -1076,18 +1169,27 @@ class TestPackageShifts:
 
 
 def python_calls(fn, *args) -> list:
-    """Names of the Python-level calls made by fn(*args), fn itself included."""
+    """Names of the Python-level calls made by fn(*args), fn itself included.
+
+    The collector is off while fn runs: a collection it triggers would
+    run the gc callbacks of other libraries (hypothesis has one) inside
+    the count.
+    """
     names = []
 
     def profile(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_qualname)
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return names
 
 
@@ -1096,11 +1198,10 @@ class TestPointCallCount:
 
     @pytest.mark.parametrize("field", ["scalar", "em"])
     @pytest.mark.parametrize("acceleration", [0.0, 1e17, 1e21], ids=["inertial", "zeta~1", "far"])
-    def test_resonance_energy_makes_three_or_five_calls(self, field, acceleration):
+    def test_resonance_energy_makes_three_calls(self, field, acceleration):
         # The energy evaluates its own point, with no closed-form call in
-        # between, and builds its record in one call: 3 calls for the
-        # scalar field, 5 for EM (dipole factors and the tensor entries).
-        bound = {"scalar": 3, "em": 5}[field]
+        # between, and builds its record in one call; EM normalises the
+        # dipoles and forms the tensor entries in its own body.
         if field == "scalar":
             scenario = Scenario.scalar_field(
                 acceleration=acceleration, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC
@@ -1112,14 +1213,25 @@ class TestPointCallCount:
         energy(scenario)
         calls = python_calls(energy, scenario)
         assert calls[0] == energy.__name__
-        assert len(calls) <= bound, calls
+        assert len(calls) <= 3, calls
 
-    def test_em_field_with_float_tuples_makes_at_most_three_calls(self):
-        # em_field, __init__ and one check of both dipoles.
+    def test_em_field_with_float_tuples_makes_two_calls(self):
+        # em_field and __init__, whose dipole checks are inline.
         dipoles = dict(dipole_a=(0.3, -1.2, 0.7), dipole_b=(1.0, 0.5, -2.0))
         calls = python_calls(functools.partial(Scenario.em_field, **KINEMATICS, **dipoles))
-        assert calls[0] == "Scenario.em_field"
-        assert len(calls) <= 3, calls
+        assert calls == ["Scenario.em_field", "Scenario.__init__"]
+
+    def test_whole_em_point_makes_five_calls(self):
+        dipoles = dict(dipole_a=(0.3, -1.2, 0.7), dipole_b=(1.0, 0.5, -2.0))
+
+        def point():
+            return em_resonance_energy(Scenario.em_field(**KINEMATICS, **dipoles))
+
+        calls = python_calls(point)[1:]
+        assert calls == [
+            "Scenario.em_field", "Scenario.__init__", "em_resonance_energy", "point_geometry",
+            "_energy_shift",
+        ]
 
     def test_scalar_field_with_floats_makes_two_calls(self):
         # scalar_field and __init__, whose float checks are inline.
@@ -1127,12 +1239,36 @@ class TestPointCallCount:
         assert calls == ["Scenario.scalar_field", "Scenario.__init__"]
 
     @pytest.mark.parametrize("field", ["scalar", "em"])
-    def test_from_reduced_makes_five_or_six_calls(self, field):
+    def test_from_reduced_makes_five_calls(self, field):
         # from_reduced, one conversion each of theta, zeta and the
-        # separation, and __init__; EM adds the check of both dipoles.
+        # separation, and __init__, which checks float-tuple dipoles inline.
         inputs = dict(theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC)
         if field == "em":
             inputs.update(field_kind=FieldKind.EM, dipole_a=(1.0, 0.0, 0.0), dipole_b=(0.0, 0.0, 1.0))
         calls = python_calls(functools.partial(Scenario.from_reduced, **inputs))
         assert calls[0] == "Scenario.from_reduced" and "Scenario.__init__" in calls
-        assert len(calls) <= {"scalar": 5, "em": 6}[field], calls
+        assert len(calls) <= 5, calls
+
+    @pytest.mark.parametrize("param", ["sep", "accel", "omega0"])
+    @pytest.mark.parametrize("field", ["scalar", "em"])
+    def test_closed_form_rows_make_one_or_two_calls_per_row(self, field, param):
+        # point_geometry per scalar row, and em_reduced_components too per
+        # EM row: the label, the finite check and the line take no call,
+        # so neither Regime.classify nor Enum.__hash__ runs per row.
+        scenario = field_scenario(field, 1e17, 1.0, 1e8, Parity.SYMMETRIC)
+        swept = ("accel", "sep", "omega0").index(param)
+        low = {"accel": 1e14, "sep": 1e-3, "omega0": 1e6}[param]
+
+        def grid(n):  # log-spaced over six decades: sep and accel cross all three regimes
+            point = [1e17, 1.0, 1e8]
+            rows = []
+            for k in range(n):
+                point[swept] = low * 10.0 ** (6.0 * k / (n - 1))
+                rows.append(tuple(point))
+            return rows
+
+        short, long = (
+            python_calls(cli._closed_form_rows, scenario, grid(n), param) for n in (4, 12)
+        )
+        assert len(long) - len(short) <= {"scalar": 1, "em": 2}[field] * (12 - 4), long
+        assert not [name for name in long if "classify" in name or "__hash__" in name]

@@ -6,11 +6,11 @@ code path than the closed forms they compare against.
 """
 
 import csv
+import dataclasses
 import io
 
 import pytest
 
-import rindler_resonance.em as em_module
 import rindler_resonance.oracle as oracle_module
 from rindler_resonance import (
     CheckResult,
@@ -211,13 +211,18 @@ class TestEmOracle:
 
     def test_detects_scaled_closed_form(self, monkeypatch):
         # An overall normalization error in the closed form must fail
-        # every check: the oracle's constant is not fitted to it.
-        true_components = em_module.em_reduced_components
+        # every check: the oracle's constant is not fitted to it.  The
+        # suite reads the closed form through oracle.em_resonance_energy.
+        true_energy = oracle_module.em_resonance_energy
 
-        def scaled(*args):
-            return tuple(1.02 * c for c in true_components(*args))
+        def scaled(scenario):
+            shift = true_energy(scenario)
+            reduced = 1.02 * shift.reduced
+            return dataclasses.replace(
+                shift, reduced=reduced, si_value=shift.prefactor * reduced
+            )
 
-        monkeypatch.setattr(em_module, "em_reduced_components", scaled)
+        monkeypatch.setattr(oracle_module, "em_resonance_energy", scaled)
         rep = em_pv_suite(thetas=(0.5, 2.0), zetas=(0.1, 10.0))
         assert rep.n_passed == 0
         assert len(rep.checks) == 32

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rindler_resonance import DomainError
+from rindler_resonance import SPEED_OF_LIGHT, DomainError, FieldKind, Parity, Regime, Scenario, cli
 from rindler_resonance.cli import CSV_HEADER, _sweep_grid, main
+from rindler_resonance.core import _energy_shift, point_geometry
 
 # The sep and accel ranges cross at least two regimes (zeta below 0.1,
 # between, above 10); omega0 leaves zeta alone.
@@ -201,6 +202,61 @@ def test_out_of_domain_sweep_fails_like_compute(capsys, tmp_path, field, param, 
     assert single_code == 3
     assert err == single_err
     assert err.startswith("error: ")
+
+
+def _acceleration_at(zeta):
+    """An acceleration at which atoms 1 m apart have exactly this zeta."""
+    a = zeta * 2.0 * SPEED_OF_LIGHT * SPEED_OF_LIGHT
+    down = up = a
+    for _ in range(64):
+        for candidate in (down, up):
+            if candidate >= 0.0 and point_geometry(candidate, 1.0, 1e8)[0] == zeta:
+                return candidate
+        down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+    raise AssertionError(f"no acceleration gives zeta = {zeta!r}")
+
+
+EDGE_ZETAS = [
+    math.nextafter(edge, to) for edge in (0.0, 0.1, 10.0) for to in (-math.inf, edge, math.inf)
+]
+
+
+@pytest.mark.parametrize("zeta", EDGE_ZETAS, ids=repr)
+def test_regime_labels_agree_at_the_edges(capsys, monkeypatch, zeta):
+    # At each regime bound and its neighbours, the sweep and compute
+    # label, the regime of a package shift and Regime.classify agree;
+    # below zeta = 0 all three raise the same DomainError.
+    try:
+        expected = Regime.classify(zeta).value
+    except DomainError as exc:
+        expected = str(exc)
+    try:
+        shift = _energy_shift(0.5, 1.0, zeta, Parity.SYMMETRIC, FieldKind.SCALAR)
+        assert shift.regime.value == expected
+    except DomainError as exc:
+        assert str(exc) == expected
+    if zeta < 0.0:
+        # No kinematics reach a negative zeta; the row goes through classify.
+        monkeypatch.setattr(cli, "scalar_closed_form", lambda s, grid: [(zeta, 1.0, 0.5, 1.0)])
+        scenario = Scenario.scalar_field(
+            acceleration=0.0, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC
+        )
+        with pytest.raises(DomainError) as info:
+            cli._closed_form_rows(scenario, [(0.0, 1.0, 1e8)])
+        assert str(info.value) == expected
+        return
+    accel = repr(_acceleration_at(zeta))
+    for field in FIELD_OPTIONS:
+        common = ("--field", field, "--parity", "sym", "--sep", "1", *FIELD_OPTIONS[field])
+        code, out, _ = run(capsys, "compute", *common, "--accel", accel, "--omega0", "1e8",
+                           "--format", "csv")
+        assert code == 0
+        labels = [out.splitlines()[1].rsplit(",", 1)[1]]
+        code, out, _ = run(capsys, "sweep", *common, "--accel", accel, "--param", "omega0",
+                           "--from", "1e6", "--to", "1e10", "--points", "3")
+        assert code == 0
+        labels += [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        assert labels == [expected] * 4
 
 
 def run_captured(*argv):
