@@ -40,8 +40,8 @@ from .scalar import (
 # Names imported on first access (PEP 562), so that importing the package
 # and a scalar first call (what the bench's setup_s times) never read
 # em.py, quad.py or oracle.py.  None of them imports numpy at module
-# level: em loads it to build a tensor and oracle for the commutator's
-# circle rule only.
+# level: em loads it only to build a tensor record, and quad and oracle
+# never do.
 _LAZY_SUBMODULES = ("em", "quad", "oracle")
 _LAZY = {
     **dict.fromkeys(

@@ -25,9 +25,9 @@ checked for flags only.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
 
-numpy is imported only by ``verify`` with the em-commutator suite
-(``all`` included).  ``compute`` and ``sweep``, for either field,
-``regimes`` and the other suites run without it.
+No command imports numpy: ``compute`` and ``sweep``, for either field,
+``regimes`` and every ``verify`` suite (``all`` included) run without
+it.
 """
 
 from __future__ import annotations

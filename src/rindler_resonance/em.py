@@ -17,8 +17,9 @@ written in the chordal time sigma = (2c/a)*sinh(a*u/(2c)), one
 formula for every a >= 0 that reduces to the inertial one at a = 0.
 They are derived independently, so their mutual consistency is a
 meaningful internal check; see the oracle module.  The closed form
-works one point at a time in Python floats; numpy is imported only
-where a tensor is built, from its five entries, by ``_tensor``.  A
+works one point at a time in Python floats and the time-domain tensor
+one w at a time in Python complex numbers; numpy is imported only where
+a tensor record is built, from its five entries, by ``_tensor``.  A
 whole point, ``Scenario.em_field`` from floats and its energy, makes
 five Python calls.
 
@@ -32,6 +33,7 @@ antisymmetric xz/zx part is fixed by this convention.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -85,16 +87,10 @@ _SINGULAR_FLOOR = 1e-12
 
 
 def _tensor(xx, yy, zz, xz=0.0):
-    """[[xx, 0, xz], [0, yy, 0], [-xz, 0, zz]], the layout of every tensor here.
-
-    Entries may be arrays; they broadcast to shape (..., 3, 3).
-    """
+    """[[xx, 0, xz], [0, yy, 0], [-xz, 0, zz]] of Python numbers, every tensor's layout."""
     import numpy as np
 
-    out = np.zeros(np.broadcast(xx, yy, zz, xz).shape + (3, 3), np.result_type(xx, yy, zz, xz))
-    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2] = xx, yy, zz
-    out[..., 0, 2], out[..., 2, 0] = xz, -xz
-    return out
+    return np.array(((xx, 0.0, xz), (0.0, yy, 0.0), (-xz, 0.0, zz)))
 
 
 @dataclass(frozen=True)
@@ -207,13 +203,16 @@ def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
     """Evaluate the spectral tensor families at angular frequency omega.
 
-    DomainError where the coefficients are not finite (zeta from ~1e77).
+    DomainError where the coefficients are not finite (zeta from ~1e77),
+    or where an entry overflows at a large omega.
     """
     omega = _as_float(omega, "omega", ">= 0")
     f1, g0, g2 = _spectral_entries(geom.zeta)
     x = omega * geom.separation / SPEED_OF_LIGHT
     f = [e * x for e in f1]
     g = [e0 + e2 * x * x for e0, e2 in zip(g0, g2)]
+    if not all(map(math.isfinite, f + g)):
+        raise DomainError(f"spectral tensors are not finite at omega = {omega!r}")
     return EmSpectralTensors(
         f=Tensor3(_tensor(*f[:3])),
         g=Tensor3(_tensor(*g[:3])),
@@ -271,16 +270,20 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
 
     V and W carry 1/z**3; ``reduced`` is their dimensionless sum
     z**3*(V + W) evaluated at the transition frequency, assembled from
-    :func:`em_reduced_components`.
+    :func:`em_reduced_components`.  DomainError where an entry of V or
+    W overflows (three divisions by a small z).
     """
     # reduced_geometry keeps the phase finite, so cos and sin need no guard.
     cos_p, sin_p = math.cos(geom.phase), math.sin(geom.phase)
-    xx, yy, zz, xz = em_reduced_components(geom.zeta, geom.theta, cos_p, sin_p, geom.envelope)
+    reduced = em_reduced_components(geom.zeta, geom.theta, cos_p, sin_p, geom.envelope)
     z = geom.separation
+    v = [e / z / z / z for e in reduced]
+    if not all(map(math.isfinite, v)):
+        raise DomainError(f"potentials V and W are not finite at separation = {z!r}")
     return PotentialTensors(
-        v=Tensor3(_tensor(xx, yy, zz) / z / z / z),
-        w=Tensor3(_tensor(0.0, 0.0, 0.0, xz) / z / z / z),
-        reduced=Tensor3(_tensor(xx, yy, zz, xz)),
+        v=Tensor3(_tensor(*v[:3])),
+        w=Tensor3(_tensor(0.0, 0.0, 0.0, v[3])),
+        reduced=Tensor3(_tensor(*reduced)),
     )
 
 
@@ -366,12 +369,15 @@ def em_inertial_potential(geom: ReducedGeometry) -> Tensor3:
     """Reduced potential z**3*V of the same pair at rest.
 
     Only theta enters: (1 - 3nn)(cos t + t sin t) - (1 - nn) t**2 cos t
-    with t = omega0*z/c.  The antisymmetric part is absent.
+    with t = omega0*z/c.  The antisymmetric part is absent.  DomainError
+    where t**2 overflows the entries (t above about 1.3e154).
     """
     t = geom.theta
     common = math.cos(t) + t * math.sin(t)
-    transverse = common - t * t * math.cos(t)
-    return Tensor3(_tensor(transverse, transverse, -2.0 * common))
+    transverse, axial = common - t * t * math.cos(t), -2.0 * common
+    if not (math.isfinite(transverse) and math.isfinite(axial)):
+        raise DomainError(f"inertial potential is not finite at theta = {t!r}")
+    return Tensor3(_tensor(transverse, transverse, axial))
 
 
 def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
@@ -436,67 +442,66 @@ def em_wightman_tensor(
     u, eps = _as_float(u, "u"), _as_float(eps, "eps", "positive")
     if n_sign not in (1, -1):
         raise DomainError(f"n_sign must be +1 or -1, got {_shown(n_sign)}")
-    return Tensor3(_wightman_kernel(u - 1j * eps, geom, n_sign))
+    return Tensor3(_tensor(*_wightman_kernel(u - 1j * eps, geom, n_sign)))
 
 
-def _wightman_kernel(w, geom: ReducedGeometry, n_sign: int):
-    """The correlation tensor at complex proper-time differences ``w``.
+def _wightman_kernel(w: complex, geom: ReducedGeometry, n_sign: int) -> tuple:
+    """Entries (xx, yy, zz, xz) of the correlation tensor at one complex w; zx = -xz.
 
-    :func:`em_wightman_tensor` is this function at w = u - i*eps.  ``w``
-    may be a complex number or an array; the result has shape
-    ``np.shape(w) + (3, 3)``.  In the chordal time
-    sigma = (2c/a)*sinh(a*w/(2c)), which is w at a = 0, the tensor is
-    the inertial correlator with u -> sigma (Takagi, Prog. Theor. Phys.
-    Suppl. 88 (1986) 1).  With s = sigma*c/z it reads
+    :func:`em_wightman_tensor` is this function at w = u - i*eps.  In
+    the chordal time sigma = (2c/a)*sinh(a*w/(2c)), which is w at a = 0,
+    the tensor is the inertial correlator with u -> sigma (Takagi, Prog.
+    Theor. Phys. Suppl. 88 (1986) 1).  With s = sigma*c/z it reads
 
         G = (4 hbar c/(pi z**4)) * [(I - 2 zeta n X) s**2
               + (I - 2N)(1 + 2(I - Q) zeta**2 s**2)] / ((s - 1)(s + 1))**3,
 
-    one formula for every a >= 0.  The gaps s -+ 1 are products with
-    the factor w -+ S, so they keep their digits near the light-cone
-    crossings w = +-S, poles of order three.  The products are ordered
-    so that none overflows or underflows unless the entry does.
+    one formula for every a >= 0.  n_sign enters only the xz entry, so
+    G(w; n = -1) is the transpose of G(w; n = +1).  The gaps s -+ 1 are
+    products with the factor w -+ S, so they keep their digits near the
+    light-cone crossings w = +-S, poles of order three.  The products
+    are ordered so that none overflows or underflows unless the entry
+    does.
 
     Raises SingularityError where s - 1 or s + 1 is within
     ``_SINGULAR_FLOOR`` of 0, and DomainError where an entry is not
     finite: w itself is not, or sinh(a*w/(2c)) or the entry overflows.
     """
-    import numpy as np
-
-    def sinhc(y):  # sinh(y)/y, with its limit 1 at y = 0
-        return np.divide(np.sinh(y), y, out=np.ones_like(y), where=y != 0)
-
     c = SPEED_OF_LIGHT
     tau = geom.separation / c
     light = geom.light_time
-    # A trailing axis keeps a scalar w out of numpy's 0-d loops, which round differently.
-    col = np.asarray(w)[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         # x = a*w/(2c) and y = a*S/(2c) = asinh(zeta): s and both gaps
         # take their exponentials from the same two arguments.
-        x = geom.acceleration * col / (2.0 * c)
+        x = geom.acceleration * w / (2.0 * c)
         y = math.asinh(geom.zeta)
         half_below, half_above = 0.5 * (x - y), 0.5 * (x + y)
-        s = col * sinhc(x) / tau
-        below = (col - light) * np.cosh(half_above) * sinhc(half_below) / tau
-        above = (col + light) * np.cosh(half_below) * sinhc(half_above) / tau
-        if np.any(np.minimum(np.abs(below), np.abs(above)) <= _SINGULAR_FLOOR):
-            raise SingularityError(
-                f"correlation tensor evaluated on a light-cone crossing w = +-S "
-                f"(S = {light:.6g}, w = {w})"
-            )
-        # Each product below takes the prefactor 4*hbar*c/(pi*z**4) as
-        # two square-root factors, and zeta only after the divisions.
-        root = math.sqrt(4.0 * REDUCED_PLANCK / (math.pi * c**3)) / tau / tau
-        q = 1.0 / below / above
-        r = root * (s / below / above)
-        t = geom.zeta * r
-        common = r * q * r
-        transverse = (root * q) * q * (root * q)
-        pair = transverse + 2.0 * (t * q * t)
-        tensor = _tensor(
-            common + transverse, common + pair, common - pair, -2.0 * n_sign * (t * q * r)
-        )[..., 0, :, :]
-    if not np.isfinite(tensor).all():
+        s = w * _sinhc(x) / tau
+        below = (w - light) * cmath.cosh(half_above) * _sinhc(half_below) / tau
+        above = (w + light) * cmath.cosh(half_below) * _sinhc(half_above) / tau
+        gap = min(abs(below), abs(above))
+    except OverflowError:  # from cmath.sinh, cmath.cosh or abs
+        raise DomainError(f"correlation tensor is not finite at w = {w}") from None
+    if gap <= _SINGULAR_FLOOR:
+        raise SingularityError(
+            f"correlation tensor evaluated on a light-cone crossing w = +-S "
+            f"(S = {light:.6g}, w = {w})"
+        )
+    # Each product below takes the prefactor 4*hbar*c/(pi*z**4) as
+    # two square-root factors, and zeta only after the divisions.
+    root = math.sqrt(4.0 * REDUCED_PLANCK / (math.pi * c**3)) / tau / tau
+    q = 1.0 / below / above
+    r = root * (s / below / above)
+    t = geom.zeta * r
+    common = r * q * r
+    transverse = (root * q) * q * (root * q)
+    pair = transverse + 2.0 * (t * q * t)
+    entries = (common + transverse, common + pair, common - pair, -2.0 * n_sign * (t * q * r))
+    if not all(map(cmath.isfinite, entries)):
         raise DomainError(f"correlation tensor is not finite at w = {w}")
-    return tensor
+    return entries
+
+
+def _sinhc(y: complex) -> complex:
+    """sinh(y)/y, with its limit 1 at y = 0."""
+    return cmath.sinh(y) / y if y else 1.0

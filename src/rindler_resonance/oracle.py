@@ -11,6 +11,7 @@ command and by the acceptance tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -334,10 +335,12 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
         (z/c)**2 g2 = (pi z**3/(2 hbar)) a_-3,
 
     where a_-k sums the coefficients of G(w; n = +1) and of the swapped
-    G(-w; n = -1)^T.  They are taken with the trapezoid rule on a circle
-    of radius r = min(S, pi*c/a)/2 around w = S, so r = S/2 at a = 0
-    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385), which keeps every
-    other pole at least 4r away: no regulator and no extrapolation.
+    G(-w; n = -1)^T, which is G(-w; n = +1) entry for entry: n flips
+    only the xz sign, and so does the transpose.  They are taken with
+    the trapezoid rule on a circle of radius r = min(S, pi*c/a)/2 around
+    w = S, so r = S/2 at a = 0 (Trefethen & Weideman, SIAM Rev. 56
+    (2014) 385), which keeps every other pole at least 4r away: no
+    regulator and no extrapolation.
 
     Each of xx, yy, zz, xz and zx is compared at every order, with the
     error relative to the largest entry of that order's tensors.  The
@@ -347,33 +350,30 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     The check holds for zeta up to at least 2e3.  From 3.2e3 to 1e5 G
     cancels near the pole in floats, and yy and zz fail at order -1.
     """
-    import numpy as np  # for the circle rule only
-
     c = SPEED_OF_LIGHT
     f1, g0, g2 = _spectral_entries(geom.zeta)
     x_scale = geom.separation / c
     spectral = (g0, [x_scale * e for e in f1], [x_scale * x_scale * e for e in g2])
     s_time = geom.light_time
-    offsets = 0.5 * s_time / max(1.0, geom.acceleration * s_time / (math.pi * c)) * np.exp(
-        2j * math.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
-    )
-    both = _wightman_kernel(s_time + offsets, geom, 1) + np.swapaxes(
-        _wightman_kernel(-(s_time + offsets), geom, -1), -1, -2
-    )
-    scale = -math.pi * geom.separation**3 / REDUCED_PLANCK
-    timed = tuple(
-        weight * scale * np.mean(both * offsets[:, None, None] ** k, axis=0).real
+    radius = 0.5 * s_time / max(1.0, geom.acceleration * s_time / (math.pi * c))
+    offsets = [radius * cmath.exp(2j * math.pi * j / _CIRCLE_NODES) for j in range(_CIRCLE_NODES)]
+    both = [  # (xx, yy, zz, xz) of G(w) + G(-w) at each node w = S + o
+        [e + f for e, f in zip(_wightman_kernel(w, geom, 1), _wightman_kernel(-w, geom, 1))]
+        for w in [s_time + o for o in offsets]
+    ]
+    scale = -math.pi * geom.separation**3 / REDUCED_PLANCK / _CIRCLE_NODES  # 1/N: a node mean
+    timed = [
+        [weight * scale * math.fsum((e * o**k).real for e, o in zip(entry, offsets))
+         for entry in zip(*both)]
         for k, weight in ((1, 1.0), (2, 1.0), (3, -0.5))
-    )
+    ]
     checks = []
     outcomes: dict = {label: [] for label in _COMMUTATOR_COMPONENTS}
-    for order, (xx, yy, zz, xz), computed_t in zip((-1, -2, -3), spectral, timed):
-        envelope = max(abs(xx), abs(yy), abs(zz), abs(xz), np.max(np.abs(computed_t)))
-        references = {"xx": xx, "yy": yy, "zz": zz, "xz": xz, "zx": -xz}
-        for label in _COMMUTATOR_COMPONENTS:
-            index = ("xyz".index(label[0]), "xyz".index(label[1]))
-            computed = float(computed_t[index])
-            reference = references[label]
+    for order, references, computed_t in zip((-1, -2, -3), spectral, timed):
+        envelope = max(map(abs, (*references, *computed_t)))
+        for label, computed, reference in zip(
+            _COMMUTATOR_COMPONENTS, (*computed_t, -computed_t[3]), (*references, -references[3])
+        ):
             rel = abs(computed - reference) / envelope
             check_id = f"em-commutator/comp={label}/u=+1.00S/order={order}"
             check = _check(check_id, computed, reference, rel, tolerance)

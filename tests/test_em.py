@@ -140,6 +140,11 @@ class TestSpectralTensors:
         with pytest.raises(DomainError):
             em_spectral_tensors(-1.0, unit_geometry())
 
+    def test_overflowing_frequency_raises(self):
+        # Finite coefficients, but g = g0 + g2*x**2 overflows at x = omega*z/c ~ 3e291.
+        with pytest.raises(DomainError, match=r"not finite at omega = 1e\+300$"):
+            em_spectral_tensors(1e300, reduced_geometry(1.0, 1.0, 1.0))
+
     @pytest.mark.parametrize("zeta", [1e77, 1.2e77, 1e200])
     def test_non_finite_coefficients(self, zeta):
         # From zeta ~ 1e77 the coefficients overflow to inf or nan.  The
@@ -219,6 +224,18 @@ class TestPotentialTensors:
     def test_antisymmetric_part_vanishes_at_rest(self):
         pot = em_potential_tensors(scenario_geometry(em_scenario(2.2, 0.0)))
         assert np.all(pot.w.values == 0.0)
+
+    def test_overflowing_potentials_raise(self):
+        # reduced is finite, but V and W carry 1/z**3 = 1e900.
+        with pytest.raises(DomainError, match=r"not finite at separation = 1e-300$"):
+            em_potential_tensors(reduced_geometry(1.0, 1e-300, 1.0))
+
+    def test_overflowing_inertial_potential_raises(self):
+        # theta**2 overflows from theta ~ 1.3e154.
+        geom = reduced_geometry(0.0, 1.0, 1e200 * C)
+        message = f"not finite at theta = {re.escape(repr(geom.theta))}$"
+        with pytest.raises(DomainError, match=message):
+            em_inertial_potential(geom)
 
     def test_reduced_consistent_with_v_plus_w(self):
         geom = scenario_geometry(em_scenario(0.9, 4.0))

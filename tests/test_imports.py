@@ -4,8 +4,9 @@ asymptote, a scalar or EM ``compute``, a linear or log ``sweep`` and
 ``regimes``, a scenario, geometry or Unruh temperature of Python ints,
 bools and Fractions, and an EM scenario whose dipoles are a namedtuple,
 Fractions or Decimals run without it.  So do importing ``quad`` and
-``oracle`` and the ``verify`` suites scalar-pv, em-pv and asymptotes.
-The lazily resolved names are the same objects as their modules'."""
+``oracle`` and every ``verify`` suite: scalar-pv, em-pv, asymptotes,
+em-commutator and all.  The lazily resolved names are the same objects
+as their modules'."""
 
 import importlib
 import pathlib
@@ -110,7 +111,7 @@ import rindler_resonance.quad
 from rindler_resonance import cli
 
 assert "numpy" not in sys.modules, "importing quad and oracle loaded numpy"
-for suite in ("scalar-pv", "em-pv", "asymptotes"):
+for suite in ("scalar-pv", "em-pv", "asymptotes", "em-commutator", "all"):
     assert cli.main(["verify", "--suite", suite, "--out", "/dev/null"]) == 0
     assert "numpy" not in sys.modules, f"verify --suite {suite} loaded numpy"
 """

@@ -295,6 +295,11 @@ class TestCommutatorConsistency:
             worst = max(worst, max(c.rel_error for c in _pair_checks(rep)))
         assert worst <= 1e-9
 
+    def test_identities_hold_at_zeta_2e3(self):
+        # The documented range: the check holds for zeta up to at least 2e3.
+        rep = em_commutator_consistency(reduced_geometry(2.0 * C * C * 2e3, 1.0, C))
+        assert rep.passed
+
     @pytest.mark.xfail(
         strict=True,
         reason="known defect: from zeta ~ 3e3 the float correlation tensor loses digits "
@@ -317,6 +322,27 @@ class TestCommutatorConsistency:
             for c in _pair_checks(rep):
                 expect_fail = c.check_id.endswith(f"/order={order}") and _component(c) in perturbed
                 assert c.passed != expect_fail, (family, c.check_id)
+
+    @pytest.mark.parametrize(
+        "entry,factor,perturbed",
+        [(1, 1.02, {"yy"}), (3, -1.0, {"xz", "zx"})],
+        ids=["yy-scaled", "xz-flipped"],
+    )
+    def test_detects_perturbed_correlation_tensor(self, monkeypatch, entry, factor, perturbed):
+        # The time side: a 2% error in the yy entry of G, or a flipped xz
+        # sign, fails exactly the pair checks of those components, at
+        # every order.
+        true_kernel = oracle_module._wightman_kernel
+
+        def tweaked(w, geom, n_sign):
+            entries = list(true_kernel(w, geom, n_sign))
+            entries[entry] *= factor
+            return tuple(entries)
+
+        monkeypatch.setattr(oracle_module, "_wightman_kernel", tweaked)
+        rep = em_commutator_consistency(unit_commutator_geometry())
+        failing = {(_component(c), c.check_id[-2:]) for c in _pair_checks(rep) if not c.passed}
+        assert failing == {(comp, order) for comp in perturbed for order in ("-1", "-2", "-3")}
 
     def test_detects_flipped_cross_sign(self, monkeypatch):
         # The sign error once carried by the sin(omega*S) cross families.
