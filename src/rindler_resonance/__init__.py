@@ -106,48 +106,25 @@ __all__ = [
     "BOLTZMANN",
     "REDUCED_PLANCK",
     "SPEED_OF_LIGHT",
-    "CheckResult",
     "DomainError",
-    "EmSpectralTensors",
     "EnergyShift",
     "FieldKind",
     "FieldKindError",
     "Parity",
-    "PotentialTensors",
     "QuadratureError",
-    "QuadratureSpec",
     "ReducedGeometry",
     "Regime",
     "Scenario",
     "SingularityError",
-    "SpectralCoefficients",
-    "Tensor3",
-    "TrigPolyDensity",
     "UsageError",
-    "VerificationReport",
-    "adaptive_integral",
     "asinh_ratio",
-    "asymptote_convergence_report",
-    "commutator_agreeing_components",
-    "em_commutator_consistency",
-    "em_energy_pv_oracle",
-    "em_farzone_asymptote",
-    "em_inertial_potential",
-    "em_potential_tensors",
-    "em_pv_suite",
-    "em_resonance_energy",
-    "em_spectral_coefficients",
-    "em_spectral_tensors",
-    "em_wightman_tensor",
     "parity_sign",
-    "pv_resonance_kernel",
     "reduced_geometry",
-    "scalar_energy_pv_oracle",
-    "scalar_farzone_asymptote",
-    "scalar_inertial_limit",
-    "scalar_pv_suite",
-    "scalar_resonance_energy",
     "scenario_geometry",
     "unruh_temperature",
+    "scalar_farzone_asymptote",
+    "scalar_inertial_limit",
+    "scalar_resonance_energy",
+    *_LAZY,
     "__version__",
 ]

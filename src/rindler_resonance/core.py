@@ -477,7 +477,7 @@ def _farzone_warning(zeta: float) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ReducedGeometry:
     """Reduced variables of one scenario, with c = ``SPEED_OF_LIGHT``.
 
@@ -508,20 +508,6 @@ class ReducedGeometry:
     separation: float
     omega0: float
     envelope: float
-
-    # Hand-written and stored as Scenario.__init__ is, for the same reasons.
-    def __init__(
-        self, zeta, s_ratio, light_time, theta, crossover_length, separation, omega0, envelope
-    ) -> None:
-        d = self.__dict__
-        d["zeta"] = zeta
-        d["s_ratio"] = s_ratio
-        d["light_time"] = light_time
-        d["theta"] = theta
-        d["crossover_length"] = crossover_length
-        d["separation"] = separation
-        d["omega0"] = omega0
-        d["envelope"] = envelope
 
     @property
     def acceleration(self) -> float:

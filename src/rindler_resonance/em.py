@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -43,7 +42,6 @@ from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _EM,
-    _FLOAT_MAX,
     _SYMMETRIC,
     _as_float,
     _energy_shift,
@@ -160,42 +158,32 @@ class PotentialTensors:
     reduced: Tensor3
 
 
-def _spectral_entries(zeta: float, strict: bool = True) -> tuple:
+def _spectral_entries(zeta: float) -> tuple:
     """(xx, yy, zz, xz) of f1, g0 and g2 at zeta: three tuples of floats.
 
     The diagonal entries are the family's, xz its *_nd companion's
-    (zx = -xz).  From zeta ~ 1e77 entries overflow: where one is not
-    finite this raises DomainError naming zeta, or with ``strict``
-    false warns (RuntimeWarning) and returns them.
+    (zx = -xz).  Written, as :func:`em_reduced_components` is, in
+    u = 1/h and v = zeta/h with h = sqrt(1 + zeta**2) (zeta itself
+    where that overflows): u, v, a = u**2 and b = v**2 lie in [0, 1],
+    so every entry is finite at every zeta.
     """
-    z2 = zeta * zeta
-    n = 1.0 + z2
-    p = 1.0 + 2.0 * z2
-    n2 = n * n
-    n15 = n * math.sqrt(n)
-    n25 = n2 * math.sqrt(n)
-    entries = (
-        ((1.0 + 4.0 * z2) / n2, (1.0 + z2 * (2.0 + p)) / n2, (-2.0 - z2 * p) / n2,
-         zeta * (1.0 - 2.0 * z2) / n2),
-        (-(n + z2 * (1.0 + 4.0 * z2)) / n25, -n / n25, -(n - 3.0 * p) / n25,
-         -zeta * (1.0 + 4.0 * z2) / n25),
-        ((n - z2) / n15, n / n15, (n - p) / n15, -zeta * n / n25),
+    root = math.sqrt(1.0 + zeta * zeta)
+    if root == math.inf:
+        root = zeta
+    u, v = 1.0 / root, zeta / root
+    a, b = u * u, v * v
+    return (
+        (a * (a + 4.0 * b), a + 2.0 * b, -(2.0 * a * a + a * b + 2.0 * b * b),
+         u * v * (a - 2.0 * b)),
+        (-u * (a * a + 2.0 * a * b + 4.0 * b * b), -u * a, u * a * (2.0 * a + 5.0 * b),
+         -v * a * (a + 4.0 * b)),
+        (u * a, u, -u * b, -a * v),
     )
-    if not all(-_FLOAT_MAX <= e <= _FLOAT_MAX for family in entries for e in family):
-        message = f"spectral coefficients are not finite at zeta = {zeta!r}"
-        if strict:
-            raise DomainError(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-    return entries
 
 
 def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
-    """Coefficient tensors of the spectral density for one geometry.
-
-    From zeta ~ 1e77 some entries overflow to inf or nan; they are
-    returned with a RuntimeWarning, where every other route raises.
-    """
-    entries = _spectral_entries(geom.zeta, strict=False)
+    """Coefficient tensors of the spectral density for one geometry."""
+    entries = _spectral_entries(geom.zeta)
     diagonal = [_tensor(*family[:3]) for family in entries]
     return SpectralCoefficients(*diagonal, *[_tensor(0.0, 0.0, 0.0, e[3]) for e in entries])
 
@@ -203,8 +191,7 @@ def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
     """Evaluate the spectral tensor families at angular frequency omega.
 
-    DomainError where the coefficients are not finite (zeta from ~1e77),
-    or where an entry overflows at a large omega.
+    DomainError where an entry overflows at a large omega.
     """
     omega = _as_float(omega, "omega", ">= 0")
     f1, g0, g2 = _spectral_entries(geom.zeta)

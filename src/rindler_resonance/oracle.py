@@ -223,8 +223,11 @@ def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = Non
     The coefficient families f1, g0 and g2, contracted with the unit
     dipoles, make the density f1*x*cos(v*omega0*S) + (g0 + g2*x**2)*sin(v*omega0*S)
     with x = omega*z/c = v*theta, integrated against the resonance kernel
-    and normalized by -p/pi.  DomainError where the coefficients are not
-    finite (zeta from ~1e77).
+    and normalized by -p/pi.  Its accuracy is ``spec.abs_tol`` times the
+    density's size at the pole (the sum of the coefficients' magnitudes),
+    not a fraction of the shift: where the shift is far below that size,
+    as the EM shift (about 4/zeta) is at a large zeta, its relative error
+    grows.
     """
     scenario.require_field(FieldKind.EM)
     geom = scenario_geometry(scenario)

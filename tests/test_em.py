@@ -1,8 +1,10 @@
 """Electromagnetic shift: spectral tensors, potentials, correlation tensor."""
 
 import math
+import random
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from rindler_resonance import (
     reduced_geometry,
     scenario_geometry,
 )
+from rindler_resonance.em import _spectral_entries
 
 C = 299792458.0
 
@@ -63,6 +66,22 @@ def em_scenario(theta, zeta, da=(0, 0, 1), db=(0, 0, 1), parity=Parity.SYMMETRIC
 def unit_geometry():
     # zeta = 1, theta = 1, z = 1.
     return scenario_geometry(em_scenario(1.0, 1.0))
+
+
+def mpmath_spectral_entries(zeta):
+    """(xx, yy, zz, xz) of f1, g0 and g2 as rational forms in N = 1 + zeta**2, 60 digits."""
+    with mp.workdps(60):
+        z = mp.mpf(zeta)
+        z2 = z * z
+        n, p = 1 + z2, 1 + 2 * z2
+        n2, n15, n25 = n * n, n * mp.sqrt(n), n * n * mp.sqrt(n)
+        return (
+            ((1 + 4 * z2) / n2, (1 + z2 * (2 + p)) / n2, (-2 - z2 * p) / n2,
+             z * (1 - 2 * z2) / n2),
+            (-(n + z2 * (1 + 4 * z2)) / n25, -n / n25, -(n - 3 * p) / n25,
+             -z * (1 + 4 * z2) / n25),
+            ((n - z2) / n15, n / n15, (n - p) / n15, -z * n / n25),
+        )
 
 
 def mpmath_wightman(u, eps, geom, n_sign=1):
@@ -145,21 +164,44 @@ class TestSpectralTensors:
         with pytest.raises(DomainError, match=r"not finite at omega = 1e\+300$"):
             em_spectral_tensors(1e300, reduced_geometry(1.0, 1.0, 1.0))
 
-    @pytest.mark.parametrize("zeta", [1e77, 1.2e77, 1e200])
-    def test_non_finite_coefficients(self, zeta):
-        # From zeta ~ 1e77 the coefficients overflow to inf or nan.  The
-        # tensors and the oracle refuse them; the coefficient record
-        # returns them with a warning.
-        scenario = em_scenario(1.0, zeta)
-        geom = scenario_geometry(scenario)
-        message = f"not finite at zeta = {re.escape(repr(geom.zeta))}$"
-        with pytest.raises(DomainError, match=message):
-            em_spectral_tensors(1.0, geom)
-        with pytest.raises(DomainError, match=message):
-            em_energy_pv_oracle(scenario)
-        with pytest.warns(RuntimeWarning, match=message):
-            coeff = em_spectral_coefficients(geom)
-        assert not all(np.isfinite(t).all() for t in (coeff.f1, coeff.g0, coeff.g2))
+    def test_entries_match_mpmath_at_every_zeta(self):
+        # The bounded-variable entries against the rational forms in 1 + zeta**2
+        # in 60 digits, from 0 to the largest float, where zeta**2 and
+        # (1 + zeta**2)**2.5 overflow a double.
+        rng = random.Random(34)
+        zetas = [0.0, 1e-300, 1e-8, 1.0, 1e62, 1e77, 1.2e77, 1e154, 1e200, sys.float_info.max]
+        zetas += [10.0 ** rng.uniform(-300.0, 308.0) for _ in range(200)]
+        for zeta in zetas:
+            for family, reference in zip(_spectral_entries(zeta), mpmath_spectral_entries(zeta)):
+                envelope = max(map(abs, reference))
+                for entry, exact in zip(family, reference):
+                    assert math.isfinite(entry), zeta
+                    assert abs(entry - exact) <= 2e-15 * envelope, zeta
+
+    @pytest.mark.parametrize("zeta", [1e77, 1.2e77, 1e200, 1e250])
+    def test_every_route_finite_at_huge_zeta(self, zeta):
+        # Where the rational forms in 1 + zeta**2 overflow to inf or nan.
+        for da, db in [((0, 0, 1), (0, 0, 1)), ((1, 0, 0), (1, 0, 0)),
+                       ((0, 1, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1))]:
+            scenario = em_scenario(1.0, zeta, da, db)
+            geom = scenario_geometry(scenario)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                coeff = em_spectral_coefficients(geom)
+            assert all(np.isfinite(t).all() for t in vars(coeff).values())
+            tensors = em_spectral_tensors(1.0, geom)
+            assert all(np.isfinite(t.values).all() for t in vars(tensors).values())
+            # The oracle's accuracy is abs_tol = 1e-12 times the density's size
+            # at the pole; the shift itself, about 4/zeta, is far below it.
+            f1, g0, g2 = (
+                da[0] * db[0] * xx + da[1] * db[1] * yy + da[2] * db[2] * zz
+                + (da[0] * db[2] - da[2] * db[0]) * xz
+                for xx, yy, zz, xz in _spectral_entries(geom.zeta)
+            )
+            size = abs(f1) * geom.theta + abs(g0) + abs(g2) * geom.theta**2
+            oracle = em_energy_pv_oracle(scenario)
+            assert math.isfinite(oracle)
+            assert abs(oracle - em_resonance_energy(scenario).reduced) <= 1e-12 * size
 
     @settings(max_examples=40)
     @given(
