@@ -6,13 +6,13 @@ cross-check suites, and ``regimes`` prints the characteristic scales
 for a given acceleration.  ``compute`` is a sweep of one point: both
 build their CSV rows from the closed forms through one helper, so a
 sweep row is the row ``compute --format csv`` prints for its value.
-The helper builds each line in one pass over the closed-form rows, with
-no Python call beyond the closed form's own per row.
+The helper goes from the swept values to the lines in one pass over the
+closed-form rows, with no Python call beyond the closed form's own.
 
 Exit codes: 0 success, 1 verification or numerical failure, 2 usage
 error (an ``--out`` path that cannot be written is one), 3 domain error
-(unphysical parameter values).  ``--out`` overwrites an existing file
-in place and cuts it to the new length.
+(unphysical parameter values).  ``--out`` writes the utf-8 bytes over
+an existing file in place and cuts it to the new length.
 
 One table, ``_OPTIONS``, gives each option its caster, its choices and
 its help text; ``_COMMANDS`` names the options each subcommand allows.
@@ -36,6 +36,7 @@ import math
 import os
 import stat
 import sys
+from itertools import repeat
 from typing import Optional
 
 from .core import (
@@ -53,7 +54,6 @@ from .core import (
     UsageError,
     _as_float,
     check_finite_shift,
-    check_kinematics,
     reduced_geometry,
     unruh_temperature,
 )
@@ -63,6 +63,7 @@ CSV_HEADER = "field,parity,a_mps2,z_m,omega0_radps,zeta,theta,reduced,si_joule,r
 
 _SUITES = ("scalar-pv", "em-pv", "em-commutator", "asymptotes")
 _AXIS_SHORTCUTS = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
+_POINT = ("accel", "sep", "omega0")  # the closed forms' (a, z, omega0) order
 # Bound once: an Enum member's .value is a Python call on 3.11.
 _INERTIAL_LABEL, _INTERMEDIATE_LABEL, _FARZONE_LABEL = (regime.value for regime in Regime)
 
@@ -132,14 +133,14 @@ def _require(opts: dict, key: str):
     return value
 
 
-def _parse_dipole(raw: str, name: str) -> list:
+def _parse_dipole(raw: str, name: str) -> tuple:
     text = raw.strip().lower()
     text = _AXIS_SHORTCUTS.get(text, text)
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"{name} must be 'x', 'y', 'z', or three comma-separated numbers")
     try:
-        return [float(p) for p in parts]
+        return tuple([float(p) for p in parts])
     except ValueError:
         raise UsageError(f"cannot parse {name} components from {raw!r}") from None
 
@@ -168,12 +169,14 @@ def _build_scenario(opts: dict) -> Scenario:
     )
 
 
-def _closed_form_rows(scenario: Scenario, grid: list, param=None) -> list:
-    """CSV rows of the closed form, one per (a, z, omega0) float triple of ``grid``.
+def _closed_form_rows(scenario: Scenario, param: str, values: list) -> list:
+    """CSV rows of the closed form, one per value of ``param`` in ``values``.
 
-    ``param`` names the swept column (None, for compute's one row, is
-    formatted as sep).  The other inputs, zeta in an omega0 sweep and
-    theta in an accel sweep are formatted once into a ``%`` template.
+    ``param`` (sep, accel or omega0) takes each of ``values`` in turn;
+    the other two inputs are the scenario's, repeated into the closed
+    form's (a, z, omega0) points by ``zip``, so no Python code builds a
+    point.  The fixed cells, zeta in an omega0 sweep and theta in an
+    accel sweep among them, are formatted once into a ``%`` template.
     One pass over the closed-form rows builds the lines with no Python
     call; only a negative or nan zeta goes through
     :meth:`Regime.classify`, which raises.  The first non-finite shift
@@ -183,13 +186,15 @@ def _closed_form_rows(scenario: Scenario, grid: list, param=None) -> list:
         closed_form = scalar_closed_form
     else:
         from .em import em_closed_form as closed_form
-    rows = closed_form(scenario, grid)
-    first = (*grid[0], *rows[0][:2])  # a, z, omega0, zeta, theta
+    point = (scenario.acceleration, scenario.separation, scenario.omega0)
+    inputs = [values if name == param else repeat(x) for name, x in zip(_POINT, point)]
+    rows = closed_form(scenario, zip(*inputs))
+    first = (*point, *rows[0][:2])  # a, z, omega0, zeta, theta
     fixed = {"accel": (1, 2, 4), "omega0": (0, 1, 3)}.get(param, (0, 2))
     cells = [",%.16e" % first[i] if i in fixed else ",%.16e" for i in range(7)]
     template = f"{scenario.field_kind.value},{scenario.parity.value}{''.join(cells)},%s"
     lines = []
-    for (a, z, w), (zeta, theta, reduced, prefactor) in zip(grid, rows):
+    for value, (zeta, theta, reduced, prefactor) in zip(values, rows):
         si_value = prefactor * reduced
         if not (-_FLOAT_MAX <= reduced <= _FLOAT_MAX and -_FLOAT_MAX <= si_value <= _FLOAT_MAX):
             check_finite_shift(reduced, si_value)
@@ -202,37 +207,43 @@ def _closed_form_rows(scenario: Scenario, grid: list, param=None) -> list:
         else:
             regime = Regime.classify(zeta).value  # raises for a negative or nan zeta
         if param == "omega0":
-            lines.append(template % (w, theta, reduced, si_value, regime))
+            lines.append(template % (value, theta, reduced, si_value, regime))
         elif param == "accel":
-            lines.append(template % (a, zeta, reduced, si_value, regime))
+            lines.append(template % (value, zeta, reduced, si_value, regime))
         else:
-            lines.append(template % (z, zeta, theta, reduced, si_value, regime))
+            lines.append(template % (value, zeta, theta, reduced, si_value, regime))
     return lines
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     """Write ``text`` to the file ``out``, or to stdout if ``out`` is None.
 
-    A file is overwritten in place, then cut to length if regular (not
-    /dev/null or a pipe): truncating first frees its blocks, which on a
-    file system with online discard costs several times the write.
+    A file gets the utf-8 bytes through its descriptor, overwritten in
+    place, then cut to length if regular (not /dev/null or a pipe):
+    truncating first frees its blocks, which on a file system with
+    online discard costs several times the write.
     """
     if out is None:
         sys.stdout.write(text)
         return
+    data = text.encode()
     try:
-        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from None
 
 
 def cmd_compute(opts: dict) -> int:
     scenario = _build_scenario(opts)
-    point = (scenario.acceleration, scenario.separation, scenario.omega0)
-    (row,) = _closed_form_rows(scenario, [point])
+    (row,) = _closed_form_rows(scenario, "sep", [scenario.separation])
     fmt = opts.get("format", "text")
     if fmt not in ("text", "csv"):
         raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
@@ -275,7 +286,7 @@ def _sweep_grid(start: float, stop: float, points: int, spacing: str) -> list:
 
 def cmd_sweep(opts: dict) -> int:
     param = _require(opts, "param")
-    if param not in ("sep", "accel", "omega0"):
+    if param not in _POINT:
         raise UsageError(f"--param must be one of sep, accel, omega0; got {param!r}")
     start = _require(opts, "from")
     stop = _require(opts, "to")
@@ -297,20 +308,12 @@ def cmd_sweep(opts: dict) -> int:
 
     # The swept parameter needs no base value; the others stay fixed.
     base = {key: _require(opts, key) for key in ("sep", "omega0") if key != param}
-    # One scenario at the first grid value checks every other option as
-    # compute does; the swept values are then checked in order.
+    # One scenario at the first grid value checks every option as compute
+    # does.  Every grid value is finite and at least the first, so the
+    # first is the only one that can be out of the domain.
     base[param] = values[0]
     scenario = _build_scenario({**opts, **base})
-    point = [scenario.acceleration, scenario.separation, scenario.omega0]
-    swept = ("accel", "sep", "omega0").index(param)
-    grid = []
-    for value in values:
-        point[swept] = value
-        if not 0.0 < value < math.inf:  # a zero may be in the domain
-            check_kinematics(*point)
-        grid.append(tuple(point))
-
-    rows = _closed_form_rows(scenario, grid, param)
+    rows = _closed_form_rows(scenario, param, values)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", opts.get("out"))
     return 0
 

@@ -303,12 +303,14 @@ def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
     that energy on its point bit for bit.  Not validated.
     """
     ax, ay, az, bx, by, bz, magnitude = _dipole_factors(scenario, 1.0)
+    # The dipole weights once: ax * bx * xx already reads (ax * bx) * xx.
+    wxx, wyy, wzz, wxz = ax * bx, ay * by, az * bz, ax * bz - az * bx
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
     rows = []
     for a, z, w in points:
         zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
         xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
-        bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+        bilinear = wxx * xx + wyy * yy + wzz * zz + wxz * xz
         rows.append((zeta, theta, sign * bilinear, magnitude / z / z / z))
     return rows
 

@@ -1214,6 +1214,30 @@ def python_calls(fn, *args) -> list:
     return names
 
 
+def line_events(fn, *args) -> collections.Counter:
+    """Line events per function name while fn(*args) runs."""
+    counts = collections.Counter()
+
+    def trace(frame, event, arg):
+        if event == "line":
+            counts[frame.f_code.co_qualname] += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+# Sweep bounds per parameter (each sweep spans six decades from its
+# low value) and the fixed values of the other two.
+SWEEP_LOW = {"accel": 1e14, "sep": 1e-3, "omega0": 1e6}
+SWEEP_BASE = {"accel": "1e17", "sep": "1", "omega0": "1e8"}
+
+
 class TestPointCallCount:
     """A float point stays a handful of Python calls; counted, not timed."""
 
@@ -1274,22 +1298,51 @@ class TestPointCallCount:
     @pytest.mark.parametrize("field", ["scalar", "em"])
     def test_closed_form_rows_make_one_or_two_calls_per_row(self, field, param):
         # point_geometry per scalar row, and em_reduced_components too per
-        # EM row: the label, the finite check and the line take no call,
-        # so neither Regime.classify nor Enum.__hash__ runs per row.
+        # EM row: the points, the label, the finite check and the line take
+        # no call, so neither Regime.classify nor Enum.__hash__ runs per row.
         scenario = field_scenario(field, 1e17, 1.0, 1e8, Parity.SYMMETRIC)
-        swept = ("accel", "sep", "omega0").index(param)
-        low = {"accel": 1e14, "sep": 1e-3, "omega0": 1e6}[param]
+        low = SWEEP_LOW[param]
 
-        def grid(n):  # log-spaced over six decades: sep and accel cross all three regimes
-            point = [1e17, 1.0, 1e8]
-            rows = []
-            for k in range(n):
-                point[swept] = low * 10.0 ** (6.0 * k / (n - 1))
-                rows.append(tuple(point))
-            return rows
+        def values(n):  # log-spaced over six decades: sep and accel cross all three regimes
+            return [low * 10.0 ** (6.0 * k / (n - 1)) for k in range(n)]
 
         short, long = (
-            python_calls(cli._closed_form_rows, scenario, grid(n), param) for n in (4, 12)
+            python_calls(cli._closed_form_rows, scenario, param, values(n)) for n in (4, 12)
         )
         assert len(long) - len(short) <= {"scalar": 1, "em": 2}[field] * (12 - 4), long
         assert not [name for name in long if "classify" in name or "__hash__" in name]
+
+    @pytest.mark.parametrize("spacing", ["lin", "log"])
+    @pytest.mark.parametrize("param", ["sep", "accel", "omega0"])
+    @pytest.mark.parametrize("field", ["scalar", "em"])
+    def test_whole_sweep_makes_one_or_two_calls_per_row(self, capsys, field, param, spacing):
+        # The same bound through cli.main, and no line of cmd_sweep or main
+        # runs once per row: the grid values go to the row helper untouched.
+        fixed = [x for name, v in SWEEP_BASE.items() if name != param for x in (f"--{name}", v)]
+        argv = [
+            "sweep", "--field", field, "--parity", "sym", *fixed, "--param", param,
+            "--from", repr(SWEEP_LOW[param]), "--to", repr(SWEEP_LOW[param] * 1e6),
+            "--spacing", spacing,
+        ]
+        codes = []
+
+        def sweep(n):
+            codes.append(cli.main([*argv, "--points", str(n)]))
+
+        short, long = (python_calls(sweep, n) for n in (4, 12))
+        assert len(long) - len(short) <= {"scalar": 1, "em": 2}[field] * (12 - 4), long
+        short, long = (line_events(sweep, n) for n in (4, 12))
+        for name in ("main", "cmd_sweep"):
+            assert long[name] == short[name] > 0, name
+        assert codes == [0] * 4
+        assert len(capsys.readouterr().out.splitlines()) == 2 * ((1 + 4) + (1 + 12))
+
+    @pytest.mark.parametrize("dipoles", [(), ("--dipole-a", "x", "--dipole-b", "0.3,-1.2,0.7")])
+    def test_cli_em_scenario_takes_the_float_tuple_check(self, dipoles):
+        # The parsed dipoles are float tuples, so Scenario.__init__ keeps
+        # them without the per-component _as_triple door.
+        _, flags = cli._parse(["compute", "--field", "em", "--parity", "sym", "--sep", "1",
+                               "--omega0", "1e8", *dipoles])
+        calls = python_calls(cli._build_scenario, flags)
+        assert "Scenario.__init__" in calls
+        assert "_as_triple" not in calls, calls

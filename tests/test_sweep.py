@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rindler_resonance import SPEED_OF_LIGHT, DomainError, FieldKind, Parity, Regime, Scenario, cli
 from rindler_resonance.cli import CSV_HEADER, _sweep_grid, main
@@ -75,6 +75,39 @@ def test_log_grid_is_numpy_geomspace_to_rounding():
     top = sys.float_info.max
     with pytest.raises(DomainError, match="overflows"):
         _sweep_grid(top * (1.0 - 2.0**-52), top, 5, "log")
+
+
+# Any finite float, with the signed zeros, the subnormals and the ends of
+# the float range drawn often.
+bounds = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 1e308, -1e308,
+                     sys.float_info.max, -sys.float_info.max, sys.float_info.max / 2.0,
+                     -sys.float_info.max / 2.0]),
+    st.floats(-324.0, 308.25).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    start=bounds, stop=bounds, points=st.integers(2, 300), spacing=st.sampled_from(["lin", "log"])
+)
+def test_every_grid_value_is_finite_and_at_least_the_first(start, stop, points, spacing):
+    # cmd_sweep checks only the first grid value against the domain: every
+    # later one is finite and no smaller, and a log grid is positive.
+    # These are the bounds cmd_sweep lets through.
+    start, stop = min(start, stop), max(start, stop)
+    assume(start < stop and stop - start < math.inf and (spacing == "lin" or start > 0.0))
+    try:
+        values = _sweep_grid(start, stop, points, spacing)
+    except DomainError as exc:  # only a log grid overflowing near the largest float
+        assert spacing == "log" and "overflows" in str(exc)
+        return
+    assert len(values) == points
+    assert values[0] == start and values[-1] == stop
+    assert all(values[0] <= x < math.inf for x in values)
+    if spacing == "log":
+        assert all(x > 0.0 for x in values)
 
 
 @pytest.mark.parametrize(
@@ -237,12 +270,12 @@ def test_regime_labels_agree_at_the_edges(capsys, monkeypatch, zeta):
         assert str(exc) == expected
     if zeta < 0.0:
         # No kinematics reach a negative zeta; the row goes through classify.
-        monkeypatch.setattr(cli, "scalar_closed_form", lambda s, grid: [(zeta, 1.0, 0.5, 1.0)])
+        monkeypatch.setattr(cli, "scalar_closed_form", lambda s, points: [(zeta, 1.0, 0.5, 1.0)])
         scenario = Scenario.scalar_field(
             acceleration=0.0, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC
         )
         with pytest.raises(DomainError) as info:
-            cli._closed_form_rows(scenario, [(0.0, 1.0, 1e8)])
+            cli._closed_form_rows(scenario, "sep", [1.0])
         assert str(info.value) == expected
         return
     accel = repr(_acceleration_at(zeta))
