@@ -464,19 +464,6 @@ def _scaled_product(x: float, y: float, d: float) -> float:
     return value if value != math.inf else x * (y / d)
 
 
-def _log_two_zeta(zeta: float) -> float:
-    """log(2*zeta), as log(zeta) + log(2) only where 2*zeta overflows."""
-    two_zeta = 2.0 * zeta
-    return math.log(two_zeta) if two_zeta != math.inf else math.log(zeta) + math.log(2.0)
-
-
-def _farzone_warning(zeta: float) -> Optional[str]:
-    """The warning a far-zone asymptote carries below zeta = 1, else None."""
-    if zeta < 1.0:
-        return f"far-zone asymptote evaluated at zeta = {zeta:.3g} < 1; expect O(1) error"
-    return None
-
-
 @dataclass(frozen=True)
 class ReducedGeometry:
     """Reduced variables of one scenario, with c = ``SPEED_OF_LIGHT``.
@@ -558,6 +545,25 @@ def reduced_geometry(
 def scenario_geometry(scenario: Scenario) -> ReducedGeometry:
     """Reduced geometry of a scenario."""
     return reduced_geometry(scenario.acceleration, scenario.separation, scenario.omega0)
+
+
+def _farzone_point(scenario: Scenario, kind: FieldKind) -> tuple:
+    """(geometry, phase (theta/zeta)*log(2*zeta), warning) of a far-zone asymptote.
+
+    Refuses a non-positive acceleration, warns below zeta = 1, and takes
+    log(2*zeta) as log(zeta) + log(2) only where 2*zeta overflows.
+    """
+    scenario.require_field(kind)
+    if scenario.acceleration <= 0.0:
+        raise DomainError("far-zone asymptote requires a positive acceleration")
+    geom = scenario_geometry(scenario)
+    zeta = geom.zeta
+    two_zeta = 2.0 * zeta
+    log = math.log(two_zeta) if two_zeta != math.inf else math.log(zeta) + math.log(2.0)
+    warning = None
+    if zeta < 1.0:
+        warning = f"far-zone asymptote evaluated at zeta = {zeta:.3g} < 1; expect O(1) error"
+    return geom, (geom.theta / zeta) * log, warning
 
 
 def unruh_temperature(acceleration: float) -> float:

@@ -21,7 +21,8 @@ works one point at a time in Python floats and the time-domain tensor
 one w at a time in Python complex numbers; numpy is imported only where
 a tensor record is built, from its five entries, by ``_tensor``.  A
 whole point, ``Scenario.em_field`` from floats and its energy, makes
-five Python calls.
+five Python calls.  The far-zone asymptote is the same bilinear form
+in the leading large-zeta entries, so every dipole pair has one.
 
 All tensors are expressed in the fixed frame with
 x = acceleration direction, z = separation direction.  Atom A sits at
@@ -45,8 +46,7 @@ from .core import (
     _SYMMETRIC,
     _as_float,
     _energy_shift,
-    _farzone_warning,
-    _log_two_zeta,
+    _farzone_point,
     _scaled_product,
     _shown,
     DomainError,
@@ -54,10 +54,8 @@ from .core import (
     ReducedGeometry,
     Scenario,
     SingularityError,
-    UsageError,
     parity_sign,
     point_geometry,
-    scenario_geometry,
 )
 
 if TYPE_CHECKING:
@@ -82,6 +80,9 @@ __all__ = [
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 _SINGULAR_FLOOR = 1e-12
+
+# The smallest normal float: a = 1/(1 + zeta**2) is below it for zeta above about 6.7e153.
+_NORMAL_MIN = 2.0**-1022
 
 
 def _tensor(xx, yy, zz, xz=0.0):
@@ -216,35 +217,40 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     is the spectral coefficients resummed at omega0, written in
     u = 1/h and v = zeta/h: then 1/N = u**2, zeta**2/N = v**2 and
     zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
-    grows.  Where theta**2 overflows (theta above about 1.3e154) the
-    theta**2 terms are regrouped so that theta meets u or v first.
+    grows.  Where theta**2 overflows (theta above about 1.3e154) or a is
+    subnormal (zeta above about 6.7e153) the terms that take theta**2
+    or a as a factor are regrouped so that theta meets u or v first.
     :func:`em_resonance_energy` holds a written-out copy, operation for
     operation.
     """
     u, v = 1.0 / root, zeta / root
     a, b = u * u, v * v
     t2 = theta * theta
-    # The cos_p coefficients, the only terms that carry theta**2.
-    if t2 == math.inf:
-        c_xx, c_yy, c_zz, c_xz = _regrouped_cos_terms(theta, u, v, a, b)
+    # The xx sin_p coefficient and the cos_p coefficients, the only
+    # terms that carry a*theta or theta**2.
+    if t2 == math.inf or a < _NORMAL_MIN:
+        s_xx, c_xx, c_yy, c_zz, c_xz = _regrouped_terms(theta, u, v, a, b)
     else:
+        s_xx = theta * a * (a + 4.0 * b)
         c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2)
         c_yy = u * (a - t2)
         c_zz = u * (a * (2.0 * a + 5.0 * b) - b * t2)
         c_xz = a * v * (a + 4.0 * b + t2)
-    xx = theta * a * (a + 4.0 * b) * sin_p + c_xx * cos_p
+    xx = s_xx * sin_p + c_xx * cos_p
     yy = theta * (a + 2.0 * b) * sin_p + c_yy * cos_p
     zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
     xz = theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p
     return xx, yy, zz, xz
 
 
-def _regrouped_cos_terms(theta, u, v, a, b) -> tuple:
-    # The cos_p coefficients of em_reduced_components where theta**2 = inf.
-    # theta meets u or v before it is squared, so no partial product
-    # exceeds both theta and the term it builds.
+def _regrouped_terms(theta, u, v, a, b) -> tuple:
+    # The xx sin_p and the cos_p coefficients of em_reduced_components
+    # where theta**2 = inf or a is subnormal.  theta meets u or v before
+    # it is squared, so no partial product exceeds both theta and the
+    # term it builds; a subnormal a, which has lost bits, is taken as u*u.
     ut = u * theta
     return (
+        theta * a * (a + 4.0 * b) if a >= _NORMAL_MIN else ut * u * (a + 4.0 * b),
         u * (a * a + 2.0 * a * b + 4.0 * b * b) - (u * ut) * ut,
         u * a - ut * theta,
         u * (a * (2.0 * a + 5.0 * b)) - (v * ut) * (v * theta),
@@ -337,15 +343,16 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     u, v = 1.0 / root, zeta / root
     a, b = u * u, v * v
     t2 = theta * theta
-    if t2 == math.inf:
-        c_xx, c_yy, c_zz, c_xz = _regrouped_cos_terms(theta, u, v, a, b)
+    if t2 == math.inf or a < _NORMAL_MIN:
+        s_xx, c_xx, c_yy, c_zz, c_xz = _regrouped_terms(theta, u, v, a, b)
     else:
+        s_xx = theta * a * (a + 4.0 * b)
         c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2)
         c_yy = u * (a - t2)
         c_zz = u * (a * (2.0 * a + 5.0 * b) - b * t2)
         c_xz = a * v * (a + 4.0 * b + t2)
     bilinear = (
-        ax * bx * (theta * a * (a + 4.0 * b) * sin_p + c_xx * cos_p)
+        ax * bx * (s_xx * sin_p + c_xx * cos_p)
         + ay * by * (theta * (a + 2.0 * b) * sin_p + c_yy * cos_p)
         + az * bz * (-theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p)
         + (ax * bz - az * bx) * (theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p)
@@ -372,40 +379,32 @@ def em_inertial_potential(geom: ReducedGeometry) -> Tensor3:
 def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     """Leading shift for separations far beyond the crossover length.
 
-    Valid for both dipoles along one common coordinate axis.  For
-    dipoles along the separation (z) or transverse (y) axis the SI
-    shift falls as z**-2; along the acceleration (x) axis the surviving
-    term falls as z**-4.  Requires acceleration > 0; below zeta = 1 the
-    asymptote is not meaningful and the result carries a warning.
+    The entries of z**3*(V + W) to leading order in 1/zeta, with
+    r = theta/zeta = 2*omega0*c/a and phi = r*log(2*zeta),
+
+        xx = [(4 - r**2) cos phi + 4r sin phi]/zeta,
+        yy = -zz = 2 theta sin phi - (theta**2/zeta) cos phi,
+        xz = -zx = r**2 cos phi - 2r sin phi,
+
+    contracted with the unit dipoles as in :func:`em_resonance_energy`.
+    At fixed a and omega0 the SI shift falls as z**-2 for transverse
+    (y) and separation (z) dipoles, z**-3 for a crossed x-z pair and
+    z**-4 along the acceleration (x) axis; any other pair mixes these.
+    Requires acceleration > 0; below zeta = 1 the asymptote is not
+    meaningful and the result carries a warning.
     """
-    scenario.require_field(_EM)
-    if scenario.acceleration <= 0.0:
-        raise DomainError("far-zone asymptote requires a positive acceleration")
-    geom = scenario_geometry(scenario)
+    geom, phase, warning = _farzone_point(scenario, _EM)
     ax, ay, az, bx, by, bz, prefactor = _dipole_factors(scenario, geom.separation)
-    ua, ub = (ax, ay, az), (bx, by, bz)
-    axis = None
-    for i in range(3):
-        if abs(abs(ua[i]) - 1.0) < 1e-12 and abs(abs(ub[i]) - 1.0) < 1e-12:
-            axis = i
-            break
-    if axis is None:
-        raise UsageError(
-            "far-zone asymptote requires both dipoles along the same coordinate axis"
-        )
-    zeta = geom.zeta
-    theta = geom.theta
-    phase = (theta / zeta) * _log_two_zeta(zeta)
-    radial = 2.0 * theta * math.sin(phase) - _scaled_product(theta, theta, zeta) * math.cos(phase)
-    axial = (4.0 / zeta) * math.cos(phase)
-    diag = {
-        0: axial,       # acceleration axis: only the 4/zeta term survives
-        1: radial,      # transverse axis
-        2: -radial,     # separation axis
-    }[axis]
-    orientation = math.copysign(1.0, ua[axis]) * math.copysign(1.0, ub[axis])
-    reduced = parity_sign(scenario.parity) * orientation * diag
-    return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM, _farzone_warning(zeta))
+    zeta, theta = geom.zeta, geom.theta
+    r = theta / zeta
+    cos_p, sin_p = math.cos(phase), math.sin(phase)
+    bilinear = (
+        ax * bx * ((4.0 * cos_p + 4.0 * r * sin_p) / zeta - _scaled_product(r, r, zeta) * cos_p)
+        + (ay * by - az * bz) * (2.0 * theta * sin_p - _scaled_product(theta, theta, zeta) * cos_p)
+        + (ax * bz - az * bx) * (r * r * cos_p - 2.0 * r * sin_p)
+    )
+    reduced = parity_sign(scenario.parity) * bilinear
+    return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM, warning)
 
 
 def em_wightman_tensor(

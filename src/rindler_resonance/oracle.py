@@ -439,9 +439,11 @@ def asymptote_convergence_report(tolerance: Optional[float] = None) -> Verificat
 
     # The scalar envelope goes as 1/z in the near zone and 1/z**2 in the
     # far zone; the EM one as z**-2 for separation- and transverse-axis
-    # dipoles and z**-4 along the acceleration axis.  Rows: check_id,
-    # dipole axis (None: scalar), acceleration, omega_ratio, separations,
-    # reference slope, tolerance, note (empty: the EM sampling note).
+    # dipoles, z**-3 for a crossed x-z pair and z**-4 along the
+    # acceleration axis, where omega_ratio = 1 would zero both leading
+    # terms at phase alignment.  Rows: check_id, dipole pair (None:
+    # scalar), acceleration, omega_ratio, separations, reference slope,
+    # tolerance, note (empty: the EM sampling note).
     aligned = _phase_aligned_separations(1e18, 1.0, range(3, 8))
     slope_cases = (
         (
@@ -464,11 +466,12 @@ def asymptote_convergence_report(tolerance: Optional[float] = None) -> Verificat
             0.05,
             "fit over zeta from 55 to 3e4 at phase-aligned separations",
         ),
-        ("asymptote/em/far-zone-slope/axis=z", "z", 1e18, 1.0, aligned, -2.0, 0.1, ""),
-        ("asymptote/em/far-zone-slope/axis=y", "y", 1e18, 1.0, aligned, -2.0, 0.1, ""),
+        ("asymptote/em/far-zone-slope/axis=z", "zz", 1e18, 1.0, aligned, -2.0, 0.1, ""),
+        ("asymptote/em/far-zone-slope/axis=y", "yy", 1e18, 1.0, aligned, -2.0, 0.1, ""),
+        ("asymptote/em/far-zone-slope/pair=xz", "xz", 1e18, 1.0, aligned, -3.0, 0.1, ""),
         (
             "asymptote/em/far-zone-slope/axis=x",
-            "x",
+            "xx",
             1e18,
             0.5,
             _phase_aligned_separations(1e18, 0.5, range(2, 6)),
@@ -477,14 +480,15 @@ def asymptote_convergence_report(tolerance: Optional[float] = None) -> Verificat
             "",
         ),
     )
-    for check_id, axis, accel, omega_ratio, seps, reference, tol, note in slope_cases:
+    for check_id, pair, accel, omega_ratio, seps, reference, tol, note in slope_cases:
         omega0 = omega_ratio * accel / c_light
-        if axis is None:
+        if pair is None:
             energy, build = scalar_resonance_energy, Scenario.scalar_field
             extra = {"parity": Parity.ANTISYMMETRIC}
         else:
-            energy, build, unit = em_resonance_energy, Scenario.em_field, _AXIS_VECTORS[axis]
-            extra = {"parity": Parity.SYMMETRIC, "dipole_a": unit, "dipole_b": unit}
+            energy, build = em_resonance_energy, Scenario.em_field
+            da, db = (_AXIS_VECTORS[axis] for axis in pair)  # "xz": dipole_a along x
+            extra = {"parity": Parity.SYMMETRIC, "dipole_a": da, "dipole_b": db}
         shifts = [
             energy(build(acceleration=accel, separation=z, omega0=omega0, **extra)).si_value
             for z in seps
@@ -496,13 +500,12 @@ def asymptote_convergence_report(tolerance: Optional[float] = None) -> Verificat
         checks.append(_check(check_id, slope, reference, abs(slope - reference), tol, note))
 
     # Far-zone formulas against the full results, all to 1e-3: static
-    # and phase-aligned oscillating scalar transitions, then the EM ones.
-    # The acceleration-axis EM coefficient keeps only the term surviving
-    # at small omega_ratio, so that probe takes omega_ratio = 1e-4
-    # instead of phase alignment.  Rows: check_id, dipole axis (None:
-    # scalar), theta, zeta, note.
-    probe = math.sinh(2.0 * math.pi)  # a zeta phase-aligned at omega_ratio = 1
+    # and phase-aligned oscillating scalar transitions, then the EM ones,
+    # at omega_ratio = 0.5 where x dipoles take part.  Rows: check_id,
+    # dipole pair (None: scalar), theta, zeta, note.
+    probe = math.sinh(2.0 * math.pi)  # a zeta phase-aligned at omega_ratio = 1 and 0.5
     at_probe = f"zeta = {probe:.1f}"
+    at_half = at_probe + ", omega_ratio = 0.5"
     static = "static transition (omega0 = 0)"
     ratio_cases = (
         ("asymptote/scalar/far-zone-ratio/zeta=100", None, 0.0, 100.0, static),
@@ -514,22 +517,18 @@ def asymptote_convergence_report(tolerance: Optional[float] = None) -> Verificat
             probe,
             at_probe + ", omega_ratio = 1",
         ),
-        ("asymptote/em/far-zone-ratio/axis=z", "z", 2.0 * probe, probe, at_probe),
-        ("asymptote/em/far-zone-ratio/axis=y", "y", 2.0 * probe, probe, at_probe),
-        (
-            "asymptote/em/far-zone-ratio/axis=x",
-            "x",
-            2.0 * 1e-4 * 100.0,
-            100.0,
-            "acceleration-axis coefficient is a low-omega_ratio form",
-        ),
+        ("asymptote/em/far-zone-ratio/axis=z", "zz", 2.0 * probe, probe, at_probe),
+        ("asymptote/em/far-zone-ratio/axis=y", "yy", 2.0 * probe, probe, at_probe),
+        ("asymptote/em/far-zone-ratio/axis=x", "xx", probe, probe, at_half),
+        ("asymptote/em/far-zone-ratio/pair=xz", "xz", probe, probe, at_half),
     )
-    for check_id, axis, theta, zeta, note in ratio_cases:
-        if axis is None:
+    for check_id, pair, theta, zeta, note in ratio_cases:
+        if pair is None:
             energy, asymptote, extra = scalar_resonance_energy, scalar_farzone_asymptote, {}
         else:
-            energy, asymptote, unit = em_resonance_energy, em_farzone_asymptote, _AXIS_VECTORS[axis]
-            extra = {"field_kind": FieldKind.EM, "dipole_a": unit, "dipole_b": unit}
+            energy, asymptote = em_resonance_energy, em_farzone_asymptote
+            da, db = (_AXIS_VECTORS[axis] for axis in pair)
+            extra = {"field_kind": FieldKind.EM, "dipole_a": da, "dipole_b": db}
         scn = Scenario.from_reduced(theta=theta, zeta=zeta, parity=Parity.SYMMETRIC, **extra)
         ratio = asymptote(scn).reduced / energy(scn).reduced
         tol = 1e-3 if tolerance is None else tolerance

@@ -20,9 +20,7 @@ from .core import (
     _SCALAR,
     _SYMMETRIC,
     _energy_shift,
-    _farzone_warning,
-    _log_two_zeta,
-    DomainError,
+    _farzone_point,
     EnergyShift,
     Scenario,
     parity_sign,
@@ -98,13 +96,9 @@ def scalar_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     Requires acceleration > 0; below zeta = 1 the asymptote is not
     meaningful and the result carries a warning.
     """
-    scenario.require_field(_SCALAR)
-    if scenario.acceleration <= 0.0:
-        raise DomainError("far-zone asymptote requires a positive acceleration")
-    geom = scenario_geometry(scenario)
+    geom, phase, warning = _farzone_point(scenario, _SCALAR)
     zeta = geom.zeta
-    sign = -parity_sign(scenario.parity)
-    reduced = sign * math.cos((geom.theta / zeta) * _log_two_zeta(zeta)) / zeta
+    reduced = -parity_sign(scenario.parity) * math.cos(phase) / zeta
     lam = scenario.coupling
     pref = lam * lam / (_K * scenario.separation)
-    return _energy_shift(reduced, pref, zeta, scenario.parity, _SCALAR, _farzone_warning(zeta))
+    return _energy_shift(reduced, pref, zeta, scenario.parity, _SCALAR, warning)

@@ -1,6 +1,7 @@
 """The closed forms over the whole float domain: a finite shift or a
 DomainError, and correct values far beyond the crossover length."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -99,27 +100,45 @@ def test_phase_where_omega0_times_z_overflows():
         assert abs(shift.reduced - want) <= 2e-11 * envelope
 
 
+AXES = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+
+
 def mp_farzone_asymptotes(geom):
-    """Scalar and transverse (y) EM far-zone asymptotes of the symmetric state, and the EM envelope."""
+    """The scalar far-zone asymptote of the symmetric state, then each EM far-zone entry.
+
+    The entries (xx, yy, zz and xz; zx = -xz) map to (value, envelope),
+    the envelope being |sin term| + |cos term| at the far-zone phase.
+    """
     zeta, theta = mp.mpf(geom.zeta), mp.mpf(geom.theta)
-    phase = (theta / zeta) * mp.log(2 * zeta)
-    radial = (2 * theta * mp.sin(phase), (theta * theta / zeta) * mp.cos(phase))
-    return -mp.cos(phase) / zeta, radial[0] - radial[1], abs(radial[0]) + abs(radial[1])
+    r = theta / zeta
+    phase = r * mp.log(2 * zeta)
+    cos_p, sin_p = mp.cos(phase), mp.sin(phase)
+    coefficients = {  # (sin, cos) coefficients
+        "xx": (4 * r / zeta, (4 - r * r) / zeta),
+        "yy": (2 * theta, -theta * theta / zeta),
+        "zz": (-2 * theta, theta * theta / zeta),
+        "xz": (-2 * r, r * r),
+    }
+    entries = {
+        pair: (s * sin_p + c * cos_p, abs(s * sin_p) + abs(c * cos_p))
+        for pair, (s, c) in coefficients.items()
+    }
+    return -cos_p / zeta, entries
 
 
-def test_em_farzone_asymptote_where_theta_squared_overflows():
+@pytest.mark.parametrize("pair", ("yy", "xx", "xz"))
+def test_em_farzone_asymptote_where_theta_squared_overflows(pair):
     # theta = 3.3e301 and zeta = 1e300: theta**2 overflows, theta**2/zeta ~ 1e303 fits.
     sc = Scenario.em_field(
         acceleration=2.0 * C * C * 1e290, separation=1e10, omega0=1e300,
-        parity=Parity.SYMMETRIC, dipole_a=(0, 1, 0), dipole_b=(0, 1, 0),
+        parity=Parity.SYMMETRIC, dipole_a=AXES[pair[0]], dipole_b=AXES[pair[1]],
     )
     geom = scenario_geometry(sc)
     shift = em_farzone_asymptote(sc)
     assert math.isfinite(shift.reduced) and math.isfinite(shift.si_value)
     with mp.workdps(40):
-        _, want, _ = mp_farzone_asymptotes(geom)
-        scale = mp.mpf(geom.theta) ** 2 / mp.mpf(geom.zeta)
-        assert abs(shift.reduced - want) <= 1e-9 * scale
+        want, envelope = mp_farzone_asymptotes(geom)[1][pair]
+        assert abs(shift.reduced - want) <= 1e-9 * envelope
 
 
 @pytest.mark.parametrize("zeta", (9e307, 1.5e308))
@@ -131,14 +150,17 @@ def test_farzone_asymptotes_where_two_zeta_overflows(zeta):
         omega0=1e-290, parity=Parity.SYMMETRIC,
     )
     scalar = Scenario.scalar_field(**kinematics)
-    em = Scenario.em_field(**kinematics, dipole_a=(0, 1, 0), dipole_b=(0, 1, 0))
     geom = scenario_geometry(scalar)
     with mp.workdps(40):
-        want_scalar, want_em, envelope = mp_farzone_asymptotes(geom)
+        want_scalar, entries = mp_farzone_asymptotes(geom)
         got = scalar_farzone_asymptote(scalar).reduced
         assert math.isfinite(got) and abs(got - want_scalar) <= 1e-13 / mp.mpf(geom.zeta)
-        got = em_farzone_asymptote(em).reduced
-        assert math.isfinite(got) and abs(got - want_em) <= 1e-13 * envelope
+        for pair in ("yy", "xx", "xz"):
+            em = Scenario.em_field(**kinematics, dipole_a=AXES[pair[0]], dipole_b=AXES[pair[1]])
+            got = em_farzone_asymptote(em).reduced
+            want, envelope = entries[pair]
+            # xz ~ 1e-610 lies below the float range and reads 0.
+            assert math.isfinite(got) and abs(got - want) <= 1e-13 * envelope + 5e-324, pair
 
 
 # From 1e300 on, a*z overflows at the separation below while zeta fits.
@@ -151,7 +173,7 @@ def huge_zeta_scenario(theta, zeta, field_kind=FieldKind.SCALAR, parity=Parity.S
     kinematics = dict(
         acceleration=2.0 * C * C * (zeta / separation),
         separation=separation,
-        omega0=theta * C / separation,
+        omega0=theta * (C / separation),
         parity=parity,
     )
     if field_kind is FieldKind.EM:
@@ -164,6 +186,25 @@ def mp_reduced_variables(geom):
     theta = mp.mpf(geom.theta)
     phase = theta * mp.asinh(zeta) / zeta
     return zeta, theta, mp.cos(phase), mp.sin(phase)
+
+
+def mp_reduced_entries(geom):
+    """slot: (value, envelope) of each nonzero entry of z**3 (V + W) but zx = -xz."""
+    z, t, cos_p, sin_p = mp_reduced_variables(geom)
+    z2 = z * z
+    n = 1 + z2
+    # (f1, g0, g2) per entry of z**3 (V + W), from the spectral coefficients.
+    terms = {
+        ("x", "x"): ((1 + 4 * z2) / n**2, -(1 + 2 * z2 + 4 * z2 * z2) / n**2.5, 1 / n**1.5),
+        ("y", "y"): ((1 + 2 * z2) / n, -1 / n**1.5, 1 / mp.sqrt(n)),
+        ("z", "z"): ((-2 - z2 * (1 + 2 * z2)) / n**2, (2 + 5 * z2) / n**2.5, -z2 / n**1.5),
+        ("x", "z"): (z * (1 - 2 * z2) / n**2, -z * (1 + 4 * z2) / n**2.5, -z / n**1.5),
+    }
+    return {
+        slot: (f1 * t * sin_p - (g0 + g2 * t * t) * cos_p,
+               max(abs(f1 * t), abs(g0), abs(g2 * t * t)))
+        for slot, (f1, g0, g2) in terms.items()
+    }
 
 
 @pytest.mark.parametrize("zeta", HUGE_ZETAS)
@@ -188,20 +229,25 @@ def test_em_far_beyond_crossover(theta, zeta):
     geom = scenario_geometry(sc)
     reduced = em_potential_tensors(geom).reduced
     with mp.workdps(60):
-        z, t, cos_p, sin_p = mp_reduced_variables(geom)
-        z2 = z * z
-        n = 1 + z2
-        # (f1, g0, g2) per entry of z**3 (V + W), from the spectral coefficients.
-        terms = {
-            ("x", "x"): ((1 + 4 * z2) / n**2, -(1 + 2 * z2 + 4 * z2 * z2) / n**2.5, 1 / n**1.5),
-            ("y", "y"): ((1 + 2 * z2) / n, -1 / n**1.5, 1 / mp.sqrt(n)),
-            ("z", "z"): ((-2 - z2 * (1 + 2 * z2)) / n**2, (2 + 5 * z2) / n**2.5, -z2 / n**1.5),
-            ("x", "z"): (z * (1 - 2 * z2) / n**2, -z * (1 + 4 * z2) / n**2.5, -z / n**1.5),
-        }
-        for slot, (f1, g0, g2) in terms.items():
-            want = f1 * t * sin_p - (g0 + g2 * t * t) * cos_p
-            envelope = max(abs(f1 * t), abs(g0), abs(g2 * t * t))
+        for slot, (want, envelope) in mp_reduced_entries(geom).items():
             assert abs(reduced[slot] - want) <= 1e-13 * envelope, slot
         shift = em_resonance_energy(sc)
     assert shift.reduced == reduced["y", "y"]
     assert math.isfinite(shift.si_value)
+
+
+# From zeta = 6.7e153 on a = 1/(1 + zeta**2) is subnormal and a product
+# with it loses bits, so the closed form regroups the terms that carry
+# a*theta.  The phase theta*asinh(zeta)/zeta of up to 7e5 leaves about
+# 1e-10 of each envelope.
+@pytest.mark.parametrize("zeta", (1e150, 1e154, 1e160, 1e200, 3.3e213, 1e250, 1e300))
+@pytest.mark.parametrize("ratio", (1e-3, 1.3, 1e3))
+def test_em_where_the_inverse_norm_is_subnormal(ratio, zeta):
+    sc = huge_zeta_scenario(ratio * zeta, zeta, FieldKind.EM)
+    geom = scenario_geometry(sc)
+    reduced = em_potential_tensors(geom).reduced
+    with mp.workdps(80):
+        for slot, (want, envelope) in mp_reduced_entries(geom).items():
+            assert abs(reduced[slot] - want) <= 1e-9 * envelope, slot
+    x_pair = dataclasses.replace(sc, dipole_a=(1, 0, 0), dipole_b=(1, 0, 0))
+    assert em_resonance_energy(x_pair).reduced == reduced["x", "x"]

@@ -20,7 +20,6 @@ from rindler_resonance import (
     Scenario,
     SingularityError,
     Tensor3,
-    UsageError,
     em_farzone_asymptote,
     em_inertial_potential,
     em_potential_tensors,
@@ -356,8 +355,28 @@ class TestFarzoneAsymptote:
     def test_acceleration_axis_at_half_phase(self):
         zeta = 50.0
         theta = math.pi * zeta / math.log(2.0 * zeta)
+        r = theta / zeta
         shift = em_farzone_asymptote(em_scenario(theta, zeta, da=[1, 0, 0], db=[1, 0, 0]))
-        assert shift.reduced == pytest.approx(-4.0 / zeta, rel=1e-12)
+        assert shift.reduced == pytest.approx(-(4.0 - r * r) / zeta, rel=1e-12)
+
+    def test_crossed_pair_at_quarter_phase(self):
+        # xz = r**2 cos(phi) - 2r sin(phi) = -2r at phi = pi/2; zx = -xz.
+        zeta = 50.0
+        theta = 0.5 * math.pi * zeta / math.log(2.0 * zeta)
+        shift = em_farzone_asymptote(em_scenario(theta, zeta, da=[1, 0, 0], db=[0, 0, 1]))
+        swapped = em_farzone_asymptote(em_scenario(theta, zeta, da=[0, 0, 1], db=[1, 0, 0]))
+        assert shift.reduced == pytest.approx(-2.0 * theta / zeta, rel=1e-14)
+        assert swapped.reduced == -shift.reduced
+
+    def test_bilinear_in_the_dipoles(self):
+        # A tilted dipole gives the sum of its on-axis contractions.
+        s = 1.0 / math.sqrt(2.0)
+        tilted = em_farzone_asymptote(em_scenario(3.0, 40.0, da=[s, 0, s], db=[s, 0, s])).reduced
+        on_axis = sum(
+            em_farzone_asymptote(em_scenario(3.0, 40.0, da=da, db=db)).reduced
+            for da in ([1, 0, 0], [0, 0, 1]) for db in ([1, 0, 0], [0, 0, 1])
+        )
+        assert tilted == pytest.approx(0.5 * on_axis, rel=1e-14)
 
     def test_converges_to_full_form(self):
         gaps = []
@@ -381,20 +400,27 @@ class TestFarzoneAsymptote:
         anti = em_farzone_asymptote(em_scenario(3.0, 40.0, parity=Parity.ANTISYMMETRIC))
         assert anti.reduced == -sym.reduced
 
-    def test_rejects_off_axis_dipoles(self):
-        s = 1.0 / math.sqrt(2.0)
-        with pytest.raises(UsageError):
-            em_farzone_asymptote(em_scenario(3.0, 40.0, da=[s, 0, s], db=[s, 0, s]))
-
     def test_warning_below_unit_zeta(self):
         low = em_farzone_asymptote(em_scenario(1.0, 0.5))
         high = em_farzone_asymptote(em_scenario(1.0, 5.0))
         assert low.warning is not None
         assert high.warning is None
 
-    def test_rejects_mismatched_axes(self):
-        with pytest.raises(UsageError):
-            em_farzone_asymptote(em_scenario(3.0, 40.0, da=[1, 0, 0], db=[0, 0, 1]))
+    # From 1.3e154 on theta**2 overflows, from 6.7e153 on 1/(1 + zeta**2) is subnormal.
+    @pytest.mark.parametrize("pair", [l + m for l in "xyz" for m in "xyz"])
+    def test_matches_closed_form_on_every_pair(self, pair):
+        axes = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+        for zeta in (1e6, 3e17, 1e154, 1e160, 1e250):
+            for r in (1e-3, 0.5, 2.0, 60.0, 1e4):
+                theta = r * zeta
+                # Each entry's size over the phase; the other pairs are 0.
+                envelope = {
+                    "xx": (2.0 + r) ** 2 / zeta, "yy": theta * (2.0 + r), "zz": theta * (2.0 + r),
+                    "xz": r * (2.0 + r), "zx": r * (2.0 + r),
+                }.get(pair, 0.0)
+                sc = em_scenario(theta, zeta, da=axes[pair[0]], db=axes[pair[1]])
+                got, want = em_farzone_asymptote(sc).reduced, em_resonance_energy(sc).reduced
+                assert abs(got - want) <= 1e-8 * envelope, (zeta, r)
 
     def test_requires_acceleration(self):
         sc = Scenario.em_field(

@@ -1,9 +1,9 @@
 """numpy loads only where arrays are: importing the package, the scalar
 and EM energies and closed forms (on a list of points), the EM far-zone
-asymptote, a scalar or EM ``compute``, a linear or log ``sweep`` and
-``regimes``, a scenario, geometry or Unruh temperature of Python ints,
-bools and Fractions, and an EM scenario whose dipoles are a namedtuple,
-Fractions or Decimals run without it.  So do importing ``quad`` and
+asymptote of a crossed pair, a scalar or EM ``compute``, a linear or
+log ``sweep`` and ``regimes``, a scenario, geometry or Unruh temperature
+of Python ints, bools and Fractions, and an EM scenario whose dipoles
+are a namedtuple, Fractions or Decimals run without it.  So do importing ``quad`` and
 ``oracle`` and every ``verify`` suite: scalar-pv, em-pv, asymptotes,
 em-commutator and all.  The lazily resolved names are the same objects
 as their modules'."""
@@ -65,7 +65,7 @@ rows = em_closed_form(em_scenarios[0], [(1e20, 1e-6, 1e15), (0.0, 1.0, 3e8)])
 assert len(rows) == 2 and all(type(x) is float for row in rows for x in row)
 rr.em_farzone_asymptote(rr.Scenario.em_field(
     acceleration=1e20, separation=1.0, omega0=1e15, parity=rr.Parity.SYMMETRIC,
-    dipole_a=(0.0, 0.0, 1.0), dipole_b=(0.0, 0.0, 1.0),
+    dipole_a=(1.0, 0.0, 0.0), dipole_b=(0.0, 0.0, 1.0),
 ))
 for fmt in ("text", "csv"):
     assert cli.main([

@@ -419,11 +419,13 @@ class TestAsymptoteReport:
         assert "asymptote/scalar/near-zone-slope" in ids
         assert "asymptote/scalar/far-zone-slope" in ids
         assert "asymptote/em/far-zone-slope/axis=x" in ids
+        assert "asymptote/em/far-zone-slope/pair=xz" in ids
+        assert "asymptote/em/far-zone-ratio/pair=xz" in ids
         assert any("far-zone-ratio" in i for i in ids)
 
     def test_tolerance_is_applied_to_every_check(self):
         rep = asymptote_convergence_report(tolerance=1e-5)
-        assert len(rep.checks) == 11
+        assert len(rep.checks) == 13
         assert {c.tolerance for c in rep.checks} == {1e-5}
         assert all(c.passed == (c.rel_error <= 1e-5) for c in rep.checks)
         assert not rep.passed  # slopes fitted over a few points miss 1e-5
