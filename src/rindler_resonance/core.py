@@ -458,12 +458,6 @@ def point_geometry(acceleration: float, separation: float, omega0: float) -> tup
     return zeta, theta, math.nan, math.nan, root
 
 
-def _scaled_product(x: float, y: float, d: float) -> float:
-    """x*y/d, as x*(y/d) only where x*y overflows."""
-    value = x * y / d
-    return value if value != math.inf else x * (y / d)
-
-
 @dataclass(frozen=True)
 class ReducedGeometry:
     """Reduced variables of one scenario, with c = ``SPEED_OF_LIGHT``.
@@ -550,20 +544,30 @@ def scenario_geometry(scenario: Scenario) -> ReducedGeometry:
 def _farzone_point(scenario: Scenario, kind: FieldKind) -> tuple:
     """(geometry, phase (theta/zeta)*log(2*zeta), warning) of a far-zone asymptote.
 
-    Refuses a non-positive acceleration, warns below zeta = 1, and takes
-    log(2*zeta) as log(zeta) + log(2) only where 2*zeta overflows.
+    Refuses a non-positive acceleration and a phase that is not finite
+    (zeta = 0, or theta/zeta beyond the largest float), warns
+    below zeta = 1, and takes log(2*zeta) as log(zeta) + log(2) only
+    where 2*zeta overflows.
     """
     scenario.require_field(kind)
     if scenario.acceleration <= 0.0:
         raise DomainError("far-zone asymptote requires a positive acceleration")
     geom = scenario_geometry(scenario)
     zeta = geom.zeta
-    two_zeta = 2.0 * zeta
-    log = math.log(two_zeta) if two_zeta != math.inf else math.log(zeta) + math.log(2.0)
+    phase = math.nan
+    if zeta > 0.0:  # z*a/(2c**2) may underflow to 0 although a > 0
+        two_zeta = 2.0 * zeta
+        log = math.log(two_zeta) if two_zeta != math.inf else math.log(zeta) + math.log(2.0)
+        phase = (geom.theta / zeta) * log
+    if not -_FLOAT_MAX <= phase <= _FLOAT_MAX:
+        raise DomainError(
+            f"far-zone phase (theta/zeta)*log(2*zeta) is not finite "
+            f"(theta = {geom.theta!r}, zeta = {zeta!r})"
+        )
     warning = None
     if zeta < 1.0:
         warning = f"far-zone asymptote evaluated at zeta = {zeta:.3g} < 1; expect O(1) error"
-    return geom, (geom.theta / zeta) * log, warning
+    return geom, phase, warning
 
 
 def unruh_temperature(acceleration: float) -> float:
@@ -599,7 +603,9 @@ class EnergyShift:
     field_kind: FieldKind
     warning: Optional[str] = None
 
-    # Hand-written and stored as Scenario.__init__ is, for the same reasons.
+    # Hand-written because it is the door for outside values,
+    # dataclasses.replace included: each field is converted and checked
+    # before it is stored, straight into __dict__ past the frozen setattr.
     def __init__(
         self,
         reduced: float,
@@ -610,33 +616,21 @@ class EnergyShift:
         field_kind: FieldKind,
         warning: Optional[str] = None,
     ) -> None:
-        if not (
-            type(reduced) is type(prefactor) is type(si_value) is float
-            and -_FLOAT_MAX <= reduced <= _FLOAT_MAX
-            and -_FLOAT_MAX <= si_value <= _FLOAT_MAX
-            and -_FLOAT_MAX <= prefactor <= _FLOAT_MAX
-        ):
-            # A non-finite float shift is left to check_finite_shift, which says why.
-            if type(reduced) is not float:
-                reduced = _as_float(reduced, "reduced")
-            if type(si_value) is not float:
-                si_value = _as_float(si_value, "si_value")
-            check_finite_shift(reduced, si_value)
-            prefactor = _as_float(prefactor, "prefactor")
+        # A non-finite float shift is left to check_finite_shift, which says why.
+        if type(reduced) is not float:
+            reduced = _as_float(reduced, "reduced")
+        if type(si_value) is not float:
+            si_value = _as_float(si_value, "si_value")
+        check_finite_shift(reduced, si_value)
+        prefactor = _as_float(prefactor, "prefactor")
         if si_value != prefactor * reduced:
             raise DomainError(f"si_value must be prefactor * reduced = {prefactor * reduced!r}, "
                               f"got {si_value!r}")
-        if not (
-            type(regime) is Regime
-            and type(parity) is Parity
-            and type(field_kind) is FieldKind
-            and (warning is None or isinstance(warning, str))
-        ):
-            regime = _as_member(Regime, regime, "regime")
-            parity = _as_member(Parity, parity, "parity")
-            field_kind = _as_member(FieldKind, field_kind, "field_kind")
-            if not (warning is None or isinstance(warning, str)):
-                raise DomainError(f"warning must be text or None, got {_shown(warning, repr)}")
+        regime = _as_member(Regime, regime, "regime")
+        parity = _as_member(Parity, parity, "parity")
+        field_kind = _as_member(FieldKind, field_kind, "field_kind")
+        if not (warning is None or isinstance(warning, str)):
+            raise DomainError(f"warning must be text or None, got {_shown(warning, repr)}")
         d = self.__dict__
         d["reduced"] = reduced
         d["prefactor"] = prefactor

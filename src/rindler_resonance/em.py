@@ -47,7 +47,6 @@ from .core import (
     _as_float,
     _energy_shift,
     _farzone_point,
-    _scaled_product,
     _shown,
     DomainError,
     EnergyShift,
@@ -80,9 +79,6 @@ __all__ = [
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 _SINGULAR_FLOOR = 1e-12
-
-# The smallest normal float: a = 1/(1 + zeta**2) is below it for zeta above about 6.7e153.
-_NORMAL_MIN = 2.0**-1022
 
 
 def _tensor(xx, yy, zz, xz=0.0):
@@ -217,25 +213,22 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     is the spectral coefficients resummed at omega0, written in
     u = 1/h and v = zeta/h: then 1/N = u**2, zeta**2/N = v**2 and
     zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
-    grows.  Where theta**2 overflows (theta above about 1.3e154) or a is
-    subnormal (zeta above about 6.7e153) the terms that take theta**2
-    or a as a factor are regrouped so that theta meets u or v first.
-    :func:`em_resonance_energy` holds a written-out copy, operation for
-    operation.
+    grows.  At every zeta and theta, theta meets u or v before it is
+    squared, so no partial product overflows or underflows unless the
+    entry does.  :func:`em_resonance_energy` holds a written-out copy,
+    operation for operation.
     """
     u, v = 1.0 / root, zeta / root
     a, b = u * u, v * v
-    t2 = theta * theta
     # The xx sin_p coefficient and the cos_p coefficients, the only
-    # terms that carry a*theta or theta**2.
-    if t2 == math.inf or a < _NORMAL_MIN:
-        s_xx, c_xx, c_yy, c_zz, c_xz = _regrouped_terms(theta, u, v, a, b)
-    else:
-        s_xx = theta * a * (a + 4.0 * b)
-        c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2)
-        c_yy = u * (a - t2)
-        c_zz = u * (a * (2.0 * a + 5.0 * b) - b * t2)
-        c_xz = a * v * (a + 4.0 * b + t2)
+    # terms that carry theta*a or theta**2: theta meets u or v first.
+    ut = u * theta
+    vut = v * ut
+    s_xx = ut * u * (a + 4.0 * b)
+    c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b) - (u * ut) * ut
+    c_yy = u * a - ut * theta
+    c_zz = u * (a * (2.0 * a + 5.0 * b)) - vut * (v * theta)
+    c_xz = a * v * (a + 4.0 * b) + vut * ut
     xx = s_xx * sin_p + c_xx * cos_p
     yy = theta * (a + 2.0 * b) * sin_p + c_yy * cos_p
     zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
@@ -243,19 +236,20 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     return xx, yy, zz, xz
 
 
-def _regrouped_terms(theta, u, v, a, b) -> tuple:
-    # The xx sin_p and the cos_p coefficients of em_reduced_components
-    # where theta**2 = inf or a is subnormal.  theta meets u or v before
-    # it is squared, so no partial product exceeds both theta and the
-    # term it builds; a subnormal a, which has lost bits, is taken as u*u.
-    ut = u * theta
-    return (
-        theta * a * (a + 4.0 * b) if a >= _NORMAL_MIN else ut * u * (a + 4.0 * b),
-        u * (a * a + 2.0 * a * b + 4.0 * b * b) - (u * ut) * ut,
-        u * a - ut * theta,
-        u * (a * (2.0 * a + 5.0 * b)) - (v * ut) * (v * theta),
-        a * v * (a + 4.0 * b) + (v * ut) * ut,
-    )
+def _resum(weights, entries) -> float:
+    """The contraction sum(weight * entry) where its plain sum is nan.
+
+    An entry that the dipole pair does not use may overflow, and its
+    0*inf would make a finite shift nan: this sum leaves out the terms
+    whose weight is 0, unless their entry is nan (zeta = inf), which
+    still propagates.  It starts at the float 0.0, so a pair that
+    weighs no entry gives 0.0.
+    """
+    total = 0.0
+    for weight, entry in zip(weights, entries):
+        if weight != 0.0 or entry != entry:
+            total += weight * entry
+    return total
 
 
 def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
@@ -317,6 +311,8 @@ def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
         zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
         xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
         bilinear = wxx * xx + wyy * yy + wzz * zz + wxz * xz
+        if bilinear != bilinear:
+            bilinear = _resum((wxx, wyy, wzz, wxz), (xx, yy, zz, xz))
         rows.append((zeta, theta, sign * bilinear, magnitude / z / z / z))
     return rows
 
@@ -342,21 +338,20 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     zeta, theta, cos_p, sin_p, root = point_geometry(scenario.acceleration, z, scenario.omega0)
     u, v = 1.0 / root, zeta / root
     a, b = u * u, v * v
-    t2 = theta * theta
-    if t2 == math.inf or a < _NORMAL_MIN:
-        s_xx, c_xx, c_yy, c_zz, c_xz = _regrouped_terms(theta, u, v, a, b)
-    else:
-        s_xx = theta * a * (a + 4.0 * b)
-        c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b - a * t2)
-        c_yy = u * (a - t2)
-        c_zz = u * (a * (2.0 * a + 5.0 * b) - b * t2)
-        c_xz = a * v * (a + 4.0 * b + t2)
-    bilinear = (
-        ax * bx * (s_xx * sin_p + c_xx * cos_p)
-        + ay * by * (theta * (a + 2.0 * b) * sin_p + c_yy * cos_p)
-        + az * bz * (-theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p)
-        + (ax * bz - az * bx) * (theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p)
-    )
+    ut = u * theta
+    vut = v * ut
+    s_xx = ut * u * (a + 4.0 * b)
+    c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b) - (u * ut) * ut
+    c_yy = u * a - ut * theta
+    c_zz = u * (a * (2.0 * a + 5.0 * b)) - vut * (v * theta)
+    c_xz = a * v * (a + 4.0 * b) + vut * ut
+    xx = s_xx * sin_p + c_xx * cos_p
+    yy = theta * (a + 2.0 * b) * sin_p + c_yy * cos_p
+    zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
+    xz = theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p
+    bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
+    if bilinear != bilinear:
+        bilinear = _resum((ax * bx, ay * by, az * bz, ax * bz - az * bx), (xx, yy, zz, xz))
     reduced = bilinear if scenario.parity is _SYMMETRIC else -bilinear
     return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM)
 
@@ -398,11 +393,13 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     zeta, theta = geom.zeta, geom.theta
     r = theta / zeta
     cos_p, sin_p = math.cos(phase), math.sin(phase)
-    bilinear = (
-        ax * bx * ((4.0 * cos_p + 4.0 * r * sin_p) / zeta - _scaled_product(r, r, zeta) * cos_p)
-        + (ay * by - az * bz) * (2.0 * theta * sin_p - _scaled_product(theta, theta, zeta) * cos_p)
-        + (ax * bz - az * bx) * (r * r * cos_p - 2.0 * r * sin_p)
-    )
+    wxx, wyz, wxz = ax * bx, ay * by - az * bz, ax * bz - az * bx
+    xx = (4.0 * cos_p + 4.0 * r * sin_p) / zeta - r * (r / zeta) * cos_p
+    yy = 2.0 * theta * sin_p - theta * (theta / zeta) * cos_p
+    xz = r * r * cos_p - 2.0 * r * sin_p
+    bilinear = wxx * xx + wyz * yy + wxz * xz
+    if bilinear != bilinear:
+        bilinear = _resum((wxx, wyz, wxz), (xx, yy, xz))
     reduced = parity_sign(scenario.parity) * bilinear
     return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM, warning)
 

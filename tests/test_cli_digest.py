@@ -12,12 +12,17 @@ After a deliberate output change, re-record it: run
 
 from the repository root, review the changed output (the golden
 transcripts in ``tests/golden`` show typical rows), and paste the
-printed digest into ``EXPECTED_DIGEST``.
+printed digest into ``EXPECTED_DIGEST``.  With ``--dump PATH`` the
+script also writes every run's argv, exit code, stdout, stderr and
+``--out`` text to PATH as a JSON list, so that two checkouts' outputs can be diffed run
+by run rather than trusted.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import pathlib
 import random
@@ -29,7 +34,7 @@ if __name__ == "__main__":  # run as a script: import this checkout's package
 
 from rindler_resonance.cli import main
 
-EXPECTED_DIGEST = "06390e478645a83152cfb544aaa0e06a4f238fd9eeb1c7182e45c8bbf5f62798"
+EXPECTED_DIGEST = "e01dbb347fb0175c5f4bd9f83074a2ddf2420eccfcf8bd2800b7d510dc74582b"
 SEED = 20261020
 RUNS = 300
 
@@ -96,10 +101,11 @@ def argvs(seed=SEED, runs=RUNS):
         ]
 
 
-def digest(workdir) -> tuple:
+def digest(workdir, runs=None) -> tuple:
     """(sha256, what the runs reached) over every run's argv, exit code, stdout, stderr
     and ``--out`` bytes; the second item holds the exit codes, the regime labels and the
-    first word after "error: " of every failing run."""
+    first word after "error: " of every failing run.  ``runs``, if a list, receives each
+    run's argv, exit code, stdout, stderr and ``--out`` text as a dict."""
     h = hashlib.sha256()
     reached = set()
     target = pathlib.Path(workdir) / "out.csv"
@@ -118,6 +124,9 @@ def digest(workdir) -> tuple:
         reached.update(line.rsplit(",", 1)[1] for line in out.getvalue().splitlines()[1:]
                        if "," in line)
         reached.update(err.getvalue().split()[1:2])
+        if runs is not None:
+            runs.append({"argv": shown, "code": code, "stdout": out.getvalue(),
+                         "stderr": err.getvalue(), "out": written.decode()})
     return h.hexdigest(), reached
 
 
@@ -141,5 +150,12 @@ def test_outputs_match_the_recorded_digest(tmp_path):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the digest of this checkout's runs.")
+    parser.add_argument("--dump", metavar="PATH",
+                        help="also write every run's argv, exit code and output as JSON")
+    args = parser.parse_args()
+    records = [] if args.dump else None
     with tempfile.TemporaryDirectory() as workdir:
-        print(digest(workdir)[0])
+        print(digest(workdir, records)[0])
+    if args.dump:
+        pathlib.Path(args.dump).write_text(json.dumps(records, indent=1) + "\n")

@@ -1090,7 +1090,8 @@ class TestFloatDispatch:
     @pytest.mark.parametrize("field", ["scalar", "em"])
     def test_resonance_energy_equals_closed_form_row_on_each_branch(self, field, point, branch):
         # The asinh(zeta)/zeta series (zeta < 1e-4), root = zeta (zeta
-        # above about 1.3e154) and the regrouped theta**2 = inf terms.
+        # above about 1.3e154) and theta**2 = inf, where the EM terms that
+        # carry theta twice stay finite because theta meets u or v first.
         zeta, theta, _, _, root = point_geometry(*point)
         assert (zeta < 1e-4) == (branch == "series")
         assert (zeta * zeta == math.inf) == ("root" in branch)

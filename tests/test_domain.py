@@ -3,6 +3,7 @@ DomainError, and correct values far beyond the crossover length."""
 
 import dataclasses
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -21,6 +22,9 @@ from rindler_resonance import (
     scalar_resonance_energy,
     scenario_geometry,
 )
+from rindler_resonance.cli import main
+from rindler_resonance.core import _farzone_point, point_geometry
+from rindler_resonance.em import em_closed_form, em_reduced_components
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
@@ -103,16 +107,17 @@ def test_phase_where_omega0_times_z_overflows():
 AXES = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
 
-def mp_farzone_asymptotes(geom):
+def mp_farzone_asymptotes(geom, cos_sin=None):
     """The scalar far-zone asymptote of the symmetric state, then each EM far-zone entry.
 
     The entries (xx, yy, zz and xz; zx = -xz) map to (value, envelope),
-    the envelope being |sin term| + |cos term| at the far-zone phase.
+    the envelope being |sin term| + |cos term| at the far-zone phase,
+    whose cos and sin may be given.
     """
     zeta, theta = mp.mpf(geom.zeta), mp.mpf(geom.theta)
     r = theta / zeta
     phase = r * mp.log(2 * zeta)
-    cos_p, sin_p = mp.cos(phase), mp.sin(phase)
+    cos_p, sin_p = cos_sin or (mp.cos(phase), mp.sin(phase))
     coefficients = {  # (sin, cos) coefficients
         "xx": (4 * r / zeta, (4 - r * r) / zeta),
         "yy": (2 * theta, -theta * theta / zeta),
@@ -190,7 +195,11 @@ def mp_reduced_variables(geom):
 
 def mp_reduced_entries(geom):
     """slot: (value, envelope) of each nonzero entry of z**3 (V + W) but zx = -xz."""
-    z, t, cos_p, sin_p = mp_reduced_variables(geom)
+    return mp_entries(*mp_reduced_variables(geom))
+
+
+def mp_entries(z, t, cos_p, sin_p):
+    """mp_reduced_entries at zeta z and theta t, with the cos and sin of the phase given."""
     z2 = z * z
     n = 1 + z2
     # (f1, g0, g2) per entry of z**3 (V + W), from the spectral coefficients.
@@ -236,18 +245,108 @@ def test_em_far_beyond_crossover(theta, zeta):
     assert math.isfinite(shift.si_value)
 
 
-# From zeta = 6.7e153 on a = 1/(1 + zeta**2) is subnormal and a product
-# with it loses bits, so the closed form regroups the terms that carry
-# a*theta.  The phase theta*asinh(zeta)/zeta of up to 7e5 leaves about
-# 1e-10 of each envelope.
-@pytest.mark.parametrize("zeta", (1e150, 1e154, 1e160, 1e200, 3.3e213, 1e250, 1e300))
-@pytest.mark.parametrize("ratio", (1e-3, 1.3, 1e3))
+# The closed form takes no branch on theta or a: theta meets u or v
+# before it is squared at every point.  Besides huge zetas, the points
+# lie on both sides of theta = 1.34e154 (zeta = 1e10), where theta**2
+# overflows, and of zeta = 6.7e153 (theta = zeta), where a = 1/(1 + zeta**2)
+# turns subnormal.  The reference takes the float cos and sin of the
+# phase: at theta = 1.34e154 and zeta = 1e10 the phase is 3e145, and
+# its rounding (ROADMAP item 15) is not this test's subject.
+@pytest.mark.parametrize(
+    "ratio,zeta",
+    [(ratio, zeta) for zeta in (1e150, 1e154, 1e160, 1e200, 3.3e213, 1e250, 1e300)
+     for ratio in (1e-3, 1.3, 1e3)]
+    + [(1.3407e144, 1e10), (1.3409e144, 1e10), (1.0, 6.70e153), (1.0, 6.71e153)],
+)
 def test_em_where_the_inverse_norm_is_subnormal(ratio, zeta):
     sc = huge_zeta_scenario(ratio * zeta, zeta, FieldKind.EM)
     geom = scenario_geometry(sc)
     reduced = em_potential_tensors(geom).reduced
     with mp.workdps(80):
-        for slot, (want, envelope) in mp_reduced_entries(geom).items():
+        entries = mp_entries(
+            mp.mpf(geom.zeta), mp.mpf(geom.theta),
+            mp.mpf(math.cos(geom.phase)), mp.mpf(math.sin(geom.phase)),
+        )
+        for slot, (want, envelope) in entries.items():
             assert abs(reduced[slot] - want) <= 1e-9 * envelope, slot
     x_pair = dataclasses.replace(sc, dipole_a=(1, 0, 0), dipole_b=(1, 0, 0))
     assert em_resonance_energy(x_pair).reduced == reduced["x", "x"]
+
+
+def test_em_entries_at_ordinary_points():
+    # Log-uniform in zeta and theta, against mpmath at the float zeta,
+    # theta, cos and sin of point_geometry: the entries' own rounding.
+    rng = random.Random(38)
+    with mp.workdps(50):
+        for _ in range(200):
+            zeta, theta = 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-4.0, math.log10(3e3))
+            point = point_geometry(2.0 * C * C * zeta, 1.0, theta * C)
+            got = em_reduced_components(*point)
+            want = mp_entries(*(mp.mpf(x) for x in point[:4]))
+            for value, (slot, (exact, envelope)) in zip(got, want.items()):
+                assert abs(value - exact) <= 1e-14 * envelope, (slot, zeta, theta)
+
+
+# yy ~ theta**2/zeta overflows at theta = 1e160 and zeta = 1e10; xx and xz fit.
+UNUSED_ENTRY_OVERFLOWS = dict(theta=1e160, zeta=1e10, parity=Parity.SYMMETRIC,
+                              field_kind=FieldKind.EM)
+
+
+@pytest.mark.parametrize("pair,slot", [("xx", 0), ("xz", 3)])
+def test_em_where_an_unused_entry_overflows(pair, slot):
+    sc = Scenario.from_reduced(
+        **UNUSED_ENTRY_OVERFLOWS, dipole_a=AXES[pair[0]], dipole_b=AXES[pair[1]]
+    )
+    point = point_geometry(sc.acceleration, sc.separation, sc.omega0)
+    entries = em_reduced_components(*point)
+    assert not math.isfinite(entries[1])
+    assert em_resonance_energy(sc).reduced == entries[slot]
+    assert em_closed_form(sc, [(sc.acceleration, sc.separation, sc.omega0)])[0][2] == entries[slot]
+    # The far-zone phase, 2.4e151, is taken as the float one, as above.
+    geom, phase, _ = _farzone_point(sc, FieldKind.EM)
+    with mp.workdps(40):
+        cos_sin = mp.mpf(math.cos(phase)), mp.mpf(math.sin(phase))
+        want, envelope = mp_farzone_asymptotes(geom, cos_sin)[1][pair]
+        assert abs(em_farzone_asymptote(sc).reduced - want) <= 1e-13 * envelope
+
+
+def test_em_pair_that_weighs_no_overflowing_entry_reads_zero():
+    sc = Scenario.from_reduced(**UNUSED_ENTRY_OVERFLOWS, dipole_a=AXES["y"], dipole_b=AXES["x"])
+    for energy in (em_resonance_energy, em_farzone_asymptote):
+        reduced = energy(sc).reduced
+        assert type(reduced) is float and reduced == 0.0
+
+
+def test_em_pair_on_the_overflowing_entry_raises():
+    sc = Scenario.from_reduced(**UNUSED_ENTRY_OVERFLOWS, dipole_a=AXES["y"], dipole_b=AXES["y"])
+    for energy in (em_resonance_energy, em_farzone_asymptote):
+        with pytest.raises(DomainError, match="not finite"):
+            energy(sc)
+
+
+def test_em_sweep_row_where_an_unused_entry_overflows(capsys):
+    accel, omega0 = repr(2.0 * C * C * 1e10), repr(1e160 * C)
+    code = main([
+        "sweep", "--field", "em", "--parity", "sym", "--dipole-a", "x", "--dipole-b", "x",
+        "--accel", accel, "--omega0", omega0, "--param", "sep", "--from", "1", "--to", "1.5",
+        "--points", "2",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        assert all(map(math.isfinite, map(float, row.split(",")[7:9]))), row
+
+
+@pytest.mark.parametrize("asymptote", (scalar_farzone_asymptote, em_farzone_asymptote))
+@pytest.mark.parametrize("acceleration", (2.0 * C * C * 1e-320, 5e-324))
+def test_farzone_asymptotes_where_the_phase_is_not_finite(asymptote, acceleration):
+    # At z = 1 m: theta/zeta overflows at zeta = 1e-320, and a = 5e-324
+    # gives zeta = 0.
+    kinematics = dict(acceleration=acceleration, separation=1.0, omega0=1e-10 * C,
+                      parity=Parity.SYMMETRIC)
+    if asymptote is scalar_farzone_asymptote:
+        sc = Scenario.scalar_field(**kinematics)
+    else:
+        sc = Scenario.em_field(**kinematics, dipole_a=AXES["y"], dipole_b=AXES["y"])
+    with pytest.raises(DomainError, match="far-zone phase"):
+        asymptote(sc)

@@ -191,7 +191,7 @@ def test_sweep_rows_equal_compute_rows_where_a_times_z_overflows(capsys, field):
 
 def test_sweep_rows_equal_compute_rows_where_omega0_times_z_overflows(capsys):
     # omega0*z overflows from the third row on, while theta stays finite.
-    # Scalar only: the EM form squares theta, which overflows there.
+    # Scalar only: the EM yy and zz entries, about theta**2/zeta, overflow there.
     common = ("--field", "scalar", "--parity", "sym", "--sep", "1e10", "--accel", "1e20")
     code, out, _ = run(
         capsys, "sweep", *common, "--param", "omega0", "--from", "1e296", "--to", "1e304",
