@@ -237,17 +237,18 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
 
 
 def _resum(weights, entries) -> float:
-    """The contraction sum(weight * entry) where its plain sum is nan.
+    """The contraction sum(weight * entry) over the nonzero weights.
 
-    An entry that the dipole pair does not use may overflow, and its
-    0*inf would make a finite shift nan: this sum leaves out the terms
-    whose weight is 0, unless their entry is nan (zeta = inf), which
-    still propagates.  It starts at the float 0.0, so a pair that
-    weighs no entry gives 0.0.
+    An entry that the dipole pair does not use may overflow (to inf,
+    or to nan as inf - inf), and its 0*inf or 0*nan would make a finite
+    shift nan.  The callers take this sum only where the plain one is
+    nan at a finite phase; a nan phase (zeta = inf) makes every entry
+    nan and still propagates.  It starts at the float 0.0, so a pair
+    that weighs no entry gives 0.0.
     """
     total = 0.0
     for weight, entry in zip(weights, entries):
-        if weight != 0.0 or entry != entry:
+        if weight != 0.0:
             total += weight * entry
     return total
 
@@ -311,7 +312,7 @@ def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
         zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
         xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
         bilinear = wxx * xx + wyy * yy + wzz * zz + wxz * xz
-        if bilinear != bilinear:
+        if bilinear != bilinear and cos_p == cos_p:
             bilinear = _resum((wxx, wyy, wzz, wxz), (xx, yy, zz, xz))
         rows.append((zeta, theta, sign * bilinear, magnitude / z / z / z))
     return rows
@@ -350,7 +351,7 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
     xz = theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p
     bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
-    if bilinear != bilinear:
+    if bilinear != bilinear and cos_p == cos_p:
         bilinear = _resum((ax * bx, ay * by, az * bz, ax * bz - az * bx), (xx, yy, zz, xz))
     reduced = bilinear if scenario.parity is _SYMMETRIC else -bilinear
     return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM)
@@ -398,7 +399,7 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     yy = 2.0 * theta * sin_p - theta * (theta / zeta) * cos_p
     xz = r * r * cos_p - 2.0 * r * sin_p
     bilinear = wxx * xx + wyz * yy + wxz * xz
-    if bilinear != bilinear:
+    if bilinear != bilinear:  # _farzone_point keeps the phase finite
         bilinear = _resum((wxx, wyz, wxz), (xx, yy, xz))
     reduced = parity_sign(scenario.parity) * bilinear
     return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM, warning)

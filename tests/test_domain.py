@@ -246,29 +246,40 @@ def test_em_far_beyond_crossover(theta, zeta):
 
 
 # The closed form takes no branch on theta or a: theta meets u or v
-# before it is squared at every point.  Besides huge zetas, the points
-# lie on both sides of theta = 1.34e154 (zeta = 1e10), where theta**2
-# overflows, and of zeta = 6.7e153 (theta = zeta), where a = 1/(1 + zeta**2)
-# turns subnormal.  The reference takes the float cos and sin of the
-# phase: at theta = 1.34e154 and zeta = 1e10 the phase is 3e145, and
-# its rounding (ROADMAP item 15) is not this test's subject.
+# before it is squared at every point.  From zeta = 6.7e153 on
+# a = 1/(1 + zeta**2) is subnormal; the last two points lie on both
+# sides of that bound.  The phase theta*asinh(zeta)/zeta of up to 7e5
+# leaves about 1e-10 of each envelope.
 @pytest.mark.parametrize(
     "ratio,zeta",
     [(ratio, zeta) for zeta in (1e150, 1e154, 1e160, 1e200, 3.3e213, 1e250, 1e300)
      for ratio in (1e-3, 1.3, 1e3)]
-    + [(1.3407e144, 1e10), (1.3409e144, 1e10), (1.0, 6.70e153), (1.0, 6.71e153)],
+    + [(1.0, 6.70e153), (1.0, 6.71e153)],
 )
 def test_em_where_the_inverse_norm_is_subnormal(ratio, zeta):
     sc = huge_zeta_scenario(ratio * zeta, zeta, FieldKind.EM)
-    geom = scenario_geometry(sc)
-    reduced = em_potential_tensors(geom).reduced
     with mp.workdps(80):
-        entries = mp_entries(
-            mp.mpf(geom.zeta), mp.mpf(geom.theta),
-            mp.mpf(math.cos(geom.phase)), mp.mpf(math.sin(geom.phase)),
-        )
-        for slot, (want, envelope) in entries.items():
-            assert abs(reduced[slot] - want) <= 1e-9 * envelope, slot
+        assert_em_entries(sc, mp_reduced_entries(scenario_geometry(sc)))
+
+
+# theta**2 overflows from theta = 1.34e154; the points lie on both sides
+# of that bound.  The phase there is 3e145, so the reference takes its
+# float cos and sin: the phase's rounding (ROADMAP item 15) is not this
+# test's subject.
+@pytest.mark.parametrize("theta", (1.3407e154, 1.3409e154))
+def test_em_where_theta_squared_overflows(theta):
+    sc = huge_zeta_scenario(theta, 1e10, FieldKind.EM)
+    geom = scenario_geometry(sc)
+    with mp.workdps(80):
+        cos_p, sin_p = mp.mpf(math.cos(geom.phase)), mp.mpf(math.sin(geom.phase))
+        assert_em_entries(sc, mp_entries(mp.mpf(geom.zeta), mp.mpf(geom.theta), cos_p, sin_p))
+
+
+def assert_em_entries(sc, entries):
+    """Each closed-form entry within 1e-9 of its envelope, and the x-x shift equal to xx."""
+    reduced = em_potential_tensors(scenario_geometry(sc)).reduced
+    for slot, (want, envelope) in entries.items():
+        assert abs(reduced[slot] - want) <= 1e-9 * envelope, slot
     x_pair = dataclasses.replace(sc, dipole_a=(1, 0, 0), dipole_b=(1, 0, 0))
     assert em_resonance_energy(x_pair).reduced == reduced["x", "x"]
 
@@ -292,17 +303,22 @@ UNUSED_ENTRY_OVERFLOWS = dict(theta=1e160, zeta=1e10, parity=Parity.SYMMETRIC,
                               field_kind=FieldKind.EM)
 
 
-@pytest.mark.parametrize("pair,slot", [("xx", 0), ("xz", 3)])
-def test_em_where_an_unused_entry_overflows(pair, slot):
-    sc = Scenario.from_reduced(
-        **UNUSED_ENTRY_OVERFLOWS, dipole_a=AXES[pair[0]], dipole_b=AXES[pair[1]]
+# At theta = 1.005e308 and zeta = 1e150 (both phases in the first
+# quadrant) yy and zz are inf - inf = nan, and xx ~ -2e165 fits.
+@pytest.mark.parametrize("theta,zeta,pair,slot", [
+    (1e160, 1e10, "xx", 0), (1e160, 1e10, "xz", 3), (1.005e308, 1e150, "xx", 0),
+])
+def test_em_where_an_unused_entry_overflows(theta, zeta, pair, slot):
+    sc = dataclasses.replace(
+        huge_zeta_scenario(theta, zeta, FieldKind.EM),
+        dipole_a=AXES[pair[0]], dipole_b=AXES[pair[1]],
     )
     point = point_geometry(sc.acceleration, sc.separation, sc.omega0)
     entries = em_reduced_components(*point)
     assert not math.isfinite(entries[1])
     assert em_resonance_energy(sc).reduced == entries[slot]
     assert em_closed_form(sc, [(sc.acceleration, sc.separation, sc.omega0)])[0][2] == entries[slot]
-    # The far-zone phase, 2.4e151, is taken as the float one, as above.
+    # The far-zone phase, 2.4e151 or 3.5e160, is taken as the float one, as above.
     geom, phase, _ = _farzone_point(sc, FieldKind.EM)
     with mp.workdps(40):
         cos_sin = mp.mpf(math.cos(phase)), mp.mpf(math.sin(phase))
