@@ -27,9 +27,9 @@ in the leading large-zeta entries, so every dipole pair has one.
 All tensors are expressed in the fixed frame with
 x = acceleration direction, z = separation direction.  Atom A sits at
 the origin and atom B at +z, mu_A stands on the left of every bilinear
-form mu_A . T . mu_B, and ``n_sign = +1`` orients the separation
-vector from A to B in the time-domain tensor.  The sign of the
-antisymmetric xz/zx part is fixed by this convention.
+form mu_A . T . mu_B, and the separation vector points from A to B in
+the time-domain tensor (swapping the atoms transposes it).  The sign of
+the antisymmetric xz/zx part is fixed by this convention.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .core import (
     _as_float,
     _energy_shift,
     _farzone_point,
-    _shown,
     DomainError,
     EnergyShift,
     ReducedGeometry,
@@ -405,33 +404,26 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM, warning)
 
 
-def em_wightman_tensor(
-    u: float,
-    geom: ReducedGeometry,
-    eps: float,
-    n_sign: int = 1,
-) -> Tensor3:
+def em_wightman_tensor(u: float, geom: ReducedGeometry, eps: float) -> Tensor3:
     """Field correlation tensor along the trajectory pair, for a >= 0.
 
-    ``u`` is the proper-time difference, ``eps`` the positive
-    regulator displacing it below the real axis, and ``n_sign`` the
-    orientation of the separation vector (-1 evaluates the tensor with
-    the atoms swapped).  The result is complex; at a = 0 it is the
-    inertial correlator.
+    ``u`` is the proper-time difference and ``eps`` the positive
+    regulator displacing it below the real axis.  The result is
+    complex; at a = 0 it is the inertial correlator.  It is an even
+    function of w = u - i*eps, and its transpose is the tensor with the
+    atoms swapped.
 
-    Raises DomainError unless u is finite, eps positive and finite and
-    n_sign +-1.  Beyond that it raises SingularityError only on a
-    light-cone crossing (u = +-S with eps too small to resolve it), and
-    DomainError only where an entry or sinh(a*u/(2c)) overflows (|u|
-    beyond about 710 c/a).  An entry below the normal range may read 0.
+    Raises DomainError unless u is finite and eps positive and finite.
+    Beyond that it raises SingularityError only on a light-cone crossing
+    (u = +-S with eps too small to resolve it), and DomainError only
+    where an entry or sinh(a*u/(2c)) overflows (|u| beyond about
+    710 c/a).  An entry below the normal range may read 0.
     """
     u, eps = _as_float(u, "u"), _as_float(eps, "eps", "positive")
-    if n_sign not in (1, -1):
-        raise DomainError(f"n_sign must be +1 or -1, got {_shown(n_sign)}")
-    return Tensor3(_tensor(*_wightman_kernel(u - 1j * eps, geom, n_sign)))
+    return Tensor3(_tensor(*_wightman_kernel(u - 1j * eps, geom)))
 
 
-def _wightman_kernel(w: complex, geom: ReducedGeometry, n_sign: int) -> tuple:
+def _wightman_kernel(w: complex, geom: ReducedGeometry) -> tuple:
     """Entries (xx, yy, zz, xz) of the correlation tensor at one complex w; zx = -xz.
 
     :func:`em_wightman_tensor` is this function at w = u - i*eps.  In
@@ -442,12 +434,13 @@ def _wightman_kernel(w: complex, geom: ReducedGeometry, n_sign: int) -> tuple:
         G = (4 hbar c/(pi z**4)) * [(I - 2 zeta n X) s**2
               + (I - 2N)(1 + 2(I - Q) zeta**2 s**2)] / ((s - 1)(s + 1))**3,
 
-    one formula for every a >= 0.  n_sign enters only the xz entry, so
-    G(w; n = -1) is the transpose of G(w; n = +1).  The gaps s -+ 1 are
-    products with the factor w -+ S, so they keep their digits near the
-    light-cone crossings w = +-S, poles of order three.  The products
-    are ordered so that none overflows or underflows unless the entry
-    does.
+    one formula for every a >= 0, with n = +1 for the separation vector
+    from A to B; n = -1, the atoms swapped, is the transpose.  G depends
+    on w only through s**2, and s is odd in w, so G(-w) = G(w).  The
+    gaps s -+ 1 are products with the factor w -+ S, so they keep their
+    digits near the light-cone crossings w = +-S, poles of order three.
+    The products are ordered so that none overflows or underflows unless
+    the entry does.
 
     Raises SingularityError where s - 1 or s + 1 is within
     ``_SINGULAR_FLOOR`` of 0, and DomainError where an entry is not
@@ -482,7 +475,7 @@ def _wightman_kernel(w: complex, geom: ReducedGeometry, n_sign: int) -> tuple:
     common = r * q * r
     transverse = (root * q) * q * (root * q)
     pair = transverse + 2.0 * (t * q * t)
-    entries = (common + transverse, common + pair, common - pair, -2.0 * n_sign * (t * q * r))
+    entries = (common + transverse, common + pair, common - pair, -2.0 * (t * q * r))
     if not all(map(cmath.isfinite, entries)):
         raise DomainError(f"correlation tensor is not finite at w = {w}")
     return entries

@@ -196,9 +196,15 @@ def _normalized_pv(
     Both fields' reduced shifts are this integral, the scalar one further
     divided by sqrt(1 + zeta**2).  The constant is analytic, not fitted
     to the closed form the oracle checks.
+
+    Raises DomainError where the phase omega0*S is not positive, also
+    where omega0 > 0 but the phase underflows to 0.
     """
     if not geom.phase > 0.0:
-        raise DomainError("principal-value oracle requires omega0 > 0")
+        raise DomainError(
+            f"principal-value oracle requires a positive phase omega0*S, got "
+            f"{geom.phase!r} at omega0 = {geom.omega0!r}"
+        )
     density = TrigPolyDensity(geom.phase, cos_coeffs, sin_coeffs)
     pv = pv_resonance_kernel(density, 1.0, spec)
     return -parity_sign(parity) * pv / math.pi
@@ -337,11 +343,13 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
         (z/c) f1 = -(pi z**3/hbar) a_-2,
         (z/c)**2 g2 = (pi z**3/(2 hbar)) a_-3,
 
-    where a_-k sums the coefficients of G(w; n = +1) and of the swapped
-    G(-w; n = -1)^T, which is G(-w; n = +1) entry for entry: n flips
-    only the xz sign, and so does the transpose.  They are taken with
-    the trapezoid rule on a circle of radius r = min(S, pi*c/a)/2 around
-    w = S, so r = S/2 at a = 0 (Trefethen & Weideman, SIAM Rev. 56
+    where a_-k sums the coefficients of G(w) and of the swapped term
+    G(-w; n = -1)^T.  G is even in w (it depends on w only through the
+    square of the odd chordal time; see ``em._wightman_kernel``), and
+    the transpose of the n = -1 tensor is the n = +1 tensor, so
+    G(-w; n = -1)^T = G(w) and a_-k is twice G's coefficient.  That is
+    taken with the trapezoid rule on a circle of radius
+    r = min(S, pi*c/a)/2 around w = S, so r = S/2 at a = 0 (Trefethen & Weideman, SIAM Rev. 56
     (2014) 385), which keeps every other pole at least 4r away: no
     regulator and no extrapolation.
 
@@ -360,14 +368,12 @@ def em_commutator_consistency(geom: ReducedGeometry, tolerance: float = 1e-8) ->
     s_time = geom.light_time
     radius = 0.5 * s_time / max(1.0, geom.acceleration * s_time / (math.pi * c))
     offsets = [radius * cmath.exp(2j * math.pi * j / _CIRCLE_NODES) for j in range(_CIRCLE_NODES)]
-    both = [  # (xx, yy, zz, xz) of G(w) + G(-w) at each node w = S + o
-        [e + f for e, f in zip(_wightman_kernel(w, geom, 1), _wightman_kernel(-w, geom, 1))]
-        for w in [s_time + o for o in offsets]
-    ]
-    scale = -math.pi * geom.separation**3 / REDUCED_PLANCK / _CIRCLE_NODES  # 1/N: a node mean
+    nodes = [_wightman_kernel(s_time + o, geom) for o in offsets]  # (xx, yy, zz, xz) of G
+    # 2/N: twice a node mean, the second term being the crossing at -S.
+    scale = -2.0 * math.pi * geom.separation**3 / REDUCED_PLANCK / _CIRCLE_NODES
     timed = [
         [weight * scale * math.fsum((e * o**k).real for e, o in zip(entry, offsets))
-         for entry in zip(*both)]
+         for entry in zip(*nodes)]
         for k, weight in ((1, 1.0), (2, 1.0), (3, -0.5))
     ]
     checks = []

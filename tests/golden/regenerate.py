@@ -5,9 +5,11 @@ Run from anywhere:
     python3 tests/golden/regenerate.py
 
 Each case invokes the command line in a fresh subprocess and stores its
-stdout byte for byte.  The test suite replays the same commands and
-compares against the stored files, so regenerate only after a deliberate
-output change and review the diff.
+stdout byte for byte.  The script prints ``unchanged`` or ``changed``
+for each case and rewrites only the changed files, so a golden change
+names itself.  The test suite replays the same commands and compares
+against the stored files, so regenerate only after a deliberate output
+change and review the diff.
 """
 
 import os
@@ -88,8 +90,11 @@ def main() -> int:
             print(f"{name}: exit {code}, expected {expected_exit}; not writing")
             return 1
         path = GOLDEN_DIR / f"{name}.txt"
+        if path.is_file() and path.read_bytes() == stdout:
+            print(f"{name}: unchanged")
+            continue
         path.write_bytes(stdout)
-        print(f"wrote {path} ({len(stdout)} bytes)")
+        print(f"{name}: changed, wrote {path} ({len(stdout)} bytes)")
     return 0
 
 

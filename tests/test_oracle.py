@@ -356,8 +356,8 @@ class TestCommutatorConsistency:
         # every order.
         true_kernel = oracle_module._wightman_kernel
 
-        def tweaked(w, geom, n_sign):
-            entries = list(true_kernel(w, geom, n_sign))
+        def tweaked(w, geom):
+            entries = list(true_kernel(w, geom))
             entries[entry] *= factor
             return tuple(entries)
 
@@ -365,6 +365,21 @@ class TestCommutatorConsistency:
         rep = em_commutator_consistency(unit_commutator_geometry())
         failing = {(_component(c), c.check_id[-2:]) for c in _pair_checks(rep) if not c.passed}
         assert failing == {(comp, order) for comp in perturbed for order in ("-1", "-2", "-3")}
+
+    def test_evaluates_the_correlation_tensor_once_per_node(self, monkeypatch):
+        # G is even in w, so the crossing at -S needs no evaluation of
+        # its own: one call per contour node.
+        true_kernel = oracle_module._wightman_kernel
+        calls = []
+
+        def counted(w, *args):
+            calls.append(w)
+            return true_kernel(w, *args)
+
+        monkeypatch.setattr(oracle_module, "_wightman_kernel", counted)
+        rep = em_commutator_consistency(unit_commutator_geometry())
+        assert rep.passed
+        assert len(calls) == oracle_module._CIRCLE_NODES == 32
 
     def test_detects_flipped_cross_sign(self, monkeypatch):
         # The sign error once carried by the sin(omega*S) cross families.
@@ -409,6 +424,25 @@ def test_oracles_match_at_every_separation(separation):
                     assert separation == 1e-200
                     continue
                 assert em_energy_pv_oracle(em) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "theta,zeta,omega0_shown",
+    [(5e-324, 1e290, r"1\.48\d*e-315"), (0.0, 1.0, r"0\.0")],
+    ids=["phase-underflows", "omega0-zero"],
+)
+def test_pv_oracles_refuse_a_phase_that_is_not_positive(theta, zeta, omega0_shown):
+    # At theta = 5e-324, zeta = 1e290 omega0 is 1.48e-315 > 0, but the
+    # phase omega0*S underflows to 0: the refusal names both.
+    scalar = Scenario.from_reduced(theta=theta, zeta=zeta, parity=Parity.SYMMETRIC)
+    em = Scenario.from_reduced(
+        theta=theta, zeta=zeta, parity=Parity.SYMMETRIC,
+        field_kind=FieldKind.EM, dipole_a=[1, 0, 0], dipole_b=[0, 0, 1],
+    )
+    message = rf"positive phase omega0\*S, got 0\.0 at omega0 = {omega0_shown}$"
+    for oracle, scenario in ((scalar_energy_pv_oracle, scalar), (em_energy_pv_oracle, em)):
+        with pytest.raises(DomainError, match=message):
+            oracle(scenario)
 
 
 class TestAsymptoteReport:
