@@ -81,10 +81,12 @@ _SINGULAR_FLOOR = 1e-12
 
 
 def _tensor(xx, yy, zz, xz=0.0):
-    """[[xx, 0, xz], [0, yy, 0], [-xz, 0, zz]] of Python numbers, every tensor's layout."""
+    """Read-only [[xx, 0, xz], [0, yy, 0], [-xz, 0, zz]] of Python numbers, every tensor's layout."""
     import numpy as np
 
-    return np.array(((xx, 0.0, xz), (0.0, yy, 0.0), (-xz, 0.0, zz)))
+    arr = np.array(((xx, 0.0, xz), (0.0, yy, 0.0), (-xz, 0.0, zz)))
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

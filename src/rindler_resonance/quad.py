@@ -14,7 +14,9 @@ w = A + i*y, where the oscillation e^{iSw} becomes the decay e^{-Sy}
 and no pole of K is crossed (numerical steepest descent, Huybrechs &
 Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026); nothing is damped or
 extrapolated.  A larger A would lose digits at small w0*S, where the
-last two pieces grow with A and cancel.
+last two pieces grow with A and cancel.  Past the polynomial part the
+tail's integrand is two pole terms, E(w0)/(w - w0) + E(-w0)/(w + w0),
+with E the density's analytic envelope.
 
 Everything here is deterministic: fixed Gauss-Kronrod nodes and worst-
 interval-first bisection with first-index tie breaking.
@@ -29,7 +31,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .core import DomainError, QuadratureError, SingularityError, _as_float, _as_triple, _shown
+from .core import DomainError, QuadratureError, SingularityError, _as_float, _as_triple
 
 __all__ = [
     "QuadratureSpec",
@@ -88,6 +90,9 @@ _WG7 = (
 
 _ENV_REL_TOL = "RINDLER_RESONANCE_TOL"
 
+# Bisection depth limit per interval in adaptive_integral.
+_MAX_DEPTH = 50
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -100,29 +105,16 @@ class QuadratureSpec:
         estimate drops below max(abs_tol, rel_tol * |I|).
         :func:`pv_resonance_kernel` takes abs_tol in units of the
         density's size at the pole.
-    max_depth:
-        Bisection depth limit per interval in the adaptive rule.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_depth: int = 50
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rel_tol", _as_float(self.rel_tol, "rel_tol", "positive"))
         object.__setattr__(self, "abs_tol", _as_float(self.abs_tol, "abs_tol", ">= 0"))
         if not self.rel_tol < 1.0:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        depth = self.max_depth
-        if type(depth) is not int:
-            try:  # any integer type, numpy's included, but not a bool
-                depth = operator.index(None if isinstance(depth, bool) else depth)
-            except TypeError:
-                shown = _shown(depth, repr)
-                raise DomainError(f"max_depth must be one integer, got {shown}") from None
-            object.__setattr__(self, "max_depth", depth)
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {_shown(self.max_depth)}")
 
     @classmethod
     def from_environment(cls) -> "QuadratureSpec":
@@ -137,6 +129,15 @@ class QuadratureSpec:
         if not 0.0 < rel < 1.0:
             raise DomainError(f"{_ENV_REL_TOL} must be in (0, 1), got {raw!r}")
         return cls(rel_tol=rel)
+
+
+def _checked_spec(spec: Optional[QuadratureSpec]) -> QuadratureSpec:
+    """The given spec, or the default one for None; TypeError for anything else."""
+    if spec is None:
+        return QuadratureSpec()
+    if not isinstance(spec, QuadratureSpec):
+        raise TypeError(f"spec must be a QuadratureSpec or None, got {type(spec).__name__}")
+    return spec
 
 
 def _scaled_rule_error(ik: float, ig: float, resasc: float) -> float:
@@ -181,12 +182,16 @@ def adaptive_integral(
     Endpoints are never evaluated (the Kronrod nodes are interior), so
     integrable endpoint behaviour is tolerated.
 
-    Raises DomainError unless lower < upper are both finite, and
+    The subdivision budget is fixed: bisection depth 50 per interval
+    and 10 000 intervals in all.
+
+    Raises TypeError unless spec is a QuadratureSpec or None,
+    DomainError unless lower < upper are both finite, and
     QuadratureError when a panel's value or error estimate is not
     finite or the tolerance cannot be certified within the subdivision
     budget; the message names the interval.
     """
-    spec = spec or QuadratureSpec()
+    spec = _checked_spec(spec)
     lower = _as_float(lower, "lower end of the range")
     upper = _as_float(upper, "upper end of the range")
     if not lower < upper:
@@ -200,7 +205,7 @@ def adaptive_integral(
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
         worst = max(range(len(intervals)), key=lambda i: intervals[i][3])
         a, b, v, e, depth = intervals[worst]
-        if depth >= spec.max_depth or len(intervals) >= max_intervals:
+        if depth >= _MAX_DEPTH or len(intervals) >= max_intervals:
             raise QuadratureError(
                 "adaptive integral failed to converge: worst interval "
                 f"[{a:.6g}, {b:.6g}] has error estimate {e:.3e} "
@@ -273,9 +278,13 @@ def pv_resonance_kernel(
     The improper tail is defined in the Abel sense.  With A = 3*omega0/2
     and the density written as Re[E(w) e^{iSw}] (see
     :class:`TrigPolyDensity`), E*K splits into the polynomial
-    2*(E(w) - E(0))/w, whose Abel tail is elementary, and a remainder
-    q = O(1/w).  The tail of q is rotated onto w = A + i*y, where e^{iSw}
-    decays as e^{-Sy}:
+    2*(E(w) - E(0))/w, whose Abel tail is elementary, and the two pole
+    terms
+
+        q(w) = E(omega0)/(w - omega0) + E(-omega0)/(w + omega0),
+
+    whose residues E(+-omega0) are formed once per call.  The tail of q
+    is rotated onto w = A + i*y, where e^{iSw} decays as e^{-Sy}:
 
         integral_A^inf Re[q e^{iSw}] dw
             = Re[i e^{iSA} integral_0^inf q(A+iy) e^{-Sy} dy].
@@ -289,8 +298,9 @@ def pv_resonance_kernel(
     M = sum_k (|c_k| + |s_k|) omega0**k, so a density with small
     coefficients is still integrated to ``spec.rel_tol``.
 
-    Raises TypeError for anything but a TrigPolyDensity, DomainError
-    unless omega0 is positive and finite, M is finite and the phase
+    Raises TypeError for a density that is not a TrigPolyDensity or a
+    spec that is not a QuadratureSpec or None, DomainError unless
+    omega0 is positive and finite, M is finite and the phase
     omega0*S is within reach of double precision (1.5*omega0*S finite
     and omega0*S above about 1e-305), and QuadratureError if an
     adaptive piece cannot reach the requested tolerance or the result
@@ -300,7 +310,7 @@ def pv_resonance_kernel(
         raise TypeError(
             f"density must be a TrigPolyDensity, got {type(density).__name__}"
         )
-    spec = spec or QuadratureSpec()
+    spec = _checked_spec(spec)
     omega0 = _as_float(omega0, "omega0", "positive")
     c0, c1, c2 = density.cos_coeffs
     s0, s1, s2 = density.sin_coeffs
@@ -332,16 +342,16 @@ def pv_resonance_kernel(
     p1 = complex(c2, -s2)
     # 1/S**2 as two divisions by S, so that a tiny S gives no 1/0.
     poly = 2.0 * edge * (1j * p0 / s_time + p1 * (1j * w_hi - 1.0 / s_time) / s_time)
-    rotation = 1j * a * edge
+    # q's residues E(+-omega0), each times the rotation's i*e^{iSA}.
+    even = 1j * edge * (complex(c0, -s0) + p1 * omega0 * omega0)
+    odd = 1j * edge * p0 * omega0
+    up, down = even + odd, even - odd
 
     def rotated(u: float) -> float:
         y = a * math.expm1(u)
         w = complex(w_hi, y)
-        envelope = (c0 + (c1 + c2 * w) * w) - 1j * (s0 + (s1 + s2 * w) * w)
-        # omega0**2/(w*(w**2 - omega0**2)) in r = omega0/w, |r| <= 2/3: no w**3 to overflow.
-        r = omega0 / w
-        q = 2.0 * complex(c0, -s0) / w + 2.0 * (envelope * r) * r / (w * (1.0 - r * r))
-        return (rotation * q).real * math.exp(u - s_time * y)
+        q = up / (w - omega0) + down / (w + omega0)
+        return q.real * a * math.exp(u - s_time * y)
 
     try:
         total = (

@@ -624,10 +624,6 @@ UNCONVERTIBLE = {
     "text-upper-bound": "adaptive_integral-upper-text",
     "1-element-u": (lambda: em_wightman_tensor(np.array([0.5]), GEOM, 1e-9), "u must be one real"),
     "text-eps": "em_wightman_tensor-eps-text",
-    "float-max-depth": (lambda: QuadratureSpec(max_depth=2.5), "max_depth must be one integer"),
-    "1-element-max-depth": (lambda: QuadratureSpec(max_depth=np.array([3])), "max_depth"),
-    "bool-max-depth": (lambda: QuadratureSpec(max_depth=True), "max_depth"),
-    "text-max-depth": (lambda: QuadratureSpec(max_depth="3"), "max_depth"),
     "text-cos-coeff": "TrigPolyDensity-cos_coeffs-text",
     "complex-sin-coeff": "TrigPolyDensity-sin_coeffs-complex",
     "1-element-cos-coeff": "TrigPolyDensity-cos_coeffs-1-element",

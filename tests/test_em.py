@@ -158,6 +158,13 @@ class TestSpectralTensors:
         with pytest.raises(DomainError):
             em_spectral_tensors(-1.0, unit_geometry())
 
+    def test_coefficients_are_read_only(self):
+        coeff = em_spectral_coefficients(unit_geometry())
+        assert len(vars(coeff)) == 6
+        for name, array in vars(coeff).items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 5.0
+
     def test_overflowing_frequency_raises(self):
         # Finite coefficients, but g = g0 + g2*x**2 overflows at x = omega*z/c ~ 3e291.
         with pytest.raises(DomainError, match=r"not finite at omega = 1e\+300$"):

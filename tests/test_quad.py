@@ -6,6 +6,7 @@ ones obtained by high-precision numerical quadrature (~1e-12 relative
 for oscillatory improper integrals).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,15 +16,26 @@ from mpmath import mp
 
 from rindler_resonance import (
     DomainError,
+    FieldKind,
+    Parity,
     QuadratureError,
     QuadratureSpec,
     TrigPolyDensity,
+    Scenario,
     adaptive_integral,
+    em_energy_pv_oracle,
     pv_resonance_kernel,
+    scalar_energy_pv_oracle,
 )
 from rindler_resonance.quad import _scaled_rule_error
 
 PI_COS_1 = 1.697409754832973169691  # 50-digit pi*cos(1)
+
+SCALAR = Scenario.from_reduced(theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC)
+EM = Scenario.from_reduced(
+    theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC, field_kind=FieldKind.EM,
+    dipole_a=(0.0, 0.0, 1.0), dipole_b=(0.0, 0.0, 1.0),
+)
 
 
 class TestAdaptiveIntegral:
@@ -43,9 +55,10 @@ class TestAdaptiveIntegral:
         assert val == pytest.approx(1.0 / 9.0 - 0.5 + 2.0, rel=1e-15)
 
     def test_budget_exhaustion_raises(self):
-        spec = QuadratureSpec(max_depth=2)
-        with pytest.raises(QuadratureError, match="worst interval"):
-            adaptive_integral(lambda w: np.sin(300.0 * w), 0.0, 20.0, spec)
+        # 1/w is not integrable at 0: bisection toward it reaches the
+        # fixed depth of 50 and stops there.
+        with pytest.raises(QuadratureError, match=r"worst interval \[0, 8\.88178e-16\]"):
+            adaptive_integral(lambda w: 1.0 / w, 0.0, 1.0)
 
     def test_invalid_bounds(self):
         with pytest.raises(DomainError):
@@ -75,11 +88,9 @@ class TestQuadratureSpec:
             QuadratureSpec(rel_tol=2.0)
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth=0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth=np.int64(0))
-        assert type(QuadratureSpec(max_depth=np.int64(3)).max_depth) is int
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "abs_tol"]
 
     def test_from_environment(self, monkeypatch):
         monkeypatch.delenv("RINDLER_RESONANCE_TOL", raising=False)
@@ -152,6 +163,19 @@ class TestPvResonanceKernel:
         # callable does not declare.
         with pytest.raises(TypeError, match="TrigPolyDensity"):
             pv_resonance_kernel(lambda w: np.sin(1.3 * w), 0.9)
+
+    @pytest.mark.parametrize("spec", ["x", 1e-6, {"rel_tol": 1e-3}, 0], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda spec: adaptive_integral(math.sin, 0.0, 1.0, spec),
+        lambda spec: pv_resonance_kernel(TrigPolyDensity(osc_time=1.0, sin_coeffs=(1.0,) * 3), 1.0, spec),
+        lambda spec: scalar_energy_pv_oracle(SCALAR, spec),
+        lambda spec: em_energy_pv_oracle(EM, spec),
+    ], ids=["adaptive_integral", "pv_resonance_kernel", "scalar_oracle", "em_oracle"])
+    def test_rejects_a_spec_that_is_not_a_quadrature_spec(self, call, spec):
+        # A falsy 0 does not stand for the default spec; only None does.
+        message = f"^spec must be a QuadratureSpec or None, got {type(spec).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            call(spec)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -251,13 +275,18 @@ class TestAgainstMpmath:
         density = TrigPolyDensity(osc_time=S, sin_coeffs=(1.0, 0.0, 0.0))
         assert pv_resonance_kernel(density, omega0) == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("S, omega0", [(1.1, 0.7), (0.8, 1.0), (5.0, 4.0), (0.3, 0.5), (2.0, 3.0)])
+    @pytest.mark.parametrize("S, omega0", [
+        (1.1, 0.7), (0.8, 1.0), (5.0, 4.0), (0.3, 0.5), (2.0, 3.0),
+        # Phases omega0*S from 1e-3 to 300, and an SI-like omega0.
+        (1e-3 / 3e5, 3e5), (0.1 / 3e5, 3e5), (30 / 3e5, 3e5), (100.0, 1.0),
+        (3e4, 1e-2), (500.0, 1e-3), (1e-4, 10.0), (200 / 7, 7.0),
+    ])
     @pytest.mark.parametrize("family, k", [(f, k) for f in ("cos_coeffs", "sin_coeffs") for k in range(3)])
     def test_every_monomial(self, family, k, S, omega0):
         # Abel PV of w**k times cos(wS) or sin(wS) against the kernel,
         # x = omega0*S.  The cos, w*sin and w**2*cos references need the
         # cosine and sine integrals Ci and Si.
-        with mp.workdps(30):
+        with mp.workdps(40):
             w0, inv_s = mp.mpf(omega0), 1 / mp.mpf(S)
             x = w0 * mp.mpf(S)
             ci, si, c, s = mp.ci(x), mp.si(x), mp.cos(x), mp.sin(x)
