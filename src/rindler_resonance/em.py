@@ -19,10 +19,13 @@ They are derived independently, so their mutual consistency is a
 meaningful internal check; see the oracle module.  The closed form
 works one point at a time in Python floats and the time-domain tensor
 one w at a time in Python complex numbers; numpy is imported only where
-a tensor record is built, from its five entries, by ``_tensor``.  A
-whole point, ``Scenario.em_field`` from floats and its energy, makes
-five Python calls.  The far-zone asymptote is the same bilinear form
-in the leading large-zeta entries, so every dipole pair has one.
+a tensor record is built, from its five entries, by ``_tensor``.  The
+dipole contraction is written once, in ``_contract``, with the weights
+from ``_dipole_weights``: the closed form, the far-zone asymptote and
+the PV oracle all use it.  A whole point, ``Scenario.em_field`` from
+floats and its energy, makes eight Python calls.  The far-zone
+asymptote is the same bilinear form in the leading large-zeta entries,
+so every dipole pair has one.
 
 All tensors are expressed in the fixed frame with
 x = acceleration direction, z = separation direction.  Atom A sits at
@@ -216,8 +219,8 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     zeta/N = u*v for N = 1 + zeta**2, and nothing overflows as zeta
     grows.  At every zeta and theta, theta meets u or v before it is
     squared, so no partial product overflows or underflows unless the
-    entry does.  :func:`em_resonance_energy` holds a written-out copy,
-    operation for operation.
+    entry does.  Both :func:`em_closed_form` and
+    :func:`em_resonance_energy` evaluate their point through it.
     """
     u, v = 1.0 / root, zeta / root
     a, b = u * u, v * v
@@ -235,23 +238,6 @@ def em_reduced_components(zeta, theta, cos_p, sin_p, root) -> tuple:
     zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
     xz = theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p
     return xx, yy, zz, xz
-
-
-def _resum(weights, entries) -> float:
-    """The contraction sum(weight * entry) over the nonzero weights.
-
-    An entry that the dipole pair does not use may overflow (to inf,
-    or to nan as inf - inf), and its 0*inf or 0*nan would make a finite
-    shift nan.  The callers take this sum only where the plain one is
-    nan at a finite phase; a nan phase (zeta = inf) makes every entry
-    nan and still propagates.  It starts at the float 0.0, so a pair
-    that weighs no entry gives 0.0.
-    """
-    total = 0.0
-    for weight, entry in zip(weights, entries):
-        if weight != 0.0:
-            total += weight * entry
-    return total
 
 
 def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
@@ -276,21 +262,40 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     )
 
 
-def _dipole_factors(scenario: Scenario, separation: float) -> tuple:
-    """The six components of unit mu_A and unit mu_B, then mu_A*mu_B/z**3, as one flat tuple.
+def _dipole_weights(scenario: Scenario) -> tuple:
+    """((wxx, wyy, wzz, wxz), mu_A*mu_B): the unit dipoles' entry weights, then their magnitudes.
 
-    DomainError for a zero dipole.  Three divisions by z, as for V and
+    wxz = ax*bz - az*bx carries zx = -xz.  DomainError for a zero
+    dipole.  Callers divide the magnitude by z three times, as for V and
     W: no z**3 to overflow or underflow to zero.
     """
     (ax, ay, az), (bx, by, bz) = scenario.dipole_a, scenario.dipole_b
     mag_a, mag_b = math.hypot(ax, ay, az), math.hypot(bx, by, bz)
     if mag_a == 0.0 or mag_b == 0.0:
         raise DomainError(f"{'dipole_a' if mag_a == 0.0 else 'dipole_b'} must be a nonzero vector")
-    return (
-        ax / mag_a, ay / mag_a, az / mag_a,
-        bx / mag_b, by / mag_b, bz / mag_b,
-        mag_a * mag_b / separation / separation / separation,
-    )
+    ax, ay, az, bx, by, bz = ax / mag_a, ay / mag_a, az / mag_a, bx / mag_b, by / mag_b, bz / mag_b
+    return (ax * bx, ay * by, az * bz, ax * bz - az * bx), mag_a * mag_b
+
+
+def _contract(weights, entries, cos_p) -> float:
+    """mu_A . T . mu_B for unit dipoles: wxx*xx + wyy*yy + wzz*zz + wxz*xz.
+
+    An entry that the dipole pair does not use may overflow (to inf,
+    or to nan as inf - inf), and its 0*inf or 0*nan would make a finite
+    shift nan.  Where the sum is nan at a finite phase it is re-summed
+    from the float 0.0 over the nonzero weights, so a pair that weighs
+    no entry gives 0.0; a nan phase (zeta = inf) makes every entry nan
+    and still propagates.
+    """
+    wxx, wyy, wzz, wxz = weights
+    xx, yy, zz, xz = entries
+    bilinear = wxx * xx + wyy * yy + wzz * zz + wxz * xz
+    if bilinear != bilinear and cos_p == cos_p:
+        bilinear = 0.0
+        for weight, entry in zip(weights, entries):
+            if weight != 0.0:
+                bilinear += weight * entry
+    return bilinear
 
 
 def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
@@ -298,23 +303,20 @@ def em_closed_form(scenario: Scenario, points: Iterable[tuple]) -> list:
 
     ``points`` yields (a, z, omega0) triples of Python floats.
     ``reduced`` is p * mu_A . z**3(V + W) . mu_B for unit dipoles, the
-    five nonzero entries of :func:`em_reduced_components` contracted
-    as plain products; the dipole magnitudes sit in the prefactor
-    mu_A*mu_B/z**3.  Parity and dipoles come from ``scenario``.  Each
-    row is the arithmetic of :func:`em_resonance_energy`, so it equals
-    that energy on its point bit for bit.  Not validated.
+    entries of :func:`em_reduced_components` contracted by ``_contract``;
+    the dipole magnitudes sit in the prefactor mu_A*mu_B/z**3.  Parity
+    and dipoles come from ``scenario``, and the dipole weights are
+    formed once per call.  Each row is the arithmetic of
+    :func:`em_resonance_energy`, so it equals that energy on its point
+    bit for bit.  The points are not validated; a zero dipole raises
+    DomainError.
     """
-    ax, ay, az, bx, by, bz, magnitude = _dipole_factors(scenario, 1.0)
-    # The dipole weights once: ax * bx * xx already reads (ax * bx) * xx.
-    wxx, wyy, wzz, wxz = ax * bx, ay * by, az * bz, ax * bz - az * bx
+    weights, magnitude = _dipole_weights(scenario)
     sign = 1.0 if scenario.parity is _SYMMETRIC else -1.0
     rows = []
     for a, z, w in points:
         zeta, theta, cos_p, sin_p, root = point_geometry(a, z, w)
-        xx, yy, zz, xz = em_reduced_components(zeta, theta, cos_p, sin_p, root)
-        bilinear = wxx * xx + wyy * yy + wzz * zz + wxz * xz
-        if bilinear != bilinear and cos_p == cos_p:
-            bilinear = _resum((wxx, wyy, wzz, wxz), (xx, yy, zz, xz))
+        bilinear = _contract(weights, em_reduced_components(zeta, theta, cos_p, sin_p, root), cos_p)
         rows.append((zeta, theta, sign * bilinear, magnitude / z / z / z))
     return rows
 
@@ -323,39 +325,19 @@ def em_resonance_energy(scenario: Scenario) -> EnergyShift:
     """Resonance shift p * mu_A . (V + W) . mu_B for the correlated pair.
 
     :func:`em_closed_form` at the scenario's point (which the scenario
-    holds as Python floats), with ``_dipole_factors`` and
-    :func:`em_reduced_components` written out so that it costs three
-    Python calls: itself, ``point_geometry`` and the record builder.
-    Raises DomainError when the result overflows double precision.
+    holds as Python floats), by the same calls: ``_dipole_weights``,
+    ``point_geometry``, :func:`em_reduced_components`, ``_contract`` and
+    the record builder.  Raises DomainError for a zero dipole and when
+    the result overflows double precision.
     """
     if scenario.field_kind is not _EM:
         scenario.require_field(_EM)
+    weights, magnitude = _dipole_weights(scenario)
     z = scenario.separation
-    (ax, ay, az), (bx, by, bz) = scenario.dipole_a, scenario.dipole_b
-    mag_a, mag_b = math.hypot(ax, ay, az), math.hypot(bx, by, bz)
-    if mag_a == 0.0 or mag_b == 0.0:
-        _dipole_factors(scenario, z)  # raises the DomainError naming the zero dipole
-    ax, ay, az, bx, by, bz = ax / mag_a, ay / mag_a, az / mag_a, bx / mag_b, by / mag_b, bz / mag_b
-    prefactor = mag_a * mag_b / z / z / z
     zeta, theta, cos_p, sin_p, root = point_geometry(scenario.acceleration, z, scenario.omega0)
-    u, v = 1.0 / root, zeta / root
-    a, b = u * u, v * v
-    ut = u * theta
-    vut = v * ut
-    s_xx = ut * u * (a + 4.0 * b)
-    c_xx = u * (a * a + 2.0 * a * b + 4.0 * b * b) - (u * ut) * ut
-    c_yy = u * a - ut * theta
-    c_zz = u * (a * (2.0 * a + 5.0 * b)) - vut * (v * theta)
-    c_xz = a * v * (a + 4.0 * b) + vut * ut
-    xx = s_xx * sin_p + c_xx * cos_p
-    yy = theta * (a + 2.0 * b) * sin_p + c_yy * cos_p
-    zz = -theta * (2.0 * a * a + a * b + 2.0 * b * b) * sin_p - c_zz * cos_p
-    xz = theta * u * v * (a - 2.0 * b) * sin_p + c_xz * cos_p
-    bilinear = ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
-    if bilinear != bilinear and cos_p == cos_p:
-        bilinear = _resum((ax * bx, ay * by, az * bz, ax * bz - az * bx), (xx, yy, zz, xz))
+    bilinear = _contract(weights, em_reduced_components(zeta, theta, cos_p, sin_p, root), cos_p)
     reduced = bilinear if scenario.parity is _SYMMETRIC else -bilinear
-    return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM)
+    return _energy_shift(reduced, magnitude / z / z / z, zeta, scenario.parity, _EM)
 
 
 def em_inertial_potential(geom: ReducedGeometry) -> Tensor3:
@@ -391,19 +373,18 @@ def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
     meaningful and the result carries a warning.
     """
     geom, phase, warning = _farzone_point(scenario, _EM)
-    ax, ay, az, bx, by, bz, prefactor = _dipole_factors(scenario, geom.separation)
-    zeta, theta = geom.zeta, geom.theta
+    (wxx, wyy, wzz, wxz), magnitude = _dipole_weights(scenario)
+    z, zeta, theta = geom.separation, geom.zeta, geom.theta
     r = theta / zeta
     cos_p, sin_p = math.cos(phase), math.sin(phase)
-    wxx, wyz, wxz = ax * bx, ay * by - az * bz, ax * bz - az * bx
     xx = (4.0 * cos_p + 4.0 * r * sin_p) / zeta - r * (r / zeta) * cos_p
     yy = 2.0 * theta * sin_p - theta * (theta / zeta) * cos_p
     xz = r * r * cos_p - 2.0 * r * sin_p
-    bilinear = wxx * xx + wyz * yy + wxz * xz
-    if bilinear != bilinear:  # _farzone_point keeps the phase finite
-        bilinear = _resum((wxx, wyz, wxz), (xx, yy, xz))
+    # zz = -yy here, so yy takes the folded weight wyy - wzz: a pair
+    # that weighs y and z alike then skips an overflowing yy.
+    bilinear = _contract((wxx, wyy - wzz, wxz, 0.0), (xx, yy, xz, 0.0), cos_p)
     reduced = parity_sign(scenario.parity) * bilinear
-    return _energy_shift(reduced, prefactor, zeta, scenario.parity, _EM, warning)
+    return _energy_shift(reduced, magnitude / z / z / z, zeta, scenario.parity, _EM, warning)
 
 
 def em_wightman_tensor(u: float, geom: ReducedGeometry, eps: float) -> Tensor3:

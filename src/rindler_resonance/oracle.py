@@ -31,7 +31,8 @@ from .core import (
     scenario_geometry,
 )
 from .em import (
-    _dipole_factors,
+    _contract,
+    _dipole_weights,
     _spectral_entries,
     _wightman_kernel,
     em_farzone_asymptote,
@@ -237,11 +238,8 @@ def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = Non
     """
     scenario.require_field(FieldKind.EM)
     geom = scenario_geometry(scenario)
-    ax, ay, az, bx, by, bz, _ = _dipole_factors(scenario, 1.0)
-    f1, g0, g2 = (
-        ax * bx * xx + ay * by * yy + az * bz * zz + (ax * bz - az * bx) * xz
-        for xx, yy, zz, xz in _spectral_entries(geom.zeta)
-    )
+    weights, _ = _dipole_weights(scenario)
+    f1, g0, g2 = (_contract(weights, family, 1.0) for family in _spectral_entries(geom.zeta))
     theta = geom.theta
     return _normalized_pv(
         geom, scenario.parity, spec, (0.0, f1 * theta, 0.0), (g0, 0.0, g2 * theta * theta)

@@ -7,7 +7,8 @@ accumulated over the light-signal lapse S between the two accelerated
 trajectories, scaled by 1/sqrt(1 + zeta**2).  Every entry works one
 point at a time in Python floats, with no numpy.  A whole point,
 ``Scenario.scalar_field`` from floats and its energy, makes five Python
-calls, as an electromagnetic point does.
+calls; an electromagnetic point makes eight, for its dipole weights,
+kernel and contraction.
 """
 
 from __future__ import annotations

@@ -1054,8 +1054,8 @@ class TestFloatDispatch:
     def assert_copies_agree(field, a, z, omega0):
         # The energy and the closed form each apply the parity sign (and
         # contract the dipoles), so both parities are checked.  The EM
-        # energy is a written-out copy of em_reduced_components: it must
-        # also equal the contracted em_potential_tensors(...).reduced,
+        # energy evaluates em_reduced_components at the scenario's point:
+        # it must also equal the contracted em_potential_tensors(...).reduced,
         # unless those potentials refuse a V or W that overflows.
         closed_form, energy = ROUTES[field]
         pairs = EM_DIPOLE_PAIRS.values() if field == "em" else [None]
@@ -1242,8 +1242,8 @@ class TestPointCallCount:
     @pytest.mark.parametrize("acceleration", [0.0, 1e17, 1e21], ids=["inertial", "zeta~1", "far"])
     def test_resonance_energy_makes_three_calls(self, field, acceleration):
         # The energy evaluates its own point, with no closed-form call in
-        # between, and builds its record in one call; EM normalises the
-        # dipoles and forms the tensor entries in its own body.
+        # between, and builds its record in one call; EM adds the dipole
+        # weights, the tensor entries and their contraction, one call each.
         if field == "scalar":
             scenario = Scenario.scalar_field(
                 acceleration=acceleration, separation=1.0, omega0=1e8, parity=Parity.SYMMETRIC
@@ -1255,7 +1255,7 @@ class TestPointCallCount:
         energy(scenario)
         calls = python_calls(energy, scenario)
         assert calls[0] == energy.__name__
-        assert len(calls) <= 3, calls
+        assert len(calls) <= {"scalar": 3, "em": 6}[field], calls
 
     def test_em_field_with_float_tuples_makes_two_calls(self):
         # em_field and __init__, whose dipole checks are inline.
@@ -1263,7 +1263,7 @@ class TestPointCallCount:
         calls = python_calls(functools.partial(Scenario.em_field, **KINEMATICS, **dipoles))
         assert calls == ["Scenario.em_field", "Scenario.__init__"]
 
-    def test_whole_em_point_makes_five_calls(self):
+    def test_whole_em_point_makes_eight_calls(self):
         dipoles = dict(dipole_a=(0.3, -1.2, 0.7), dipole_b=(1.0, 0.5, -2.0))
 
         def point():
@@ -1271,8 +1271,8 @@ class TestPointCallCount:
 
         calls = python_calls(point)[1:]
         assert calls == [
-            "Scenario.em_field", "Scenario.__init__", "em_resonance_energy", "point_geometry",
-            "_energy_shift",
+            "Scenario.em_field", "Scenario.__init__", "em_resonance_energy", "_dipole_weights",
+            "point_geometry", "em_reduced_components", "_contract", "_energy_shift",
         ]
 
     def test_scalar_field_with_floats_makes_two_calls(self):
@@ -1294,9 +1294,10 @@ class TestPointCallCount:
     @pytest.mark.parametrize("param", ["sep", "accel", "omega0"])
     @pytest.mark.parametrize("field", ["scalar", "em"])
     def test_closed_form_rows_make_one_or_two_calls_per_row(self, field, param):
-        # point_geometry per scalar row, and em_reduced_components too per
-        # EM row: the points, the label, the finite check and the line take
-        # no call, so neither Regime.classify nor Enum.__hash__ runs per row.
+        # point_geometry per scalar row, and em_reduced_components and
+        # _contract too per EM row: the points, the label, the finite check
+        # and the line take no call, so neither Regime.classify nor
+        # Enum.__hash__ runs per row.
         scenario = field_scenario(field, 1e17, 1.0, 1e8, Parity.SYMMETRIC)
         low = SWEEP_LOW[param]
 
@@ -1306,7 +1307,7 @@ class TestPointCallCount:
         short, long = (
             python_calls(cli._closed_form_rows, scenario, param, values(n)) for n in (4, 12)
         )
-        assert len(long) - len(short) <= {"scalar": 1, "em": 2}[field] * (12 - 4), long
+        assert len(long) - len(short) <= {"scalar": 1, "em": 3}[field] * (12 - 4), long
         assert not [name for name in long if "classify" in name or "__hash__" in name]
 
     @pytest.mark.parametrize("spacing", ["lin", "log"])
@@ -1327,7 +1328,7 @@ class TestPointCallCount:
             codes.append(cli.main([*argv, "--points", str(n)]))
 
         short, long = (python_calls(sweep, n) for n in (4, 12))
-        assert len(long) - len(short) <= {"scalar": 1, "em": 2}[field] * (12 - 4), long
+        assert len(long) - len(short) <= {"scalar": 1, "em": 3}[field] * (12 - 4), long
         short, long = (line_events(sweep, n) for n in (4, 12))
         for name in ("main", "cmd_sweep"):
             assert long[name] == short[name] > 0, name

@@ -333,6 +333,21 @@ def test_em_pair_that_weighs_no_overflowing_entry_reads_zero():
         assert type(reduced) is float and reduced == 0.0
 
 
+def test_em_farzone_pair_that_weighs_y_and_z_alike_skips_the_overflowing_entry():
+    # wyy = wzz and wxz = 0: the far-zone yy = -zz takes the folded weight
+    # wyy - wzz = 0, so its overflow leaves wxx*xx, not 0*inf.
+    sc = Scenario.from_reduced(**UNUSED_ENTRY_OVERFLOWS, dipole_a=(1, 1, 1), dipole_b=(1, 1, 1))
+    reduced = em_farzone_asymptote(sc).reduced
+    assert math.isfinite(reduced)
+    unit = 1.0 / math.hypot(1.0, 1.0, 1.0)
+    geom, phase, _ = _farzone_point(sc, FieldKind.EM)
+    with mp.workdps(40):
+        cos_sin = mp.mpf(math.cos(phase)), mp.mpf(math.sin(phase))
+        want, envelope = mp_farzone_asymptotes(geom, cos_sin)[1]["xx"]
+        wxx = mp.mpf(unit * unit)
+        assert abs(reduced - wxx * want) <= 1e-13 * wxx * envelope
+
+
 def test_em_pair_on_the_overflowing_entry_raises():
     sc = Scenario.from_reduced(**UNUSED_ENTRY_OVERFLOWS, dipole_a=AXES["y"], dipole_b=AXES["y"])
     for energy in (em_resonance_energy, em_farzone_asymptote):

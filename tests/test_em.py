@@ -31,7 +31,7 @@ from rindler_resonance import (
     reduced_geometry,
     scenario_geometry,
 )
-from rindler_resonance.em import _spectral_entries, _wightman_kernel
+from rindler_resonance.em import _spectral_entries, _wightman_kernel, em_closed_form
 
 C = 299792458.0
 
@@ -324,8 +324,16 @@ class TestResonanceEnergy:
         assert shift.reduced != 0.0
 
     def test_rejects_zero_dipole(self):
-        with pytest.raises(DomainError):
-            em_resonance_energy(em_scenario(1.0, 1.0, da=[0, 0, 0]))
+        # The energy, a one-row closed form and the far-zone asymptote
+        # each name the zero dipole, whichever of the two it is.
+        def one_row(sc):
+            return em_closed_form(sc, [(sc.acceleration, sc.separation, sc.omega0)])
+
+        for zero, dipoles in (("dipole_a", dict(da=[0, 0, 0])), ("dipole_b", dict(db=[0, 0, 0]))):
+            sc = em_scenario(1.0, 10.0, **dipoles)
+            for route in (em_resonance_energy, one_row, em_farzone_asymptote):
+                with pytest.raises(DomainError, match=f"^{zero} must be a nonzero vector$"):
+                    route(sc)
 
     def test_rejects_scalar_scenario(self):
         sc = Scenario.scalar_field(
