@@ -8,15 +8,13 @@ oscillatory spectral density against the kernel
 It is evaluated in three pieces.  The head [0, w0/2] and the pole
 window [w0/2, 3*w0/2], folded onto t = |w - w0| so that its principal
 value needs no subtraction, make one real-axis integral over
-(0, w0/2].  The tail's polynomial part has an elementary Abel integral
-from A = 3*w0/2, and the rest of the tail is rotated onto the ray
-w = A + i*y, where the oscillation e^{iSw} becomes the decay e^{-Sy}
-and no pole of K is crossed (numerical steepest descent, Huybrechs &
-Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026); nothing is damped or
-extrapolated.  A larger A would lose digits at small w0*S, where the
-last two pieces grow with A and cancel.  Past the polynomial part the
-tail's integrand is two pole terms, E(w0)/(w - w0) + E(-w0)/(w + w0),
-with E the density's analytic envelope.
+(0, w0/2], the only numerical piece.  The tail from A = 3*w0/2 is
+exact: writing the density as Re[E(w) e^{iSw}], with E its analytic
+envelope, its polynomial part has an elementary Abel integral, and the
+rest is two pole terms, E(w0)/(w - w0) + E(-w0)/(w + w0), each of
+whose tails is one exponential integral E1 at an imaginary argument.
+Nothing is damped or extrapolated.  A larger A would lose digits at
+small w0*S, where the last two pieces grow with A and cancel.
 
 Everything here is deterministic: fixed Gauss-Kronrod nodes and worst-
 interval-first bisection with first-index tie breaking.
@@ -25,6 +23,7 @@ interval-first bisection with first-index tie breaking.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 import os
@@ -92,6 +91,9 @@ _ENV_REL_TOL = "RINDLER_RESONANCE_TOL"
 
 # Bisection depth limit per interval in adaptive_integral.
 _MAX_DEPTH = 50
+
+# 1/(n*n!) for n = 40 down to 1: the power series of E1(-i*x), highest term first.
+_EIN_COEFFS = tuple(1.0 / (n * math.factorial(n)) for n in range(40, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,28 @@ def adaptive_integral(
     return math.fsum(iv[2] for iv in intervals)
 
 
+def _ein(x: float) -> complex:
+    """sum_{n=1}^{40} (i*x)**n / (n*n!) by Horner's rule.
+
+    E1(-i*x) = -gamma - ln(x) + i*pi/2 - _ein(x) (A&S 5.1.11).
+    """
+    return functools.reduce(lambda total, c: (total + c) * 1j * x, _EIN_COEFFS, 0j)
+
+
+def _e1(x: float) -> complex:
+    """E1(-i*x) = integral_x^inf e^{it}/t dt for x > 0, to about 1e-14 relative.
+
+    Below x = 4 the 40-term series (:func:`_ein`); from there the
+    continued fraction A&S 5.1.22, summed back from its 60th term.
+    """
+    if x < 4.0:
+        return complex(-0.5772156649015329 - math.log(x), 0.5 * math.pi) - _ein(x)
+    tail = -1j * x
+    for n in range(60, 0, -1):
+        tail = n / (1.0 + n / tail) - 1j * x
+    return cmath.exp(1j * x) / tail
+
+
 @dataclass(frozen=True)
 class TrigPolyDensity:
     """Spectral density declared as polynomial-times-trig structure.
@@ -234,10 +258,10 @@ class TrigPolyDensity:
 
         E(w) = (c0 + c1*w + c2*w**2) - i*(s0 + s1*w + s2*w**2),
 
-    which :func:`pv_resonance_kernel` continues off the real axis to
-    rotate the oscillatory tail into the complex plane.  A bare
-    callable carries no such continuation, so the kernel accepts only
-    this type.
+    whose values E(+-w0) at the kernel's poles give
+    :func:`pv_resonance_kernel` its tail in closed form.  A bare
+    callable carries no such envelope, so the kernel accepts only this
+    type.
     """
 
     osc_time: float
@@ -279,20 +303,18 @@ def pv_resonance_kernel(
     and the density written as Re[E(w) e^{iSw}] (see
     :class:`TrigPolyDensity`), E*K splits into the polynomial
     2*(E(w) - E(0))/w, whose Abel tail is elementary, and the two pole
-    terms
+    terms E(omega0)/(w - omega0) + E(-omega0)/(w + omega0), whose tails
+    are exponential integrals:
 
-        q(w) = E(omega0)/(w - omega0) + E(-omega0)/(w + omega0),
+        integral_A^inf Re[E(+-omega0) e^{iSw} / (w -+ omega0)] dw
+            = Re[E(+-omega0) e^{+-iS*omega0} E1(-iS(A -+ omega0))],
 
-    whose residues E(+-omega0) are formed once per call.  The tail of q
-    is rotated onto w = A + i*y, where e^{iSw} decays as e^{-Sy}:
-
-        integral_A^inf Re[q e^{iSw}] dw
-            = Re[i e^{iSA} integral_0^inf q(A+iy) e^{-Sy} dy].
-
-    Both poles of K lie left of A, so the rotation crosses none.  The
-    ray is sampled geometrically, y = a*expm1(u) with a = min(omega0, 1/S),
-    so the kernel scale omega0 and the decay scale 1/S are both resolved
-    whatever their ratio and units.
+    that is E1(-iS*omega0/2) for the pole at omega0 and
+    E1(-5iS*omega0/2) for the one at -omega0.  Here
+    E1(-ix) = integral_x^inf e^{it}/t dt = -Ci(x) + i*(pi/2 - Si(x)),
+    summed by a 40-term series below x = 4 and a continued fraction
+    above (A&S 5.1.11 and 5.1.22).  Only the folded head and window
+    are integrated numerically.
 
     ``spec.abs_tol`` is scaled by the density's size at the pole,
     M = sum_k (|c_k| + |s_k|) omega0**k, so a density with small
@@ -301,10 +323,11 @@ def pv_resonance_kernel(
     Raises TypeError for a density that is not a TrigPolyDensity or a
     spec that is not a QuadratureSpec or None, DomainError unless
     omega0 is positive and finite, M is finite and the phase
-    omega0*S is within reach of double precision (1.5*omega0*S finite
-    and omega0*S above about 1e-305), and QuadratureError if an
-    adaptive piece cannot reach the requested tolerance or the result
-    is not finite.  Only these three types are raised.
+    omega0*S is within reach of double precision (omega0*S/2 above 0,
+    2.5*omega0*S finite, and 1/S finite, so at omega0 = 1 the phase
+    must exceed about 5.6e-309), and QuadratureError if the folded
+    integral cannot reach the requested tolerance or the result is not
+    finite.  Only these three types are raised.
     """
     if not isinstance(density, TrigPolyDensity):
         raise TypeError(
@@ -320,10 +343,8 @@ def pv_resonance_kernel(
 
     w_hi = 1.5 * omega0
     s_time = density.osc_time
-    a = min(omega0, 1.0 / s_time)
-    # Past y = 750/S the factor e^{-Sy} is exactly 0.
-    u_max = math.log1p(750.0 / s_time / a)
-    if s_time * w_hi == math.inf or u_max == math.inf:
+    half = 0.5 * omega0 * s_time
+    if not (half > 0.0 and 5.0 * half < math.inf and 1.0 / s_time < math.inf):
         raise DomainError(
             f"omega0 * osc_time = {omega0 * s_time!r} is beyond double precision "
             f"(omega0 = {omega0!r}, osc_time = {s_time!r})"
@@ -342,23 +363,22 @@ def pv_resonance_kernel(
     p1 = complex(c2, -s2)
     # 1/S**2 as two divisions by S, so that a tiny S gives no 1/0.
     poly = 2.0 * edge * (1j * p0 / s_time + p1 * (1j * w_hi - 1.0 / s_time) / s_time)
-    # q's residues E(+-omega0), each times the rotation's i*e^{iSA}.
-    even = 1j * edge * (complex(c0, -s0) + p1 * omega0 * omega0)
-    odd = 1j * edge * p0 * omega0
-    up, down = even + odd, even - odd
-
-    def rotated(u: float) -> float:
-        y = a * math.expm1(u)
-        w = complex(w_hi, y)
-        q = up / (w - omega0) + down / (w + omega0)
-        return q.real * a * math.exp(u - s_time * y)
+    # q's tail is up*E1(-i*half) + down*E1(-5i*half), up and down being its
+    # residues E(+-omega0) times e^{+-iS*omega0}.  At a small phase up ~ -down
+    # and each E1 ~ -ln(half) is large, so it is summed as both*E1(-i*half)
+    # + down*step: both = up + down formed from E(+-omega0) directly, and
+    # step = E1(-5i*half) - E1(-i*half), whose logs cancel exactly to ln 5
+    # where both E1 come from the series (5*half < 4).
+    even = complex(c0, -s0) + p1 * omega0 * omega0
+    odd = p0 * omega0
+    both = 2.0 * (even * math.cos(2.0 * half) + 1j * odd * math.sin(2.0 * half))
+    down = (even - odd) * cmath.exp(-2j * half)
+    near = _e1(half)
+    step = _ein(half) - _ein(5.0 * half) - math.log(5.0) if half < 0.8 else _e1(5.0 * half) - near
+    poles = both * near + down * step
 
     try:
-        total = (
-            adaptive_integral(folded, 0.0, 0.5 * omega0, part_spec)
-            + poly.real
-            + adaptive_integral(rotated, 0.0, u_max, part_spec)
-        )
+        total = adaptive_integral(folded, 0.0, 0.5 * omega0, part_spec) + poly.real + poles.real
     except ArithmeticError as exc:  # a division by an underflowed 0, an overflowing fsum
         raise QuadratureError(f"principal value at omega0 = {omega0!r} fails: {exc}") from None
     if not math.isfinite(total):

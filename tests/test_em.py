@@ -603,6 +603,14 @@ class TestWightmanTensor:
         for slot in ZERO_SLOTS:
             assert tensor[slot] == 0.0
 
+    def test_overflowing_entry_raises(self):
+        # At z = 1e-100 m the prefactor's 1/z**4 takes each entry past the
+        # float range although sinh and cosh stay finite.
+        geom = reduced_geometry(1e20, 1e-100, 1e15)
+        s_time = geom.light_time
+        with pytest.raises(DomainError, match="^correlation tensor is not finite at w = "):
+            em_wightman_tensor(3.0 * s_time, geom, 0.1 * s_time)
+
     @pytest.mark.parametrize("u_over_s", [1000.0, math.nan, math.inf])
     def test_non_finite_tensor_raises(self, u_over_s):
         geom = unit_geometry()

@@ -27,7 +27,7 @@ from rindler_resonance import (
     pv_resonance_kernel,
     scalar_energy_pv_oracle,
 )
-from rindler_resonance.quad import _scaled_rule_error
+from rindler_resonance.quad import _e1, _scaled_rule_error
 
 PI_COS_1 = 1.697409754832973169691  # 50-digit pi*cos(1)
 
@@ -144,8 +144,8 @@ class TestPvResonanceKernel:
             assert val == pytest.approx(expected, rel=1e-9, abs=1e-8)
 
     def test_small_phase_contour_identities(self):
-        # omega0*S far below 1 in SI-like units: the rotated tail must
-        # resolve both the kernel scale omega0 and the decay scale 1/S.
+        # omega0*S far below 1 in SI-like units, where the tail's two
+        # exponential integrals each grow like -ln(omega0*S) and cancel.
         omega0 = 3.0e5
         for phase in (1e-3, 1e-5, 1e-7):
             S = phase / omega0
@@ -159,7 +159,7 @@ class TestPvResonanceKernel:
             )
 
     def test_rejects_bare_callable(self):
-        # The rotated tail needs the analytic envelope, which a bare
+        # The closed-form tail needs the analytic envelope, which a bare
         # callable does not declare.
         with pytest.raises(TypeError, match="TrigPolyDensity"):
             pv_resonance_kernel(lambda w: np.sin(1.3 * w), 0.9)
@@ -227,6 +227,26 @@ class TestPvResonanceKernel:
             with pytest.raises(DomainError, match="beyond double precision"):
                 pv_resonance_kernel(density, omega0)
 
+    @pytest.mark.parametrize("coeffs, expected", [
+        ({"sin_coeffs": (1.0, 0.0, 0.0)}, math.pi),
+        ({"cos_coeffs": (0.0, 1.0, 0.0)}, 0.0),
+        # The Abel integral's 1/S**2 overflows, as it always has.
+        ({"sin_coeffs": (0.0, 0.0, 1.0)}, QuadratureError),
+    ], ids=["sin", "w_cos", "w2_sin"])
+    def test_tiny_phases(self, coeffs, expected):
+        # omega0 = 1, so the phase is S.  At 1e-305 the monomials give
+        # pi*cos(S), -pi*sin(S) and an overflow; below about 5.6e-309, 1/S
+        # leaves the float range, and at 5e-324 half the phase is 0.
+        density = TrigPolyDensity(osc_time=1e-305, **coeffs)
+        if expected is QuadratureError:
+            with pytest.raises(QuadratureError, match="is not finite"):
+                pv_resonance_kernel(density, 1.0)
+        else:
+            assert pv_resonance_kernel(density, 1.0) == pytest.approx(expected, abs=1e-13)
+        for phase in (1e-310, 5e-324):
+            with pytest.raises(DomainError, match=rf"^omega0 \* osc_time = {phase!r} is beyond double precision"):
+                pv_resonance_kernel(TrigPolyDensity(osc_time=phase, **coeffs), 1.0)
+
     def test_deterministic(self):
         density = TrigPolyDensity(osc_time=0.8, sin_coeffs=(0.3, 0.0, 1.0))
         assert pv_resonance_kernel(density, 1.3) == pv_resonance_kernel(density, 1.3)
@@ -264,6 +284,16 @@ class TestScaledRuleError:
 
 class TestAgainstMpmath:
     """Runtime high-precision spot checks (independent transcription)."""
+
+    def test_exponential_integral(self):
+        # E1(-i*x) on both sides of the series/continued-fraction switch
+        # at x = 4 and at the ends of the float range.
+        rng = np.random.default_rng(43)
+        xs = list(10.0 ** rng.uniform(-8.0, 6.0, 200)) + [3.99, 4.0, 4.01, 1e-300, 1e300]
+        with mp.workdps(40):
+            for x in xs:
+                ref = mp.e1(-1j * mp.mpf(x))
+                assert abs(_e1(float(x)) - ref) <= 1e-14 * abs(ref), x
 
     def test_pv_against_damped_mpmath_sweep(self):
         # PV integral_0^inf sin(S w) (1/(w + omega0) + 1/(w - omega0)) dw
