@@ -64,7 +64,6 @@ _LAZY = {
         (
             "QuadratureSpec",
             "TrigPolyDensity",
-            "adaptive_integral",
             "pv_resonance_kernel",
         ),
         "quad",

@@ -1,4 +1,4 @@
-"""Adaptive quadrature and the principal-value resonance integral.
+"""The principal-value resonance integral.
 
 The resonance shift is a principal-value frequency integral of an
 oscillatory spectral density against the kernel
@@ -16,8 +16,10 @@ whose tails is one exponential integral E1 at an imaginary argument.
 Nothing is damped or extrapolated.  A larger A would lose digits at
 small w0*S, where the last two pieces grow with A and cancel.
 
-Everything here is deterministic: fixed Gauss-Kronrod nodes and worst-
-interval-first bisection with first-index tie breaking.
+The folded integral runs through the kernel's own adaptive Gauss-Kronrod
+rule, which takes plain floats and is not part of the public API.  It is
+deterministic: fixed nodes and worst-interval-first bisection with
+first-index tie breaking.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import DomainError, QuadratureError, SingularityError, _as_float, _as_triple
@@ -37,7 +39,6 @@ __all__ = [
     "QuadratureError",
     "SingularityError",
     "TrigPolyDensity",
-    "adaptive_integral",
     "pv_resonance_kernel",
 ]
 
@@ -89,8 +90,10 @@ _WG7 = (
 
 _ENV_REL_TOL = "RINDLER_RESONANCE_TOL"
 
-# Bisection depth limit per interval in adaptive_integral.
+# _adaptive_integral's subdivision budget: bisection depth per interval,
+# and intervals in all.
 _MAX_DEPTH = 50
+_MAX_INTERVALS = 10_000
 
 # 1/(n*n!) for n = 40 down to 1: the power series of E1(-i*x), highest term first.
 _EIN_COEFFS = tuple(1.0 / (n * math.factorial(n)) for n in range(40, 0, -1))
@@ -98,15 +101,16 @@ _EIN_COEFFS = tuple(1.0 / (n * math.factorial(n)) for n in range(40, 0, -1))
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for the integration routines.
+    """Tolerances of :func:`pv_resonance_kernel`.
 
     Attributes
     ----------
     rel_tol, abs_tol:
-        Convergence target: an integral I is accepted once the error
-        estimate drops below max(abs_tol, rel_tol * |I|).
-        :func:`pv_resonance_kernel` takes abs_tol in units of the
-        density's size at the pole.
+        Convergence target of the kernel's folded head-and-window
+        integral I, its one numerical piece: I is accepted once its
+        error estimate drops below max(abs_tol * M / 4, rel_tol * |I|).
+        abs_tol is in units of M, the density's size at the pole (see
+        :func:`pv_resonance_kernel`), never an absolute value.
     """
 
     rel_tol: float = 1e-9
@@ -131,15 +135,6 @@ class QuadratureSpec:
         if not 0.0 < rel < 1.0:
             raise DomainError(f"{_ENV_REL_TOL} must be in (0, 1), got {raw!r}")
         return cls(rel_tol=rel)
-
-
-def _checked_spec(spec: Optional[QuadratureSpec]) -> QuadratureSpec:
-    """The given spec, or the default one for None; TypeError for anything else."""
-    if spec is None:
-        return QuadratureSpec()
-    if not isinstance(spec, QuadratureSpec):
-        raise TypeError(f"spec must be a QuadratureSpec or None, got {type(spec).__name__}")
-    return spec
 
 
 def _scaled_rule_error(ik: float, ig: float, resasc: float) -> float:
@@ -172,42 +167,25 @@ def _gk_panel(f: Callable, a: float, b: float) -> tuple:
     return ik, err
 
 
-def adaptive_integral(
-    f: Callable,
-    lower: float,
-    upper: float,
-    spec: Optional[QuadratureSpec] = None,
-) -> float:
-    """Integrate f on finite [lower, upper] with adaptive Gauss-Kronrod.
+def _adaptive_integral(f: Callable, lower: float, upper: float, rel_tol: float, abs_tol: float) -> float:
+    """Integrate f on [lower, upper], lower < upper finite, by adaptive Gauss-Kronrod.
 
-    ``f`` takes one float and returns its value.
-    Endpoints are never evaluated (the Kronrod nodes are interior), so
-    integrable endpoint behaviour is tolerated.
+    The integral I is accepted once its error estimate drops below
+    max(abs_tol, rel_tol * |I|).  Endpoints are never evaluated (the
+    Kronrod nodes are interior), so integrable endpoint behaviour is
+    tolerated.  The subdivision budget is fixed: bisection depth 50 per
+    interval and 10 000 intervals in all.
 
-    The subdivision budget is fixed: bisection depth 50 per interval
-    and 10 000 intervals in all.
-
-    Raises TypeError unless spec is a QuadratureSpec or None,
-    DomainError unless lower < upper are both finite, and
-    QuadratureError when a panel's value or error estimate is not
-    finite or the tolerance cannot be certified within the subdivision
-    budget; the message names the interval.
+    Raises QuadratureError when a panel's value or error estimate is not
+    finite or the tolerance cannot be certified within the budget; the
+    message names the interval.
     """
-    spec = _checked_spec(spec)
-    lower = _as_float(lower, "lower end of the range")
-    upper = _as_float(upper, "upper end of the range")
-    if not lower < upper:
-        raise DomainError(f"invalid integration range [{lower}, {upper}]")
-
-    val, err = _gk_panel(f, lower, upper)
-    intervals = [(lower, upper, val, err, 0)]
-    total = val
-    total_err = err
-    max_intervals = 10_000
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+    total, total_err = _gk_panel(f, lower, upper)
+    intervals = [(lower, upper, total, total_err, 0)]
+    while total_err > max(abs_tol, rel_tol * abs(total)):
         worst = max(range(len(intervals)), key=lambda i: intervals[i][3])
         a, b, v, e, depth = intervals[worst]
-        if depth >= _MAX_DEPTH or len(intervals) >= max_intervals:
+        if depth >= _MAX_DEPTH or len(intervals) >= _MAX_INTERVALS:
             raise QuadratureError(
                 "adaptive integral failed to converge: worst interval "
                 f"[{a:.6g}, {b:.6g}] has error estimate {e:.3e} "
@@ -316,16 +294,20 @@ def pv_resonance_kernel(
     above (A&S 5.1.11 and 5.1.22).  Only the folded head and window
     are integrated numerically.
 
-    ``spec.abs_tol`` is scaled by the density's size at the pole,
-    M = sum_k (|c_k| + |s_k|) omega0**k, so a density with small
-    coefficients is still integrated to ``spec.rel_tol``.
+    ``spec.abs_tol`` is in units of the density's size at the pole,
+    M = sum_k (|c_k| + |s_k|) omega0**k: the folded integral I is
+    accepted once its error estimate drops below
+    max(abs_tol * M / 4, rel_tol * |I|), so a density with small
+    coefficients is still integrated to ``spec.rel_tol``.  The result is
+    accurate to about abs_tol * M, not to a fraction of itself, where
+    it is far below M.
 
     Raises TypeError for a density that is not a TrigPolyDensity or a
     spec that is not a QuadratureSpec or None, DomainError unless
-    omega0 is positive and finite, M is finite and the phase
-    omega0*S is within reach of double precision (omega0*S/2 above 0,
-    2.5*omega0*S finite, and 1/S finite, so at omega0 = 1 the phase
-    must exceed about 5.6e-309), and QuadratureError if the folded
+    omega0 is positive and finite, M and abs_tol * M / 4 are finite and
+    the phase omega0*S is within reach of double precision (omega0*S/2
+    above 0, 2.5*omega0*S finite, and 1/S finite, so at omega0 = 1 the
+    phase must exceed about 5.6e-309), and QuadratureError if the folded
     integral cannot reach the requested tolerance or the result is not
     finite.  Only these three types are raised.
     """
@@ -333,13 +315,21 @@ def pv_resonance_kernel(
         raise TypeError(
             f"density must be a TrigPolyDensity, got {type(density).__name__}"
         )
-    spec = _checked_spec(spec)
+    if spec is None:
+        spec = QuadratureSpec()
+    elif not isinstance(spec, QuadratureSpec):
+        raise TypeError(f"spec must be a QuadratureSpec or None, got {type(spec).__name__}")
     omega0 = _as_float(omega0, "omega0", "positive")
     c0, c1, c2 = density.cos_coeffs
     s0, s1, s2 = density.sin_coeffs
     size = abs(c0) + abs(s0) + (abs(c1) + abs(s1)) * omega0 + (abs(c2) + abs(s2)) * omega0 * omega0
     if size == math.inf:
         raise DomainError(f"the density's size at omega0 = {omega0} overflows double precision")
+    abs_tol = 0.25 * spec.abs_tol * size
+    if abs_tol == math.inf:
+        raise DomainError(
+            f"0.25 * abs_tol * M overflows double precision (abs_tol = {spec.abs_tol!r}, M = {size!r})"
+        )
 
     w_hi = 1.5 * omega0
     s_time = density.osc_time
@@ -349,7 +339,6 @@ def pv_resonance_kernel(
             f"omega0 * osc_time = {omega0 * s_time!r} is beyond double precision "
             f"(omega0 = {omega0!r}, osc_time = {s_time!r})"
         )
-    part_spec = replace(spec, abs_tol=0.25 * spec.abs_tol * size)
 
     def folded(t: float) -> float:
         # The head at w = t and the window's halves at w = omega0 -+ t.
@@ -378,7 +367,8 @@ def pv_resonance_kernel(
     poles = both * near + down * step
 
     try:
-        total = adaptive_integral(folded, 0.0, 0.5 * omega0, part_spec) + poly.real + poles.real
+        folded_pv = _adaptive_integral(folded, 0.0, 0.5 * omega0, spec.rel_tol, abs_tol)
+        total = folded_pv + poly.real + poles.real
     except ArithmeticError as exc:  # a division by an underflowed 0, an overflowing fsum
         raise QuadratureError(f"principal value at omega0 = {omega0!r} fails: {exc}") from None
     if not math.isfinite(total):

@@ -36,7 +36,7 @@ from rindler_resonance.oracle import (
     run_suites,
     scalar_pv_suite,
 )
-from rindler_resonance.quad import TrigPolyDensity, adaptive_integral, pv_resonance_kernel
+from rindler_resonance.quad import TrigPolyDensity, pv_resonance_kernel
 from rindler_resonance.scalar import (
     scalar_closed_form,
     scalar_farzone_asymptote,
@@ -437,8 +437,6 @@ ENTRIES = [
     ("TrigPolyDensity", "osc_time", lambda x: TrigPolyDensity(osc_time=x)),
     ("TrigPolyDensity", "cos_coeffs", lambda x: TrigPolyDensity(1.0, (x, 0.0, 0.0))),
     ("TrigPolyDensity", "sin_coeffs", lambda x: TrigPolyDensity(1.0, sin_coeffs=(0.0, 0.0, x))),
-    ("adaptive_integral", "lower end of the range", lambda x: adaptive_integral(np.cos, x, 4.0)),
-    ("adaptive_integral", "upper end of the range", lambda x: adaptive_integral(np.cos, 0.0, x)),
     ("pv_resonance_kernel", "omega0", lambda x: pv_resonance_kernel(DENSITY, x)),
     ("run_suites", "tolerance", lambda x: run_suites([], tolerance=x)),  # checked up front
     ("em_commutator_consistency", "tolerance", lambda x: em_commutator_consistency(
@@ -579,11 +577,8 @@ UNCONVERTIBLE = {
     "huge-u": (lambda: em_wightman_tensor(HUGE, GEOM, 1e-9), "u must"),
     "huge-eps": "em_wightman_tensor-eps-huge-int",
     "huge-osc-time": "TrigPolyDensity-osc_time-huge-int",
-    "huge-upper-bound": "adaptive_integral-upper-huge-int",
-    "huge-lower-bound": (lambda: adaptive_integral(np.cos, -HUGE, 0.0), "range"),
     "huge-pv-omega0": "pv_resonance_kernel-omega0-huge-int",
     "huge-tolerance": "run_suites-tolerance-huge-int",
-    "long-bound": "adaptive_integral-upper-long-int",
     "long-pv-omega0": "pv_resonance_kernel-omega0-long-int",
     "1-element-scalar-energy": (lambda: scalar_with(acceleration=np.array([1e17])),
                                 r"acceleration must be one real number, got array\(\[1.e\+17\]\)"),
@@ -620,8 +615,6 @@ UNCONVERTIBLE = {
     "text-abs-tol": "QuadratureSpec-abs_tol-text",
     "1-element-tolerance": "run_suites-tolerance-1-element",
     "1-element-pv-omega0": "pv_resonance_kernel-omega0-1-element",
-    "1-element-lower-bound": "adaptive_integral-lower-1-element",
-    "text-upper-bound": "adaptive_integral-upper-text",
     "1-element-u": (lambda: em_wightman_tensor(np.array([0.5]), GEOM, 1e-9), "u must be one real"),
     "text-eps": "em_wightman_tensor-eps-text",
     "text-cos-coeff": "TrigPolyDensity-cos_coeffs-text",

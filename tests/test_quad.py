@@ -1,4 +1,4 @@
-"""Quadrature engine: adaptive rule and PV integral.
+"""The PV integral and its private adaptive rule.
 
 Reference values marked "50-digit" were evaluated with mpmath at
 mp.dps = 50; closed-form references carry tighter tolerances than the
@@ -22,12 +22,11 @@ from rindler_resonance import (
     QuadratureSpec,
     TrigPolyDensity,
     Scenario,
-    adaptive_integral,
     em_energy_pv_oracle,
     pv_resonance_kernel,
     scalar_energy_pv_oracle,
 )
-from rindler_resonance.quad import _e1, _scaled_rule_error
+from rindler_resonance.quad import _adaptive_integral, _e1, _scaled_rule_error
 
 PI_COS_1 = 1.697409754832973169691  # 50-digit pi*cos(1)
 
@@ -38,46 +37,43 @@ EM = Scenario.from_reduced(
 )
 
 
+def integrate(f, lower, upper):
+    """The kernel's private rule at the default QuadratureSpec's tolerances."""
+    return _adaptive_integral(f, lower, upper, 1e-9, 1e-12)
+
+
 class TestAdaptiveIntegral:
     def test_constant(self):
-        assert adaptive_integral(lambda w: np.ones_like(w), 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert integrate(lambda w: np.ones_like(w), 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_sine_half_period(self):
-        assert adaptive_integral(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
+        assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
 
     def test_cosine_quarter_period(self):
-        assert adaptive_integral(np.cos, 0.0, math.pi / 2.0) == pytest.approx(1.0, rel=1e-12)
+        assert integrate(np.cos, 0.0, math.pi / 2.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_polynomial_exact_on_single_panel(self):
         # Degree 8 is far inside the rule's exactness degree, so the
         # very first panel already certifies.
-        val = adaptive_integral(lambda w: w**8 - 3.0 * w**5 + 2.0, 0.0, 1.0)
+        val = integrate(lambda w: w**8 - 3.0 * w**5 + 2.0, 0.0, 1.0)
         assert val == pytest.approx(1.0 / 9.0 - 0.5 + 2.0, rel=1e-15)
 
     def test_budget_exhaustion_raises(self):
         # 1/w is not integrable at 0: bisection toward it reaches the
         # fixed depth of 50 and stops there.
         with pytest.raises(QuadratureError, match=r"worst interval \[0, 8\.88178e-16\]"):
-            adaptive_integral(lambda w: 1.0 / w, 0.0, 1.0)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(DomainError):
-            adaptive_integral(np.sin, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            adaptive_integral(np.sin, math.inf, 1.0)
-        with pytest.raises(DomainError):
-            adaptive_integral(np.sin, 0.0, math.inf)
+            integrate(lambda w: 1.0 / w, 0.0, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_integrand_raises(self, bad):
         # nan > tol is False, so the convergence loop alone would stop
         # and return the non-finite value.
         with pytest.raises(QuadratureError, match=r"\[0, 1\] is not finite"):
-            adaptive_integral(lambda w: np.where(w > 0.5, bad, 1.0), 0.0, 1.0)
+            integrate(lambda w: np.where(w > 0.5, bad, 1.0), 0.0, 1.0)
 
     def test_deterministic(self):
         f = lambda w: np.sin(7.0 * w) / (1.0 + w * w)
-        assert adaptive_integral(f, 0.0, 30.0) == adaptive_integral(f, 0.0, 30.0)
+        assert integrate(f, 0.0, 30.0) == integrate(f, 0.0, 30.0)
 
 
 class TestQuadratureSpec:
@@ -166,11 +162,10 @@ class TestPvResonanceKernel:
 
     @pytest.mark.parametrize("spec", ["x", 1e-6, {"rel_tol": 1e-3}, 0], ids=repr)
     @pytest.mark.parametrize("call", [
-        lambda spec: adaptive_integral(math.sin, 0.0, 1.0, spec),
         lambda spec: pv_resonance_kernel(TrigPolyDensity(osc_time=1.0, sin_coeffs=(1.0,) * 3), 1.0, spec),
         lambda spec: scalar_energy_pv_oracle(SCALAR, spec),
         lambda spec: em_energy_pv_oracle(EM, spec),
-    ], ids=["adaptive_integral", "pv_resonance_kernel", "scalar_oracle", "em_oracle"])
+    ], ids=["pv_resonance_kernel", "scalar_oracle", "em_oracle"])
     def test_rejects_a_spec_that_is_not_a_quadrature_spec(self, call, spec):
         # A falsy 0 does not stand for the default spec; only None does.
         message = f"^spec must be a QuadratureSpec or None, got {type(spec).__name__}$"
@@ -206,6 +201,16 @@ class TestPvResonanceKernel:
         # The density's size at the pole, which scales abs_tol, overflows.
         with pytest.raises(DomainError, match="overflows"):
             pv_resonance_kernel(TrigPolyDensity(osc_time=1.0, cos_coeffs=(0.0, 0.0, 1.0)), 1e200)
+
+    def test_abs_tol_times_the_density_size_overflows(self):
+        # abs_tol is in units of the density's size M = 1e300, so the
+        # folded integral's absolute target 0.25 * abs_tol * M is inf at
+        # abs_tol = 1e10; the error names both factors.
+        density = TrigPolyDensity(osc_time=1.0, sin_coeffs=(1e300, 0.0, 0.0))
+        assert pv_resonance_kernel(density, 1.0) == pytest.approx(1e300 * PI_COS_1, rel=1e-12)
+        message = r"^0\.25 \* abs_tol \* M overflows double precision \(abs_tol = 10000000000\.0, M = 1e\+300\)$"
+        with pytest.raises(DomainError, match=message):
+            pv_resonance_kernel(density, 1.0, QuadratureSpec(abs_tol=1e10))
 
     @pytest.mark.parametrize(
         "osc_time, omega0, coeffs",
