@@ -300,7 +300,13 @@ def pv_resonance_kernel(
     max(abs_tol * M / 4, rel_tol * |I|), so a density with small
     coefficients is still integrated to ``spec.rel_tol``.  The result is
     accurate to about abs_tol * M, not to a fraction of itself, where
-    it is far below M.
+    it is far below M.  That holds at small phases too: the pieces that
+    grow there (the E1 pole terms, and the s2 share of the polynomial's
+    Abel tail, which is summed as a series in omega0*S below 0.1/1.5)
+    are formed so that they do not cancel.  At the default spec,
+    sin(wS) and w**2*sin(wS) stay within 1e-14 relative of pi*cos(omega0*S)
+    and pi*omega0**2*cos(omega0*S) for phases from 1e-300 to 3, and
+    w*cos(wS), whose PV vanishes with the phase, within 1e-14*omega0.
 
     Raises TypeError for a density that is not a TrigPolyDensity or a
     spec that is not a QuadratureSpec or None, DomainError unless
@@ -346,12 +352,24 @@ def pv_resonance_kernel(
         head = low * (1.0 / (t + omega0) + 1.0 / (t - omega0))
         return head + (up - down) / t + up / (2.0 * omega0 + t) + down / (2.0 * omega0 - t)
 
-    # Tail on [A, inf), A = w_hi: E*K = 2*(p0 + p1*w) + q(w).
-    edge = cmath.exp(1j * s_time * w_hi)
+    # Tail on [A, inf), A = w_hi: E*K = 2*(p0 + p1*w) + q(w).  With x = S*A,
+    # the polynomial's Abel tail is Re[2e^{ix}(i*p0/S + p1*(ix - 1)/S**2)],
+    # with 1/S**2 as two divisions by S, so that a tiny S gives no 1/0.  Its
+    # s2 share, 2*s2*(x cos x - sin x)/S**2, is two O(x/S**2) terms that
+    # cancel to -2*s2*S*A**3/3 at a small x, so below x = 0.1 it is summed
+    # as that times its series in x**2.
+    x = s_time * w_hi
+    cos_x, sin_x = math.cos(x), math.sin(x)
     p0 = complex(c1, -s1)
     p1 = complex(c2, -s2)
-    # 1/S**2 as two divisions by S, so that a tiny S gives no 1/0.
-    poly = 2.0 * edge * (1j * p0 / s_time + p1 * (1j * w_hi - 1.0 / s_time) / s_time)
+    if x < 0.1:
+        x2 = x * x
+        series = 1 / 3 - x2 * (1 / 30 - x2 * (1 / 840 - x2 * (1 / 45360 - x2 / 3991680)))
+        s2_part = -2.0 * s2 * x * w_hi * w_hi * series
+    else:
+        s2_part = 2.0 * s2 * (x * cos_x - sin_x) / s_time / s_time
+    poly = (2.0 * complex(cos_x, sin_x) * (1j * p0 / s_time)).real
+    poly += s2_part - 2.0 * c2 * (cos_x + x * sin_x) / s_time / s_time
     # q's tail is up*E1(-i*half) + down*E1(-5i*half), up and down being its
     # residues E(+-omega0) times e^{+-iS*omega0}.  At a small phase up ~ -down
     # and each E1 ~ -ln(half) is large, so it is summed as both*E1(-i*half)
@@ -368,7 +386,7 @@ def pv_resonance_kernel(
 
     try:
         folded_pv = _adaptive_integral(folded, 0.0, 0.5 * omega0, spec.rel_tol, abs_tol)
-        total = folded_pv + poly.real + poles.real
+        total = folded_pv + poly + poles.real
     except ArithmeticError as exc:  # a division by an underflowed 0, an overflowing fsum
         raise QuadratureError(f"principal value at omega0 = {omega0!r} fails: {exc}") from None
     if not math.isfinite(total):

@@ -151,7 +151,32 @@ class TestPvResonanceKernel:
             )
             grow = TrigPolyDensity(osc_time=S, sin_coeffs=(0.0, 0.0, 1.0))
             assert pv_resonance_kernel(grow, omega0) == pytest.approx(
-                omega0**2 * math.pi * math.cos(phase), rel=1e-9
+                omega0**2 * math.pi * math.cos(phase), rel=1e-13
+            )
+
+    @pytest.mark.parametrize("omega0", [1e-3, 1.0, 3e5])
+    def test_exact_monomials_across_phases(self, omega0):
+        # sin(wS), w*cos(wS) and w**2*sin(wS) have the exact PVs
+        # pi*cos(x), -pi*omega0*sin(x) and pi*omega0**2*cos(x), x = omega0*S.
+        # Seeded phases from 1e-300 to 3, and both sides of x = 0.1/1.5,
+        # where the Abel tail's w**2*sin share switches to its series.
+        # w*cos(wS)'s PV vanishes with x, so it is held to the density's
+        # size omega0, not to itself.
+        rng = np.random.default_rng(44)
+        phases = list(10.0 ** rng.uniform(-300.0, math.log10(3.0), 100))
+        phases += [0.1 / 1.5 * f for f in (0.999, 1.0, 1.001)]
+        for phase in phases:
+            S = float(phase) / omega0
+            x = omega0 * S
+            sine = TrigPolyDensity(osc_time=S, sin_coeffs=(1.0, 0.0, 0.0))
+            ramp = TrigPolyDensity(osc_time=S, cos_coeffs=(0.0, 1.0, 0.0))
+            grow = TrigPolyDensity(osc_time=S, sin_coeffs=(0.0, 0.0, 1.0))
+            assert pv_resonance_kernel(sine, omega0) == pytest.approx(math.pi * math.cos(x), rel=1e-14)
+            assert pv_resonance_kernel(ramp, omega0) == pytest.approx(
+                -math.pi * omega0 * math.sin(x), rel=0.0, abs=1e-14 * omega0
+            )
+            assert pv_resonance_kernel(grow, omega0) == pytest.approx(
+                math.pi * omega0**2 * math.cos(x), rel=1e-14
             )
 
     def test_rejects_bare_callable(self):
@@ -235,13 +260,15 @@ class TestPvResonanceKernel:
     @pytest.mark.parametrize("coeffs, expected", [
         ({"sin_coeffs": (1.0, 0.0, 0.0)}, math.pi),
         ({"cos_coeffs": (0.0, 1.0, 0.0)}, 0.0),
-        # The Abel integral's 1/S**2 overflows, as it always has.
-        ({"sin_coeffs": (0.0, 0.0, 1.0)}, QuadratureError),
-    ], ids=["sin", "w_cos", "w2_sin"])
+        ({"sin_coeffs": (0.0, 0.0, 1.0)}, math.pi),
+        # The exact PV holds -2/S**2, which overflows.
+        ({"cos_coeffs": (0.0, 0.0, 1.0)}, QuadratureError),
+    ], ids=["sin", "w_cos", "w2_sin", "w2_cos"])
     def test_tiny_phases(self, coeffs, expected):
         # omega0 = 1, so the phase is S.  At 1e-305 the monomials give
-        # pi*cos(S), -pi*sin(S) and an overflow; below about 5.6e-309, 1/S
-        # leaves the float range, and at 5e-324 half the phase is 0.
+        # pi*cos(S), -pi*sin(S), pi*cos(S) and an overflow; below about
+        # 5.6e-309, 1/S leaves the float range, and at 5e-324 half the
+        # phase is 0.
         density = TrigPolyDensity(osc_time=1e-305, **coeffs)
         if expected is QuadratureError:
             with pytest.raises(QuadratureError, match="is not finite"):
