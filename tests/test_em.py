@@ -31,7 +31,12 @@ from rindler_resonance import (
     reduced_geometry,
     scenario_geometry,
 )
-from rindler_resonance.em import _spectral_entries, _wightman_kernel, em_closed_form
+from rindler_resonance.em import (
+    _spectral_entries,
+    _wightman_kernel,
+    em_closed_form,
+    em_reduced_components,
+)
 
 C = 299792458.0
 
@@ -291,6 +296,27 @@ class TestPotentialTensors:
         z3 = geom.separation**3
         rebuilt = (pot.v.values + pot.w.values) * z3
         assert np.allclose(rebuilt, pot.reduced.values, rtol=1e-15, atol=0.0)
+
+    def test_reduced_components_resum_the_spectral_families(self):
+        # The spectral -> closed form link: the three Abel PVs turn the
+        # density f1*x*cos + (g0 + g2*x**2)*sin into, at x = theta,
+        # f1*theta*sin(phi) - (g0 + g2*theta**2)*cos(phi) per entry.  Both
+        # sides in floats, with cos(phi) and sin(phi) free, at seeded
+        # points; the bound is 1e-15 of |g0| + |f1|*theta + |g2|*theta**2.
+        rng = random.Random(44)
+        for _ in range(2000):
+            zeta = 10.0 ** rng.uniform(-8.0, 300.0)
+            theta = 10.0 ** rng.uniform(-3.0, 3.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            cos_p, sin_p = math.cos(phi), math.sin(phi)
+            root = math.sqrt(1.0 + zeta * zeta)
+            if root == math.inf:
+                root = zeta
+            got = em_reduced_components(zeta, theta, cos_p, sin_p, root)
+            for entry, f1, g0, g2 in zip(got, *_spectral_entries(zeta)):
+                want = f1 * theta * sin_p - (g0 + g2 * theta * theta) * cos_p
+                envelope = abs(g0) + abs(f1) * theta + abs(g2) * theta * theta
+                assert abs(entry - want) <= 1e-15 * envelope, (zeta, theta, phi)
 
 
 class TestResonanceEnergy:
