@@ -385,8 +385,7 @@ def pv_resonance_kernel(
     poles = both * near + down * step
 
     try:
-        folded_pv = _adaptive_integral(folded, 0.0, 0.5 * omega0, spec.rel_tol, abs_tol)
-        total = folded_pv + poly + poles.real
+        total = _adaptive_integral(folded, 0.0, 0.5 * omega0, spec.rel_tol, abs_tol) + poly + poles.real
     except ArithmeticError as exc:  # a division by an underflowed 0, an overflowing fsum
         raise QuadratureError(f"principal value at omega0 = {omega0!r} fails: {exc}") from None
     if not math.isfinite(total):
