@@ -71,6 +71,27 @@ class TestAdaptiveIntegral:
         with pytest.raises(QuadratureError, match=r"\[0, 1\] is not finite"):
             integrate(lambda w: np.where(w > 0.5, bad, 1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("f, lower, upper, exact", [
+        (np.sin, 0.0, math.pi, 2.0),
+        (np.exp, 0.0, 1.0, math.e - 1.0),
+        (lambda w: 1.0 / (1.0 + w * w), 0.0, 30.0, math.atan(30.0)),
+        # Integrable endpoint behaviour: the Kronrod nodes are interior.
+        (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
+        (np.log, 0.0, 1.0, -1.0),
+    ], ids=["sin", "exp", "lorentzian", "sqrt", "log"])
+    def test_meets_the_relative_tolerance(self, f, lower, upper, exact, rel_tol):
+        # abs_tol = 0, so only rel_tol * |I| can certify the integral.
+        value = _adaptive_integral(f, lower, upper, rel_tol, 0.0)
+        assert abs(value - exact) <= rel_tol * abs(exact)
+
+    @pytest.mark.parametrize("abs_tol", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_a_vanishing_integral_certifies_through_abs_tol(self, abs_tol):
+        # An odd integrand on a symmetric range: rel_tol * |I| is rounding
+        # noise, so abs_tol is the target that stops the bisection.
+        f = lambda w: np.sin(5.0 * w) * np.exp(-w * w)
+        assert abs(_adaptive_integral(f, -2.0, 2.0, 1e-9, abs_tol)) <= abs_tol
+
     def test_deterministic(self):
         f = lambda w: np.sin(7.0 * w) / (1.0 + w * w)
         assert integrate(f, 0.0, 30.0) == integrate(f, 0.0, 30.0)
@@ -155,29 +176,30 @@ class TestPvResonanceKernel:
             )
 
     @pytest.mark.parametrize("omega0", [1e-3, 1.0, 3e5])
-    def test_exact_monomials_across_phases(self, omega0):
+    @pytest.mark.parametrize("coeffs, exact, scale", [
+        ({"sin_coeffs": (1.0, 0.0, 0.0)}, lambda x, w0: math.pi * math.cos(x), 0),
+        ({"cos_coeffs": (0.0, 1.0, 0.0)}, lambda x, w0: -math.pi * w0 * math.sin(x), 1),
+        ({"sin_coeffs": (0.0, 0.0, 1.0)}, lambda x, w0: math.pi * w0 * w0 * math.cos(x), 0),
+    ], ids=["sin", "w_cos", "w2_sin"])
+    def test_exact_monomials_across_phases(self, coeffs, exact, scale, omega0):
         # sin(wS), w*cos(wS) and w**2*sin(wS) have the exact PVs
         # pi*cos(x), -pi*omega0*sin(x) and pi*omega0**2*cos(x), x = omega0*S.
         # Seeded phases from 1e-300 to 3, and both sides of x = 0.1/1.5,
         # where the Abel tail's w**2*sin share switches to its series.
         # w*cos(wS)'s PV vanishes with x, so it is held to the density's
-        # size omega0, not to itself.
+        # size omega0 (scale 1), not to itself.
         rng = np.random.default_rng(44)
         phases = list(10.0 ** rng.uniform(-300.0, math.log10(3.0), 100))
         phases += [0.1 / 1.5 * f for f in (0.999, 1.0, 1.001)]
         for phase in phases:
             S = float(phase) / omega0
             x = omega0 * S
-            sine = TrigPolyDensity(osc_time=S, sin_coeffs=(1.0, 0.0, 0.0))
-            ramp = TrigPolyDensity(osc_time=S, cos_coeffs=(0.0, 1.0, 0.0))
-            grow = TrigPolyDensity(osc_time=S, sin_coeffs=(0.0, 0.0, 1.0))
-            assert pv_resonance_kernel(sine, omega0) == pytest.approx(math.pi * math.cos(x), rel=1e-14)
-            assert pv_resonance_kernel(ramp, omega0) == pytest.approx(
-                -math.pi * omega0 * math.sin(x), rel=0.0, abs=1e-14 * omega0
-            )
-            assert pv_resonance_kernel(grow, omega0) == pytest.approx(
-                math.pi * omega0**2 * math.cos(x), rel=1e-14
-            )
+            got = pv_resonance_kernel(TrigPolyDensity(osc_time=S, **coeffs), omega0)
+            want = exact(x, omega0)
+            if scale:
+                assert got == pytest.approx(want, rel=0.0, abs=1e-14 * omega0), phase
+            else:
+                assert got == pytest.approx(want, rel=1e-14), phase
 
     def test_rejects_bare_callable(self):
         # The closed-form tail needs the analytic envelope, which a bare
@@ -236,6 +258,32 @@ class TestPvResonanceKernel:
         message = r"^0\.25 \* abs_tol \* M overflows double precision \(abs_tol = 10000000000\.0, M = 1e\+300\)$"
         with pytest.raises(DomainError, match=message):
             pv_resonance_kernel(density, 1.0, QuadratureSpec(abs_tol=1e10))
+
+    @pytest.mark.parametrize("omega0, osc_time", [(1.3, 0.02), (1.3, 0.7), (1.3, 60.0)],
+                             ids=["series-tail", "phase-0.91", "phase-78"])
+    @pytest.mark.parametrize("coeffs", [
+        {"cos_coeffs": (1.3, 0.0, 0.0)},
+        {"cos_coeffs": (0.0, -0.7, 0.0)},
+        {"cos_coeffs": (0.0, 0.0, 2.1)},
+        {"sin_coeffs": (1.3, 0.0, 0.0)},
+        {"sin_coeffs": (0.0, -0.7, 0.0)},
+        {"sin_coeffs": (0.0, 0.0, 2.1)},
+        {"cos_coeffs": (0.3, -0.2, 1.1), "sin_coeffs": (-1.7, 0.4, 0.9)},
+    ], ids=["c0", "c1", "c2", "s0", "s1", "s2", "mixed"])
+    def test_scales_exactly_with_the_density(self, coeffs, omega0, osc_time):
+        # abs_tol is in units of the density's size M, so scaling the
+        # density by a power of two scales every panel value, error
+        # estimate and convergence target of the folded integral alike,
+        # and the closed-form tail with them: the same bisections, and a
+        # result that scales exactly.  At phase 78 the folded integral
+        # needs bisection, which an absolute abs_tol would cut short at
+        # the scale 2**-600.
+        base = pv_resonance_kernel(TrigPolyDensity(osc_time=osc_time, **coeffs), omega0)
+        for power in (-600, -60, -1, 1, 60, 600):
+            factor = math.ldexp(1.0, power)
+            scaled = {name: tuple(factor * c for c in value) for name, value in coeffs.items()}
+            got = pv_resonance_kernel(TrigPolyDensity(osc_time=osc_time, **scaled), omega0)
+            assert got == factor * base, power
 
     @pytest.mark.parametrize(
         "osc_time, omega0, coeffs",
