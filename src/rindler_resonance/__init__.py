@@ -10,39 +10,17 @@ cross-checks of every result.
 
 import importlib
 
-from .core import (
-    BOLTZMANN,
-    REDUCED_PLANCK,
-    SPEED_OF_LIGHT,
-    DomainError,
-    EnergyShift,
-    FieldKind,
-    FieldKindError,
-    Parity,
-    QuadratureError,
-    ReducedGeometry,
-    Regime,
-    Scenario,
-    SingularityError,
-    UsageError,
-    asinh_ratio,
-    parity_sign,
-    reduced_geometry,
-    scenario_geometry,
-    unruh_temperature,
-)
-from .scalar import (
-    scalar_farzone_asymptote,
-    scalar_inertial_limit,
-    scalar_resonance_energy,
-)
+from . import core, scalar
+from .core import *
+from .scalar import *
 
 # Names imported on first access (PEP 562), so that importing the package
 # and a scalar first call (what the bench's setup_s times) never read
 # em.py, quad.py or oracle.py.  None of them imports numpy at module
 # level: em loads it only to build a tensor record, and quad and oracle
-# never do.
-_LAZY_SUBMODULES = ("em", "quad", "oracle")
+# never do.  Each module's __all__ is its share of the package's; the
+# lazy modules' shares are written out here, since reading them would
+# import the modules.
 _LAZY = {
     **dict.fromkeys(
         (
@@ -86,7 +64,7 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
+    if name in _LAZY.values():
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -96,34 +74,9 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_LAZY, *_LAZY_SUBMODULES})
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOLTZMANN",
-    "REDUCED_PLANCK",
-    "SPEED_OF_LIGHT",
-    "DomainError",
-    "EnergyShift",
-    "FieldKind",
-    "FieldKindError",
-    "Parity",
-    "QuadratureError",
-    "ReducedGeometry",
-    "Regime",
-    "Scenario",
-    "SingularityError",
-    "UsageError",
-    "asinh_ratio",
-    "parity_sign",
-    "reduced_geometry",
-    "scenario_geometry",
-    "unruh_temperature",
-    "scalar_farzone_asymptote",
-    "scalar_inertial_limit",
-    "scalar_resonance_energy",
-    *_LAZY,
-    "__version__",
-]
+__all__ = [*core.__all__, *scalar.__all__, *_LAZY, "__version__"]

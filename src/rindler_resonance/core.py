@@ -38,11 +38,9 @@ __all__ = [
     "Scenario",
     "ReducedGeometry",
     "EnergyShift",
-    "check_finite_shift",
     "asinh_ratio",
-    "check_kinematics",
-    "point_geometry",
     "reduced_geometry",
+    "scenario_geometry",
     "unruh_temperature",
     "parity_sign",
 ]

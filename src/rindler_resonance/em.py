@@ -69,9 +69,7 @@ __all__ = [
     "PotentialTensors",
     "em_spectral_coefficients",
     "em_spectral_tensors",
-    "em_reduced_components",
     "em_potential_tensors",
-    "em_closed_form",
     "em_resonance_energy",
     "em_inertial_potential",
     "em_farzone_asymptote",

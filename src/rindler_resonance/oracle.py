@@ -51,8 +51,6 @@ from .scalar import (
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "DEFAULT_THETA_GRID",
-    "DEFAULT_ZETA_GRID",
     "scalar_energy_pv_oracle",
     "em_energy_pv_oracle",
     "scalar_pv_suite",
@@ -60,7 +58,6 @@ __all__ = [
     "em_commutator_consistency",
     "commutator_agreeing_components",
     "asymptote_convergence_report",
-    "run_suites",
 ]
 
 DEFAULT_THETA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)

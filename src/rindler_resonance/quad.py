@@ -36,8 +36,6 @@ from .core import DomainError, QuadratureError, SingularityError, _as_float, _as
 
 __all__ = [
     "QuadratureSpec",
-    "QuadratureError",
-    "SingularityError",
     "TrigPolyDensity",
     "pv_resonance_kernel",
 ]

@@ -30,7 +30,6 @@ from .core import (
 )
 
 __all__ = [
-    "scalar_closed_form",
     "scalar_resonance_energy",
     "scalar_inertial_limit",
     "scalar_farzone_asymptote",

@@ -9,11 +9,14 @@ the module, class and function docstrings; blank lines, comment lines
 and docstring lines do not count.  Every line of a multi-line
 statement that holds a token counts, and so does every line a
 multi-line string (other than a docstring) spans.  The script prints
-the count for each module under ``src/rindler_resonance``, the total,
-and the size of ``rindler_resonance.__all__``.
+the count for each module under ``src/rindler_resonance`` beside the
+length of the module's ``__all__``, its share of the package API
+(``__init__.py`` shows the whole API), then the total and the size of
+``rindler_resonance.__all__``.
 """
 
 import ast
+import importlib
 import io
 import pathlib
 import sys
@@ -59,13 +62,15 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
+    sys.path.insert(0, str(SRC))
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
-        print(f"{path.name:14s} {count:5d}")
+        name = "rindler_resonance" if path.stem == "__init__" else f"rindler_resonance.{path.stem}"
+        names = len(getattr(importlib.import_module(name), "__all__", ()))
+        print(f"{path.name:14s} {count:5d} {names:5d}")
     print(f"{'total':14s} {total:5d}")
-    sys.path.insert(0, str(SRC))
     import rindler_resonance
 
     print(f"{'__all__':14s} {len(rindler_resonance.__all__):5d}")

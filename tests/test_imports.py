@@ -126,17 +126,24 @@ def test_verify_suites_never_load_numpy():
 
 
 def test_every_public_name_resolves():
-    for name in rindler_resonance.__all__:
-        assert getattr(rindler_resonance, name) is not None, name
+    modules = {
+        name: importlib.import_module(f"rindler_resonance.{name}")
+        for name in ("core", "scalar", "em", "quad", "oracle")
+    }
+    # Each module's __all__ is its share of the package's, listed once.
+    assert rindler_resonance.__all__ == [
+        *modules["core"].__all__, *modules["scalar"].__all__, *rindler_resonance._LAZY,
+        "__version__",
+    ]
+    assert len(set(rindler_resonance.__all__)) == len(rindler_resonance.__all__)
+    assert rindler_resonance._LAZY == {
+        name: m for m in ("em", "quad", "oracle") for name in modules[m].__all__
+    }
     assert set(rindler_resonance.__all__) <= set(dir(rindler_resonance))
-    assert set(rindler_resonance._LAZY) <= set(rindler_resonance.__all__)
-    for name, module_name in rindler_resonance._LAZY.items():
-        module = importlib.import_module(f"rindler_resonance.{module_name}")
-        assert getattr(rindler_resonance, name) is getattr(module, name), name
-    for module_name in ("core", "scalar", "em", "quad", "oracle"):
-        module = importlib.import_module(f"rindler_resonance.{module_name}")
+    for module_name, module in modules.items():
         for name in module.__all__:
-            assert hasattr(module, name), f"{module_name}.{name}"
+            value = getattr(rindler_resonance, name)
+            assert value is getattr(module, name), f"{module_name}.{name}"
 
 
 def test_moved_exceptions_are_reexported_unchanged():
