@@ -12,7 +12,8 @@ multi-line string (other than a docstring) spans.  The script prints
 the count for each module under ``src/rindler_resonance`` beside the
 length of the module's ``__all__``, its share of the package API
 (``__init__.py`` shows the whole API), then the total and the size of
-``rindler_resonance.__all__``.
+``rindler_resonance.__all__``, and last the code lines of ``tests/*.py``
+counted by the same rule.
 """
 
 import ast
@@ -22,7 +23,8 @@ import pathlib
 import sys
 import tokenize
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 PACKAGE = SRC / "rindler_resonance"
 
 _NOT_CODE = {
@@ -74,6 +76,8 @@ def main() -> None:
     import rindler_resonance
 
     print(f"{'__all__':14s} {len(rindler_resonance.__all__):5d}")
+    tests = sum(code_lines(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py"))
+    print(f"{'tests/*.py':14s} {tests:5d}")
 
 
 if __name__ == "__main__":

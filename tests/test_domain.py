@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_chain import families, resum
 from rindler_resonance import (
     DomainError,
     FieldKind,
@@ -96,15 +97,23 @@ def test_phase_where_omega0_times_z_overflows():
     )
     assert math.isfinite(shift.reduced) and math.isfinite(shift.si_value)
     with mp.workdps(40):
-        n = 1 + zeta * zeta
-        cos_p, sin_p = mp.cos(theta * mp.asinh(zeta) / zeta), mp.sin(theta * mp.asinh(zeta) / zeta)
-        f1, g0, g2 = (1 + 2 * zeta * zeta) / n, -1 / n**1.5, 1 / mp.sqrt(n)
-        want = f1 * theta * sin_p - (g0 + g2 * theta * theta) * cos_p
-        envelope = max(abs(f1 * theta), abs(g0), abs(g2 * theta * theta))
+        phase = theta * mp.asinh(zeta) / zeta
+        want, envelope = mp_entries(zeta, theta, mp.cos(phase), mp.sin(phase))["y", "y"]
         assert abs(shift.reduced - want) <= 2e-11 * envelope
 
 
 AXES = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+
+
+def farzone_coefficients(zeta, theta):
+    """(sin, cos) coefficients of each EM far-zone entry: xx, yy, zz and xz (zx = -xz)."""
+    r = theta / zeta
+    return {
+        "xx": (4 * r / zeta, (4 - r * r) / zeta),
+        "yy": (2 * theta, -theta * theta / zeta),
+        "zz": (-2 * theta, theta * theta / zeta),
+        "xz": (-2 * r, r * r),
+    }
 
 
 def mp_farzone_asymptotes(geom, cos_sin=None):
@@ -115,20 +124,30 @@ def mp_farzone_asymptotes(geom, cos_sin=None):
     whose cos and sin may be given.
     """
     zeta, theta = mp.mpf(geom.zeta), mp.mpf(geom.theta)
-    r = theta / zeta
-    phase = r * mp.log(2 * zeta)
+    phase = theta / zeta * mp.log(2 * zeta)
     cos_p, sin_p = cos_sin or (mp.cos(phase), mp.sin(phase))
-    coefficients = {  # (sin, cos) coefficients
-        "xx": (4 * r / zeta, (4 - r * r) / zeta),
-        "yy": (2 * theta, -theta * theta / zeta),
-        "zz": (-2 * theta, theta * theta / zeta),
-        "xz": (-2 * r, r * r),
-    }
     entries = {
         pair: (s * sin_p + c * cos_p, abs(s * sin_p) + abs(c * cos_p))
-        for pair, (s, c) in coefficients.items()
+        for pair, (s, c) in farzone_coefficients(zeta, theta).items()
     }
     return -cos_p / zeta, entries
+
+
+@mp.workdps(80)
+def test_farzone_coefficients_lead_link_3():
+    # At fixed r = theta/zeta each (sin, cos) coefficient is the leading
+    # term in 1/zeta of link 3 on the certified families; at zeta = 1e40
+    # the next ones lie about 1e-80 below.  r = 2, where the xx cos
+    # coefficient vanishes, is left out.
+    zeta = mp.mpf(1e40)
+    fams = families(zeta)
+    for r in (1e-3, 0.5, 3.0, 60.0):
+        theta = mp.mpf(r) * zeta
+        sins, coss = resum(fams, theta, 0, 1), resum(fams, theta, 1, 0)
+        for (pair, coefficients), *link_3 in zip(farzone_coefficients(zeta, theta).items(),
+                                                 sins, coss):
+            for got, (want, _) in zip(coefficients, link_3):
+                assert abs(got - want) <= 1e-20 * abs(want), (pair, r)
 
 
 @pytest.mark.parametrize("pair", ("yy", "xx", "xz"))
@@ -200,20 +219,9 @@ def mp_reduced_entries(geom):
 
 def mp_entries(z, t, cos_p, sin_p):
     """mp_reduced_entries at zeta z and theta t, with the cos and sin of the phase given."""
-    z2 = z * z
-    n = 1 + z2
-    # (f1, g0, g2) per entry of z**3 (V + W), from the spectral coefficients.
-    terms = {
-        ("x", "x"): ((1 + 4 * z2) / n**2, -(1 + 2 * z2 + 4 * z2 * z2) / n**2.5, 1 / n**1.5),
-        ("y", "y"): ((1 + 2 * z2) / n, -1 / n**1.5, 1 / mp.sqrt(n)),
-        ("z", "z"): ((-2 - z2 * (1 + 2 * z2)) / n**2, (2 + 5 * z2) / n**2.5, -z2 / n**1.5),
-        ("x", "z"): (z * (1 - 2 * z2) / n**2, -z * (1 + 4 * z2) / n**2.5, -z / n**1.5),
-    }
-    return {
-        slot: (f1 * t * sin_p - (g0 + g2 * t * t) * cos_p,
-               max(abs(f1 * t), abs(g0), abs(g2 * t * t)))
-        for slot, (f1, g0, g2) in terms.items()
-    }
+    entries = resum(families(z), t, cos_p, sin_p)  # the envelope is the largest term
+    slots = (("x", "x"), ("y", "y"), ("z", "z"), ("x", "z"))
+    return {slot: (value, max(sizes)) for slot, (value, sizes) in zip(slots, entries)}
 
 
 @pytest.mark.parametrize("zeta", HUGE_ZETAS)

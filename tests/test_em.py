@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+from reference_chain import families, resum, si_tensor
 from rindler_resonance import (
     DomainError,
     FieldKind,
@@ -70,42 +71,6 @@ def em_scenario(theta, zeta, da=(0, 0, 1), db=(0, 0, 1), parity=Parity.SYMMETRIC
 def unit_geometry():
     # zeta = 1, theta = 1, z = 1.
     return scenario_geometry(em_scenario(1.0, 1.0))
-
-
-def mpmath_spectral_entries(zeta):
-    """(xx, yy, zz, xz) of f1, g0 and g2 as rational forms in N = 1 + zeta**2, 60 digits."""
-    with mp.workdps(60):
-        z = mp.mpf(zeta)
-        z2 = z * z
-        n, p = 1 + z2, 1 + 2 * z2
-        n2, n15, n25 = n * n, n * mp.sqrt(n), n * n * mp.sqrt(n)
-        return (
-            ((1 + 4 * z2) / n2, (1 + z2 * (2 + p)) / n2, (-2 - z2 * p) / n2,
-             z * (1 - 2 * z2) / n2),
-            (-(n + z2 * (1 + 4 * z2)) / n25, -n / n25, -(n - 3 * p) / n25,
-             -z * (1 + 4 * z2) / n25),
-            ((n - z2) / n15, n / n15, (n - p) / n15, -z * n / n25),
-        )
-
-
-def mpmath_wightman(u, eps, geom):
-    """The five nonzero entries of the correlation tensor in 50-digit mpmath.
-
-    Written in sinh(a*w/(2c)) with the prefactor hbar*a**4/(4 pi c**7),
-    not in the chordal time the package evaluates; needs a > 0.
-    """
-    with mp.workdps(50):
-        accel, c, zeta = (mp.mpf(x) for x in (geom.acceleration, C, geom.zeta))
-        sh2 = mp.sinh(accel * mp.mpc(u, -eps) / (2 * c)) ** 2
-        scale = mp.mpf(REDUCED_PLANCK) * accel**4 / (4 * mp.pi * c**7)
-        scale /= (sh2 - zeta * zeta) ** 3
-        return {
-            ("x", "x"): scale * (sh2 + zeta * zeta),
-            ("y", "y"): scale * (sh2 + zeta * zeta * (1 + 2 * sh2)),
-            ("z", "z"): scale * (sh2 - zeta * zeta * (1 + 2 * sh2)),
-            ("x", "z"): -2 * zeta * scale * sh2,
-            ("z", "x"): 2 * zeta * scale * sh2,
-        }
 
 
 class TestTensor3:
@@ -175,15 +140,16 @@ class TestSpectralTensors:
         with pytest.raises(DomainError, match=r"not finite at omega = 1e\+300$"):
             em_spectral_tensors(1e300, reduced_geometry(1.0, 1.0, 1.0))
 
+    @mp.workdps(60)
     def test_entries_match_mpmath_at_every_zeta(self):
-        # The bounded-variable entries against the rational forms in 1 + zeta**2
-        # in 60 digits, from 0 to the largest float, where zeta**2 and
-        # (1 + zeta**2)**2.5 overflow a double.
+        # The bounded-variable entries against the reference chain's
+        # certified families in 60 digits, from 0 to the largest float,
+        # where zeta**2 and (1 + zeta**2)**2.5 overflow a double.
         rng = random.Random(34)
         zetas = [0.0, 1e-300, 1e-8, 1.0, 1e62, 1e77, 1.2e77, 1e154, 1e200, sys.float_info.max]
         zetas += [10.0 ** rng.uniform(-300.0, 308.0) for _ in range(200)]
         for zeta in zetas:
-            for family, reference in zip(_spectral_entries(zeta), mpmath_spectral_entries(zeta)):
+            for family, reference in zip(_spectral_entries(zeta), families(zeta)):
                 envelope = max(map(abs, reference))
                 for entry, exact in zip(family, reference):
                     assert math.isfinite(entry), zeta
@@ -297,11 +263,12 @@ class TestPotentialTensors:
         rebuilt = (pot.v.values + pot.w.values) * z3
         assert np.allclose(rebuilt, pot.reduced.values, rtol=1e-15, atol=0.0)
 
+    @mp.workdps(30)
     def test_reduced_components_resum_the_spectral_families(self):
         # The spectral -> closed form link: the three Abel PVs turn the
         # density f1*x*cos + (g0 + g2*x**2)*sin into, at x = theta,
-        # f1*theta*sin(phi) - (g0 + g2*theta**2)*cos(phi) per entry.  Both
-        # sides in floats, with cos(phi) and sin(phi) free, at seeded
+        # f1*theta*sin(phi) - (g0 + g2*theta**2)*cos(phi) per entry.  Link 3
+        # in 30 digits at the same h, with cos(phi) and sin(phi) free, at seeded
         # points; the bound is 1e-15 of |g0| + |f1|*theta + |g2|*theta**2.
         rng = random.Random(44)
         for _ in range(2000):
@@ -313,10 +280,9 @@ class TestPotentialTensors:
             if root == math.inf:
                 root = zeta
             got = em_reduced_components(zeta, theta, cos_p, sin_p, root)
-            for entry, f1, g0, g2 in zip(got, *_spectral_entries(zeta)):
-                want = f1 * theta * sin_p - (g0 + g2 * theta * theta) * cos_p
-                envelope = abs(g0) + abs(f1) * theta + abs(g2) * theta * theta
-                assert abs(entry - want) <= 1e-15 * envelope, (zeta, theta, phi)
+            fams = families(mp.mpf(zeta), mp.mpf(root))
+            for entry, (want, sizes) in zip(got, resum(fams, *map(mp.mpf, (theta, cos_p, sin_p)))):
+                assert abs(entry - want) <= 1e-15 * sum(sizes), (zeta, theta, phi)
 
 
 class TestResonanceEnergy:
@@ -538,7 +504,7 @@ class TestWightmanTensor:
 
     @staticmethod
     def assert_matches_mpmath(tensor, u, eps, geom):
-        for slot, value in mpmath_wightman(u, eps, geom).items():
+        for slot, value in si_tensor(complex(u, -eps), geom).items():
             assert abs(tensor[slot] - value) <= 1e-12 * abs(value), slot
         for slot in ZERO_SLOTS:
             assert tensor[slot] == 0.0
@@ -613,7 +579,7 @@ class TestWightmanTensor:
         s_time = geom.light_time
         u, eps = u_over_s * s_time, 10.0**log_eps * s_time
         assume(geom.acceleration * u / (2.0 * C) <= 700.0)
-        want = mpmath_wightman(u, eps, geom)
+        want = si_tensor(complex(u, -eps), geom)
         largest = sys.float_info.max
         if any(max(abs(v.real), abs(v.imag)) > largest for v in want.values()):
             with pytest.raises(DomainError):

@@ -1,26 +1,12 @@
 """The derivation chain checked exactly, in ``fractions``: correlation
-tensor -> Laurent coefficients -> spectral families.
+tensor -> Laurent coefficients -> spectral families -> reduced entries.
 
-In units c = z = hbar = 1 the chordal time along the pair is
-s = sinh(zeta*w)/zeta, and near the light-cone crossing w = S + eps
-
-    s(eps) = cosh(zeta*eps) + (h/zeta) sinh(zeta*eps),  h = sqrt(1 + zeta**2),
-
-so s(0) = 1.  The correlation tensor G is 4/pi times the entries that
-``em._wightman_kernel`` evaluates, with D = s**2 - 1:
-
-    xx = (s**2 + 1)/D**3,                yy = (s**2 + 1 + 2 zeta**2 s**2)/D**3,
-    zz = (s**2 - 1 - 2 zeta**2 s**2)/D**3,  xz = -2 zeta s**2/D**3.
-
-D has a simple zero at eps = 0, so eight-term Taylor series (multiply
-and reciprocal) give each entry's Laurent coefficients c_-3, c_-2 and
-c_-1 exactly (link 1).  The spectral families are then g0 = -8 c_-1,
-f1 = -8 c_-2 and g2 = 4 c_-3 (link 2): the 4/pi prefactor times the
--2 pi, -2 pi and pi of ``oracle.em_commutator_consistency``.  They are
-compared with ``em._spectral_entries`` in floats, each entry within
-1e-15 of its family's largest |entry|, the xz sign included.  The
-scalar chain is one line: the residue of 1/D is 1/(2h), the scalar
-closed form's envelope.
+``reference_chain.laurent_families`` takes links 1 and 2 exactly.  The
+families are compared with ``em._spectral_entries`` in floats, each
+entry within 1e-15 of its family's largest |entry|, the xz sign
+included, and they certify ``reference_chain.families``, the closed form
+that the float tests read at every zeta.  The scalar chain is one line:
+the residue of 1/D is 1/(2h), the scalar closed form's envelope.
 
 At zeta = (m**2 - n**2)/(2mn) for integers m > n, h = (m**2 + n**2)/(2mn)
 is rational and the chain is exact.  As a function of t = n/m,
@@ -33,76 +19,62 @@ Pythagorean kind and four general ones, where zeta is its float's exact
 rational and h/zeta is rounded by ``math.isqrt`` to 2*log2(zeta) + 64
 bits.  So an algebraic error in the transcription that stays above
 rounding cannot pass.
+
+Link 3: each entry of ``em_reduced_components`` is linear in cos(phi)
+and sin(phi), with coefficients of degree at most 2 in theta that are
+polynomials of degree at most 5 in u and v.  At one zeta a wrong entry
+of that shape differs from the right one by a combination of the six
+monomials theta**k cos(phi) and theta**k sin(phi), k <= 2, which is zero
+if it vanishes at six points in general position.  The test draws eight
+rational (theta <= 50, cos(phi), sin(phi)) per zeta, cos(phi) and
+sin(phi) free, at the same 14 zeta, where d = 10 holds as above.  Each
+entry must lie within 1e-15 of |g0| + |f1|*theta + |g2|*theta**2 of
+link 3 on the exact families.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_chain as chain
 from rindler_resonance import SPEED_OF_LIGHT, Parity, Scenario
-from rindler_resonance.em import _spectral_entries
+from rindler_resonance.em import _spectral_entries, em_reduced_components
 from rindler_resonance.scalar import scalar_closed_form
 
-TERMS = 8
 PYTHAGOREAN = [
     (2, 1), (3, 2), (5, 4), (11, 10), (101, 100), (3, 1), (4, 1), (10, 1), (20, 1), (7, 3),
 ]
 GENERAL_ZETA = [0.37, 1e4, 1e20, 1e77]
 
 
-def _multiply(a, b):
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(TERMS)]
+def exact_point(point) -> tuple:
+    """zeta and h/zeta in Fractions: exact at a Pythagorean (m, n), rounded down at a float zeta."""
+    if isinstance(point, tuple):
+        m, n = point
+        return Fraction(m * m - n * n, 2 * m * n), Fraction(m * m + n * n, m * m - n * n)
+    zeta = Fraction(point)
+    bits = 2 * max(0, math.ceil(math.log2(point))) + 64
+    p, q = zeta.numerator, zeta.denominator
+    # h/zeta = sqrt(p**2 + q**2)/p, rounded down to `bits` bits.
+    return zeta, Fraction(math.isqrt(((p * p + q * q) << (2 * bits)) // (p * p)), 1 << bits)
 
 
-def _reciprocal(a):
-    out = [1 / a[0]]
-    for k in range(1, TERMS):
-        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
-    return out
-
-
-def _chain(zeta: Fraction, h_over_zeta: Fraction) -> tuple:
-    """(f1, g0, g2, residue): the three families' (xx, yy, zz, xz) and the residue of 1/D."""
-    s = [Fraction(1)]
-    for k in range(1, TERMS):
-        term = zeta**k / math.factorial(k)
-        s.append(term if k % 2 == 0 else h_over_zeta * term)
-    s2 = _multiply(s, s)
-    assert s2[0] == 1
-    # D/eps, so that the entries are (numerator/(D/eps)**3)/eps**3.
-    reduced = [*s2[1:], Fraction(0)]
-    inverse_cube = _reciprocal(_multiply(_multiply(reduced, reduced), reduced))
-    weight = 2 * zeta * zeta
-    plus = [x + weight * x for x in s2]
-    minus = [x - weight * x for x in s2]
-    numerators = (
-        [s2[0] + 1, *s2[1:]],
-        [plus[0] + 1, *plus[1:]],
-        [minus[0] - 1, *minus[1:]],
-        [-2 * zeta * x for x in s2],
-    )
-    # c[k] is the coefficient of eps**(k - 3).
-    laurent = [_multiply(n, inverse_cube)[:3] for n in numerators]
-    f1 = [-8 * c[1] for c in laurent]
-    g0 = [-8 * c[2] for c in laurent]
-    g2 = [4 * c[0] for c in laurent]
-    return f1, g0, g2, 1 / reduced[0]
-
-
-def _assert_matches_spectral_entries(zeta: Fraction, families) -> None:
-    for name, exact, floats in zip(("f1", "g0", "g2"), families, _spectral_entries(float(zeta))):
-        envelope = max(map(abs, floats))
-        for axis, x, y in zip(("xx", "yy", "zz", "xz"), exact, floats):
-            assert abs(float(x) - y) <= 1e-15 * envelope, (float(zeta), name, axis, float(x), y)
+def _assert_matches(zeta: Fraction, families, others, bound) -> None:
+    for name, exact, other in zip(("f1", "g0", "g2"), families, others):
+        envelope = max(map(abs, other))
+        for axis, x, y in zip(("xx", "yy", "zz", "xz"), exact, other):
+            assert abs(x - y) <= bound * envelope, (float(zeta), name, axis, float(x), float(y))
 
 
 @pytest.mark.parametrize(("m", "n"), PYTHAGOREAN)
 def test_laurent_coefficients_give_spectral_entries_exactly(m, n):
-    zeta = Fraction(m * m - n * n, 2 * m * n)
-    h = Fraction(m * m + n * n, 2 * m * n)
-    *families, residue = _chain(zeta, h / zeta)
-    _assert_matches_spectral_entries(zeta, families)
+    zeta, h_over_zeta = exact_point((m, n))
+    h = zeta * h_over_zeta
+    families, residue = chain.laurent_families(zeta, h_over_zeta)
+    _assert_matches(zeta, families, _spectral_entries(float(zeta)), 1e-15)
+    assert tuple(map(tuple, families)) == chain.families(zeta, h)
     assert residue == 1 / (2 * h)
     # At omega0 = 0 the phase is 0 and the symmetric reduced shift is -1/h.
     scenario = Scenario.scalar_field(
@@ -115,10 +87,22 @@ def test_laurent_coefficients_give_spectral_entries_exactly(m, n):
 
 @pytest.mark.parametrize("zeta_float", GENERAL_ZETA)
 def test_laurent_coefficients_at_general_zeta(zeta_float):
-    zeta = Fraction(zeta_float)
-    bits = 2 * max(0, math.ceil(math.log2(zeta_float))) + 64
-    p, q = zeta.numerator, zeta.denominator
-    # h/zeta = sqrt(p**2 + q**2)/p, rounded down to `bits` bits.
-    h_over_zeta = Fraction(math.isqrt(((p * p + q * q) << (2 * bits)) // (p * p)), 1 << bits)
-    *families, _ = _chain(zeta, h_over_zeta)
-    _assert_matches_spectral_entries(zeta, families)
+    zeta, h_over_zeta = exact_point(zeta_float)
+    families, _ = chain.laurent_families(zeta, h_over_zeta)
+    _assert_matches(zeta, families, _spectral_entries(zeta_float), 1e-15)
+    # The closed form at the same h, off only by its rounding.
+    _assert_matches(zeta, families, chain.families(zeta, zeta * h_over_zeta), 1e-18)
+
+
+@pytest.mark.parametrize("point", [*PYTHAGOREAN, *GENERAL_ZETA], ids=str)
+def test_reduced_components_resum_the_exact_families(point):
+    zeta, h_over_zeta = exact_point(point)
+    families, _ = chain.laurent_families(zeta, h_over_zeta)
+    rng = random.Random(17)
+    for _ in range(8):
+        theta = Fraction(rng.uniform(0.0, 50.0))
+        cos_p, sin_p = Fraction(rng.uniform(-1.0, 1.0)), Fraction(rng.uniform(-1.0, 1.0))
+        got = em_reduced_components(*map(float, (zeta, theta, cos_p, sin_p, zeta * h_over_zeta)))
+        for axis, entry, (want, sizes) in zip(("xx", "yy", "zz", "xz"), got,
+                                              chain.resum(families, theta, cos_p, sin_p)):
+            assert abs(entry - want) <= 1e-15 * sum(sizes), (point, axis, float(theta))
