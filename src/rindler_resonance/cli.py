@@ -20,8 +20,10 @@ A flag is ``--name value`` or ``--name=value``, may be shortened to a
 unique prefix, and takes the next token as its value even if that
 starts with ``-``; the last repeat wins.  A flat ``key = value`` config
 file (``--config``) can seed any option under its name with ``_`` for
-``-``; command line flags win over config values, and choices are
-checked for flags only.  The environment variable
+``-``; command line flags win over config values.  A config value is
+held to its flag's choices, with the flag's message, where its command
+reads it, except ``field`` and ``parity``, whose labels take aliases
+such as ``symmetric``.  The environment variable
 RINDLER_RESONANCE_TOL overrides the relative tolerance used by the
 verification integrals.
 
@@ -88,6 +90,15 @@ _OPTIONS = {
     "out": (str, None, "write output to this file instead of stdout"),
     "config": (str, None, "flat key = value config file"),
 }
+
+
+def _choice(name: str, value):
+    """``value`` if it is one of the choices of option ``name``, else its flag's UsageError."""
+    choices = _OPTIONS[name][1]
+    if choices and value not in choices:
+        flag = "--" + name.replace("_", "-")
+        raise UsageError(f"{flag} must be one of {', '.join(choices)}; got {value!r}")
+    return value
 
 
 def _cast(name: str, value: str, where: str = ""):
@@ -241,22 +252,28 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from None
 
 
+def _scale_rows(acceleration: float) -> list:
+    """Table rows of the Unruh temperature and the crossover length c**2/a (inf at a = 0)."""
+    c = SPEED_OF_LIGHT
+    return [
+        ("unruh_K", f"{unruh_temperature(acceleration):.16e}"),
+        ("crossover_m", f"{c * c / acceleration if acceleration > 0.0 else math.inf:.16e}"),
+    ]
+
+
+def _emit_table(rows: list, out: Optional[str]) -> None:
+    """Write (key, value) rows as two aligned columns."""
+    _emit("".join(f"{key:<14}{value}\n" for key, value in rows), out)
+
+
 def cmd_compute(opts: dict) -> int:
     scenario = _build_scenario(opts)
     (row,) = _closed_form_rows(scenario, "sep", [scenario.separation])
-    fmt = opts.get("format", "text")
-    if fmt not in ("text", "csv"):
-        raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
-    if fmt == "csv":
+    if _choice("format", opts.get("format", "text")) == "csv":
         _emit(CSV_HEADER + "\n" + row + "\n", opts.get("out"))
         return 0
-    a = scenario.acceleration
-    rows = [
-        *zip(CSV_HEADER.split(","), row.split(",")),
-        ("unruh_K", f"{unruh_temperature(a):.16e}"),
-        ("crossover_m", f"{SPEED_OF_LIGHT * SPEED_OF_LIGHT / a if a > 0.0 else math.inf:.16e}"),
-    ]
-    _emit("".join(f"{key:<14}{value}\n" for key, value in rows), opts.get("out"))
+    rows = [*zip(CSV_HEADER.split(","), row.split(",")), *_scale_rows(scenario.acceleration)]
+    _emit_table(rows, opts.get("out"))
     return 0
 
 
@@ -285,9 +302,7 @@ def _sweep_grid(start: float, stop: float, points: int, spacing: str) -> list:
 
 
 def cmd_sweep(opts: dict) -> int:
-    param = _require(opts, "param")
-    if param not in _POINT:
-        raise UsageError(f"--param must be one of sep, accel, omega0; got {param!r}")
+    param = _choice("param", _require(opts, "param"))
     start = _require(opts, "from")
     stop = _require(opts, "to")
     points = opts.get("points", 50)
@@ -296,9 +311,7 @@ def cmd_sweep(opts: dict) -> int:
         raise UsageError(f"--points must be at least 2, got {points}")
     if not start < stop:
         raise UsageError(f"--from must be strictly below --to, got {start} and {stop}")
-    if spacing not in ("lin", "log"):
-        raise UsageError(f"--spacing must be 'lin' or 'log', got {spacing!r}")
-    if spacing == "log" and start <= 0.0:
+    if _choice("spacing", spacing) == "log" and start <= 0.0:
         raise UsageError("log spacing requires strictly positive bounds")
     # An infinite bound or an overflowing span leaves stop - start
     # infinite; caught here, the grid holds finite values only.
@@ -319,51 +332,36 @@ def cmd_sweep(opts: dict) -> int:
 
 
 def cmd_verify(opts: dict) -> int:
-    from .oracle import run_suites
+    from .oracle import VerificationReport, run_suites
     from .quad import QuadratureSpec
 
-    suite = opts.get("suite", "all")
-    if suite == "all":
-        names = list(_SUITES)
-    elif suite in _SUITES:
-        names = [suite]
-    else:
-        raise UsageError(f"unknown suite {suite!r}; expected one of {', '.join(_SUITES)} or all")
+    suite = _choice("suite", opts.get("suite", "all"))
+    names = list(_SUITES) if suite == "all" else [suite]
     spec = QuadratureSpec.from_environment()
-    fmt = opts.get("format", "text")
-    if fmt not in ("text", "csv"):
-        raise UsageError(f"unknown format {fmt!r}; expected 'text' or 'csv'")
+    fmt = _choice("format", opts.get("format", "text"))
     reports = run_suites(names, spec=spec, tolerance=opts.get("tol"))
-    chunks = []
-    for name in names:
-        report = reports[name]
-        if fmt == "csv":
-            chunks.append(report.to_csv())
-        else:
-            chunks.append(f"== suite {name} ==\n{report.to_text()}")
-    _emit("".join(chunks), opts.get("out"))
+    if fmt == "csv":  # one header: each check_id names its suite
+        checks = [check for report in reports.values() for check in report.checks]
+        text = VerificationReport(tuple(checks)).to_csv()
+    else:
+        text = "".join(f"== suite {name} ==\n{reports[name].to_text()}" for name in names)
+    _emit(text, opts.get("out"))
     return 0 if all(report.passed for report in reports.values()) else 1
 
 
 def cmd_regimes(opts: dict) -> int:
     accel = _require(opts, "accel")
-    c = SPEED_OF_LIGHT
-    rows = [
-        ("a_mps2", f"{accel:.16e}"),
-        ("unruh_K", f"{unruh_temperature(accel):.16e}"),
-        ("crossover_m", f"{(c * c / accel) if accel > 0 else math.inf:.16e}"),
-    ]
+    rows = [("a_mps2", f"{accel:.16e}"), *_scale_rows(accel)]
     omega0 = opts.get("omega0")
     if omega0 is not None:
         omega0 = _as_float(omega0, "omega0", "positive")
-        rows.append(("wavelength_m", f"{c / omega0:.16e}"))
+        rows.append(("wavelength_m", f"{SPEED_OF_LIGHT / omega0:.16e}"))
     sep = opts.get("sep")
     if sep is not None:
         geom = reduced_geometry(accel, sep, omega0 or 0.0)
         rows.append(("zeta", f"{geom.zeta:.16e}"))
         rows.append(("regime", geom.regime.value))
-    text = "".join(f"{key:<14}{value}\n" for key, value in rows)
-    _emit(text, opts.get("out"))
+    _emit_table(rows, opts.get("out"))
     return 0
 
 
@@ -416,11 +414,7 @@ def _parse(argv) -> tuple:
             value = next(tokens, None)
             if value is None:
                 raise UsageError(f"option {flag} expects a value")
-        value = _cast(name, value)
-        choices = _OPTIONS[name][1]
-        if choices and value not in choices:
-            raise UsageError(f"{flag} must be one of {', '.join(choices)}; got {value!r}")
-        flags[name] = value
+        flags[name] = _choice(name, _cast(name, value))
     return command, flags
 
 

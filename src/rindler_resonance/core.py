@@ -38,7 +38,6 @@ __all__ = [
     "Scenario",
     "ReducedGeometry",
     "EnergyShift",
-    "asinh_ratio",
     "reduced_geometry",
     "scenario_geometry",
     "unruh_temperature",
@@ -410,27 +409,14 @@ class Scenario:
             )
 
 
-def asinh_ratio(zeta: float) -> float:
-    """Return asinh(zeta)/zeta, continued to 1 at zeta = 0.
-
-    Direct evaluation below zeta = 1e-4 would subtract nearly equal
-    quantities inside asinh, so a short even series is used there.
-    """
-    zeta = _as_float(zeta, "zeta", ">= 0")
-    if zeta < _ASINH_RATIO_SERIES_CUTOFF:
-        z2 = zeta * zeta
-        return 1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0
-    return math.asinh(zeta) / zeta
-
-
 def point_geometry(acceleration: float, separation: float, omega0: float) -> tuple:
     """(zeta, theta, cos, sin, root) of one point given as three Python floats.
 
     zeta = z*a/(2c^2), theta = omega0*z/c, cos and sin of the phase
     omega0*S = theta*asinh(zeta)/zeta, and root = sqrt(1 + zeta**2); not
     validated.  A product is formed as z*(a/(2c^2)) or omega0*(z/c) only
-    where the direct one overflows, the ratio takes the series of
-    :func:`asinh_ratio` below zeta = 1e-4, a non-finite phase gives nan
+    where the direct one overflows, the ratio asinh(zeta)/zeta takes a
+    short even series below zeta = 1e-4, a non-finite phase gives nan
     (which :class:`EnergyShift` rejects), and the root is zeta itself
     where 1 + zeta**2 overflows (zeta above about 1.3e154).
     """
@@ -442,7 +428,7 @@ def point_geometry(acceleration: float, separation: float, omega0: float) -> tup
     if theta == math.inf:
         theta = omega0 * (separation / c)
     if zeta < _ASINH_RATIO_SERIES_CUTOFF:
-        if zeta < 0.0:  # as asinh_ratio: the closed forms do not validate
+        if zeta < 0.0:  # the closed forms do not validate
             raise DomainError(f"zeta must be non-negative, got {zeta}")
         z2 = zeta * zeta
         phase = theta * (1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0)
@@ -463,16 +449,15 @@ class ReducedGeometry:
     Attributes
     ----------
     zeta:
-        z*a/(2*c**2), separation over twice the crossover length.
-    s_ratio:
-        asinh(zeta)/zeta, evaluated safely at zeta = 0.
-    light_time:
-        Proper-time lapse S = (z/c)*s_ratio between emission and
-        absorption along the accelerated trajectories, in s.
+        z*a/(2*c**2), separation over twice the crossover length c**2/a.
     theta:
         omega0*z/c.
-    crossover_length:
-        c**2/a in m, infinite for inertial atoms.
+    phase:
+        omega0*S = theta*asinh(zeta)/zeta, the float whose cos and sin
+        :func:`point_geometry` returns.
+    light_time:
+        Proper-time lapse S = (z/c)*asinh(zeta)/zeta between emission
+        and absorption along the accelerated trajectories, in s.
     separation, omega0:
         Inputs carried through for convenience, SI units.
     envelope:
@@ -480,10 +465,9 @@ class ReducedGeometry:
     """
 
     zeta: float
-    s_ratio: float
-    light_time: float
     theta: float
-    crossover_length: float
+    phase: float
+    light_time: float
     separation: float
     omega0: float
     envelope: float
@@ -493,11 +477,6 @@ class ReducedGeometry:
         """Proper acceleration reconstructed from zeta, in m/s^2."""
         c = SPEED_OF_LIGHT
         return 2.0 * c * c * self.zeta / self.separation
-
-    @property
-    def phase(self) -> float:
-        """omega0 * light_time in the reduced form theta * s_ratio."""
-        return self.theta * self.s_ratio
 
     @property
     def regime(self) -> Regime:
@@ -511,6 +490,8 @@ def reduced_geometry(
 ) -> ReducedGeometry:
     """Map (a, z, omega0) to the dimensionless groups driving the shift.
 
+    The ratio asinh(zeta)/zeta is formed as :func:`point_geometry` forms
+    it, so ``phase`` is the float of the closed forms' cos and sin.
     Raises DomainError for invalid kinematics, and where zeta or theta
     exceeds the largest float.
     """
@@ -520,14 +501,16 @@ def reduced_geometry(
         raise DomainError(
             f"reduced variables overflow double precision (zeta = {zeta!r}, theta = {theta!r})"
         )
-    ratio = asinh_ratio(zeta)
-    c = SPEED_OF_LIGHT
+    if zeta < _ASINH_RATIO_SERIES_CUTOFF:
+        z2 = zeta * zeta
+        ratio = 1.0 - z2 / 6.0 + 3.0 * z2 * z2 / 40.0
+    else:
+        ratio = math.asinh(zeta) / zeta
     return ReducedGeometry(
         zeta=zeta,
-        s_ratio=ratio,
-        light_time=(z / c) * ratio,
         theta=theta,
-        crossover_length=c * c / a if a > 0.0 else math.inf,
+        phase=theta * ratio,
+        light_time=(z / SPEED_OF_LIGHT) * ratio,
         separation=z,
         omega0=w,
         envelope=root,

@@ -81,15 +81,6 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _SINGULAR_FLOOR = 1e-12
 
 
-def _tensor(xx, yy, zz, xz=0.0):
-    """Read-only [[xx, 0, xz], [0, yy, 0], [-xz, 0, zz]] of Python numbers, every tensor's layout."""
-    import numpy as np
-
-    arr = np.array(((xx, 0.0, xz), (0.0, yy, 0.0), (-xz, 0.0, zz)))
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Tensor3:
     """Immutable 3x3 tensor indexable by axis letters or integers."""
@@ -110,6 +101,11 @@ class Tensor3:
             raise KeyError(f"tensor index must be a pair, got {key!r}")
         value = self.values[tuple(_AXIS_INDEX[k.lower()] if isinstance(k, str) else k for k in key)]
         return complex(value) if self.values.dtype.kind == "c" else float(value)
+
+
+def _tensor(xx, yy, zz, xz=0.0) -> Tensor3:
+    """Tensor3 [[xx, 0, xz], [0, yy, 0], [-xz, 0, zz]] of Python numbers, every tensor's layout."""
+    return Tensor3(((xx, 0.0, xz), (0.0, yy, 0.0), (-xz, 0.0, zz)))
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,8 @@ def _spectral_entries(zeta: float) -> tuple:
 def em_spectral_coefficients(geom: ReducedGeometry) -> SpectralCoefficients:
     """Coefficient tensors of the spectral density for one geometry."""
     entries = _spectral_entries(geom.zeta)
-    diagonal = [_tensor(*family[:3]) for family in entries]
-    return SpectralCoefficients(*diagonal, *[_tensor(0.0, 0.0, 0.0, e[3]) for e in entries])
+    diagonal = [_tensor(*e[:3]).values for e in entries]
+    return SpectralCoefficients(*diagonal, *[_tensor(0.0, 0.0, 0.0, e[3]).values for e in entries])
 
 
 def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensors:
@@ -200,10 +196,10 @@ def em_spectral_tensors(omega: float, geom: ReducedGeometry) -> EmSpectralTensor
     if not all(map(math.isfinite, f + g)):
         raise DomainError(f"spectral tensors are not finite at omega = {omega!r}")
     return EmSpectralTensors(
-        f=Tensor3(_tensor(*f[:3])),
-        g=Tensor3(_tensor(*g[:3])),
-        f_nd=Tensor3(_tensor(0.0, 0.0, 0.0, f[3])),
-        g_nd=Tensor3(_tensor(0.0, 0.0, 0.0, g[3])),
+        f=_tensor(*f[:3]),
+        g=_tensor(*g[:3]),
+        f_nd=_tensor(0.0, 0.0, 0.0, f[3]),
+        g_nd=_tensor(0.0, 0.0, 0.0, g[3]),
     )
 
 
@@ -254,9 +250,9 @@ def em_potential_tensors(geom: ReducedGeometry) -> PotentialTensors:
     if not all(map(math.isfinite, v)):
         raise DomainError(f"potentials V and W are not finite at separation = {z!r}")
     return PotentialTensors(
-        v=Tensor3(_tensor(*v[:3])),
-        w=Tensor3(_tensor(0.0, 0.0, 0.0, v[3])),
-        reduced=Tensor3(_tensor(*reduced)),
+        v=_tensor(*v[:3]),
+        w=_tensor(0.0, 0.0, 0.0, v[3]),
+        reduced=_tensor(*reduced),
     )
 
 
@@ -350,7 +346,7 @@ def em_inertial_potential(geom: ReducedGeometry) -> Tensor3:
     transverse, axial = common - t * t * math.cos(t), -2.0 * common
     if not (math.isfinite(transverse) and math.isfinite(axial)):
         raise DomainError(f"inertial potential is not finite at theta = {t!r}")
-    return Tensor3(_tensor(transverse, transverse, axial))
+    return _tensor(transverse, transverse, axial)
 
 
 def em_farzone_asymptote(scenario: Scenario) -> EnergyShift:
@@ -401,7 +397,7 @@ def em_wightman_tensor(u: float, geom: ReducedGeometry, eps: float) -> Tensor3:
     710 c/a).  An entry below the normal range may read 0.
     """
     u, eps = _as_float(u, "u"), _as_float(eps, "eps", "positive")
-    return Tensor3(_tensor(*_wightman_kernel(u - 1j * eps, geom)))
+    return _tensor(*_wightman_kernel(u - 1j * eps, geom))
 
 
 def _wightman_kernel(w: complex, geom: ReducedGeometry) -> tuple:

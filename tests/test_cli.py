@@ -15,6 +15,8 @@ import pytest
 
 from rindler_resonance import Parity, Scenario, scalar_resonance_energy
 from rindler_resonance.cli import CSV_HEADER, main
+from rindler_resonance.oracle import run_suites
+from rindler_resonance.quad import QuadratureSpec
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -219,6 +221,22 @@ class TestSweepOutput:
         )
 
 
+class TestVerifyOutput:
+    def test_csv_of_every_suite_has_one_header(self, capsys):
+        # One report of every check: each check_id names its suite.
+        assert main(["verify", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 524
+        assert not [row for row in rows if row["check_id"] == "check_id"]
+        suites = {row["check_id"].split("/")[0] for row in rows}
+        assert suites == {"scalar-pv", "em-pv", "em-commutator", "asymptote"}
+
+    def test_csv_of_one_suite_is_its_report(self, capsys):
+        assert main(["verify", "--suite", "scalar-pv", "--format", "csv"]) == 0
+        spec = QuadratureSpec.from_environment()
+        assert capsys.readouterr().out == run_suites(["scalar-pv"], spec=spec)["scalar-pv"].to_csv()
+
+
 class TestConfigFile:
     def test_config_seeds_options_and_flags_win(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -262,8 +280,8 @@ class TestConfigFile:
         ],
     )
     def test_config_values_skip_flag_choices(self, tmp_path, text, expected_exit):
-        # Choices bind flags only: a config value reaches the checks of
-        # the command, which accept aliases and set the exit code.
+        # A config value reaches the checks of its command: field and
+        # parity labels take aliases, the other choices are the flags'.
         config = tmp_path / "run.cfg"
         config.write_text(
             "field = em\nparity = sym\nsep = 1\nomega0 = 1e8\n"
@@ -271,6 +289,34 @@ class TestConfigFile:
         )
         _, code = run_cli_text("sweep", "--config", str(config))
         assert code == expected_exit
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("compute", "format", "xml"),
+            ("verify", "format", "xml"),
+            ("sweep", "param", "foo"),
+            ("sweep", "spacing", "cubic"),
+            ("verify", "suite", "banana"),
+        ],
+    )
+    def test_config_choice_fails_as_its_flag(self, tmp_path, capsys, command, key, value):
+        # The same exit code and stderr line whether the value is a flag or a config value.
+        base = {
+            "compute": "field = scalar\nparity = sym\nsep = 1\nomega0 = 1\n",
+            "sweep": "field = scalar\nparity = sym\nparam = sep\nfrom = 1\nto = 2\nomega0 = 1\n",
+            "verify": "",
+        }[command]
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text(base)
+        bad.write_text(f"{base}{key} = {value}\n")
+        assert main([command, "--config", str(good), f"--{key}", value]) == 2
+        from_flag = capsys.readouterr()
+        assert from_flag.out == ""
+        assert from_flag.err.startswith(f"error: --{key} must be one of ")
+        assert from_flag.err.endswith(f"; got {value!r}\n")
+        assert main([command, "--config", str(bad)]) == 2
+        assert capsys.readouterr() == from_flag
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):
         # "#" opens a comment only at the start of a line or after whitespace.

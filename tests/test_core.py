@@ -56,7 +56,6 @@ from rindler_resonance import (
     QuadratureSpec,
     Regime,
     Scenario,
-    asinh_ratio,
     parity_sign,
     reduced_geometry,
     scenario_geometry,
@@ -75,13 +74,13 @@ class TestReducedGeometry:
         geom = reduced_geometry(0.0, 1.0, 5.0)
         assert geom.zeta == 0.0
         assert geom.light_time == 1.0 / C
-        assert geom.crossover_length == math.inf
+        assert geom.phase == geom.theta == 5.0 / C
 
     def test_special_zeta_values(self):
-        geom = reduced_geometry(2.0 * C * C, 1.0, 0.0)
-        # asinh(1) = ln(1 + sqrt(2))
-        assert geom.s_ratio == pytest.approx(math.log(1.0 + math.sqrt(2.0)), rel=1e-15)
-        assert geom.s_ratio == pytest.approx(0.881374, abs=5e-7)
+        geom = reduced_geometry(2.0 * C * C, 1.0, C)
+        # zeta = theta = 1: phase = asinh(1) = ln(1 + sqrt(2)) and S = asinh(1) z/c.
+        assert geom.phase == pytest.approx(math.log(1.0 + math.sqrt(2.0)), rel=1e-15)
+        assert geom.light_time * C == pytest.approx(0.881374, abs=5e-7)
 
     def test_theta_is_omega_ratio_times_two_zeta(self):
         accel, omega0 = 3.7e18, 9.1e17
@@ -98,8 +97,24 @@ class TestReducedGeometry:
 
     def test_phase_and_acceleration_round_trip(self):
         geom = reduced_geometry(4.4e17, 1.3, 2.2e16)
-        assert geom.phase == geom.theta * geom.s_ratio
+        assert geom.phase == pytest.approx(geom.omega0 * geom.light_time, rel=1e-15)
         assert geom.acceleration == pytest.approx(4.4e17, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "zeta", [0.0, 3e-5, 0.99e-4, 1.01e-4, 0.7, 40.0, 1e200],
+        ids=["zero", "series", "series-edge", "direct-edge", "direct", "far", "root-is-zeta"],
+    )
+    def test_phase_is_the_closed_forms_phase(self, zeta):
+        # cos and sin of the stored phase are point_geometry's, bit for
+        # bit, in every branch: the PV oracle's density and the closed
+        # forms take one phase.
+        a, z, omega0 = 2.0 * C * C * zeta / 1.3, 1.3, 7.7e8
+        geom = reduced_geometry(a, z, omega0)
+        assert (geom.zeta < 1e-4) == (zeta < 1e-4)
+        assert (geom.envelope == geom.zeta) == (zeta > 1e154)
+        cos_p, sin_p = math.cos(geom.phase), math.sin(geom.phase)
+        got = [geom.zeta, geom.theta, cos_p, sin_p, geom.envelope]
+        assert _all_bits(got) == _all_bits(point_geometry(a, z, omega0))
 
     @pytest.mark.parametrize("a,z,omega0", [(1e300, 1e300, 0.0), (0.0, 1e300, 1e300)])
     def test_overflowing_reduced_variables(self, a, z, omega0):
@@ -118,25 +133,31 @@ class TestReducedGeometry:
             reduced_geometry(1.0, 1.0, -1.0)
 
 
+def asinh_ratio(zeta):
+    """(zeta, asinh(zeta)/zeta) as reduced_geometry reads them: the phase at theta = 1."""
+    geom = reduced_geometry(2.0 * C * C * zeta, 1.0, C)
+    assert geom.theta == 1.0
+    return geom.zeta, geom.phase
+
+
 class TestAsinhRatio:
     def test_limits_and_monotonicity(self):
-        assert asinh_ratio(0.0) == 1.0
-        assert asinh_ratio(1.0) == math.asinh(1.0)
-        with pytest.raises(DomainError):
-            asinh_ratio(-0.1)
+        assert asinh_ratio(0.0) == (0.0, 1.0)
+        assert asinh_ratio(1.0) == (1.0, math.asinh(1.0))
 
     def test_series_matches_direct_branch_at_crossover(self):
         # The series takes over below 1e-4; both branches must agree
         # there to well below the downstream tolerances.
-        for zeta in (0.99e-4, 1.01e-4, 5e-5, 1e-5):
+        for requested in (0.99e-4, 1.01e-4, 5e-5, 1e-5):
+            zeta, ratio = asinh_ratio(requested)
             direct = math.asinh(zeta) / zeta
             series = 1.0 - zeta**2 / 6.0 + 3.0 * zeta**4 / 40.0
-            assert abs(asinh_ratio(zeta) - direct) < 1e-15
-            assert abs(asinh_ratio(zeta) - series) < 1e-15
+            assert abs(ratio - direct) < 1e-15
+            assert abs(ratio - series) < 1e-15
 
     @given(st.floats(min_value=1e-8, max_value=1e3))
     def test_bounded_by_one(self, zeta):
-        assert 0.0 < asinh_ratio(zeta) <= 1.0
+        assert 0.0 < asinh_ratio(zeta)[1] <= 1.0
 
 
 class TestUnruhTemperature:
@@ -419,7 +440,6 @@ ENTRIES = [
         theta=1.0, zeta=x, parity=Parity.SYMMETRIC)),
     ("from_reduced", "separation", lambda x: Scenario.from_reduced(
         theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC, separation=x)),
-    ("asinh_ratio", "zeta", asinh_ratio),
     ("unruh_temperature", "acceleration", unruh_temperature),
     # si_value = prefactor * reduced holds in each EnergyShift cell, and the
     # field the cell names is the first one the constructor checks.
@@ -562,13 +582,11 @@ UNCONVERTIBLE = {
     "from-reduced-zeta": "from_reduced-zeta-huge-int",
     "reduced-geometry": "reduced_geometry-acceleration-huge-int",
     "unruh": "unruh_temperature-acceleration-huge-int",
-    "asinh-ratio": "asinh_ratio-zeta-huge-int",
     "long-scalar-acceleration": "scalar_field-acceleration-long-int",
     "long-em-acceleration": "em_field-acceleration-long-int",
     "long-coupling": "scalar_field-coupling-long-int",
     "long-reduced-geometry": "reduced_geometry-acceleration-long-int",
     "long-unruh": "unruh_temperature-acceleration-long-int",
-    "long-asinh-ratio": "asinh_ratio-zeta-long-int",
     "long-shift": "EnergyShift-reduced-long-int",
     "long-dipole": (lambda: em_scenario(np.array([LONG, 0, 0], dtype=object)), "dipole_a"),
     "long-omega": (lambda: em_spectral_tensors(-LONG, GEOM), "omega"),
@@ -599,7 +617,6 @@ UNCONVERTIBLE = {
     "1-element-reduced-geometry": "reduced_geometry-acceleration-1-element",
     "complex-reduced-geometry": "reduced_geometry-acceleration-numpy-complex",
     "1-element-unruh": "unruh_temperature-acceleration-1-element",
-    "1-element-asinh-ratio": "asinh_ratio-zeta-1-element",
     "1-element-from-reduced": "from_reduced-theta-1-element",
     "from-reduced-zero-separation": (lambda: Scenario.from_reduced(
         theta=1.0, zeta=1.0, parity=Parity.SYMMETRIC, separation=0.0), "separation"),
