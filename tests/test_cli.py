@@ -13,7 +13,13 @@ import sys
 
 import pytest
 
-from rindler_resonance import Parity, Scenario, scalar_resonance_energy
+from rindler_resonance import (
+    SPEED_OF_LIGHT,
+    Parity,
+    Scenario,
+    scalar_resonance_energy,
+    unruh_temperature,
+)
 from rindler_resonance.cli import CSV_HEADER, main
 from rindler_resonance.oracle import run_suites
 from rindler_resonance.quad import QuadratureSpec
@@ -235,6 +241,24 @@ class TestVerifyOutput:
         assert main(["verify", "--suite", "scalar-pv", "--format", "csv"]) == 0
         spec = QuadratureSpec.from_environment()
         assert capsys.readouterr().out == run_suites(["scalar-pv"], spec=spec)["scalar-pv"].to_csv()
+
+
+class TestAccelerationScales:
+    @pytest.mark.parametrize("accel", [0.0, 9.80665, 2.0 * SPEED_OF_LIGHT**2, 1e20, 1e30])
+    def test_compute_and_regimes_print_the_same_scales(self, capsys, accel):
+        # Both commands end their table with the Unruh temperature and
+        # the crossover length c**2/a, inf at a = 0.
+        a = repr(accel)
+        point = ["--field", "scalar", "--parity", "sym", "--sep", "1e-9", "--omega0", "1e9"]
+        assert main(["compute", "--accel", a, *point]) == 0
+        computed = capsys.readouterr().out.splitlines()[-2:]
+        assert main(["regimes", "--accel", a]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == computed
+        crossover = SPEED_OF_LIGHT**2 / accel if accel > 0.0 else float("inf")
+        assert computed == [
+            f"unruh_K       {unruh_temperature(accel):.16e}",
+            f"crossover_m   {crossover:.16e}",
+        ]
 
 
 class TestConfigFile:

@@ -25,11 +25,15 @@ from rindler_resonance import (
     em_commutator_consistency,
     em_energy_pv_oracle,
     em_pv_suite,
+    em_farzone_asymptote,
+    em_potential_tensors,
     em_resonance_energy,
     reduced_geometry,
     scalar_energy_pv_oracle,
+    scalar_farzone_asymptote,
     scalar_pv_suite,
     scalar_resonance_energy,
+    scenario_geometry,
 )
 
 C = 299792458.0
@@ -463,6 +467,27 @@ class TestAsymptoteReport:
         assert {c.tolerance for c in rep.checks} == {1e-5}
         assert all(c.passed == (c.rel_error <= 1e-5) for c in rep.checks)
         assert not rep.passed  # slopes fitted over a few points miss 1e-5
+
+
+class TestFieldCase:
+    def test_scalar_field_at_unit_coupling(self):
+        fields, energy, asymptote = oracle_module._field_case(None)
+        assert fields == {"field_kind": FieldKind.SCALAR, "coupling": 1.0}
+        assert (energy, asymptote) == (scalar_resonance_energy, scalar_farzone_asymptote)
+
+    @pytest.mark.parametrize("pair", [a + b for a in "xyz" for b in "xyz"])
+    def test_axis_pair_reads_its_tensor_entry(self, pair):
+        # dipole_a lies along the first axis, so the shift is the pair's
+        # entry of z**3*(V + W): zx = -xz, and xy, yx, yz, zy vanish.
+        fields, energy, asymptote = oracle_module._field_case(pair)
+        assert fields["field_kind"] is FieldKind.EM
+        assert fields["dipole_a"] == oracle_module._AXIS_VECTORS[pair[0]]
+        assert fields["dipole_b"] == oracle_module._AXIS_VECTORS[pair[1]]
+        assert (energy, asymptote) == (em_resonance_energy, em_farzone_asymptote)
+        scn = Scenario.from_reduced(theta=2.0, zeta=3.0, parity=Parity.SYMMETRIC, **fields)
+        entry = em_potential_tensors(scenario_geometry(scn)).reduced[pair[0], pair[1]]
+        assert energy(scn).reduced == entry
+        assert (entry == 0.0) == (pair in ("xy", "yx", "yz", "zy"))
 
 
 class TestAgreementCheck:
