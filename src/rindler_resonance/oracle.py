@@ -12,16 +12,17 @@ command and by the acceptance tests.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     _as_float,
+    _shown,
     DomainError,
-    EnergyShift,
     FieldKind,
     Parity,
     ReducedGeometry,
@@ -71,17 +72,22 @@ _AXIS_VECTORS = {
 _REL_FLOOR = 1e-12
 
 
-def _field_case(pair: Optional[str]) -> tuple:
+def _field_case(pair: Optional[Sequence[str]]) -> tuple:
     """(scenario fields, energy, far-zone asymptote) of one field.
 
-    ``pair`` None is the scalar field at coupling 1; an axis pair such
-    as "xz" is the EM field with unit dipoles, dipole_a along the first
-    axis.
+    ``pair`` None is the scalar field at coupling 1; two axis letters
+    such as "xz" or ("x", "z") are the EM field with unit dipoles,
+    dipole_a along the first axis.  Any other pair is a DomainError.
     """
     if pair is None:
         fields = {"field_kind": FieldKind.SCALAR, "coupling": 1.0}
         return fields, scalar_resonance_energy, scalar_farzone_asymptote
-    da, db = (_AXIS_VECTORS[axis] for axis in pair)
+    axes = tuple(pair) if isinstance(pair, (str, tuple, list)) else ()
+    if len(axes) != 2 or not all(isinstance(a, str) and a in _AXIS_VECTORS for a in axes):
+        raise DomainError(
+            f"dipole config must be two of the axis letters x, y, z, got {_shown(pair, repr)}"
+        )
+    da, db = (_AXIS_VECTORS[axis] for axis in axes)
     fields = {"field_kind": FieldKind.EM, "dipole_a": da, "dipole_b": db}
     return fields, em_resonance_energy, em_farzone_asymptote
 
@@ -258,21 +264,38 @@ def em_energy_pv_oracle(scenario: Scenario, spec: Optional[QuadratureSpec] = Non
     )
 
 
-def _pv_report(
-    cases: Iterable[tuple],
-    closed_form: Callable[[Scenario], EnergyShift],
-    pv_oracle: Callable[[Scenario, Optional[QuadratureSpec]], float],
+def _pv_grid(
+    pairs: Iterable,
     spec: Optional[QuadratureSpec],
+    thetas: Iterable[float],
+    zetas: Iterable[float],
+    parities: Iterable[Parity],
     tolerance: float,
 ) -> VerificationReport:
-    """Closed form against principal-value oracle at each (check_id, scenario)."""
+    """Closed form against principal-value oracle at each pair, parity, theta and zeta.
+
+    A pair is a ``_field_case`` pair: None for the scalar field, two axis
+    letters for the EM one.  Each case's scenario is built before its
+    check id, so theta, zeta and parity pass the scenario's checks and
+    the id shows theta and zeta as the floats they became.
+    """
+    grid = list(itertools.product(parities, thetas, zetas))
     checks = []
-    for check_id, scenario in cases:
-        reference = closed_form(scenario).reduced
-        computed = pv_oracle(scenario, spec)
-        checks.append(
-            _check(check_id, computed, reference, relative_error(computed, reference), tolerance)
-        )
+    for pair in pairs:
+        fields, energy, _ = _field_case(pair)
+        if pair is None:
+            head, pv_oracle = "scalar-pv", scalar_energy_pv_oracle
+        else:
+            head, pv_oracle = f"em-pv/dipoles={''.join(pair)}", em_energy_pv_oracle
+        for parity, theta, zeta in grid:
+            theta, zeta = _as_float(theta, "theta", ">= 0"), _as_float(zeta, "zeta", ">= 0")
+            scenario = Scenario.from_reduced(theta=theta, zeta=zeta, parity=parity, **fields)
+            check_id = f"{head}/theta={theta:g}/zeta={zeta:g}/parity={scenario.parity.value}"
+            reference = energy(scenario).reduced
+            computed = pv_oracle(scenario, spec)
+            checks.append(
+                _check(check_id, computed, reference, relative_error(computed, reference), tolerance)
+            )
     return VerificationReport(tuple(checks))
 
 
@@ -284,16 +307,7 @@ def scalar_pv_suite(
     tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Closed form vs principal-value integral across the standard grid."""
-    cases = (
-        (
-            f"scalar-pv/theta={theta:g}/zeta={zeta:g}/parity={parity.value}",
-            Scenario.from_reduced(theta=theta, zeta=zeta, parity=parity),
-        )
-        for parity in parities
-        for theta in thetas
-        for zeta in zetas
-    )
-    return _pv_report(cases, scalar_resonance_energy, scalar_energy_pv_oracle, spec, tolerance)
+    return _pv_grid((None,), spec, thetas, zetas, parities, tolerance)
 
 
 def em_pv_suite(
@@ -304,21 +318,12 @@ def em_pv_suite(
     dipole_configs: Sequence[tuple] = _DEFAULT_DIPOLE_CONFIGS,
     tolerance: float = 1e-6,
 ) -> VerificationReport:
-    """Closed form vs frequency integral for the EM shift across the grid."""
-    cases = (
-        (
-            f"em-pv/dipoles={axis_a}{axis_b}/theta={theta:g}"
-            f"/zeta={zeta:g}/parity={parity.value}",
-            Scenario.from_reduced(
-                theta=theta, zeta=zeta, parity=parity, **_field_case(axis_a + axis_b)[0]
-            ),
-        )
-        for axis_a, axis_b in dipole_configs
-        for parity in parities
-        for theta in thetas
-        for zeta in zetas
-    )
-    return _pv_report(cases, em_resonance_energy, em_energy_pv_oracle, spec, tolerance)
+    """Closed form vs frequency integral for the EM shift across the grid.
+
+    Each dipole config is two of the axis letters x, y, z, such as
+    ("x", "z"); any other is a DomainError.
+    """
+    return _pv_grid(dipole_configs, spec, thetas, zetas, parities, tolerance)
 
 
 _COMMUTATOR_COMPONENTS = ("xx", "yy", "zz", "xz", "zx")

@@ -466,6 +466,12 @@ ENTRIES = [
     ("scalar_pv_suite", "tolerance", lambda x: scalar_pv_suite(**ONE_PV_CASE, tolerance=x)),
     ("em_pv_suite", "tolerance", lambda x: em_pv_suite(
         **ONE_PV_CASE, dipole_configs=(("z", "z"),), tolerance=x)),
+    ("scalar_pv_suite", "theta", lambda x: scalar_pv_suite(**{**ONE_PV_CASE, "thetas": (x,)})),
+    ("scalar_pv_suite", "zeta", lambda x: scalar_pv_suite(**{**ONE_PV_CASE, "zetas": (x,)})),
+    ("em_pv_suite", "theta", lambda x: em_pv_suite(
+        **{**ONE_PV_CASE, "thetas": (x,)}, dipole_configs=(("z", "z"),))),
+    ("em_pv_suite", "zeta", lambda x: em_pv_suite(
+        **{**ONE_PV_CASE, "zetas": (x,)}, dipole_configs=(("z", "z"),))),
 ]
 
 # Input kinds every entry refuses with a DomainError naming the field.
@@ -507,6 +513,9 @@ LABEL_ENTRIES = [
     ("EnergyShift", "field_kind", lambda x: dataclasses.replace(energy_shift(), field_kind=x)),
     ("Parity.from_label", "parity", Parity.from_label),
     ("FieldKind.from_label", "field kind", FieldKind.from_label),
+    ("scalar_pv_suite", "parity", lambda x: scalar_pv_suite(**{**ONE_PV_CASE, "parities": (x,)})),
+    ("em_pv_suite", "parity", lambda x: em_pv_suite(
+        **{**ONE_PV_CASE, "parities": (x,)}, dipole_configs=(("z", "z"),))),
 ]
 
 

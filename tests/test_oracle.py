@@ -8,6 +8,7 @@ code path than the closed forms they compare against.
 import csv
 import dataclasses
 import io
+import re
 
 import pytest
 
@@ -137,6 +138,36 @@ class TestScalarOracle:
         assert em.passed, em.worst
 
 
+class TestDefaultGrids:
+    # 7 theta x 7 zeta x 2 parities, and for the EM field each of the
+    # four dipole configs, in the check id formats of the CLI output.
+    THETAS = ("0.1", "0.5", "1", "2", "5", "20", "100")
+    ZETAS = ("0.001", "0.01", "0.1", "1", "10", "100", "1000")
+
+    def grid(self, head):
+        return sorted(
+            f"{head}/theta={theta}/zeta={zeta}/parity={parity}"
+            for theta in self.THETAS
+            for zeta in self.ZETAS
+            for parity in ("sym", "anti")
+        )
+
+    def test_scalar_pv_suite(self):
+        rep = scalar_pv_suite()
+        assert [c.check_id for c in rep.checks] == self.grid("scalar-pv")
+        assert rep.n_passed == len(rep.checks) == 98
+
+    def test_em_pv_suite(self):
+        rep = em_pv_suite()
+        expected = sorted(
+            check_id
+            for pair in ("zz", "xx", "yy", "xz")
+            for check_id in self.grid(f"em-pv/dipoles={pair}")
+        )
+        assert [c.check_id for c in rep.checks] == expected
+        assert rep.n_passed == len(rep.checks) == 392
+
+
 class TestEmOracle:
     def test_cross_dipoles_at_small_phase(self):
         # omega0*S ~ 1e-7 with a density of order 1e-9, below the default
@@ -252,6 +283,22 @@ class TestEmOracle:
         )
         closed = em_resonance_energy(sc).reduced
         assert em_energy_pv_oracle(sc) == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "config", [("x", "w"), ("X", "Z"), ("xyz",), (1, 2)], ids=["xw", "XZ", "xyz", "ints"]
+    )
+    def test_refuses_a_config_that_is_not_two_axis_letters(self, config):
+        with pytest.raises(DomainError, match=rf"dipole config .* got {re.escape(repr(config))}$"):
+            em_pv_suite(thetas=(1.0,), zetas=(1.0,), dipole_configs=(config,))
+
+    def test_one_shot_grids_serve_every_config(self):
+        # Iterators, not sequences: each config gets the whole grid.
+        rep = em_pv_suite(
+            thetas=iter([1.0]), zetas=iter([1.0]), parities=iter([Parity.SYMMETRIC])
+        )
+        assert [c.check_id for c in rep.checks] == [
+            f"em-pv/dipoles={pair}/theta=1/zeta=1/parity=sym" for pair in ("xx", "xz", "yy", "zz")
+        ]
 
     def test_detects_perturbed_spectral_density(self, monkeypatch):
         # Perturb one coefficient family; the grid checks must notice.
